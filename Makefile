@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench figures
+.PHONY: check fmt vet build test race bench-smoke bench figures
 
-# check is the full pre-merge gate: vet, build, tests, the race
+# check is the full pre-merge gate: gofmt, vet, build, tests, the race
 # detector over the internal packages (including a forced-parallel
 # pass over the experiment worker pool), and a one-iteration smoke
 # over every benchmark.
-check: vet build test race bench-smoke
+check: fmt vet build test race bench-smoke
+
+# fmt fails when gofmt would rewrite any file.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -1,0 +1,102 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The golden corpus pins what the simulator prints: the stdout and the
+// -stats dump of every scenarios/*.json run, and the fig9-fig14 -quick
+// tables. A change that moves any of them on purpose regenerates the
+// corpus with
+//
+//	go test ./cmd/idiosim -run TestGolden -update
+//
+// and explains the diff; any other change must leave it untouched.
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output")
+
+const goldenDir = "../../testdata/golden"
+
+// goldenFigs are the figure tables the corpus pins, run with -quick.
+var goldenFigs = []string{"fig9", "fig10", "fig11", "fig12", "fig13", "fig14"}
+
+// timingLine matches the "[fig9 done in 175ms]" wall-clock footer, the
+// one line of output that differs from run to run.
+var timingLine = regexp.MustCompile(`(?m)^\[[^\]]* done in [^\]]*\]\n`)
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	got = timingLine.ReplaceAll(got, nil)
+	path := filepath.Join(goldenDir, name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want = timingLine.ReplaceAll(want, nil)
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("%s differs from the golden corpus at line %d:\n got: %q\nwant: %q", name, i+1, gl, wl)
+		}
+	}
+}
+
+func TestGolden(t *testing.T) {
+	if *update {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scenarios, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(scenarios) == 0 {
+		t.Fatalf("no scenarios found (%v)", err)
+	}
+	for _, path := range scenarios {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run("scenario/"+name, func(t *testing.T) {
+			var out bytes.Buffer
+			stats := filepath.Join(t.TempDir(), "stats")
+			if err := runScenario(path, scenarioOpts{statsPath: stats}, &out); err != nil {
+				t.Fatal(err)
+			}
+			dump, err := os.ReadFile(stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "scenario_"+name+".out", out.Bytes())
+			checkGolden(t, "scenario_"+name+".stats", dump)
+		})
+	}
+	for _, fig := range goldenFigs {
+		t.Run(fig, func(t *testing.T) {
+			var out bytes.Buffer
+			r := &runner{quick: true, par: 1}
+			if err := r.run(fig, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fig+"_quick.txt", out.Bytes())
+		})
+	}
+}

@@ -102,7 +102,7 @@ func main() {
 			metricsPath:     *metricsPath,
 			shards:          *shards,
 		}
-		if err := runScenario(*scenarioPath, opts); err != nil {
+		if err := runScenario(*scenarioPath, opts, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -518,10 +518,10 @@ type scenarioOpts struct {
 	shards          int
 }
 
-// runScenario executes a JSON scenario file and prints its summary,
-// optionally writing a flat stats dump, a metrics JSON document, a
+// runScenario executes a JSON scenario file and prints its summary to
+// stdout, optionally writing a flat stats dump, a metrics JSON document, a
 // Chrome trace, and a metric-snapshot CSV series.
-func runScenario(path string, o scenarioOpts) error {
+func runScenario(path string, o scenarioOpts, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -565,10 +565,10 @@ func runScenario(path string, o scenarioOpts) error {
 		fmt.Fprintf(os.Stderr, "[%d trace events written to %s]\n",
 			sys.Observe().EventsEmitted(), o.tracePath)
 	}
-	fmt.Printf("== scenario %q (%s) ==\n", sc.Name, sc.Policy)
-	fmt.Print(res)
+	fmt.Fprintf(stdout, "== scenario %q (%s) ==\n", sc.Name, sc.Policy)
+	fmt.Fprint(stdout, res)
 	if cpi > 0 {
-		fmt.Printf("  antagonist CPI: %.1f\n", cpi)
+		fmt.Fprintf(stdout, "  antagonist CPI: %.1f\n", cpi)
 	}
 	if o.statsPath != "" {
 		sf, err := os.Create(o.statsPath)

@@ -25,10 +25,10 @@
 package fault
 
 import (
-	"sync"
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"idio/internal/cpu"
 	"idio/internal/dram"

@@ -69,8 +69,8 @@ func BenchmarkPrefetchToMLC(b *testing.B) {
 
 func BenchmarkInvalidateNoWBEnforced(b *testing.B) {
 	// Measures the PTE-bit lookup on the enforcement path: every
-	// InvalidateNoWB consults the invalidatable set (a struct{}-valued
-	// membership map) before dropping the line.
+	// InvalidateNoWB consults the invalidatable region set (a binary
+	// search over merged regions) before dropping the line.
 	h := benchHier(b)
 	region := mem.Region{Base: 0, Size: 64 * 4096}
 	h.RegisterInvalidatable(region)

@@ -21,6 +21,7 @@ package hier
 
 import (
 	"fmt"
+	"math"
 
 	"idio/internal/cache"
 	"idio/internal/dram"
@@ -199,7 +200,7 @@ type Hierarchy struct {
 	MLCInvTL *stats.Timeline
 	DMAReqTL *stats.Timeline
 
-	invalidatable map[mem.LineAddr]struct{} // pages registered as Invalidatable (Sec. V-D)
+	invalidatable mem.RegionSet // lines registered as Invalidatable (Sec. V-D), whole
 	invalCheck    bool
 
 	// obs receives line-level trace events (writeback, DMA
@@ -212,6 +213,9 @@ type Hierarchy struct {
 func New(cfg Config) *Hierarchy {
 	if cfg.NumCores <= 0 {
 		panic("hier: need at least one core")
+	}
+	if cfg.NumCores > maxDirOwners {
+		panic(fmt.Sprintf("hier: %d cores exceed the directory's %d owners", cfg.NumCores, maxDirOwners))
 	}
 	if cfg.DDIOWays <= 0 || cfg.DDIOWays > cfg.LLCAssoc {
 		panic(fmt.Sprintf("hier: DDIO ways %d out of range for %d-way LLC", cfg.DDIOWays, cfg.LLCAssoc))
@@ -506,7 +510,7 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 	}
 	// Invalidate any MLC-resident copy (P1/P2 steps in Fig. 1). The data
 	// is dead — it is being overwritten — so no writeback happens.
-	wasInMLC := h.snoopInvalMLC(now, la)
+	h.snoopInvalMLC(now, la)
 	if ln := h.llc.Lookup(la, true); ln != nil {
 		// In-place update (P2-2/P3-1 in Fig. 1).
 		ln.Dirty = true
@@ -520,16 +524,15 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 		h.llcWriteback(now, v)
 	}
 	h.stats.DDIOAlloc++
-	_ = wasInMLC
 	return h.llcLat
 }
 
 // snoopInvalMLC invalidates la from every core's L1/MLC without
-// writeback, returning whether any copy existed.
-func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) bool {
+// writeback.
+func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) {
 	owner, ok := h.dir.owner(la)
 	if !ok {
-		return false
+		return
 	}
 	h.l1[owner].Invalidate(la)
 	present, _ := h.mlc[owner].Invalidate(la)
@@ -543,7 +546,6 @@ func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) bool {
 			h.obs.LineEvent(obs.EvInval, now, la, owner, "dma-snoop", 0)
 		}
 	}
-	return present
 }
 
 // DirectDRAMWrite implements IDIO's selective direct DRAM access: the
@@ -609,12 +611,10 @@ func (h *Hierarchy) allocLLCVictimEgress(now sim.Time, core int, la uint64, dirt
 // without writeback, modeling the kernel-allocated Invalidatable buffer
 // of Sec. V-D. When enforcement is enabled (EnforceInvalidatable),
 // InvalidateNoWB panics on unregistered lines, catching the privacy bug
-// class the paper describes.
+// class the paper describes. Registration covers every line the
+// region touches; the registry keeps merged regions, not lines.
 func (h *Hierarchy) RegisterInvalidatable(r mem.Region) {
-	if h.invalidatable == nil {
-		h.invalidatable = make(map[mem.LineAddr]struct{})
-	}
-	r.Lines(func(l mem.LineAddr) { h.invalidatable[l] = struct{}{} })
+	h.invalidatable.Add(r.LineSpan())
 }
 
 // EnforceInvalidatable turns on PTE-bit checking for InvalidateNoWB.
@@ -626,7 +626,7 @@ func (h *Hierarchy) EnforceInvalidatable(on bool) { h.invalCheck = on }
 func (h *Hierarchy) InvalidateNoWB(now sim.Time, core int, line mem.LineAddr) {
 	la := uint64(line)
 	if h.invalCheck {
-		if _, ok := h.invalidatable[line]; !ok {
+		if !h.invalidatable.Contains(line.Addr()) {
 			panic(fmt.Sprintf("hier: InvalidateNoWB on non-Invalidatable line %v", line))
 		}
 	}
@@ -743,14 +743,6 @@ func (h *Hierarchy) WarmWrite(core int, line mem.LineAddr) {
 
 // --- directory (snoop filter) ---
 
-// dirEntry tracks one MLC-resident line and its owning core.
-type dirEntry struct {
-	line  uint64
-	owner int
-	valid bool
-	use   uint64
-}
-
 type dirVictim struct {
 	line  uint64
 	owner int
@@ -762,18 +754,22 @@ type dirVictim struct {
 type directory struct {
 	sets  int
 	assoc int
-	ents  []dirEntry
-	// tags packs the entries' (valid, line) pairs one word per way —
-	// dirInvalid when empty, the line address otherwise — so the owner
-	// probe on every memory access scans a compact array instead of
-	// striding across 32-byte dirEntry records.
-	tags  []uint64
-	clock uint64
+	// tags holds one word per way — dirInvalid when the way is empty,
+	// the tracked line address otherwise — so the owner probe on every
+	// memory access scans a compact array. owners and use are parallel
+	// to it: each way's owning core and LRU stamp.
+	tags   []uint64
+	owners []uint16
+	use    []uint64
+	clock  uint64
 }
 
 // dirInvalid marks an empty way in directory.tags (line addresses are
 // byte addresses >> 6 and never reach 2^64-1).
 const dirInvalid = ^uint64(0)
+
+// maxDirOwners bounds the core count the directory's owner index holds.
+const maxDirOwners = math.MaxUint16 + 1
 
 func newDirectory(entries, assoc int) *directory {
 	if assoc <= 0 {
@@ -787,26 +783,29 @@ func newDirectory(entries, assoc int) *directory {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	d := &directory{sets: sets, assoc: assoc, ents: make([]dirEntry, sets*assoc)}
-	d.tags = make([]uint64, sets*assoc)
+	n := sets * assoc
+	d := &directory{sets: sets, assoc: assoc, tags: make([]uint64, n), owners: make([]uint16, n), use: make([]uint64, n)}
 	for i := range d.tags {
 		d.tags[i] = dirInvalid
 	}
 	return d
 }
 
-func (d *directory) set(line uint64) []dirEntry {
-	si := int(line & uint64(d.sets-1))
-	return d.ents[si*d.assoc : (si+1)*d.assoc]
-}
-
-func (d *directory) owner(line uint64) (int, bool) {
+// find returns the way index tracking line, or -1.
+func (d *directory) find(line uint64) int {
 	base := int(line&uint64(d.sets-1)) * d.assoc
 	tags := d.tags[base : base+d.assoc]
 	for i := range tags {
 		if tags[i] == line {
-			return d.ents[base+i].owner, true
+			return base + i
 		}
+	}
+	return -1
+}
+
+func (d *directory) owner(line uint64) (int, bool) {
+	if w := d.find(line); w >= 0 {
+		return int(d.owners[w]), true
 	}
 	return 0, false
 }
@@ -815,53 +814,46 @@ func (d *directory) owner(line uint64) (int, bool) {
 // victim entry is evicted and returned for back-invalidation.
 func (d *directory) insert(line uint64, owner int) (dirVictim, bool) {
 	d.clock++
+	if w := d.find(line); w >= 0 {
+		d.owners[w] = uint16(owner)
+		d.use[w] = d.clock
+		return dirVictim{}, false
+	}
 	base := int(line&uint64(d.sets-1)) * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	set := d.ents[base : base+d.assoc]
-	for i := range tags {
-		if tags[i] == line {
-			set[i].owner = owner
-			set[i].use = d.clock
-			return dirVictim{}, false
+	w := -1
+	for i := base; i < base+d.assoc; i++ {
+		if d.tags[i] == dirInvalid {
+			w = i
+			break
 		}
 	}
-	for i := range tags {
-		if tags[i] == dirInvalid {
-			set[i] = dirEntry{line: line, owner: owner, valid: true, use: d.clock}
-			tags[i] = line
-			return dirVictim{}, false
+	var v dirVictim
+	evicted := w < 0
+	if evicted {
+		// Evict the LRU way.
+		minUse := ^uint64(0)
+		for i := base; i < base+d.assoc; i++ {
+			if d.use[i] < minUse {
+				w, minUse = i, d.use[i]
+			}
 		}
+		v = dirVictim{line: d.tags[w], owner: int(d.owners[w])}
 	}
-	// Evict LRU entry.
-	vi, minUse := 0, ^uint64(0)
-	for i := range set {
-		if set[i].use < minUse {
-			vi, minUse = i, set[i].use
-		}
-	}
-	v := dirVictim{line: set[vi].line, owner: set[vi].owner}
-	set[vi] = dirEntry{line: line, owner: owner, valid: true, use: d.clock}
-	tags[vi] = line
-	return v, true
+	d.tags[w], d.owners[w], d.use[w] = line, uint16(owner), d.clock
+	return v, evicted
 }
 
 func (d *directory) remove(line uint64) {
-	base := int(line&uint64(d.sets-1)) * d.assoc
-	tags := d.tags[base : base+d.assoc]
-	for i := range tags {
-		if tags[i] == line {
-			d.ents[base+i].valid = false
-			tags[i] = dirInvalid
-			return
-		}
+	if w := d.find(line); w >= 0 {
+		d.tags[w] = dirInvalid
 	}
 }
 
 // entries returns the number of valid directory entries (testing aid).
 func (d *directory) entries() int {
 	n := 0
-	for i := range d.ents {
-		if d.ents[i].valid {
+	for _, t := range d.tags {
+		if t != dirInvalid {
 			n++
 		}
 	}

@@ -596,3 +596,39 @@ func TestConfigValidation(t *testing.T) {
 	}()
 	New(Config{NumCores: 0})
 }
+
+// TestInvalidatableRegistryMatchesPerLineSet checks the region-set
+// registry against the per-line set it replaced: for random adjacent,
+// overlapping and out-of-order regions with unaligned edges, every
+// line gets the same enforcement verdict (panic or not).
+func TestInvalidatableRegistryMatchesPerLineSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	verdict := func(h *Hierarchy, l mem.LineAddr) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		h.InvalidateNoWB(0, 0, l)
+		return false
+	}
+	for iter := 0; iter < 300; iter++ {
+		h := small(t)
+		h.EnforceInvalidatable(true)
+		ref := make(map[mem.LineAddr]bool)
+		prev := mem.Region{}
+		for i := rng.Intn(24); i > 0; i-- {
+			r := mem.Region{Base: mem.Addr(rng.Intn(256 * mem.LineBytes)), Size: uint64(rng.Intn(8 * mem.LineBytes))}
+			switch rng.Intn(4) {
+			case 0:
+				r.Base = prev.End()
+			case 1:
+				r.Base = prev.Base + mem.Addr(rng.Int63n(int64(prev.Size)+1))
+			}
+			h.RegisterInvalidatable(r)
+			r.Lines(func(l mem.LineAddr) { ref[l] = true })
+			prev = r
+		}
+		for l := mem.LineAddr(0); l < 266; l++ {
+			if got := verdict(h, l); got != !ref[l] {
+				t.Fatalf("iter %d: line %d panicked=%v, per-line set says registered=%v", iter, l, got, ref[l])
+			}
+		}
+	}
+}

@@ -77,6 +77,79 @@ func (r Region) Lines(fn func(LineAddr)) {
 // NumLines returns the number of cachelines touched by the region.
 func (r Region) NumLines() int { return LinesCovering(r.Base, int(r.Size)) }
 
+// LineSpan returns the smallest line-aligned region covering r: every
+// cacheline r touches, whole. An empty region spans nothing.
+func (r Region) LineSpan() Region {
+	if r.Size == 0 {
+		return Region{Base: r.Base}
+	}
+	base := r.Base &^ LineMask
+	return Region{Base: base, Size: uint64(alignUp(r.End(), LineBytes) - base)}
+}
+
+// RegionSet is a set of physical addresses stored as sorted, disjoint,
+// non-adjacent regions. Adding a region merges it with every region it
+// overlaps or abuts, so a set built from a ring's thousands of
+// back-to-back buffers collapses to a handful of regions, and a lookup
+// is a binary search that inspects a single candidate. The zero value
+// is an empty set.
+type RegionSet struct {
+	regions []Region
+}
+
+// Add inserts r into the set; adding an empty region is a no-op and
+// adding an already-covered one changes nothing.
+func (s *RegionSet) Add(r Region) {
+	if r.Size == 0 {
+		return
+	}
+	lo, hi := r.Base, r.End()
+	// Regions from i on are the ones r can overlap or abut: the last
+	// region starting at or before lo, if it reaches lo, and every
+	// later region starting at or before hi.
+	i := s.upper(lo)
+	if i > 0 && s.regions[i-1].End() >= lo {
+		i--
+	}
+	j := i
+	for ; j < len(s.regions) && s.regions[j].Base <= hi; j++ {
+		lo = min(lo, s.regions[j].Base)
+		hi = max(hi, s.regions[j].End())
+	}
+	merged := Region{Base: lo, Size: uint64(hi - lo)}
+	if i == j {
+		s.regions = append(s.regions, Region{})
+		copy(s.regions[i+1:], s.regions[i:])
+	} else {
+		s.regions = append(s.regions[:i+1], s.regions[j:]...)
+	}
+	s.regions[i] = merged
+}
+
+// Contains reports whether a lies inside the set.
+func (s *RegionSet) Contains(a Addr) bool {
+	// The only candidate is the last region starting at or before a.
+	i := s.upper(a)
+	return i > 0 && a < s.regions[i-1].End()
+}
+
+// Len returns the number of disjoint regions the set holds.
+func (s *RegionSet) Len() int { return len(s.regions) }
+
+// upper returns the index of the first region starting after a.
+func (s *RegionSet) upper(a Addr) int {
+	lo, hi := 0, len(s.regions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.regions[m].Base > a {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 // Layout hands out non-overlapping, naturally aligned physical regions.
 // It is how the system places descriptor rings, mbuf pools and
 // application heaps without collisions.

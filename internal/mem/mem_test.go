@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,71 @@ func TestQuickRegionLineConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomRegions draws regions that land adjacent to, overlapping, or
+// out of order with the previous one, with unaligned bases and sizes
+// (including empty ones), inside the first 256 lines.
+func randomRegions(rng *rand.Rand) []Region {
+	var rs []Region
+	prev := Region{}
+	for i := rng.Intn(24); i > 0; i-- {
+		r := Region{Base: Addr(rng.Intn(256 * LineBytes)), Size: uint64(rng.Intn(8 * LineBytes))}
+		switch rng.Intn(4) {
+		case 0:
+			r.Base = prev.End()
+		case 1:
+			r.Base = prev.Base + Addr(rng.Int63n(int64(prev.Size)+1))
+		}
+		rs = append(rs, r)
+		prev = r
+	}
+	return rs
+}
+
+func TestRegionSetMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		var s RegionSet
+		rs := randomRegions(rng)
+		for _, r := range rs {
+			s.Add(r)
+		}
+		got := s.regions
+		for i := 1; i < len(got); i++ {
+			if got[i-1].End() >= got[i].Base {
+				t.Fatalf("regions %v and %v are not sorted, disjoint and apart", got[i-1], got[i])
+			}
+		}
+		for _, g := range got {
+			if g.Size == 0 {
+				t.Fatalf("empty region %v kept", g)
+			}
+		}
+		for a := Addr(0); a < 266*LineBytes; a++ {
+			want := false
+			for _, r := range rs {
+				want = want || r.Contains(a)
+			}
+			if s.Contains(a) != want {
+				t.Fatalf("iter %d: Contains(%v) = %v, want %v (regions %v)", iter, a, !want, want, rs)
+			}
+		}
+	}
+}
+
+func TestLineSpan(t *testing.T) {
+	cases := []struct{ in, want Region }{
+		{Region{Base: 0, Size: 64}, Region{Base: 0, Size: 64}},
+		{Region{Base: 10, Size: 1}, Region{Base: 0, Size: 64}},
+		{Region{Base: 63, Size: 2}, Region{Base: 0, Size: 128}},
+		{Region{Base: 64, Size: 1514}, Region{Base: 64, Size: 24 * 64}},
+		{Region{Base: 100, Size: 0}, Region{Base: 100}},
+	}
+	for _, c := range cases {
+		if got := c.in.LineSpan(); got != c.want {
+			t.Errorf("LineSpan(%+v) = %+v, want %+v", c.in, got, c.want)
+		}
 	}
 }

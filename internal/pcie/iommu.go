@@ -1,8 +1,6 @@
 package pcie
 
 import (
-	"sort"
-
 	"idio/internal/mem"
 	"idio/internal/obs"
 )
@@ -14,7 +12,7 @@ import (
 // corrupting arbitrary memory — both a safety net for the simulated
 // driver stack and a realism feature.
 type IOMMU struct {
-	regions []mem.Region // sorted by Base, non-overlapping
+	regions mem.RegionSet
 
 	// ReadFaults/WriteFaults count rejected accesses.
 	ReadFaults  uint64
@@ -25,38 +23,16 @@ type IOMMU struct {
 func NewIOMMU() *IOMMU { return &IOMMU{} }
 
 // Map registers a region as DMA-able. Overlapping and adjacent
-// regions are coalesced so that lookups only ever need to inspect a
-// single predecessor; mapping is idempotent.
-func (u *IOMMU) Map(r mem.Region) {
-	if r.Size == 0 {
-		return
-	}
-	u.regions = append(u.regions, r)
-	sort.Slice(u.regions, func(i, j int) bool { return u.regions[i].Base < u.regions[j].Base })
-	merged := u.regions[:1]
-	for _, next := range u.regions[1:] {
-		last := &merged[len(merged)-1]
-		if next.Base <= last.End() {
-			if next.End() > last.End() {
-				last.Size = uint64(next.End() - last.Base)
-			}
-			continue
-		}
-		merged = append(merged, next)
-	}
-	u.regions = merged
-}
+// regions are coalesced (see mem.RegionSet); mapping is idempotent.
+func (u *IOMMU) Map(r mem.Region) { u.regions.Add(r) }
 
-// Mapped reports how many regions are registered.
-func (u *IOMMU) Mapped() int { return len(u.regions) }
+// Mapped reports how many disjoint regions are registered.
+func (u *IOMMU) Mapped() int { return u.regions.Len() }
 
 // Allowed reports whether the cacheline at lineAddr is inside any
-// mapping. Regions are disjoint after coalescing, so only the single
-// region with the greatest Base <= addr can contain it.
+// mapping, judged by the line's first byte.
 func (u *IOMMU) Allowed(lineAddr uint64) bool {
-	addr := mem.LineAddr(lineAddr).Addr()
-	i := sort.Search(len(u.regions), func(i int) bool { return u.regions[i].Base > addr })
-	return i > 0 && u.regions[i-1].Contains(addr)
+	return u.regions.Contains(mem.LineAddr(lineAddr).Addr())
 }
 
 // CheckWrite validates a DMA write target, counting a fault when

@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -101,5 +102,35 @@ func TestQuickIOMMUMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIOMMUMatchesPerLineSet checks the region-set mappings against a
+// per-line reference — a line is allowed iff its first byte lies in a
+// mapped region — for random adjacent, overlapping and out-of-order
+// regions with unaligned edges.
+func TestIOMMUMatchesPerLineSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		u := NewIOMMU()
+		ref := make(map[uint64]bool)
+		prev := mem.Region{}
+		for i := rng.Intn(24); i > 0; i-- {
+			r := mem.Region{Base: mem.Addr(rng.Intn(256 * mem.LineBytes)), Size: uint64(rng.Intn(8 * mem.LineBytes))}
+			switch rng.Intn(4) {
+			case 0:
+				r.Base = prev.End()
+			case 1:
+				r.Base = prev.Base + mem.Addr(rng.Int63n(int64(prev.Size)+1))
+			}
+			u.Map(r)
+			r.Lines(func(l mem.LineAddr) { ref[uint64(l)] = r.Contains(l.Addr()) || ref[uint64(l)] })
+			prev = r
+		}
+		for l := uint64(0); l < 266; l++ {
+			if got := u.Allowed(l); got != ref[l] {
+				t.Fatalf("iter %d: line %d allowed=%v, per-line set says %v", iter, l, got, ref[l])
+			}
+		}
 	}
 }

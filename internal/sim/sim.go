@@ -287,7 +287,15 @@ type Simulator struct {
 	// small (see schedEvent.arg).
 	args    []Arg
 	argFree []int32
+
+	// reserved lists the seq blocks handed out by ReserveSeqs, in
+	// ascending order with contiguous blocks merged; AtArgSeq accepts
+	// only seqs inside one of them.
+	reserved []seqBlock
 }
+
+// seqBlock is the inclusive seq range [lo, hi] of one reservation.
+type seqBlock struct{ lo, hi uint64 }
 
 // putArg stores an argful payload in the slab and returns its slot.
 func (s *Simulator) putArg(a Arg) int32 {
@@ -444,6 +452,60 @@ func (s *Simulator) AtArgNamed(at Time, name string, fn ArgEvent, arg Arg) {
 	}
 	s.seq++
 	s.enqueue(schedEvent{at: at, seq: s.seq, afn: fn, arg: s.putArg(arg)})
+}
+
+// ReserveSeqs reserves a block of n consecutive ordering seqs and
+// returns the first; the block is [first, first+n). It consumes the
+// seq counter exactly as n AtArgNamed calls would, so events filed
+// later under these seqs with AtArgSeq order among all other events
+// precisely as if they had been scheduled right now. This is what lets
+// a generator with a known arrival schedule keep one pending event per
+// stream instead of pre-scheduling every arrival: each event files its
+// successor under the successor's reserved seq, and the scheduler
+// still executes the same (at, seq) total order.
+func (s *Simulator) ReserveSeqs(n uint64) uint64 {
+	first := s.seq + 1
+	if n == 0 {
+		return first
+	}
+	s.seq += n
+	if k := len(s.reserved); k > 0 && s.reserved[k-1].hi+1 == first {
+		s.reserved[k-1].hi = s.seq
+	} else {
+		s.reserved = append(s.reserved, seqBlock{lo: first, hi: s.seq})
+	}
+	return first
+}
+
+// AtArgSeq files an argful event at time at under a seq previously
+// handed out by ReserveSeqs. It panics on a seq outside every reserved
+// block or on a time before now. Each reserved seq is meant to be used
+// once; the caller owns that discipline, as it owns the schedule.
+func (s *Simulator) AtArgSeq(at Time, seq uint64, fn ArgEvent, arg Arg) {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: reserved-seq event %d scheduled at %v before now %v", seq, at, s.now))
+	}
+	if fn == nil {
+		panic("sim: nil event")
+	}
+	if !s.isReserved(seq) {
+		panic(fmt.Sprintf("sim: seq %d was not reserved", seq))
+	}
+	s.enqueue(schedEvent{at: at, seq: seq, afn: fn, arg: s.putArg(arg)})
+}
+
+// isReserved reports whether seq lies in a ReserveSeqs block.
+func (s *Simulator) isReserved(seq uint64) bool {
+	lo, hi := 0, len(s.reserved)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.reserved[m].hi < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(s.reserved) && s.reserved[lo].lo <= seq
 }
 
 // ContinueAt is the inline-continuation check for fused (batched)

@@ -85,8 +85,10 @@ func newTimeWheel() timeWheel {
 // running handler — is inserted in order into the slot's unconsumed
 // tail instead of spilling: any event scheduled while dispatching
 // orders at or after the event being dispatched (scheduling into the
-// past panics upstream, and fresh seqs exceed consumed ones), so a
-// valid position at or after the consume cursor always exists.
+// past panics upstream, fresh seqs exceed consumed ones, and a stream
+// files each reserved-seq successor (AtArgSeq) only after its own
+// predecessor in (at, seq) order), so a valid position at or after the
+// consume cursor always exists.
 func (w *timeWheel) push(e schedEvent) bool {
 	if e.at < w.base || e.at-w.base >= Time(wheelSpan) {
 		return false

@@ -16,6 +16,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"idio/internal/pkt"
 	"idio/internal/sim"
@@ -184,24 +185,44 @@ func (g Bursty) BurstLength() sim.Duration {
 	return sim.Duration(int64(gap) * int64(g.PacketsPerBurst-1))
 }
 
-// burstRun is the shared state of one bursty stream's pre-scheduled
-// emissions; the per-packet sequence number rides in the event's Arg.
+// burstRun is one bursty stream's emission state. The arrival times
+// follow from the stream's geometry, so the stream keeps exactly one
+// pending event: each emission files its successor under the seq
+// Install reserved for it (see sim.ReserveSeqs), reproducing the
+// pre-scheduled (at, seq) order with O(1) state.
 type burstRun struct {
+	g    Bursty
 	tmpl *pkt.Template
 	pool *pkt.Pool
 	rx   Receiver
+	gap  sim.Duration
+	seq0 uint64 // reserved seq of packet 0; packet k rides under seq0+k
+	next uint64 // sequence number of the packet the pending event emits
+	n    uint64
 }
 
-// emitBurstPkt fires one pre-scheduled emission: Arg.Obj is the
-// *burstRun, Arg.U0 the packet's sequence number.
+// at returns the arrival time of the stream's k-th packet.
+func (r *burstRun) at(k uint64) sim.Time {
+	b, i := k/uint64(r.g.PacketsPerBurst), k%uint64(r.g.PacketsPerBurst)
+	return r.g.Start.Add(sim.Duration(int64(r.g.Period)*int64(b) + int64(r.gap)*int64(i)))
+}
+
+// emitBurstPkt fires one emission (Arg.Obj is the *burstRun). The
+// successor is filed before the packet is handed on, so the scheduler
+// always holds the stream's earliest remaining arrival.
 func emitBurstPkt(sm *sim.Simulator, a sim.Arg) {
 	r := a.Obj.(*burstRun)
+	seq := r.next
+	r.next++
+	if r.next < r.n {
+		sm.AtArgSeq(r.at(r.next), r.seq0+r.next, emitBurstPkt, a)
+	}
 	p := r.pool.Get(r.tmpl.FrameLen())
-	r.tmpl.Stamp(p, a.U0)
+	r.tmpl.Stamp(p, seq)
 	r.rx.Receive(sm, p)
 }
 
-// Install schedules all bursts. Returns total packets generated.
+// Install schedules the stream. Returns total packets generated.
 func (g Bursty) Install(s *sim.Simulator, rx Receiver) uint64 {
 	if g.PacketsPerBurst <= 0 || g.NumBursts <= 0 {
 		panic("traffic: bursty stream needs packets and bursts")
@@ -216,18 +237,16 @@ func (g Bursty) Install(s *sim.Simulator, rx Receiver) uint64 {
 	if err != nil {
 		panic(fmt.Sprintf("traffic: %v", err))
 	}
-	run := &burstRun{tmpl: tmpl, pool: poolFor(g.Pool, rx), rx: rx}
-	gap := InterArrival(g.BurstRateBps, g.Flow.FrameLen)
-	seq := uint64(0)
-	for b := 0; b < g.NumBursts; b++ {
-		burstStart := g.Start.Add(sim.Duration(int64(g.Period) * int64(b)))
-		for i := 0; i < g.PacketsPerBurst; i++ {
-			at := burstStart.Add(sim.Duration(int64(gap) * int64(i)))
-			s.AtArgNamed(at, "burst-pkt", emitBurstPkt, sim.Arg{Obj: run, U0: seq})
-			seq++
-		}
+	n := uint64(g.NumBursts) * uint64(g.PacketsPerBurst)
+	run := &burstRun{
+		g: g, tmpl: tmpl, pool: poolFor(g.Pool, rx), rx: rx,
+		gap: InterArrival(g.BurstRateBps, g.Flow.FrameLen), n: n,
 	}
-	return seq
+	// Bursts never overlap (checked above), so packet order is arrival
+	// order and the stream's schedule is monotone in k.
+	run.seq0 = s.ReserveSeqs(n)
+	s.AtArgSeq(run.at(0), run.seq0, emitBurstPkt, sim.Arg{Obj: run})
+	return n
 }
 
 // Poisson generates a memoryless arrival process at the given average
@@ -304,42 +323,99 @@ type Trace struct {
 	Pool *pkt.Pool
 }
 
-// traceRun is the shared state of one trace replay; each entry's
-// template (cached by frame length) rides in the event's Arg.
+// traceRun is one trace replay's emission state. Entries fire in
+// (time, index) order — entry i under the seq Install reserved for it,
+// exactly the order of filing every entry up front — with one pending
+// event: each emission files its successor. A sorted trace needs no
+// per-entry state beyond the caller's slices; an unsorted one keeps the
+// sorted permutation in order.
 type traceRun struct {
-	pool *pkt.Pool
-	rx   Receiver
+	times []sim.Time
+	flens []int
+	order []int32               // entries by (time, index); nil when Times is sorted
+	tmpls map[int]*pkt.Template // one template per frame length in use
+	def   int                   // the flow's FrameLen
+	pool  *pkt.Pool
+	rx    Receiver
+	seq0  uint64 // reserved seq of entry 0; entry i rides under seq0+i
+	next  int    // position in firing order of the pending event
 }
 
+// entry returns the index of the k-th entry in firing order.
+func (r *traceRun) entry(k int) int {
+	if r.order != nil {
+		return int(r.order[k])
+	}
+	return k
+}
+
+// frameLen returns entry i's frame length.
+func (r *traceRun) frameLen(i int) int {
+	if i < len(r.flens) && r.flens[i] > 0 {
+		return r.flens[i]
+	}
+	return r.def
+}
+
+// file schedules the k-th entry in firing order.
+func (r *traceRun) file(s *sim.Simulator, k int) {
+	i := r.entry(k)
+	s.AtArgSeq(r.times[i], r.seq0+uint64(i), emitTracePkt, sim.Arg{Obj: r})
+}
+
+// emitTracePkt fires one entry (Arg.Obj is the *traceRun), filing the
+// successor first so the scheduler holds the earliest remaining one.
 func emitTracePkt(sm *sim.Simulator, a sim.Arg) {
 	r := a.Obj.(*traceRun)
-	tmpl := a.Obj2.(*pkt.Template)
+	i := r.entry(r.next)
+	r.next++
+	if r.next < len(r.times) {
+		r.file(sm, r.next)
+	}
+	tmpl := r.tmpls[r.frameLen(i)]
 	p := r.pool.Get(tmpl.FrameLen())
-	tmpl.Stamp(p, a.U0)
+	tmpl.Stamp(p, uint64(i))
 	r.rx.Receive(sm, p)
 }
 
-// Install schedules every arrival. Times need not be sorted.
+// Install schedules the replay. Times need not be sorted. The replay
+// reads Times and FrameLen as it goes, so the caller must leave both
+// unmodified afterwards.
 func (g Trace) Install(s *sim.Simulator, rx Receiver) uint64 {
-	run := &traceRun{pool: poolFor(g.Pool, rx), rx: rx}
-	tmpls := make(map[int]*pkt.Template) // one template per distinct frame length
-	for i, at := range g.Times {
-		flen := g.Flow.FrameLen
-		if i < len(g.FrameLen) && g.FrameLen[i] > 0 {
-			flen = g.FrameLen[i]
+	run := &traceRun{
+		times: g.Times, flens: g.FrameLen, def: g.Flow.FrameLen,
+		pool: poolFor(g.Pool, rx), rx: rx,
+		tmpls: make(map[int]*pkt.Template),
+	}
+	sorted := true
+	for i := range g.Times {
+		if i > 0 && g.Times[i] < g.Times[i-1] {
+			sorted = false
 		}
-		tmpl, ok := tmpls[flen]
-		if !ok {
-			flow := g.Flow
-			flow.FrameLen = flen
-			var err error
-			tmpl, err = flow.Template()
-			if err != nil {
-				panic(fmt.Sprintf("traffic: %v", err))
-			}
-			tmpls[flen] = tmpl
+		flen := run.frameLen(i)
+		if _, ok := run.tmpls[flen]; ok {
+			continue
 		}
-		s.AtArgNamed(at, "trace-pkt", emitTracePkt, sim.Arg{Obj: run, Obj2: tmpl, U0: uint64(i)})
+		flow := g.Flow
+		flow.FrameLen = flen
+		tmpl, err := flow.Template()
+		if err != nil {
+			panic(fmt.Sprintf("traffic: %v", err))
+		}
+		run.tmpls[flen] = tmpl
+	}
+	if !sorted {
+		run.order = make([]int32, len(g.Times))
+		for i := range run.order {
+			run.order[i] = int32(i)
+		}
+		sort.SliceStable(run.order, func(a, b int) bool {
+			return g.Times[run.order[a]] < g.Times[run.order[b]]
+		})
+	}
+	run.seq0 = s.ReserveSeqs(uint64(len(g.Times)))
+	if len(g.Times) > 0 {
+		run.file(s, 0)
 	}
 	return uint64(len(g.Times))
 }

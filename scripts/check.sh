@@ -1,10 +1,12 @@
 #!/bin/sh
-# Pre-merge gate: vet, build, full tests, the race detector over the
+# Pre-merge gate: gofmt, vet, build, full tests, the race detector over the
 # internal packages, a forced-parallel race pass over the experiment
 # worker pool, and a one-iteration compile-and-run smoke over every
 # benchmark. Mirrors `make check` for environments without make.
 set -eux
 cd "$(dirname "$0")/.."
+# Formatting gate: gofmt must have nothing to rewrite.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
