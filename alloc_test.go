@@ -7,6 +7,7 @@ package idio_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"idio"
@@ -210,6 +211,54 @@ func TestChurnAllocsPerRequest(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("%.2f allocs per %v slice (%d requests measured): the million-flow engine must not allocate",
 			avg, step, reqs)
+	}
+}
+
+// TestChurnFootprint bounds the million-flow engine's resident memory
+// per flow: the live heap a churn client holds for each admitted flow
+// — its flow-table slot and its armed think timer on the wheel slab —
+// must stay at or under 100 bytes. It admits 1<<17 flows and subtracts
+// a one-flow run, so the cluster's fixed state (caches, rings, the
+// NIC's flow-statistics table) cancels out.
+func TestChurnFootprint(t *testing.T) {
+	const flows = 1 << 17
+	footprint := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ccfg := idio.DefaultClusterConfig(1, 1)
+		ccfg.Host.Hier.MLCSize = benchMLC
+		ccfg.Host.Hier.LLCSize = benchLLC
+		ccfg.Host.NIC.RingSize = benchRing
+		ccfg.Host.Policy = idiocore.PolicyIDIO
+		ccfg.Host.Hier.TimelineBucket = 0
+		cl, err := idio.NewCluster(ccfg)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		cl.DUT.AddNF(0, apps.L2Fwd{}, cl.DUT.DefaultFlow(0))
+		c := cl.AddChurnClient(0, fnet.ChurnConfig{
+			Flows:    n,
+			Requests: 1 << 62,
+			Think:    250 * sim.Millisecond,
+			Seed:     11,
+		})
+		cl.Start()
+		cl.Sim.RunUntil(0) // the start event admits the population
+		if got := c.Stats().ActiveFlows; got != n {
+			t.Fatalf("admitted %d flows, want %d", got, n)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(cl)
+		return after.HeapAlloc - before.HeapAlloc
+	}
+	base := footprint(1)
+	full := footprint(flows)
+	perFlow := float64(full-base) / float64(flows-1)
+	t.Logf("live heap: %d B for 1 flow, %d B for %d flows: %.1f B per flow", base, full, flows, perFlow)
+	if perFlow > 100 {
+		t.Fatalf("%.1f B of live heap per resident flow, want <= 100", perFlow)
 	}
 }
 

@@ -232,9 +232,9 @@ func BenchmarkMillionFlowSteadyState(b *testing.B) {
 		b.Fatalf("NewCluster: %v", err)
 	}
 	cl.DUT.AddNF(0, apps.L2Fwd{}, cl.DUT.DefaultFlow(0))
-	// A million flows thinking 2s each offer ~500k requests/s; the
-	// 262ms wheel span forces cascades, so the measured loop includes
-	// long-deadline re-inspection, not just near-term fires.
+	// A million flows thinking 2s each offer ~500k requests/s. The
+	// derived wheel span (131072 slots x 64us = 8.4s) covers four mean
+	// think times, so long deadlines are almost never re-inspected.
 	c := cl.AddChurnClient(0, fnet.ChurnConfig{
 		Flows:    1_000_000,
 		Requests: 1 << 62,

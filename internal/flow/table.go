@@ -28,7 +28,21 @@
 // bound enforced here, so lookups stay O(1) with tight constants.
 // Deletion backward-shifts the displaced run instead of tombstoning,
 // so mixed insert/delete churn never degrades the table.
+//
+// Tables are sized exactly: a table built for hint entries holds
+// ceil(hint*8/7) slots — the fewest that keep the 7/8 bound — rather
+// than the next power of two, which can leave a million-entry table
+// at 0.44 load. A key's home slot is the high word of mix(key)*n
+// (multiply-high maps the 64-bit hash uniformly onto [0,n) for any
+// n), and probes wrap from slot n-1 to slot 0. A slot costs the 8-byte
+// key, the 2-byte probe distance and the value, padded to the value's
+// alignment: 40 bytes for the churn client's 24-byte flow record.
 package flow
+
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // maxLoadNum/maxLoadDen bound the load factor at 7/8: robin-hood probe
 // variance is still small there, and the bound makes fixed-capacity
@@ -36,6 +50,8 @@ package flow
 const (
 	maxLoadNum = 7
 	maxLoadDen = 8
+	// minSlots is the smallest slot array a table is built with.
+	minSlots = 8
 )
 
 // slot is one inline table entry. dist is the probe distance plus one
@@ -47,13 +63,17 @@ type slot[V any] struct {
 	val  V
 }
 
+// SlotSize returns the bytes one slot of a Table[V] occupies: the key,
+// the probe distance and V, padded to V's alignment. A table built for
+// n entries holds about n*8/7 slots.
+func SlotSize[V any]() uintptr { return unsafe.Sizeof(slot[V]{}) }
+
 // Table is a robin-hood open-addressing hash table keyed by uint64.
 // The zero value is not usable; construct with New or NewFixed. Not
 // safe for concurrent use — it lives inside a single event domain,
 // like everything else in the simulator.
 type Table[V any] struct {
 	slots []slot[V]
-	mask  uint64
 	n     int
 	// fixedCap > 0 marks a fixed-capacity table: Put refuses (and
 	// counts) inserts past fixedCap instead of growing.
@@ -74,22 +94,31 @@ func mix(k uint64) uint64 {
 	return k
 }
 
-// pow2 returns the smallest power of two >= n (minimum 8).
-func pow2(n int) int {
-	p := 8
-	for p < n {
-		p <<= 1
-	}
-	return p
+// slotsFor returns the slot count that holds entries at the 7/8
+// bound: ceil(entries*8/7), minimum minSlots.
+func slotsFor(entries int) int {
+	return max(minSlots, (entries*maxLoadDen+maxLoadNum-1)/maxLoadNum)
 }
 
-// New returns a growable table pre-sized for about hint entries.
-func New[V any](hint int) *Table[V] {
-	if hint < 0 {
-		hint = 0
+// home returns key's home slot: the high word of mix(key)*n, which
+// spreads the hash uniformly over [0,n) for any slot count n.
+func (t *Table[V]) home(key uint64) int {
+	hi, _ := bits.Mul64(mix(key), uint64(len(t.slots)))
+	return int(hi)
+}
+
+// next returns the probe successor of slot i, wrapping at the end.
+func (t *Table[V]) next(i int) int {
+	if i++; i == len(t.slots) {
+		return 0
 	}
-	cap := pow2(hint * maxLoadDen / maxLoadNum)
-	return &Table[V]{slots: make([]slot[V], cap), mask: uint64(cap - 1)}
+	return i
+}
+
+// New returns a growable table pre-sized for hint entries: hint
+// inserts never grow it.
+func New[V any](hint int) *Table[V] {
+	return &Table[V]{slots: make([]slot[V], slotsFor(max(hint, 0)))}
 }
 
 // NewFixed returns a fixed-capacity table holding at most capacity
@@ -100,8 +129,7 @@ func NewFixed[V any](capacity int) *Table[V] {
 	if capacity <= 0 {
 		panic("flow: fixed table needs positive capacity")
 	}
-	cap := pow2(capacity * maxLoadDen / maxLoadNum)
-	return &Table[V]{slots: make([]slot[V], cap), mask: uint64(cap - 1), fixedCap: capacity}
+	return &Table[V]{slots: make([]slot[V], slotsFor(capacity)), fixedCap: capacity}
 }
 
 // Len returns the number of entries. Safe on a nil table (0).
@@ -143,7 +171,7 @@ func (t *Table[V]) Ref(key uint64) *V {
 	if t == nil || t.n == 0 {
 		return nil
 	}
-	i := mix(key) & t.mask
+	i := t.home(key)
 	d := uint16(1)
 	for {
 		s := &t.slots[i]
@@ -153,7 +181,7 @@ func (t *Table[V]) Ref(key uint64) *V {
 		if s.dist == d && s.key == key {
 			return &s.val
 		}
-		i = (i + 1) & t.mask
+		i = t.next(i)
 		d++
 	}
 }
@@ -195,7 +223,7 @@ func (t *Table[V]) Put(key uint64, val V) bool {
 // before the first swap, because resident keys are unique.
 func (t *Table[V]) insert(key uint64, val V) {
 	k, v, d := key, val, uint16(1)
-	i := mix(key) & t.mask
+	i := t.home(key)
 	for {
 		s := &t.slots[i]
 		if s.dist == 0 {
@@ -212,7 +240,7 @@ func (t *Table[V]) insert(key uint64, val V) {
 			v, s.val = s.val, v
 			d, s.dist = s.dist, d
 		}
-		i = (i + 1) & t.mask
+		i = t.next(i)
 		d++
 	}
 }
@@ -224,7 +252,7 @@ func (t *Table[V]) Delete(key uint64) bool {
 	if t == nil || t.n == 0 {
 		return false
 	}
-	i := mix(key) & t.mask
+	i := t.home(key)
 	d := uint16(1)
 	for {
 		s := &t.slots[i]
@@ -234,12 +262,12 @@ func (t *Table[V]) Delete(key uint64) bool {
 		if s.dist == d && s.key == key {
 			break
 		}
-		i = (i + 1) & t.mask
+		i = t.next(i)
 		d++
 	}
 	t.n--
 	for {
-		j := (i + 1) & t.mask
+		j := t.next(i)
 		s := &t.slots[j]
 		if s.dist <= 1 { // next is empty or at home: run ends here
 			break
@@ -276,7 +304,6 @@ func (t *Table[V]) Range(fn func(key uint64, val *V) bool) {
 func (t *Table[V]) grow() {
 	old := t.slots
 	t.slots = make([]slot[V], len(old)*2)
-	t.mask = uint64(len(t.slots) - 1)
 	t.n = 0
 	t.grows++
 	for i := range old {

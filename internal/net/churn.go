@@ -3,6 +3,7 @@ package net
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"idio/internal/flow"
@@ -76,14 +77,23 @@ type ChurnConfig struct {
 	// bit-identically.
 	Seed int64
 	// WheelGran and WheelSlots shape the client's timer wheel (0 means
-	// 64us granularity, 4096 slots). All think, timeout, and arrival
-	// deadlines quantize to the granularity.
+	// 64us granularity and a derived slot count: the next power of two
+	// at or above 4*max(Think, ArrivalGap, Timeout)/WheelGran, clamped
+	// to [4096, 1<<20], so deadlines rarely outlive one rotation). All
+	// think, timeout, and arrival deadlines quantize to the
+	// granularity; the slot count changes only how often long
+	// deadlines are re-inspected, never when or in which order timers
+	// fire. WheelSlots above 1<<20 is rejected.
 	WheelGran  sim.Duration
 	WheelSlots int
 	// Hist, when non-nil, additionally records every response latency
 	// into this shared histogram.
 	Hist *stats.Histogram
 }
+
+// maxChurnWheelSlots bounds a churn client's wheel: 1<<20 slots are
+// 8 MiB of list heads.
+const maxChurnWheelSlots = 1 << 20
 
 // Validate checks the churn parameters.
 func (c *ChurnConfig) Validate() error {
@@ -109,6 +119,13 @@ func (c *ChurnConfig) Validate() error {
 	}
 	if size <= mice {
 		errs = append(errs, fmt.Errorf("net: churn SizeMax %d must exceed MiceMax %d", size, mice))
+	}
+	if size > math.MaxUint32 {
+		// A flow's remaining budget is a uint32.
+		errs = append(errs, fmt.Errorf("net: churn SizeMax %d exceeds %d", size, uint64(math.MaxUint32)))
+	}
+	if c.WheelSlots > maxChurnWheelSlots {
+		errs = append(errs, fmt.Errorf("net: churn WheelSlots %d exceeds %d", c.WheelSlots, maxChurnWheelSlots))
 	}
 	sp, dp := c.SrcPorts, c.DstPorts
 	if sp == 0 {
@@ -154,16 +171,15 @@ type ChurnStats struct {
 }
 
 // churnFlow is one resident flow's state: 24 bytes of inline value in
-// the flow table, no pointers.
+// the flow table (a 40-byte slot), no pointers. The flow's ports and
+// class are pure functions of its id (see send), so they are not
+// stored.
 type churnFlow struct {
 	sent      sim.Time        // last request's send time
 	timer     sim.TimerHandle // armed think or timeout deadline
 	remaining uint32          // requests left in this flow's budget
 	attempt   uint16          // wire attempt counter (resends bump it)
-	srcPort   uint16
-	dstPort   uint16
-	dscp      uint8 // index into tmpls
-	waiting   bool  // a request is on the wire
+	waiting   bool            // a request is on the wire
 }
 
 // ChurnClient drives the flow-churn workload into an uplink. All
@@ -175,6 +191,10 @@ type ChurnClient struct {
 	up    *Link
 	wheel *sim.TimerWheel
 	hist  *stats.Histogram
+
+	// thinkK, timeoutK and arriveK are the wheel kinds of the three
+	// deadlines (churnThinkEv, churnTimeoutEv, churnArriveEv).
+	thinkK, timeoutK, arriveK sim.TimerKind
 
 	// tmpls holds one prebuilt frame per DSCP class; pool recycles
 	// request packets.
@@ -246,7 +266,7 @@ func NewChurnClient(s *sim.Simulator, cfg ChurnConfig, up *Link) *ChurnClient {
 		cfg.WheelGran = 64 * sim.Microsecond
 	}
 	if cfg.WheelSlots <= 0 {
-		cfg.WheelSlots = 4096
+		cfg.WheelSlots = churnWheelSlots(cfg.WheelGran, max(cfg.Think, cfg.ArrivalGap, cfg.Timeout))
 	}
 	if len(cfg.DSCPs) == 0 {
 		cfg.DSCPs = []uint8{cfg.Flow.DSCP}
@@ -259,6 +279,9 @@ func NewChurnClient(s *sim.Simulator, cfg ChurnConfig, up *Link) *ChurnClient {
 		flows: flow.New[churnFlow](cfg.Flows),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
+	c.thinkK = c.wheel.Bind(churnThinkEv, c)
+	c.timeoutK = c.wheel.Bind(churnTimeoutEv, c)
+	c.arriveK = c.wheel.Bind(churnArriveEv, c)
 	c.miceZipf = rand.NewZipf(c.rng, cfg.SizeZipfS, 1, cfg.MiceMax-1)
 	c.elepZipf = rand.NewZipf(c.rng, cfg.SizeZipfS, 1, cfg.SizeMax-cfg.MiceMax-1)
 	for _, d := range cfg.DSCPs {
@@ -271,6 +294,19 @@ func NewChurnClient(s *sim.Simulator, cfg ChurnConfig, up *Link) *ChurnClient {
 		c.tmpls = append(c.tmpls, tmpl)
 	}
 	return c
+}
+
+// churnWheelSlots derives a wheel's slot count from its longest mean
+// deadline: the next power of two covering four of them, within
+// [4096, maxChurnWheelSlots]. Exponential think and arrival draws
+// rarely exceed four means, so almost no timer outlives one rotation.
+func churnWheelSlots(gran, longest sim.Duration) int {
+	want := 4 * float64(longest) / float64(gran)
+	n := 4096
+	for float64(n) < want && n < maxChurnWheelSlots {
+		n <<= 1
+	}
+	return n
 }
 
 // Flow returns the client's base flow template.
@@ -298,13 +334,14 @@ func (c *ChurnClient) Start(s *sim.Simulator) {
 		for i := 0; i < c.cfg.Flows; i++ {
 			fid := c.admit()
 			f := c.flows.Ref(fid)
-			f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), churnThinkEv, sim.Arg{Obj: c, U0: fid})
+			f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), c.thinkK, fid)
 		}
 	})
 }
 
-// admit creates one flow — id, budget draw, 5-tuple, class — and
-// inserts it idle (no timer armed yet). Returns the flow id.
+// admit creates one flow — id and budget draw; its 5-tuple and class
+// follow from the id — and inserts it idle (no timer armed yet).
+// Returns the flow id.
 func (c *ChurnClient) admit() uint64 {
 	fid := c.nextFlow
 	c.nextFlow++
@@ -315,12 +352,7 @@ func (c *ChurnClient) admit() uint64 {
 		budget = c.cfg.MiceMax + 1 + c.elepZipf.Uint64()
 	}
 	c.arrivals++
-	c.flows.Put(fid, churnFlow{
-		remaining: uint32(budget),
-		srcPort:   c.cfg.Flow.SrcPort + uint16(fid%uint64(c.cfg.SrcPorts)),
-		dstPort:   c.cfg.Flow.DstPort + uint16(fid/uint64(c.cfg.SrcPorts)%uint64(c.cfg.DstPorts)),
-		dscp:      uint8(fid % uint64(len(c.tmpls))),
-	})
+	c.flows.Put(fid, churnFlow{remaining: uint32(budget)})
 	return fid
 }
 
@@ -337,18 +369,21 @@ func (c *ChurnClient) expDraw(mean sim.Duration) sim.Duration {
 // send puts flow fid's next request on the wire: a pool packet
 // stamped from the flow's class template with the per-flow UDP ports
 // rewritten in place (ports sit outside the IPv4 checksum, and the
-// UDP checksum is unused, so the rewrite costs two stores). Arms the
-// timeout on the wheel. Zero allocations once pool, slab, and table
-// are warm.
+// UDP checksum is unused, so the rewrite costs two stores). Flow fid
+// sends from SrcPort+fid%SrcPorts to DstPort+(fid/SrcPorts)%DstPorts
+// with class fid%len(DSCPs). Arms the timeout on the wheel. Zero
+// allocations once pool, slab, and table are warm.
 func (c *ChurnClient) send(s *sim.Simulator, fid uint64, f *churnFlow) {
 	w := fid<<16 | uint64(f.attempt)
 	c.issued++
-	tmpl := c.tmpls[f.dscp]
+	srcPort := c.cfg.Flow.SrcPort + uint16(fid%uint64(c.cfg.SrcPorts))
+	dstPort := c.cfg.Flow.DstPort + uint16(fid/uint64(c.cfg.SrcPorts)%uint64(c.cfg.DstPorts))
+	tmpl := c.tmpls[fid%uint64(len(c.tmpls))]
 	p := c.pool.Get(tmpl.FrameLen())
 	tmpl.Stamp(p, w)
 	udp := p.Frame[pkt.EthHeaderLen+pkt.IPv4HeaderLen:]
-	udp[0], udp[1] = byte(f.srcPort>>8), byte(f.srcPort)
-	udp[2], udp[3] = byte(f.dstPort>>8), byte(f.dstPort)
+	udp[0], udp[1] = byte(srcPort>>8), byte(srcPort)
+	udp[2], udp[3] = byte(dstPort>>8), byte(dstPort)
 	now := s.Now()
 	if !c.sentAny {
 		c.sentAny = true
@@ -356,7 +391,7 @@ func (c *ChurnClient) send(s *sim.Simulator, fid uint64, f *churnFlow) {
 	}
 	f.sent = now
 	f.waiting = true
-	f.timer = c.wheel.Arm(c.cfg.Timeout, churnTimeoutEv, sim.Arg{Obj: c, U0: w})
+	f.timer = c.wheel.Arm(c.cfg.Timeout, c.timeoutK, w)
 	c.up.Receive(s, p)
 }
 
@@ -366,7 +401,7 @@ func (c *ChurnClient) depart(fid uint64) {
 	c.flows.Delete(fid)
 	c.departures++
 	if c.issued < c.cfg.Requests {
-		c.wheel.Arm(c.expDraw(c.cfg.ArrivalGap), churnArriveEv, sim.Arg{Obj: c})
+		c.wheel.Arm(c.expDraw(c.cfg.ArrivalGap), c.arriveK, 0)
 	}
 }
 
@@ -451,7 +486,7 @@ func (c *ChurnClient) Receive(s *sim.Simulator, p *pkt.Packet) {
 		c.depart(fid)
 		return
 	}
-	f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), churnThinkEv, sim.Arg{Obj: c, U0: fid})
+	f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), c.thinkK, fid)
 }
 
 // Done reports whether the budget is spent and every flow has

@@ -2,7 +2,9 @@ package net
 
 import (
 	"testing"
+	"unsafe"
 
+	"idio/internal/flow"
 	"idio/internal/pkt"
 	"idio/internal/sim"
 )
@@ -150,5 +152,87 @@ func TestChurnLateResponse(t *testing.T) {
 	}
 	if st.Timeouts == 0 {
 		t.Fatal("uniformly late echoes produced no timeouts")
+	}
+}
+
+// TestChurnFlowLayout pins the million-flow footprint: a resident
+// flow is 24 bytes of pointer-free state and its table slot 40 bytes.
+func TestChurnFlowLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(churnFlow{}); sz != 24 {
+		t.Fatalf("churnFlow is %d bytes, want 24", sz)
+	}
+	if sz := flow.SlotSize[churnFlow](); sz != 40 {
+		t.Fatalf("churn flow-table slot is %d bytes, want 40", sz)
+	}
+}
+
+// tupleEcho checks every request's UDP ports and DSCP against the
+// values its flow id determines, then echoes it.
+type tupleEcho struct {
+	t     *testing.T
+	reply *Link
+	cfg   ChurnConfig
+	seen  int
+}
+
+func (e *tupleEcho) Receive(s *sim.Simulator, p *pkt.Packet) {
+	fid := p.Seq >> 16
+	ip := p.Frame[pkt.EthHeaderLen:]
+	udp := ip[pkt.IPv4HeaderLen:]
+	src := uint16(udp[0])<<8 | uint16(udp[1])
+	dst := uint16(udp[2])<<8 | uint16(udp[3])
+	wantSrc := e.cfg.Flow.SrcPort + uint16(fid%uint64(e.cfg.SrcPorts))
+	wantDst := e.cfg.Flow.DstPort + uint16(fid/uint64(e.cfg.SrcPorts)%uint64(e.cfg.DstPorts))
+	wantDSCP := e.cfg.DSCPs[fid%uint64(len(e.cfg.DSCPs))]
+	if src != wantSrc || dst != wantDst || ip[1]>>2 != wantDSCP {
+		e.t.Errorf("flow %d sent %d->%d dscp %d, want %d->%d dscp %d",
+			fid, src, dst, ip[1]>>2, wantSrc, wantDst, wantDSCP)
+	}
+	e.seen++
+	e.reply.Receive(s, pkt.EchoResponse(p))
+}
+
+// TestChurnPerFlowTuple checks that the ports and class derived from
+// the flow id at send time are the ones the flow's arrival implies:
+// flow i sends from SrcPort+i%SrcPorts to DstPort+(i/SrcPorts)%DstPorts
+// with class DSCPs[i%len(DSCPs)], on first sends and resends alike.
+func TestChurnPerFlowTuple(t *testing.T) {
+	cfg := ChurnConfig{
+		Flows: 32, Requests: 400, Think: 20 * sim.Microsecond, Seed: 3,
+		SrcPorts: 5, DstPorts: 3, DSCPs: []uint8{0, 34, 46},
+	}
+	var e *tupleEcho
+	c := churnHarness(t, cfg, func(reply *Link) Endpoint {
+		full := cfg
+		full.Flow = testFlow(1514)
+		e = &tupleEcho{t: t, reply: reply, cfg: full}
+		return e
+	})
+	if e.seen != 400 || c.Stats().Arrivals <= 32 {
+		t.Fatalf("echo saw %d requests over %d arrivals; want 400 over churned flows", e.seen, c.Stats().Arrivals)
+	}
+}
+
+// TestChurnWheelSlots pins the derived wheel span: the next power of
+// two covering four of the longest mean deadline, within
+// [4096, maxChurnWheelSlots].
+func TestChurnWheelSlots(t *testing.T) {
+	gran := 64 * sim.Microsecond
+	for _, tc := range []struct {
+		longest sim.Duration
+		want    int
+	}{
+		{sim.Millisecond, 4096},
+		{10 * sim.Millisecond, 4096}, // the shipped churn scenario
+		{65 * sim.Millisecond, 4096}, // 4062.5 slots
+		{66 * sim.Millisecond, 8192},
+		{sim.Second, 65536}, // the million-flow benchmark: 62500 slots
+		{2 * sim.Second, 131072},
+		{100 * sim.Second, maxChurnWheelSlots},
+		{sim.Duration(1 << 62), maxChurnWheelSlots},
+	} {
+		if got := churnWheelSlots(gran, tc.longest); got != tc.want {
+			t.Errorf("churnWheelSlots(%v, %v) = %d, want %d", gran, tc.longest, got, tc.want)
+		}
 	}
 }

@@ -181,6 +181,8 @@ type Client struct {
 	// sendPacedFn is the open/ramp pacing event, bound once so
 	// rescheduling allocates nothing.
 	sendPacedFn sim.Event
+	// timeoutK is clientTimeoutEv's kind on cfg.Wheel (wheel mode only).
+	timeoutK sim.TimerKind
 
 	// inflight maps wire sequence numbers to their attempt. With Retry
 	// unset there is exactly one attempt per request and the wire seq
@@ -290,6 +292,9 @@ func NewClient(cfg ClientConfig, up *Link) *Client {
 		c.reqs = flow.New[reqState](cfg.Outstanding)
 		c.rng = rand.New(rand.NewSource(cfg.Retry.Seed))
 	}
+	if cfg.Wheel != nil {
+		c.timeoutK = cfg.Wheel.Bind(clientTimeoutEv, c)
+	}
 	return c
 }
 
@@ -385,7 +390,7 @@ func (c *Client) sendAttempt(s *sim.Simulator, req uint64) {
 	}
 	att := attempt{req: req, sent: now}
 	if c.cfg.Wheel != nil {
-		att.timer = c.cfg.Wheel.Arm(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
+		att.timer = c.cfg.Wheel.Arm(c.cfg.Timeout, c.timeoutK, w)
 	} else {
 		s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
 	}

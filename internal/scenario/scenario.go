@@ -177,8 +177,9 @@ type ChurnSpec struct {
 	// Seed drives each client's PRNG (client i uses Seed+i).
 	Seed     int64 `json:"seed,omitempty"`
 	FrameLen int   `json:"frameLen,omitempty"`
-	// WheelGranUS and WheelSlots shape the timer wheels (0 = 64us,
-	// 4096 slots).
+	// WheelGranUS and WheelSlots shape the timer wheels (0 = 64us, and
+	// a slot count derived from the longest mean deadline; at most
+	// 1<<20 slots).
 	WheelGranUS float64 `json:"wheelGranUS,omitempty"`
 	WheelSlots  int     `json:"wheelSlots,omitempty"`
 }

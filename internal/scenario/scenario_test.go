@@ -300,6 +300,41 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestChurnValidation rejects churn knobs that the client cannot
+// represent — a flow budget past its uint32 counter, a wheel past
+// 1<<20 slots — with an error from Load, not a panic or a giant
+// allocation at run time.
+func TestChurnValidation(t *testing.T) {
+	doc := func(extra string) string {
+		return `{"name":"x","cores":1,"horizonMS":1,"nfs":[{"core":0,"app":"L2Fwd","traffic":{}}],` +
+			`"topology":{"clients":1,"clientLink":{"gbps":100},"serverLink":{"gbps":100},` +
+			`"churn":{"flows":16,"requests":64` + extra + `}}}`
+	}
+	if _, err := Load(strings.NewReader(doc(`,"sizeMax":4294967295,"wheelSlots":1048576`))); err != nil {
+		t.Fatalf("largest legal sizeMax/wheelSlots rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		extra  string
+		substr string
+	}{
+		{"sizeMax truncates", `,"sizeMax":4294967296`, "SizeMax 4294967296 exceeds"},
+		{"sizeMax truncates to zero budget", `,"sizeMax":8589934592`, "SizeMax 8589934592 exceeds"},
+		{"huge wheel", `,"wheelSlots":1048577`, "WheelSlots 1048577 exceeds"},
+		{"multi-GiB wheel", `,"wheelSlots":2000000000`, "WheelSlots 2000000000 exceeds"},
+	}
+	for _, tc := range cases {
+		_, err := Load(strings.NewReader(doc(tc.extra)))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.substr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.substr)
+		}
+	}
+}
+
 func TestShippedRPCScenarioRuns(t *testing.T) {
 	f, err := os.Open("../../scenarios/rpc_closed_loop.json")
 	if err != nil {

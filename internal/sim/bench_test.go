@@ -92,15 +92,15 @@ func BenchmarkWheelArmCancel(b *testing.B) {
 		b.Run(n.name, func(b *testing.B) {
 			s := New()
 			w := NewTimerWheel(s, 64*Microsecond, 4096)
-			fn := func(*Simulator, Arg) {}
+			k := w.Bind(func(*Simulator, Arg) {}, nil)
 			// Standing population: timers spread across the horizon.
 			for i := 0; i < n.pop; i++ {
-				w.Arm(Duration(i%100_000+1)*Microsecond, fn, Arg{})
+				w.Arm(Duration(i%100_000+1)*Microsecond, k, 0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := w.Arm(Duration(i%50_000+1)*Microsecond, fn, Arg{})
+				h := w.Arm(Duration(i%50_000+1)*Microsecond, k, 0)
 				w.Cancel(h)
 			}
 		})

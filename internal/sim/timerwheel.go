@@ -7,13 +7,21 @@
 // when nothing times out. At a million outstanding requests that is a
 // million queued events doing nothing. The hashed wheel replaces them
 // with ONE scheduled event per granularity tick: timers live in
-// per-slot intrusive doubly-linked lists carved from a single slab,
+// per-slot intrusive doubly-linked lists carved from a chunked slab,
 // so Arm is a list append, Cancel an unlink (both O(1), both
 // allocation-free once the slab is warm), and each tick fires only
 // the due timers of one slot. Timers beyond one rotation stay in
 // their slot and are revisited ("cascaded") once per rotation — the
 // classic hashed-wheel trade: O(1) operations against a bounded
 // inspection overhead of population/slots per tick.
+//
+// A slab entry is 40 bytes and holds no pointers: a wheel binds its
+// few (callback, object) pairs once with Bind, each timer stores the
+// 16-bit kind and one uint64 payload, and the fire path rebuilds
+// Arg{Obj: obj, U0: payload}. The slab grows in fixed 4096-entry
+// (160 KiB) chunks, so a million armed timers cost 40 MiB with at most
+// one chunk of spare capacity, are never copied as the slab grows, and
+// are invisible to the GC's mark phase.
 //
 // Determinism contract: a timer armed at time A with expiry E fires
 // at T = ceil(E/gran)*gran — the first wheel tick at or after E — and
@@ -32,11 +40,18 @@
 
 package sim
 
+import "math"
+
 // TimerHandle identifies an armed timer for cancellation. The zero
 // handle is never issued and is safe to cancel (a no-op). Handles are
 // generation-tagged: a handle kept past its timer's fire or cancel
 // stays invalid even after the slab slot is recycled.
 type TimerHandle uint64
+
+// TimerKind names one (callback, object) pair bound to a wheel by
+// Bind. A timer stores its kind instead of the callback and its
+// argument, which keeps slab entries pointer-free.
+type TimerKind uint16
 
 // timer slot states (wheelTimer.slot).
 const (
@@ -44,17 +59,32 @@ const (
 	timerPending = -2 // unlinked by the current tick, fire imminent
 )
 
-// wheelTimer is one slab entry: intrusive list links, the absolute
-// expiry, and the callback. 8-byte fields first keeps the struct
-// packed; the Arg payload is inline so arming allocates nothing.
+// Slab geometry: entry i lives at chunks[i>>timerChunkShift][i&timerChunkMask].
+// Chunks are fixed-size arrays, so the masked index needs no bounds
+// check.
+const (
+	timerChunkShift = 12
+	timerChunkLen   = 1 << timerChunkShift
+	timerChunkMask  = timerChunkLen - 1
+)
+
+// wheelTimer is one slab entry: the absolute expiry, the payload
+// handed back as Arg.U0, intrusive list links (next doubles as the
+// free-list link) and the bound kind. No pointers, 40 bytes.
 type wheelTimer struct {
 	expiry Time
-	fn     ArgEvent
-	arg    Arg
+	u0     uint64
 	next   int32
 	prev   int32
 	slot   int32 // owning wheel slot, or timerFree/timerPending
 	gen    uint32
+	kind   TimerKind
+}
+
+// timerBinding is one Bind registration.
+type timerBinding struct {
+	fn  ArgEvent
+	obj any
 }
 
 // timerList is one wheel slot's intrusive list (indices into the
@@ -81,8 +111,10 @@ type TimerWheel struct {
 	slots []timerList
 	mask  uint64
 
-	slab []wheelTimer
-	free []int32
+	kinds  []timerBinding
+	chunks []*[timerChunkLen]wheelTimer
+	used   int32 // entries carved from the slab so far
+	free   int32 // head of the free list threaded through next; -1 empty
 
 	count  int
 	cursor uint64 // absolute index of the next tick; tick time = cursor*gran
@@ -113,7 +145,7 @@ func NewTimerWheel(s *Simulator, gran Duration, slots int) *TimerWheel {
 	for n < slots {
 		n <<= 1
 	}
-	w := &TimerWheel{s: s, gran: gran, slots: make([]timerList, n), mask: uint64(n - 1)}
+	w := &TimerWheel{s: s, gran: gran, slots: make([]timerList, n), mask: uint64(n - 1), free: -1}
 	for i := range w.slots {
 		w.slots[i] = timerList{head: -1, tail: -1}
 	}
@@ -129,20 +161,32 @@ func (w *TimerWheel) Len() int { return w.count }
 // Stats returns the activity counters.
 func (w *TimerWheel) Stats() TimerWheelStats { return w.stats }
 
-// Arm schedules fn(arg) to fire at the first wheel tick at or after
-// now+d (d must be positive) and returns a handle for Cancel. O(1):
-// a slab allocation off the free list and a list append.
-func (w *TimerWheel) Arm(d Duration, fn ArgEvent, arg Arg) TimerHandle {
-	if d <= 0 {
-		panic("sim: timer wheel delay must be positive")
-	}
-	return w.armAt(w.s.Now().Add(d), fn, arg)
-}
-
-func (w *TimerWheel) armAt(expiry Time, fn ArgEvent, arg Arg) TimerHandle {
+// Bind registers fn with obj and returns the kind that Arm takes: a
+// timer of that kind fires fn(s, Arg{Obj: obj, U0: u0}). Bind once per
+// handler at construction time, not per timer.
+func (w *TimerWheel) Bind(fn ArgEvent, obj any) TimerKind {
 	if fn == nil {
 		panic("sim: nil timer callback")
 	}
+	if len(w.kinds) > math.MaxUint16 {
+		panic("sim: too many timer kinds")
+	}
+	w.kinds = append(w.kinds, timerBinding{fn: fn, obj: obj})
+	return TimerKind(len(w.kinds) - 1)
+}
+
+// Arm schedules a timer of kind k with payload u0 to fire at the first
+// wheel tick at or after now+d (d must be positive) and returns a
+// handle for Cancel. O(1): a slab allocation off the free list and a
+// list append.
+func (w *TimerWheel) Arm(d Duration, k TimerKind, u0 uint64) TimerHandle {
+	if d <= 0 {
+		panic("sim: timer wheel delay must be positive")
+	}
+	if int(k) >= len(w.kinds) {
+		panic("sim: timer kind not bound to this wheel")
+	}
+	expiry := w.s.Now().Add(d)
 	// First tick at or after the expiry. expiry > now always (positive
 	// delay), so this tick index is never behind the wheel cursor: the
 	// cursor trails now by at most one granularity.
@@ -152,17 +196,16 @@ func (w *TimerWheel) armAt(expiry Time, fn ArgEvent, arg Arg) TimerHandle {
 		w.armed = true
 		w.s.AtArgNamed(Time(w.cursor*uint64(w.gran)), "timer-wheel-tick", timerWheelTickEv, Arg{Obj: w})
 	}
-	i := w.alloc()
-	tm := &w.slab[i]
+	i, tm := w.alloc()
 	tm.expiry = expiry
-	tm.fn = fn
-	tm.arg = arg
+	tm.u0 = u0
+	tm.kind = k
 	sl := &w.slots[tick&w.mask]
 	tm.slot = int32(tick & w.mask)
 	tm.next = -1
 	tm.prev = sl.tail
 	if sl.tail >= 0 {
-		w.slab[sl.tail].next = i
+		w.at(sl.tail).next = i
 	} else {
 		sl.head = i
 	}
@@ -178,10 +221,10 @@ func (w *TimerWheel) armAt(expiry Time, fn ArgEvent, arg Arg) TimerHandle {
 // fired, already cancelled, or zero — return false.
 func (w *TimerWheel) Cancel(h TimerHandle) bool {
 	i := int32(h >> 32)
-	if h == 0 || int(i) >= len(w.slab) {
+	if h == 0 || uint32(i) >= uint32(w.used) {
 		return false
 	}
-	tm := &w.slab[i]
+	tm := w.at(i)
 	if tm.gen != uint32(h) {
 		return false
 	}
@@ -191,57 +234,65 @@ func (w *TimerWheel) Cancel(h TimerHandle) bool {
 	case timerPending:
 		// Unlinked by the in-progress tick: count was already taken at
 		// unlink; releasing bumps gen so the fire loop skips it.
-		w.release(i)
+		w.release(i, tm)
 	default:
-		w.unlink(i)
+		w.unlink(tm)
 		w.count--
-		w.release(i)
+		w.release(i, tm)
 	}
 	w.stats.Canceled++
 	return true
 }
 
-// unlink removes slab entry i from its slot list.
-func (w *TimerWheel) unlink(i int32) {
-	tm := &w.slab[i]
+// at returns slab entry i.
+func (w *TimerWheel) at(i int32) *wheelTimer {
+	return &w.chunks[i>>timerChunkShift][i&timerChunkMask]
+}
+
+// unlink removes slab entry tm from its slot list.
+func (w *TimerWheel) unlink(tm *wheelTimer) {
 	sl := &w.slots[tm.slot]
 	if tm.prev >= 0 {
-		w.slab[tm.prev].next = tm.next
+		w.at(tm.prev).next = tm.next
 	} else {
 		sl.head = tm.next
 	}
 	if tm.next >= 0 {
-		w.slab[tm.next].prev = tm.prev
+		w.at(tm.next).prev = tm.prev
 	} else {
 		sl.tail = tm.prev
 	}
 }
 
-// alloc takes a slab slot off the free list (or extends the slab —
-// amortized; never in steady state once the peak population has been
-// seen).
-func (w *TimerWheel) alloc() int32 {
-	if n := len(w.free); n > 0 {
-		i := w.free[n-1]
-		w.free = w.free[:n-1]
-		return i
+// alloc takes a slab entry off the free list, or carves the next one
+// (amortized; never in steady state once the peak population has been
+// seen). A new chunk is allocated whole, so carving never copies.
+func (w *TimerWheel) alloc() (int32, *wheelTimer) {
+	if i := w.free; i >= 0 {
+		tm := w.at(i)
+		w.free = tm.next
+		return i, tm
 	}
-	w.slab = append(w.slab, wheelTimer{gen: 1})
-	return int32(len(w.slab) - 1)
+	i := w.used
+	if int(i>>timerChunkShift) == len(w.chunks) {
+		w.chunks = append(w.chunks, new([timerChunkLen]wheelTimer))
+	}
+	w.used++
+	tm := w.at(i)
+	tm.gen = 1
+	return i, tm
 }
 
-// release recycles slab entry i: the generation bump invalidates
-// every outstanding handle to it.
-func (w *TimerWheel) release(i int32) {
-	tm := &w.slab[i]
+// release recycles slab entry i (tm) onto the free list: the
+// generation bump invalidates every outstanding handle to it.
+func (w *TimerWheel) release(i int32, tm *wheelTimer) {
 	tm.gen++
 	if tm.gen == 0 { // keep handles non-zero after wrap
 		tm.gen = 1
 	}
 	tm.slot = timerFree
-	tm.fn = nil
-	tm.arg = Arg{}
-	w.free = append(w.free, i)
+	tm.next = w.free
+	w.free = i
 }
 
 func handleOf(i int32, gen uint32) TimerHandle {
@@ -267,10 +318,10 @@ func (w *TimerWheel) tick(s *Simulator) {
 	// slot mid-tick.
 	w.due = w.due[:0]
 	for i := sl.head; i >= 0; {
-		tm := &w.slab[i]
+		tm := w.at(i)
 		next := tm.next
 		if tm.expiry <= t {
-			w.unlink(i)
+			w.unlink(tm)
 			tm.slot = timerPending
 			w.count--
 			w.due = append(w.due, handleOf(i, tm.gen))
@@ -283,14 +334,14 @@ func (w *TimerWheel) tick(s *Simulator) {
 	// callback in this batch has a bumped generation and is skipped.
 	for _, h := range w.due {
 		i := int32(h >> 32)
-		tm := &w.slab[i]
+		tm := w.at(i)
 		if tm.gen != uint32(h) {
 			continue
 		}
-		fn, arg := tm.fn, tm.arg
-		w.release(i)
+		b, u0 := w.kinds[tm.kind], tm.u0
+		w.release(i, tm)
 		w.stats.Fired++
-		fn(s, arg)
+		b.fn(s, Arg{Obj: b.obj, U0: u0})
 	}
 	w.cursor++
 	if w.count > 0 {

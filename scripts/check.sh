@@ -25,10 +25,11 @@ go test -run '^$' -bench . -benchtime=1x ./...
 # TestAllocsPerPacket measures the steady window directly and fails the
 # gate on any per-packet allocation (see alloc_test.go). The same gate
 # covers the million-flow engine (TestChurnAllocsPerRequest: 128k
-# resident flows churning at zero allocs per request) and the pooled
-# fabric benchmarks (link transit and switch forwarding at 0 allocs/op).
+# resident flows churning at zero allocs per request; TestChurnFootprint:
+# at most 100 B of live heap per resident flow) and the pooled fabric
+# benchmarks (link transit and switch forwarding at 0 allocs/op).
 go test -run '^$' -bench 'BenchmarkPacketLifecycle' -benchtime=1x -benchmem .
-go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRequest' -count=1 .
+go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRequest|TestChurnFootprint' -count=1 .
 go test -run '^$' -bench 'BenchmarkLinkTransit|BenchmarkSwitchForward' -benchtime=1x -benchmem ./internal/net
 # Observability smoke: run a short traced scenario and validate that
 # the Chrome trace and the metrics JSON both parse.
