@@ -60,11 +60,6 @@ type Cluster struct {
 	// switch traffic into the DUT NIC.
 	ServerUp   *fnet.Link
 	ServerDown *fnet.Link
-	// Hist aggregates end-to-end RPC latency across all clients. In a
-	// sharded cluster it is rebuilt at Collect time by merging the
-	// per-client histograms (bucket addition — the same final state
-	// shared recording would have produced).
-	Hist *stats.Histogram
 
 	cfg     ClusterConfig
 	started bool
@@ -126,7 +121,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Sim:    sm,
 		DUT:    dut,
 		Switch: fnet.NewSwitch("sw0"),
-		Hist:   stats.NewHistogram(5),
 		cfg:    cfg,
 	}
 	if cfg.QoS != nil {
@@ -355,10 +349,10 @@ func (cl *Cluster) ClientFlow(i, core int) traffic.Flow {
 // served by the NF on the given DUT core: it builds the slot's
 // downlink, routes the client's address to it, and pins the flow to
 // the core with an EP Flow Director rule. A zero ccfg.Flow defaults
-// to ClientFlow(i, core). Unsharded clusters share the cluster-wide
-// latency histogram; sharded clusters record into per-client
-// histograms and merge at Collect (same aggregate, no cross-domain
-// writes).
+// to ClientFlow(i, core). Every client records latency into its own
+// histogram, and Collect merges them into the aggregate. A sharded
+// cluster rejects ccfg.Hist: clients in different event domains must
+// not write one shared histogram.
 func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Client {
 	if cl.ClientDown[i] != nil {
 		panic(fmt.Sprintf("idio: client slot %d already has an RPC client", i))
@@ -366,12 +360,8 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, core)
 	}
-	if cl.engine != nil {
-		if ccfg.Hist != nil {
-			panic("idio: a sharded cluster cannot share one histogram across client domains; leave ClientConfig.Hist nil")
-		}
-	} else if ccfg.Hist == nil {
-		ccfg.Hist = cl.Hist
+	if cl.engine != nil && ccfg.Hist != nil {
+		panic("idio: a sharded cluster cannot share one histogram across client domains; leave ClientConfig.Hist nil")
 	}
 	c := fnet.NewClient(ccfg, cl.ClientUp[i])
 	o := cl.DUT.Observe()
@@ -417,11 +407,6 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, 0)
-	}
-	if cl.engine != nil {
-		if ccfg.Hist != nil {
-			panic("idio: a sharded cluster cannot share one histogram across client domains; leave ChurnConfig.Hist nil")
-		}
 	}
 	c := fnet.NewChurnClient(cl.ClientSim(i), ccfg, cl.ClientUp[i])
 	o := cl.DUT.Observe()
@@ -627,14 +612,6 @@ func (cl *Cluster) Run(opts RunOpts) (Results, error) {
 // summaries. Run calls it; it remains exported for callers that need
 // to re-snapshot after a run.
 func (cl *Cluster) Collect() Results {
-	if cl.engine != nil {
-		// Rebuild the aggregate histogram from the per-domain ones;
-		// bucket merging reproduces shared recording exactly.
-		cl.Hist.Reset()
-		for _, c := range cl.Clients {
-			cl.Hist.Merge(c.Hist())
-		}
-	}
 	r := cl.DUT.Collect()
 	f := &FabricResults{Switch: cl.Switch.Stats()}
 	for _, l := range cl.links() {
@@ -652,6 +629,7 @@ func (cl *Cluster) Collect() Results {
 	r.Fabric = f
 	if len(cl.Clients) > 0 {
 		rpc := &RPCResults{}
+		h := stats.NewHistogram(5)
 		var rxBytes uint64
 		var first, last sim.Time
 		for i, c := range cl.Clients {
@@ -670,13 +648,10 @@ func (cl *Cluster) Collect() Results {
 			if lr := c.LastResp(); lr > last {
 				last = lr
 			}
+			h.Merge(c.Hist())
 		}
 		rpc.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if cl.Hist.Count() > 0 {
-			rpc.P50 = cl.Hist.Quantile(0.50)
-			rpc.P99 = cl.Hist.Quantile(0.99)
-			rpc.P999 = cl.Hist.Quantile(0.999)
-		}
+		rpc.P50, rpc.P99, rpc.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 		if cl.qosMap != nil {
 			rpc.Classes = cl.collectClasses()
 		}
@@ -714,11 +689,7 @@ func (cl *Cluster) Collect() Results {
 			h.Merge(c.Hist())
 		}
 		ch.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if h.Count() > 0 {
-			ch.P50 = h.Quantile(0.50)
-			ch.P99 = h.Quantile(0.99)
-			ch.P999 = h.Quantile(0.999)
-		}
+		ch.P50, ch.P99, ch.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 		r.Churn = ch
 	}
 	return r
@@ -758,11 +729,7 @@ func (cl *Cluster) collectClasses() []RPCClassResult {
 			continue
 		}
 		cr.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if h.Count() > 0 {
-			cr.P50 = h.Quantile(0.50)
-			cr.P99 = h.Quantile(0.99)
-			cr.P999 = h.Quantile(0.999)
-		}
+		cr.P50, cr.P99, cr.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 		out = append(out, cr)
 	}
 	return out

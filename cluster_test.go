@@ -8,12 +8,14 @@ import (
 	"idio/internal/core"
 	fnet "idio/internal/net"
 	"idio/internal/sim"
+	"idio/internal/stats"
 )
 
 // runThreeClientCluster wires the canonical small topology — 2 DUT
-// cores running L2Fwd, 3 closed-loop clients — runs it to completion,
-// and returns the full stats dump.
-func runThreeClientCluster(t *testing.T, pol core.Policy) (Results, []byte) {
+// cores running L2Fwd, 3 closed-loop clients, all also recording into
+// hist when it is non-nil — runs it to completion, and returns the
+// cluster, its results and the full stats dump.
+func runThreeClientCluster(t *testing.T, pol core.Policy, hist *stats.Histogram) (*Cluster, Results, []byte) {
 	t.Helper()
 	ccfg := DefaultClusterConfig(2, 3)
 	ccfg.Host.Policy = pol
@@ -26,7 +28,7 @@ func runThreeClientCluster(t *testing.T, pol core.Policy) (Results, []byte) {
 	}
 	for i := 0; i < 3; i++ {
 		cl.AddRPCClient(i, i%2, fnet.ClientConfig{
-			Mode: fnet.ModeClosed, Outstanding: 8, Requests: 512,
+			Mode: fnet.ModeClosed, Outstanding: 8, Requests: 512, Hist: hist,
 		})
 	}
 	res, err := cl.Run(RunOpts{Horizon: 20 * sim.Millisecond, UntilIdle: true})
@@ -42,15 +44,23 @@ func runThreeClientCluster(t *testing.T, pol core.Policy) (Results, []byte) {
 	if err := res.WriteStats(&buf); err != nil {
 		t.Fatalf("WriteStats: %v", err)
 	}
-	return res, buf.Bytes()
+	return cl, res, buf.Bytes()
 }
 
 // TestClusterEndToEnd checks the full request/response journey:
 // every request crosses the fabric, is echoed by the DUT, and returns
 // to its issuing client, with fabric conservation holding on every
-// link.
+// link. The aggregate percentiles are the merged per-client
+// histograms' whether or not the caller also hands the clients a
+// shared histogram of its own.
 func TestClusterEndToEnd(t *testing.T) {
-	res, _ := runThreeClientCluster(t, core.PolicyIDIO)
+	for _, shared := range []*stats.Histogram{nil, stats.NewHistogram(5)} {
+		checkClusterEndToEnd(t, shared)
+	}
+}
+
+func checkClusterEndToEnd(t *testing.T, shared *stats.Histogram) {
+	cl, res, _ := runThreeClientCluster(t, core.PolicyIDIO, shared)
 	if res.RPC == nil || res.Fabric == nil {
 		t.Fatalf("cluster results missing RPC/Fabric sections")
 	}
@@ -64,6 +74,17 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if res.RPC.GoodputBps <= 0 || res.RPC.P50 <= 0 || res.RPC.P999 < res.RPC.P50 {
 		t.Fatalf("degenerate RPC summary: %+v", *res.RPC)
+	}
+	merged := stats.NewHistogram(5)
+	for _, c := range cl.Clients {
+		merged.Merge(c.Hist())
+	}
+	if res.RPC.P50 != merged.Quantile(0.50) || res.RPC.P99 != merged.Quantile(0.99) {
+		t.Fatalf("aggregate p50=%v p99=%v, want the merged per-client p50=%v p99=%v",
+			res.RPC.P50, res.RPC.P99, merged.Quantile(0.50), merged.Quantile(0.99))
+	}
+	if shared != nil && shared.Count() != want {
+		t.Fatalf("caller's histogram recorded %d of %d responses", shared.Count(), want)
 	}
 	for _, l := range res.Fabric.Links {
 		st := l.Stats
@@ -88,8 +109,8 @@ func TestClusterEndToEnd(t *testing.T) {
 // inherit the simulator's bit-identical replay guarantee.
 func TestClusterDeterministicReplay(t *testing.T) {
 	for _, pol := range []core.Policy{core.PolicyDDIO, core.PolicyIDIO} {
-		_, a := runThreeClientCluster(t, pol)
-		_, b := runThreeClientCluster(t, pol)
+		_, _, a := runThreeClientCluster(t, pol, nil)
+		_, _, b := runThreeClientCluster(t, pol, nil)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s: replay diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", pol.Name(), a, b)
 		}

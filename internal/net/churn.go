@@ -86,9 +86,6 @@ type ChurnConfig struct {
 	// fire. WheelSlots above 1<<20 is rejected.
 	WheelGran  sim.Duration
 	WheelSlots int
-	// Hist, when non-nil, additionally records every response latency
-	// into this shared histogram.
-	Hist *stats.Histogram
 }
 
 // maxChurnWheelSlots bounds a churn client's wheel: 1<<20 slots are
@@ -470,11 +467,7 @@ func (c *ChurnClient) Receive(s *sim.Simulator, p *pkt.Packet) {
 	}
 	c.wheel.Cancel(f.timer)
 	now := s.Now()
-	lat := now.Sub(f.sent)
-	c.hist.Record(lat)
-	if c.cfg.Hist != nil {
-		c.cfg.Hist.Record(lat)
-	}
+	c.hist.Record(now.Sub(f.sent))
 	c.resp++
 	c.rxBytes += uint64(p.Len())
 	c.lastResp = now
@@ -516,7 +509,7 @@ func (c *ChurnClient) Hist() *stats.Histogram { return c.hist }
 
 // Stats summarises the run so far.
 func (c *ChurnClient) Stats() ChurnStats {
-	st := ChurnStats{
+	return ChurnStats{
 		Issued:      c.issued,
 		Responses:   c.resp,
 		Timeouts:    c.timeouts,
@@ -526,14 +519,11 @@ func (c *ChurnClient) Stats() ChurnStats {
 		ActiveFlows: c.flows.Len(),
 		Wheel:       c.wheel.Stats(),
 		TableLoad:   c.flows.LoadFactor(),
+		GoodputBps:  goodputBps(c.rxBytes, c.firstSend, c.lastResp),
+		P50:         c.hist.Quantile(0.50),
+		P99:         c.hist.Quantile(0.99),
+		P999:        c.hist.Quantile(0.999),
 	}
-	if c.hist.Count() > 0 {
-		st.P50 = c.hist.Quantile(0.50)
-		st.P99 = c.hist.Quantile(0.99)
-		st.P999 = c.hist.Quantile(0.999)
-	}
-	st.GoodputBps = goodputBps(c.rxBytes, c.firstSend, c.lastResp)
-	return st
 }
 
 // RegisterMetrics registers the churn client's counters and gauges
@@ -553,10 +543,5 @@ func (c *ChurnClient) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"goodput_gbps", func() float64 {
 		return goodputBps(c.rxBytes, c.firstSend, c.lastResp) / 1e9
 	})
-	reg.GaugeFunc(prefix+"p99_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.99).Microseconds()
-	})
+	reg.GaugeFunc(prefix+"p99_us", func() float64 { return c.hist.Quantile(0.99).Microseconds() })
 }

@@ -42,19 +42,19 @@ func (m Mode) String() string {
 	}
 }
 
-// DefaultTimeout bounds how long a closed-loop client waits for a
-// response before reissuing the window slot.
+// DefaultTimeout bounds how long a client waits for a response to an
+// attempt before retrying or abandoning the request.
 const DefaultTimeout = sim.Duration(1) * sim.Millisecond
 
-// RetryConfig enables real retry discipline on a client: instead of
-// the legacy fixed-timeout blind reissue (a timed-out slot issues a
-// brand-new request), a timed-out request is retransmitted with
-// exponential backoff and deterministic jitter, up to a per-request
-// retry budget. Every attempt — original, retry, or hedge — carries a
-// unique wire sequence number, so a response is always matched to the
-// exact attempt that elicited it (Karn's rule: no retransmission
-// ambiguity in the latency samples) and late responses to superseded
-// attempts fall through to Late.
+// RetryConfig is a client's retry discipline: a timed-out request is
+// retransmitted with exponential backoff and deterministic jitter, up
+// to a per-request retry budget. The zero value makes one attempt per
+// request, with no hedge: a timeout abandons the request (Failed) and,
+// in closed mode, frees its window slot for a new one. Every attempt —
+// original, retry, or hedge — carries a unique wire sequence number,
+// so a response is always matched to the exact attempt that elicited
+// it (Karn's rule: no retransmission ambiguity in the latency samples)
+// and late responses to superseded attempts fall through to Late.
 type RetryConfig struct {
 	// MaxRetries bounds retransmissions per request beyond the first
 	// attempt; a request whose budget is spent is abandoned (Failed).
@@ -119,42 +119,33 @@ type ClientConfig struct {
 	Requests uint64
 	// Start delays the first request.
 	Start sim.Time
-	// Timeout bounds the closed-loop wait per request; 0 means
-	// DefaultTimeout. A timed-out slot reissues so lost packets cannot
-	// deadlock the window.
+	// Timeout bounds the wait per attempt; 0 means DefaultTimeout. A
+	// request whose attempts all time out is retried or abandoned, so
+	// lost packets cannot deadlock the window.
 	Timeout sim.Duration
 	// Hist, when non-nil, additionally records every response latency
-	// into this shared histogram (aggregate percentiles across
-	// clients). Each client always keeps its own histogram too.
+	// into this caller-owned histogram (a probe's per-phase window,
+	// say). Each client always keeps its own histogram; cluster
+	// aggregates are merged from those.
 	Hist *stats.Histogram
-	// Retry, when non-nil, replaces the legacy blind reissue with
-	// exponential-backoff retransmission (see RetryConfig). Nil keeps
-	// the historical behaviour bit-for-bit.
+	// Retry is the retry policy (see RetryConfig); nil means the zero
+	// policy: one attempt per request.
 	Retry *RetryConfig
-	// Wheel, when non-nil, arms per-attempt timeouts on this hashed
-	// timer wheel instead of scheduling one simulator event per
-	// attempt: deadlines quantize to the wheel's granularity and a
-	// matched response cancels its timer in O(1). The wheel must live
-	// on the client's own simulator (its event domain, when sharded).
-	// Nil keeps the legacy per-event path, whose event stream — and
-	// therefore every existing output — is preserved bit-for-bit.
-	Wheel *sim.TimerWheel
 }
 
 // ClientStats summarises one client's run.
 type ClientStats struct {
 	Issued    uint64
 	Responses uint64
-	// Timeouts counts attempts that hit the response deadline (in
-	// legacy mode, window slots reissued); Late counts responses that
-	// arrived after their attempt timed out or after another attempt
-	// already answered the request (recorded in neither latency nor
-	// goodput).
+	// Timeouts counts attempts that hit the response deadline; Late
+	// counts responses that arrived after their attempt timed out or
+	// after another attempt already answered the request (recorded in
+	// neither latency nor goodput).
 	Timeouts uint64
 	Late     uint64
 	// Retries counts backoff retransmissions, Hedges speculative
 	// duplicates, and Failed requests abandoned after the retry budget
-	// was spent (all zero with Retry unset).
+	// was spent. Once drained, Issued == Responses + Failed.
 	Retries uint64
 	Hedges  uint64
 	Failed  uint64
@@ -181,22 +172,18 @@ type Client struct {
 	// sendPacedFn is the open/ramp pacing event, bound once so
 	// rescheduling allocates nothing.
 	sendPacedFn sim.Event
-	// timeoutK is clientTimeoutEv's kind on cfg.Wheel (wheel mode only).
-	timeoutK sim.TimerKind
 
-	// inflight maps wire sequence numbers to their attempt. With Retry
-	// unset there is exactly one attempt per request and the wire seq
-	// IS the request id; with Retry set every attempt (original,
-	// retry, hedge) gets a fresh wire seq from nextSeq, so responses
-	// match the exact attempt that elicited them. Both tables are
-	// compact open-addressing flow tables, not Go maps: inline slots,
-	// deterministic layout, zero steady-state allocations — the
-	// representation that scales to the million-flow engine.
+	// inflight maps wire sequence numbers to their attempt. Every
+	// attempt (original, retry, hedge) gets a fresh wire seq from
+	// nextSeq, so responses match the exact attempt that elicited
+	// them. Both tables are compact open-addressing flow tables, not Go
+	// maps: inline slots, deterministic layout, zero steady-state
+	// allocations — the representation that scales to the million-flow
+	// engine.
 	inflight *flow.Table[attempt]
-	// reqs tracks open (unanswered, unabandoned) requests in retry
-	// mode; nil in legacy mode.
+	// reqs tracks open (unanswered, unabandoned) requests.
 	reqs    *flow.Table[reqState]
-	rng     *rand.Rand // backoff jitter; nil in legacy mode
+	rng     *rand.Rand // backoff jitter
 	nextSeq uint64
 
 	issued   uint64
@@ -218,12 +205,9 @@ type Client struct {
 type attempt struct {
 	req  uint64 // owning request id
 	sent sim.Time
-	// timer is the attempt's armed wheel timeout (wheel mode only;
-	// zero in the legacy per-event path).
-	timer sim.TimerHandle
 }
 
-// reqState tracks one open request in retry mode.
+// reqState tracks one open request.
 type reqState struct {
 	live    int32 // attempts currently in flight
 	retries int32 // backoff retransmissions issued so far
@@ -266,36 +250,31 @@ func NewClient(cfg ClientConfig, up *Link) *Client {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
+	// Resolve defaults on a copy so the caller's struct (possibly
+	// shared across clients) is untouched.
+	var r RetryConfig
 	if cfg.Retry != nil {
 		if err := cfg.Retry.Validate(); err != nil {
 			panic(fmt.Sprintf("net: client retry: %v", err))
 		}
-		// Resolve defaults on a copy so the caller's struct (possibly
-		// shared across clients) is untouched.
-		r := *cfg.Retry
-		if r.Backoff <= 0 {
-			r.Backoff = cfg.Timeout
-		}
-		if r.MaxBackoff <= 0 {
-			r.MaxBackoff = 8 * r.Backoff
-		}
-		cfg.Retry = &r
+		r = *cfg.Retry
 	}
-	c := &Client{
+	if r.Backoff <= 0 {
+		r.Backoff = cfg.Timeout
+	}
+	if r.MaxBackoff <= 0 {
+		r.MaxBackoff = 8 * r.Backoff
+	}
+	cfg.Retry = &r
+	return &Client{
 		cfg:      cfg,
 		up:       up,
 		tmpl:     tmpl,
 		hist:     stats.NewHistogram(5),
 		inflight: flow.New[attempt](cfg.Outstanding),
+		reqs:     flow.New[reqState](cfg.Outstanding),
+		rng:      rand.New(rand.NewSource(r.Seed)),
 	}
-	if cfg.Retry != nil {
-		c.reqs = flow.New[reqState](cfg.Outstanding)
-		c.rng = rand.New(rand.NewSource(cfg.Retry.Seed))
-	}
-	if cfg.Wheel != nil {
-		c.timeoutK = cfg.Wheel.Bind(clientTimeoutEv, c)
-	}
-	return c
 }
 
 // Flow returns the client's request flow template.
@@ -359,28 +338,20 @@ func (c *Client) sendPaced(s *sim.Simulator) {
 func (c *Client) send(s *sim.Simulator) {
 	req := c.issued
 	c.issued++
-	if c.reqs != nil {
-		c.reqs.Put(req, reqState{})
-		if c.cfg.Retry.Hedge > 0 {
-			s.AfterArg(c.cfg.Retry.Hedge, clientHedgeEv, sim.Arg{Obj: c, U0: req})
-		}
+	c.reqs.Put(req, reqState{})
+	if c.cfg.Retry.Hedge > 0 {
+		s.AfterArg(c.cfg.Retry.Hedge, clientHedgeEv, sim.Arg{Obj: c, U0: req})
 	}
 	c.sendAttempt(s, req)
 }
 
 // sendAttempt puts one attempt for req on the wire and arms its
-// timeout. In legacy mode the wire sequence number is the request id;
-// in retry mode every attempt draws a fresh one so responses are
-// matched to the exact transmission that elicited them.
+// timeout. Every attempt draws a fresh wire sequence number so
+// responses are matched to the exact transmission that elicited them.
 func (c *Client) sendAttempt(s *sim.Simulator, req uint64) {
-	w := req
-	if c.reqs != nil {
-		w = c.nextSeq
-		c.nextSeq++
-		if st := c.reqs.Ref(req); st != nil {
-			st.live++
-		}
-	}
+	w := c.nextSeq
+	c.nextSeq++
+	c.reqs.Ref(req).live++ // callers put req or checked it is open
 	p := c.pool.Get(c.tmpl.FrameLen())
 	c.tmpl.Stamp(p, w)
 	now := s.Now()
@@ -388,13 +359,8 @@ func (c *Client) sendAttempt(s *sim.Simulator, req uint64) {
 		c.sentAny = true
 		c.firstSend = now
 	}
-	att := attempt{req: req, sent: now}
-	if c.cfg.Wheel != nil {
-		att.timer = c.cfg.Wheel.Arm(c.cfg.Timeout, c.timeoutK, w)
-	} else {
-		s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
-	}
-	c.inflight.Put(w, att)
+	s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
+	c.inflight.Put(w, attempt{req: req, sent: now})
 	c.up.Receive(s, p)
 }
 
@@ -419,12 +385,12 @@ func (c *Client) backoff(n int) sim.Duration {
 	return d
 }
 
-// clientTimeoutEv fires at an attempt's response deadline. Legacy
-// mode: the window slot is released (and, in closed mode, reissued) so
-// fabric losses cannot stall the loop. Retry mode: when no sibling
-// attempt is still in flight, either a backoff retransmission is
-// scheduled or — budget spent — the request is abandoned as Failed.
-// Arg.Obj is the *Client, U0 the wire sequence number.
+// clientTimeoutEv fires at an attempt's response deadline. When no
+// sibling attempt is still in flight, either a backoff retransmission
+// is scheduled or — budget spent — the request is abandoned as Failed
+// and, in closed mode, its window slot issues a new request so fabric
+// losses cannot stall the loop. Arg.Obj is the *Client, U0 the wire
+// sequence number.
 func clientTimeoutEv(sm *sim.Simulator, a sim.Arg) {
 	c := a.Obj.(*Client)
 	w := a.U0
@@ -434,12 +400,6 @@ func clientTimeoutEv(sm *sim.Simulator, a sim.Arg) {
 	}
 	c.inflight.Delete(w)
 	c.timeouts++
-	if c.reqs == nil {
-		if c.cfg.Mode == ModeClosed && c.issued < c.cfg.Requests {
-			c.send(sm)
-		}
-		return
-	}
 	st, open := c.reqs.Get(att.req)
 	if !open {
 		return // a sibling attempt already answered this request
@@ -503,21 +463,14 @@ func (c *Client) Receive(s *sim.Simulator, p *pkt.Packet) {
 		return
 	}
 	c.inflight.Delete(p.Seq)
-	if c.cfg.Wheel != nil {
-		// The answered attempt's deadline is disarmed in O(1); the
-		// legacy path instead lets the timeout event fire as a no-op.
-		c.cfg.Wheel.Cancel(att.timer)
+	if _, open := c.reqs.Get(att.req); !open {
+		// A sibling attempt (hedge or retry) already answered this
+		// request: the slower copy is late by definition.
+		c.late++
+		p.Release()
+		return
 	}
-	if c.reqs != nil {
-		if _, open := c.reqs.Get(att.req); !open {
-			// A sibling attempt (hedge or retry) already answered this
-			// request: the slower copy is late by definition.
-			c.late++
-			p.Release()
-			return
-		}
-		c.reqs.Delete(att.req)
-	}
+	c.reqs.Delete(att.req)
 	now := s.Now()
 	lat := now.Sub(att.sent)
 	c.hist.Record(lat)
@@ -560,22 +513,19 @@ func (c *Client) Hist() *stats.Histogram { return c.hist }
 
 // Stats summarises the run so far.
 func (c *Client) Stats() ClientStats {
-	st := ClientStats{
-		Issued:    c.issued,
-		Responses: c.resp,
-		Timeouts:  c.timeouts,
-		Late:      c.late,
-		Retries:   c.retries,
-		Hedges:    c.hedges,
-		Failed:    c.failed,
+	return ClientStats{
+		Issued:     c.issued,
+		Responses:  c.resp,
+		Timeouts:   c.timeouts,
+		Late:       c.late,
+		Retries:    c.retries,
+		Hedges:     c.hedges,
+		Failed:     c.failed,
+		GoodputBps: goodputBps(c.rxBytes, c.firstSend, c.lastResp),
+		P50:        c.hist.Quantile(0.50),
+		P99:        c.hist.Quantile(0.99),
+		P999:       c.hist.Quantile(0.999),
 	}
-	if c.hist.Count() > 0 {
-		st.P50 = c.hist.Quantile(0.50)
-		st.P99 = c.hist.Quantile(0.99)
-		st.P999 = c.hist.Quantile(0.999)
-	}
-	st.GoodputBps = goodputBps(c.rxBytes, c.firstSend, c.lastResp)
-	return st
 }
 
 // GoodputBps converts bytes received over a [first,last] span to bits
@@ -601,30 +551,13 @@ func (c *Client) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"responses", func() uint64 { return c.resp })
 	reg.CounterFunc(prefix+"timeouts", func() uint64 { return c.timeouts })
 	reg.CounterFunc(prefix+"late", func() uint64 { return c.late })
-	if c.cfg.Retry != nil {
-		reg.CounterFunc(prefix+"retries", func() uint64 { return c.retries })
-		reg.CounterFunc(prefix+"hedges", func() uint64 { return c.hedges })
-		reg.CounterFunc(prefix+"failed", func() uint64 { return c.failed })
-	}
+	reg.CounterFunc(prefix+"retries", func() uint64 { return c.retries })
+	reg.CounterFunc(prefix+"hedges", func() uint64 { return c.hedges })
+	reg.CounterFunc(prefix+"failed", func() uint64 { return c.failed })
 	reg.GaugeFunc(prefix+"goodput_gbps", func() float64 {
 		return goodputBps(c.rxBytes, c.firstSend, c.lastResp) / 1e9
 	})
-	reg.GaugeFunc(prefix+"p50_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.50).Microseconds()
-	})
-	reg.GaugeFunc(prefix+"p99_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.99).Microseconds()
-	})
-	reg.GaugeFunc(prefix+"p999_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.999).Microseconds()
-	})
+	reg.GaugeFunc(prefix+"p50_us", func() float64 { return c.hist.Quantile(0.50).Microseconds() })
+	reg.GaugeFunc(prefix+"p99_us", func() float64 { return c.hist.Quantile(0.99).Microseconds() })
+	reg.GaugeFunc(prefix+"p999_us", func() float64 { return c.hist.Quantile(0.999).Microseconds() })
 }

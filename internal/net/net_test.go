@@ -203,8 +203,9 @@ func TestClientClosedLoop(t *testing.T) {
 }
 
 // TestClientTimeoutReissue checks that a lossy fabric cannot deadlock
-// the closed loop: requests dropped by a downed link time out and the
-// window slot reissues until the budget completes.
+// the closed loop: with no retry policy, requests dropped by a downed
+// link time out, are abandoned as Failed, and the window slot issues a
+// new request until the budget completes.
 func TestClientTimeoutReissue(t *testing.T) {
 	s := sim.New()
 	echo := &echoEndpoint{}
@@ -232,6 +233,9 @@ func TestClientTimeoutReissue(t *testing.T) {
 	// 8 issued, 6 answered.
 	if st.Issued != 8 || st.Responses != 6 {
 		t.Fatalf("issued=%d responses=%d, want 8 issued / 6 answered", st.Issued, st.Responses)
+	}
+	if st.Failed != 2 || st.Retries != 0 || st.Issued != st.Responses+st.Failed {
+		t.Fatalf("failed=%d retries=%d, want 2 abandoned / 0 retried and issued == responses + failed", st.Failed, st.Retries)
 	}
 	if up.Stats().DownDrops != 2 {
 		t.Fatalf("uplink down drops=%d, want 2", up.Stats().DownDrops)
@@ -372,8 +376,8 @@ func TestRetryConfigValidate(t *testing.T) {
 }
 
 // TestClientRetryBackoff: with a retry discipline, requests dropped by
-// a transiently-down link are retransmitted (not abandoned like the
-// legacy blind reissue), so the full budget completes with Responses
+// a transiently-down link are retransmitted (not abandoned as with
+// the zero policy), so the full budget completes with Responses
 // == Requests — and the run replays bit-identically.
 func TestClientRetryBackoff(t *testing.T) {
 	run := func() ClientStats {
@@ -401,8 +405,8 @@ func TestClientRetryBackoff(t *testing.T) {
 		t.Fatalf("timeouts=%d retries=%d, want 2/2 (one retransmission per dropped request)",
 			st.Timeouts, st.Retries)
 	}
-	// The retransmissions recover the dropped requests: unlike legacy
-	// reissue (8 issued / 6 answered), every request is answered.
+	// The retransmissions recover the dropped requests: unlike the zero
+	// policy (8 issued / 6 answered), every request is answered.
 	if st.Issued != 8 || st.Responses != 8 || st.Failed != 0 || st.Late != 0 {
 		t.Fatalf("issued=%d resp=%d failed=%d late=%d; want 8/8/0/0",
 			st.Issued, st.Responses, st.Failed, st.Late)

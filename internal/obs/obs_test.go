@@ -51,41 +51,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.CounterFunc("dup", func() uint64 { return 0 })
 }
 
-func TestOwnedCounterAndHistogram(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	h := r.Histogram("lat")
-	c.Inc()
-	c.Add(4)
-	for _, v := range []uint64{100, 100, 100, 100, 100, 100, 100, 100, 100, 100000} {
-		h.Observe(v)
-	}
-	if s, _ := r.Lookup("events"); s.Uint64() != 5 {
-		t.Fatalf("counter = %v", s.Value)
-	}
-	if s, _ := r.Lookup("lat.count"); s.Uint64() != 10 {
-		t.Fatalf("lat.count = %v", s.Value)
-	}
-	if s, _ := r.Lookup("lat.mean"); s.Value != (9*100+100000)/10.0 {
-		t.Fatalf("lat.mean = %v", s.Value)
-	}
-	p50, _ := r.Lookup("lat.p50")
-	if p50.Value < 64 || p50.Value > 128 {
-		t.Fatalf("lat.p50 = %v, want within bucket [64,128)", p50.Value)
-	}
-	p99, _ := r.Lookup("lat.p99")
-	if p99.Value < 65536 || p99.Value > 131072 {
-		t.Fatalf("lat.p99 = %v, want within bucket [65536,131072)", p99.Value)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram must read as zero")
-	}
-}
-
 func TestSamplingAndSeriesCSV(t *testing.T) {
 	o := New(Config{MetricsInterval: 10 * sim.Microsecond})
 	var n uint64

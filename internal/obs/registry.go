@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"idio/internal/sim"
@@ -88,26 +87,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.add(metric{name: name, kind: KindGauge, readF: fn})
 }
 
-// Counter registers and returns a registry-owned counter, for call
-// sites that have no pre-existing component counter to wrap.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, c.Value)
-	return c
-}
-
-// Histogram registers a registry-owned log-bucket histogram. It
-// contributes four derived metrics — name.count (counter), name.mean,
-// name.p50 and name.p99 (gauges) — to snapshots.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.CounterFunc(name+".count", func() uint64 { return h.count })
-	r.GaugeFunc(name+".mean", h.Mean)
-	r.GaugeFunc(name+".p50", func() float64 { return h.Quantile(0.50) })
-	r.GaugeFunc(name+".p99", func() float64 { return h.Quantile(0.99) })
-	return h
-}
-
 // Len returns the number of registered metrics.
 func (r *Registry) Len() int {
 	if r == nil {
@@ -151,80 +130,6 @@ func (r *Registry) Snapshot() []Sample {
 		out[i] = Sample{Name: m.name, Kind: m.kind, Value: m.value()}
 	}
 	return out
-}
-
-// Counter is a registry-owned monotonic counter.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Histogram accumulates non-negative integer observations (latencies
-// in picoseconds, sizes in bytes) into power-of-two buckets. Quantiles
-// are approximate — the geometric midpoint of the containing bucket —
-// which is plenty for dashboard-grade percentiles and keeps Observe
-// allocation-free and O(1).
-type Histogram struct {
-	buckets [65]uint64 // bucket i holds values with bit length i
-	count   uint64
-	sum     uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	h.buckets[bitLen(v)]++
-	h.count++
-	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Quantile returns the approximate q-quantile (q in [0,1], 0 when
-// empty), resolved to the geometric midpoint of the matching bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range h.buckets {
-		seen += n
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			lo := float64(uint64(1) << (i - 1))
-			return lo * math.Sqrt2 // geometric mid of [2^(i-1), 2^i)
-		}
-	}
-	return h.Mean()
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Series is a fixed-column time series of registry snapshots, one row

@@ -113,7 +113,8 @@ type RPCSpec struct {
 	// TimeoutUS bounds the per-request response wait (0 = 1000).
 	TimeoutUS float64 `json:"timeoutUS,omitempty"`
 	// Retry enables exponential-backoff retransmission (and optional
-	// hedging) on every client; omitted keeps the legacy blind reissue.
+	// hedging) on every client; omitted means MaxRetries 0: a timed-out
+	// request fails and its window slot issues a new one.
 	Retry *RetrySpec `json:"retry,omitempty"`
 }
 

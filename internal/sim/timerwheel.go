@@ -2,7 +2,7 @@
 // layered on the simulator.
 //
 // The per-event timeout pattern — one scheduled event per outstanding
-// request, firing as a no-op when the response won (the legacy client
+// request, firing as a no-op when the response won (the RPC client's
 // path) — costs a heap/wheel entry and a dispatch per request even
 // when nothing times out. At a million outstanding requests that is a
 // million queued events doing nothing. The hashed wheel replaces them
@@ -35,8 +35,8 @@
 // Note the wheel path is NOT event-identical to per-event timeouts:
 // expiries quantize to the granularity and cancels remove (rather
 // than fire-and-noop) the timer, changing the simulator's event
-// sequence. Models that must preserve historical outputs keep the
-// per-event path as their default and opt into the wheel explicitly.
+// sequence. The churn client is wheel-native; the RPC client, with a
+// few hundred attempts in flight, keeps one event per attempt.
 
 package sim
 

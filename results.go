@@ -49,7 +49,7 @@ type RPCResults struct {
 	Late      uint64
 	// Retries/Hedges/Failed mirror net.ClientStats: backoff
 	// retransmissions, speculative duplicates, and requests abandoned
-	// after the retry budget (all zero with retry discipline unset).
+	// after the retry budget. Once drained, Issued == Responses + Failed.
 	Retries uint64
 	Hedges  uint64
 	Failed  uint64
@@ -57,13 +57,14 @@ type RPCResults struct {
 	// request sent to the last response received across clients.
 	GoodputBps float64
 	// P50/P99/P999 are end-to-end latency percentiles over all clients'
-	// matched responses.
+	// matched responses, read from the merge of the per-client
+	// histograms.
 	P50  sim.Duration
 	P99  sim.Duration
 	P999 sim.Duration
 	// Classes breaks the summary down by service class when the cluster
 	// runs a QoS policy (classes with no clients are omitted); nil
-	// otherwise, keeping legacy outputs unchanged.
+	// otherwise.
 	Classes []RPCClassResult
 }
 
@@ -537,21 +538,9 @@ func (r Results) WriteStats(w io.Writer) error {
 			{"rpc.responses", rpc.Responses},
 			{"rpc.timeouts", rpc.Timeouts},
 			{"rpc.late", rpc.Late},
-		}...)
-		if rpc.Retries+rpc.Hedges+rpc.Failed > 0 {
-			kv = append(kv, []struct {
-				k string
-				v interface{}
-			}{
-				{"rpc.retries", rpc.Retries},
-				{"rpc.hedges", rpc.Hedges},
-				{"rpc.failed", rpc.Failed},
-			}...)
-		}
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
+			{"rpc.retries", rpc.Retries},
+			{"rpc.hedges", rpc.Hedges},
+			{"rpc.failed", rpc.Failed},
 			{"rpc.goodput_gbps", fmt.Sprintf("%.3f", rpc.GoodputBps/1e9)},
 			{"rpc.p50_us", fmt.Sprintf("%.3f", rpc.P50.Microseconds())},
 			{"rpc.p99_us", fmt.Sprintf("%.3f", rpc.P99.Microseconds())},
@@ -671,10 +660,8 @@ func (r Results) String() string {
 		fmt.Fprintf(&b, "  rpc: issued=%d resp=%d timeouts=%d late=%d goodput=%.2fGbps p50=%.2fus p99=%.2fus p999=%.2fus\n",
 			rpc.Issued, rpc.Responses, rpc.Timeouts, rpc.Late, rpc.GoodputBps/1e9,
 			rpc.P50.Microseconds(), rpc.P99.Microseconds(), rpc.P999.Microseconds())
-		if rpc.Retries+rpc.Hedges+rpc.Failed > 0 {
-			fmt.Fprintf(&b, "  rpc retry: retries=%d hedges=%d failed=%d\n",
-				rpc.Retries, rpc.Hedges, rpc.Failed)
-		}
+		fmt.Fprintf(&b, "  rpc retry: retries=%d hedges=%d failed=%d\n",
+			rpc.Retries, rpc.Hedges, rpc.Failed)
 		for _, c := range rpc.Classes {
 			fmt.Fprintf(&b, "  rpc[%s]: clients=%d issued=%d resp=%d timeouts=%d goodput=%.2fGbps p50=%.2fus p99=%.2fus p999=%.2fus\n",
 				c.Class, c.Clients, c.Issued, c.Responses, c.Timeouts,

@@ -39,10 +39,13 @@ go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.json" -trace-sample 16 \
     -json "$obsdir/results.json" > /dev/null
 go run ./cmd/obscheck "$obsdir/trace.json" "$obsdir/results.json"
-# Fabric smoke: the end-to-end RPC sweep must run, and its table must
-# be byte-identical between serial and parallel cell execution.
-go run ./cmd/idiosim -exp rpc -quick -j 2 > "$obsdir/rpc.txt"
-go run ./cmd/idiosim -exp rpc -quick -j 1 | cmp - "$obsdir/rpc.txt"
+# Golden tables under parallel cells: the rpc, qos, chaos and churn
+# -quick tables run with -j 2 must match the committed corpus, which
+# TestGolden checks at -j 1 (the wall-clock footer goes to stderr).
+for exp in rpc qos chaos churn; do
+    go run ./cmd/idiosim -exp "$exp" -quick -j 2 > "$obsdir/$exp.txt"
+    cmp "$obsdir/$exp.txt" "testdata/golden/${exp}_quick.txt"
+done
 # Sharded smoke: the same scenario partitioned into 4 event domains
 # must produce byte-identical stdout and stats to the single-domain
 # run — the tentpole determinism guarantee, checked end to end.
@@ -52,36 +55,27 @@ go run ./cmd/idiosim -scenario scenarios/rpc_closed_loop.json -shards 4 \
     -stats "$obsdir/rpc4.stats" > "$obsdir/rpc4.out"
 cmp "$obsdir/rpc1.out" "$obsdir/rpc4.out"
 cmp "$obsdir/rpc1.stats" "$obsdir/rpc4.stats"
-# QoS smoke: the class-isolation comparison must run with byte-identical
-# tables for serial and parallel cells, and the mixed-class scenario
-# must stay byte-identical between single-domain and sharded runs —
-# per-class histogram merging is order-independent by construction.
-go run ./cmd/idiosim -exp qos -quick -j 2 > "$obsdir/qos.txt"
-go run ./cmd/idiosim -exp qos -quick -j 1 | cmp - "$obsdir/qos.txt"
+# QoS smoke: the mixed-class scenario must stay byte-identical between
+# single-domain and sharded runs — per-class histogram merging is
+# order-independent by construction.
 go run ./cmd/idiosim -scenario scenarios/qos_mix.json \
     -stats "$obsdir/qos1.stats" > "$obsdir/qos1.out"
 go run ./cmd/idiosim -scenario scenarios/qos_mix.json -shards 4 \
     -stats "$obsdir/qos4.stats" > "$obsdir/qos4.out"
 cmp "$obsdir/qos1.out" "$obsdir/qos4.out"
 cmp "$obsdir/qos1.stats" "$obsdir/qos4.stats"
-# Chaos smoke: the scripted fault timeline must run under both serial
-# and parallel cell execution with byte-identical tables, and the
-# chaos scenario's drained run must hold the pool-leak gate: a leak
-# surfaces as the "pkt pool: outstanding=" line, absent when healthy.
-go run ./cmd/idiosim -exp chaos -quick -j 2 > "$obsdir/chaos.txt"
-go run ./cmd/idiosim -exp chaos -quick -j 1 | cmp - "$obsdir/chaos.txt"
+# Chaos smoke: the chaos scenario's drained run must hold the pool-leak
+# gate: a leak surfaces as the "pkt pool: outstanding=" line, absent
+# when healthy.
 go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json > "$obsdir/chaos_scenario.txt"
 if grep -q "pkt pool: outstanding=" "$obsdir/chaos_scenario.txt"; then
     echo "chaos scenario leaked packets" >&2
     exit 1
 fi
-# Churn smoke: the million-flow sweep must run with byte-identical
-# tables for serial and parallel cells, and the churn scenario — whose
-# per-flow state lives in the compact flow table with every deadline on
-# the hashed timer wheel — must stay byte-identical between
-# single-domain and sharded runs, stats dump included.
-go run ./cmd/idiosim -exp churn -quick -j 2 > "$obsdir/churn.txt"
-go run ./cmd/idiosim -exp churn -quick -j 1 | cmp - "$obsdir/churn.txt"
+# Churn smoke: the churn scenario — whose per-flow state lives in the
+# compact flow table with every deadline on the hashed timer wheel —
+# must stay byte-identical between single-domain and sharded runs,
+# stats dump included.
 go run ./cmd/idiosim -scenario scenarios/churn_flows.json \
     -stats "$obsdir/churn1.stats" > "$obsdir/churn1.out"
 go run ./cmd/idiosim -scenario scenarios/churn_flows.json -shards 4 \

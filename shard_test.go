@@ -13,6 +13,7 @@ import (
 	"idio/internal/pkt"
 	"idio/internal/qos"
 	"idio/internal/sim"
+	"idio/internal/stats"
 	"idio/internal/traffic"
 )
 
@@ -341,6 +342,6 @@ func TestClusterShardedSharedHistRejected(t *testing.T) {
 		}
 	}()
 	cl.AddRPCClient(0, 0, fnet.ClientConfig{
-		Mode: fnet.ModeClosed, Outstanding: 1, Requests: 1, Hist: cl.Hist,
+		Mode: fnet.ModeClosed, Outstanding: 1, Requests: 1, Hist: stats.NewHistogram(5),
 	})
 }
