@@ -2,10 +2,12 @@ package idio
 
 import (
 	"fmt"
+	"slices"
 
 	"idio/internal/fault"
 	fnet "idio/internal/net"
 	"idio/internal/nic"
+	"idio/internal/obs"
 	"idio/internal/pkt"
 	"idio/internal/qos"
 	"idio/internal/sim"
@@ -210,8 +212,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	if cl.engine != nil {
-		// Per-domain progress counters land in the registry after every
-		// historical key, so unsharded registry output is unchanged.
+		// Per-domain progress counters exist only when sharded, so
+		// WriteStats omits them to keep the dump shard-invariant.
 		for _, d := range cl.doms {
 			d := d
 			reg.CounterFunc("domain."+d.name+".events", func() uint64 { return d.sm.Processed() })
@@ -261,8 +263,10 @@ func (cl *Cluster) buildDomains() {
 		cl.outboxes = append(cl.outboxes, d.out)
 	}
 	// Client slots map onto groups in contiguous blocks, so clients
-	// that send at the same instant merge in slot order — the order
-	// the shared simulator's FIFO would have produced.
+	// that send at the same instant merge in slot order. The shared
+	// simulator serves them in scheduling order instead, which can
+	// differ: per-client timing is not shard-invariant (see the
+	// Outbox merge key in internal/net).
 	per := (cfg.Clients + groups - 1) / groups
 	cl.clientDomOf = make([]int, cfg.Clients)
 	for i := range cl.clientDomOf {
@@ -382,12 +386,19 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	}
 
 	cl.DUT.FlowDir.AddEPRule(ccfg.Flow.Tuple(), core)
+	if len(cl.Clients) == 0 {
+		cl.registerRPCMetrics(reg)
+	}
+	if cl.qosMap != nil {
+		class := cl.qosMap.Class(ccfg.Flow.DSCP)
+		if !slices.Contains(cl.clientClass, class) {
+			cl.registerClassMetrics(reg, class)
+		}
+		cl.clientClass = append(cl.clientClass, class)
+	}
 	c.RegisterMetrics(reg, fmt.Sprintf("rpc.c%d.", i))
 	cl.Clients = append(cl.Clients, c)
 	cl.clientSlots = append(cl.clientSlots, i)
-	if cl.qosMap != nil {
-		cl.clientClass = append(cl.clientClass, cl.qosMap.Class(ccfg.Flow.DSCP))
-	}
 	return c
 }
 
@@ -432,6 +443,9 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 		reg.GaugeFunc("nic.flows_tracked", func() float64 { return float64(fd.TrackedFlows()) })
 		reg.GaugeFunc("nic.flow_table_load", fd.FlowStatsLoad)
 		reg.CounterFunc("nic.flow_refusals", fd.FlowRefusals)
+	}
+	if len(cl.ChurnClients) == 0 {
+		cl.registerChurnMetrics(reg)
 	}
 	c.RegisterMetrics(reg, fmt.Sprintf("churn.c%d.", i))
 	cl.ChurnClients = append(cl.ChurnClients, c)
@@ -628,109 +642,186 @@ func (cl *Cluster) Collect() Results {
 	}
 	r.Fabric = f
 	if len(cl.Clients) > 0 {
-		rpc := &RPCResults{}
-		h := stats.NewHistogram(5)
-		var rxBytes uint64
-		var first, last sim.Time
-		for i, c := range cl.Clients {
-			st := c.Stats()
-			rpc.Issued += st.Issued
-			rpc.Responses += st.Responses
-			rpc.Timeouts += st.Timeouts
-			rpc.Late += st.Late
-			rpc.Retries += st.Retries
-			rpc.Hedges += st.Hedges
-			rpc.Failed += st.Failed
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); i == 0 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-			h.Merge(c.Hist())
-		}
-		rpc.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		rpc.P50, rpc.P99, rpc.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+		rpc, _ := cl.rpcSummary(nil)
 		if cl.qosMap != nil {
 			rpc.Classes = cl.collectClasses()
 		}
-		r.RPC = rpc
+		r.RPC = &rpc
 	}
 	if len(cl.ChurnClients) > 0 {
-		ch := &ChurnResults{
-			NICFlowsTracked: cl.DUT.FlowDir.TrackedFlows(),
-			NICFlowRefusals: cl.DUT.FlowDir.FlowRefusals(),
-		}
-		h := stats.NewHistogram(5)
-		var rxBytes uint64
-		var first, last sim.Time
-		for i, c := range cl.ChurnClients {
-			st := c.Stats()
-			ch.Issued += st.Issued
-			ch.Responses += st.Responses
-			ch.Timeouts += st.Timeouts
-			ch.Late += st.Late
-			ch.Arrivals += st.Arrivals
-			ch.Departures += st.Departures
-			ch.ActiveFlows += st.ActiveFlows
-			ch.WheelTicks += st.Wheel.Ticks
-			ch.WheelCascades += st.Wheel.Cascades
-			if st.TableLoad > ch.TableLoad {
-				ch.TableLoad = st.TableLoad
-			}
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); i == 0 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-			h.Merge(c.Hist())
-		}
-		ch.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		ch.P50, ch.P99, ch.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
-		r.Churn = ch
+		ch := cl.churnSummary()
+		r.Churn = &ch
 	}
 	return r
 }
 
-// collectClasses builds the per-service-class RPC summary by grouping
-// clients on their (Collect-time) class and merging their private
-// latency histograms — bucket addition is order-independent, so the
-// result is identical across shard counts. Classes with no clients are
-// omitted.
+// collectClasses builds the per-service-class RPC summary, one row per
+// class that has clients, in class order.
 func (cl *Cluster) collectClasses() []RPCClassResult {
 	var out []RPCClassResult
-	for class := 0; class < qos.NumClasses; class++ {
-		cr := RPCClassResult{Class: qos.Class(class).String()}
-		h := stats.NewHistogram(5)
-		var rxBytes uint64
-		var first, last sim.Time
-		for j, c := range cl.Clients {
-			if int(cl.clientClass[j]) != class {
-				continue
-			}
-			st := c.Stats()
-			cr.Clients++
-			cr.Issued += st.Issued
-			cr.Responses += st.Responses
-			cr.Timeouts += st.Timeouts
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); cr.Clients == 1 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-			h.Merge(c.Hist())
+	for class := qos.Class(0); class < qos.NumClasses; class++ {
+		if cr := cl.classSummary(class); cr.Clients > 0 {
+			out = append(out, cr)
 		}
-		if cr.Clients == 0 {
-			continue
-		}
-		cr.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		cr.P50, cr.P99, cr.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
-		out = append(out, cr)
 	}
 	return out
+}
+
+// respClient is what the aggregate summaries read from an RPC or churn
+// client beyond its counters: received bytes, the send/response span
+// and the latency histogram.
+type respClient interface {
+	RxBytes() uint64
+	FirstSend() sim.Time
+	LastResp() sim.Time
+	Hist() *stats.Histogram
+}
+
+// respSummary accumulates the response side of a set of clients.
+// Goodput spans the earliest first send to the latest response, and
+// the percentiles read the merge of the per-client histograms — bucket
+// addition is order-independent, so the result is identical across
+// shard counts.
+type respSummary struct {
+	n           int
+	rxBytes     uint64
+	first, last sim.Time
+	h           *stats.Histogram
+}
+
+func newRespSummary() respSummary { return respSummary{h: stats.NewHistogram(5)} }
+
+func (a *respSummary) add(c respClient) {
+	a.n++
+	a.rxBytes += c.RxBytes()
+	if fs := c.FirstSend(); a.n == 1 || fs < a.first {
+		a.first = fs
+	}
+	if lr := c.LastResp(); lr > a.last {
+		a.last = lr
+	}
+	a.h.Merge(c.Hist())
+}
+
+// result returns the aggregate goodput and latency percentiles (all
+// zero for an empty set).
+func (a *respSummary) result() (goodputBps float64, p50, p99, p999 sim.Duration) {
+	return fnet.GoodputBps(a.rxBytes, a.first, a.last),
+		a.h.Quantile(0.50), a.h.Quantile(0.99), a.h.Quantile(0.999)
+}
+
+// rpcSummary aggregates the RPC clients keep selects by index into
+// Clients (every client when keep is nil) and returns how many it
+// selected. Collect, collectClasses and the rpc.* registry metrics
+// all read it.
+func (cl *Cluster) rpcSummary(keep func(j int) bool) (RPCResults, int) {
+	var r RPCResults
+	a := newRespSummary()
+	for j, c := range cl.Clients {
+		if keep != nil && !keep(j) {
+			continue
+		}
+		st := c.Stats()
+		r.Issued += st.Issued
+		r.Responses += st.Responses
+		r.Timeouts += st.Timeouts
+		r.Late += st.Late
+		r.Retries += st.Retries
+		r.Hedges += st.Hedges
+		r.Failed += st.Failed
+		a.add(c)
+	}
+	r.GoodputBps, r.P50, r.P99, r.P999 = a.result()
+	return r, a.n
+}
+
+// classSummary aggregates the RPC clients of one service class
+// (Clients is 0 when the class has none).
+func (cl *Cluster) classSummary(class qos.Class) RPCClassResult {
+	r, n := cl.rpcSummary(func(j int) bool { return cl.clientClass[j] == class })
+	return RPCClassResult{
+		Class: class.String(), Clients: n,
+		Issued: r.Issued, Responses: r.Responses, Timeouts: r.Timeouts,
+		GoodputBps: r.GoodputBps, P50: r.P50, P99: r.P99, P999: r.P999,
+	}
+}
+
+// churnSummary aggregates every churn client. The NIC flow-table
+// snapshot is the DUT's; TableLoad is the worst client's occupancy.
+func (cl *Cluster) churnSummary() ChurnResults {
+	ch := ChurnResults{
+		NICFlowsTracked: cl.DUT.FlowDir.TrackedFlows(),
+		NICFlowRefusals: cl.DUT.FlowDir.FlowRefusals(),
+	}
+	a := newRespSummary()
+	for _, c := range cl.ChurnClients {
+		st := c.Stats()
+		ch.Issued += st.Issued
+		ch.Responses += st.Responses
+		ch.Timeouts += st.Timeouts
+		ch.Late += st.Late
+		ch.Arrivals += st.Arrivals
+		ch.Departures += st.Departures
+		ch.ActiveFlows += st.ActiveFlows
+		ch.WheelTicks += st.Wheel.Ticks
+		ch.WheelCascades += st.Wheel.Cascades
+		if st.TableLoad > ch.TableLoad {
+			ch.TableLoad = st.TableLoad
+		}
+		a.add(c)
+	}
+	ch.GoodputBps, ch.P50, ch.P99, ch.P999 = a.result()
+	return ch
+}
+
+// registerRPCMetrics registers the aggregate rpc.* metrics (called when
+// the first RPC client is added).
+func (cl *Cluster) registerRPCMetrics(reg *obs.Registry) {
+	sum := func() RPCResults { r, _ := cl.rpcSummary(nil); return r }
+	reg.CounterFunc("rpc.issued", func() uint64 { return sum().Issued })
+	reg.CounterFunc("rpc.responses", func() uint64 { return sum().Responses })
+	reg.CounterFunc("rpc.timeouts", func() uint64 { return sum().Timeouts })
+	reg.CounterFunc("rpc.late", func() uint64 { return sum().Late })
+	reg.CounterFunc("rpc.retries", func() uint64 { return sum().Retries })
+	reg.CounterFunc("rpc.hedges", func() uint64 { return sum().Hedges })
+	reg.CounterFunc("rpc.failed", func() uint64 { return sum().Failed })
+	reg.GaugeFunc("rpc.goodput_gbps", func() float64 { return sum().GoodputBps / 1e9 })
+	reg.GaugeFunc("rpc.p50_us", func() float64 { return sum().P50.Microseconds() })
+	reg.GaugeFunc("rpc.p99_us", func() float64 { return sum().P99.Microseconds() })
+	reg.GaugeFunc("rpc.p999_us", func() float64 { return sum().P999.Microseconds() })
+}
+
+// registerClassMetrics registers one service class's rpc.<class>.*
+// metrics (called when the class's first RPC client is added).
+func (cl *Cluster) registerClassMetrics(reg *obs.Registry, class qos.Class) {
+	p := "rpc." + class.String() + "."
+	sum := func() RPCClassResult { return cl.classSummary(class) }
+	reg.CounterFunc(p+"clients", func() uint64 { return uint64(sum().Clients) })
+	reg.CounterFunc(p+"issued", func() uint64 { return sum().Issued })
+	reg.CounterFunc(p+"responses", func() uint64 { return sum().Responses })
+	reg.CounterFunc(p+"timeouts", func() uint64 { return sum().Timeouts })
+	reg.GaugeFunc(p+"goodput_gbps", func() float64 { return sum().GoodputBps / 1e9 })
+	reg.GaugeFunc(p+"p50_us", func() float64 { return sum().P50.Microseconds() })
+	reg.GaugeFunc(p+"p99_us", func() float64 { return sum().P99.Microseconds() })
+	reg.GaugeFunc(p+"p999_us", func() float64 { return sum().P999.Microseconds() })
+}
+
+// registerChurnMetrics registers the aggregate churn.* metrics (called
+// when the first churn client is added).
+func (cl *Cluster) registerChurnMetrics(reg *obs.Registry) {
+	sum := cl.churnSummary
+	reg.CounterFunc("churn.issued", func() uint64 { return sum().Issued })
+	reg.CounterFunc("churn.responses", func() uint64 { return sum().Responses })
+	reg.CounterFunc("churn.timeouts", func() uint64 { return sum().Timeouts })
+	reg.CounterFunc("churn.late", func() uint64 { return sum().Late })
+	reg.CounterFunc("churn.arrivals", func() uint64 { return sum().Arrivals })
+	reg.CounterFunc("churn.departures", func() uint64 { return sum().Departures })
+	reg.GaugeFunc("churn.active_flows", func() float64 { return float64(sum().ActiveFlows) })
+	reg.GaugeFunc("churn.table_load", func() float64 { return sum().TableLoad })
+	reg.CounterFunc("churn.wheel_ticks", func() uint64 { return sum().WheelTicks })
+	reg.CounterFunc("churn.wheel_cascades", func() uint64 { return sum().WheelCascades })
+	reg.GaugeFunc("churn.goodput_gbps", func() float64 { return sum().GoodputBps / 1e9 })
+	reg.GaugeFunc("churn.p50_us", func() float64 { return sum().P50.Microseconds() })
+	reg.GaugeFunc("churn.p99_us", func() float64 { return sum().P99.Microseconds() })
+	reg.GaugeFunc("churn.p999_us", func() float64 { return sum().P999.Microseconds() })
 }

@@ -83,6 +83,21 @@ func checkClusterEndToEnd(t *testing.T, shared *stats.Histogram) {
 		t.Fatalf("aggregate p50=%v p99=%v, want the merged per-client p50=%v p99=%v",
 			res.RPC.P50, res.RPC.P99, merged.Quantile(0.50), merged.Quantile(0.99))
 	}
+	// The registry's aggregate rpc.* metrics (what -stats and -json
+	// print) read the same summary as Results.RPC.
+	metric := map[string]float64{}
+	for _, m := range res.Metrics {
+		metric[m.Name] = m.Value
+	}
+	for name, want := range map[string]float64{
+		"rpc.issued": float64(res.RPC.Issued),
+		"rpc.p50_us": res.RPC.P50.Microseconds(),
+		"rpc.p99_us": res.RPC.P99.Microseconds(),
+	} {
+		if got, ok := metric[name]; !ok || got != want {
+			t.Fatalf("registry %s = %v (present %v), want Results.RPC's %v", name, got, ok, want)
+		}
+	}
 	if shared != nil && shared.Count() != want {
 		t.Fatalf("caller's histogram recorded %d of %d responses", shared.Count(), want)
 	}

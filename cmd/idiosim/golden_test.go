@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// The golden corpus pins what the simulator prints: the stdout and the
-// -stats dump of every scenarios/*.json run, and the fig9-fig14, churn,
-// rpc, qos and chaos -quick tables. A change that moves any of them on purpose regenerates the
-// corpus with
+// The golden corpus pins what the simulator prints: the stdout, the
+// -stats dump and the -json metrics document of every scenarios/*.json
+// run, and the fig9-fig14, churn, rpc, qos and chaos -quick tables. A
+// change that moves any of them on purpose regenerates the corpus with
 //
 //	go test ./cmd/idiosim -run TestGolden -update
 //
@@ -77,16 +77,22 @@ func TestGolden(t *testing.T) {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run("scenario/"+name, func(t *testing.T) {
 			var out bytes.Buffer
-			stats := filepath.Join(t.TempDir(), "stats")
-			if err := runScenario(path, scenarioOpts{statsPath: stats}, &out); err != nil {
+			dir := t.TempDir()
+			stats, js := filepath.Join(dir, "stats"), filepath.Join(dir, "json")
+			if err := runScenario(path, scenarioOpts{statsPath: stats, jsonPath: js}, &out); err != nil {
 				t.Fatal(err)
 			}
 			dump, err := os.ReadFile(stats)
 			if err != nil {
 				t.Fatal(err)
 			}
+			doc, err := os.ReadFile(js)
+			if err != nil {
+				t.Fatal(err)
+			}
 			checkGolden(t, "scenario_"+name+".out", out.Bytes())
 			checkGolden(t, "scenario_"+name+".stats", dump)
+			checkGolden(t, "scenario_"+name+".json", doc)
 		})
 	}
 	for _, fig := range goldenFigs {

@@ -693,9 +693,8 @@ func (p *Prefetcher) issue(s *sim.Simulator) {
 }
 
 // RegisterMetrics registers the controller's steering counters under
-// prefix (e.g. "ctrl."). The missteers key mirrors Results.WriteStats;
-// the steering breakdown extends it with the paper's per-target DMA
-// placement counts.
+// prefix (e.g. "ctrl."): mis-steered TLPs and the paper's per-target
+// DMA placement counts.
 func (c *Controller) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"missteers", func() uint64 { return c.MisSteers })
 	reg.CounterFunc(prefix+"steer_llc", func() uint64 { return c.SteerLLCCount })

@@ -198,8 +198,7 @@ func (d *DRAM) ReadBytes() uint64 { return d.reads.Value() * 64 }
 func (d *DRAM) WriteBytes() uint64 { return d.writes.Value() * 64 }
 
 // RegisterMetrics registers the DRAM counter set under prefix (e.g.
-// "dram.") into the observability registry. Metric names mirror the
-// keys Results.WriteStats prints.
+// "dram.") into the observability registry.
 func (d *DRAM) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"reads", d.Reads)
 	reg.CounterFunc(prefix+"writes", d.Writes)

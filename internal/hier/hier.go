@@ -865,9 +865,8 @@ func (d *directory) entries() int {
 func (h *Hierarchy) SetObserver(o *obs.Observer) { h.obs = o }
 
 // RegisterMetrics registers the hierarchy's counters and occupancy
-// gauges under prefix (e.g. "hier."). Counter names mirror the keys
-// Results.WriteStats prints; the occupancy/way gauges additionally
-// expose the live state the periodic metric snapshots sample.
+// gauges under prefix (e.g. "hier."). The occupancy/way gauges expose
+// the live state the periodic metric snapshots sample.
 func (h *Hierarchy) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"mlc_writebacks", func() uint64 { return h.stats.MLCWriteback })
 	reg.CounterFunc(prefix+"mlc_writebacks_dirty", func() uint64 { return h.stats.MLCWBDirty })

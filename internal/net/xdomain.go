@@ -6,8 +6,11 @@
 // Outbox. At every epoch barrier the coordinator drains all outboxes,
 // sorts the accumulated entries by the canonical merge key
 // (deliveryTime, sendTime, srcDomain, srcSeq) and injects them into
-// the destination domains — so the destination observes deliveries in
-// the same order the single shared simulator would have produced.
+// the destination domains. The order is deterministic but not always
+// the shared simulator's: that one serves same-instant sends in the
+// order their send events were scheduled, while the key breaks the
+// tie by source domain, so per-client timing can differ across shard
+// counts (aggregate outputs have stayed identical).
 package net
 
 import (

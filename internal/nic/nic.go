@@ -526,8 +526,7 @@ func txDoneEv(sm *sim.Simulator, a sim.Arg) {
 
 // RegisterMetrics registers the NIC counter set under prefix (e.g.
 // "nic.") into the observability registry, reading through statsFn so
-// multi-port systems can register one port-aggregated view. Metric
-// names mirror the keys Results.WriteStats prints.
+// multi-port systems can register one port-aggregated view.
 func RegisterMetrics(reg *obs.Registry, prefix string, statsFn func() Stats) {
 	reg.CounterFunc(prefix+"rx_packets", func() uint64 { return statsFn().RxPackets })
 	reg.CounterFunc(prefix+"rx_bytes", func() uint64 { return statsFn().RxBytes })

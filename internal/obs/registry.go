@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"idio/internal/sim"
 )
@@ -74,10 +73,11 @@ func (r *Registry) add(m metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// CounterFunc registers a monotonic counter read through fn. The name
-// should mirror the component's WriteStats key (e.g. "nic.rx_packets")
-// so the two views agree. Duplicate names panic: registration happens
-// once, at wiring time, and a collision is a programming error.
+// CounterFunc registers a monotonic counter read through fn under a
+// dotted name (e.g. "nic.rx_packets"); that name is the key in the
+// -stats dump, the -json document and the metric series. Duplicate
+// names panic: registration happens once, at wiring time, and a
+// collision is a programming error.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.add(metric{name: name, kind: KindCounter, readU: fn})
 }
@@ -85,14 +85,6 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 // GaugeFunc registers an instantaneous measurement read through fn.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.add(metric{name: name, kind: KindGauge, readF: fn})
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.metrics)
 }
 
 // Names returns metric names in registration order.
@@ -175,9 +167,8 @@ func (s *Series) Row(i int) (float64, []float64) {
 }
 
 // WriteCSV writes the series as "time_us,<metric>,..." with one row
-// per snapshot. Counter columns print as integers, gauges with three
-// decimals, matching the registry's metric kinds by column order only
-// when kinds are unknown here — so everything prints via %g, which
+// per snapshot. The time column prints with three decimals; the series
+// does not keep metric kinds, so every value prints via %g, which
 // round-trips exactly and loads cleanly in pandas/gnuplot.
 func (s *Series) WriteCSV(w io.Writer) error {
 	if s == nil {
@@ -208,12 +199,4 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortedCopy returns the samples sorted by name — convenient for
-// stable diffing in tests without disturbing registration order.
-func SortedCopy(samples []Sample) []Sample {
-	out := append([]Sample(nil), samples...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

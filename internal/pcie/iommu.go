@@ -55,8 +55,7 @@ func (u *IOMMU) CheckRead(lineAddr uint64) bool {
 }
 
 // RegisterMetrics registers the IOMMU fault counters under prefix
-// (e.g. "iommu.") into the observability registry. Metric names mirror
-// the keys Results.WriteStats prints.
+// (e.g. "iommu.") into the observability registry.
 func (u *IOMMU) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"read_faults", func() uint64 { return u.ReadFaults })
 	reg.CounterFunc(prefix+"write_faults", func() uint64 { return u.WriteFaults })

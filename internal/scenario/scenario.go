@@ -275,8 +275,8 @@ type Scenario struct {
 // class map in the NIC filter table, per-class placement policy (LLC
 // way quota, prefetch stride, direct-to-DRAM), and — with a topology —
 // the strict-priority/WRR scheduler on every switch egress port.
-// Omitting the section keeps the single-class data plane and
-// byte-identical legacy outputs.
+// Omitting the section keeps the single-class data plane, with no
+// qos.* or per-class metrics.
 type QoSSpec struct {
 	// Classes overrides individual classes of the default policy by
 	// name ("ef", "af41", "af21", "cs1"); omitted classes and omitted

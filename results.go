@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"idio/internal/fault"
@@ -70,7 +71,7 @@ type RPCResults struct {
 
 // ChurnResults aggregates the flow-churn workload's measurements
 // across every churn client of a Cluster run. Nil when no churn
-// clients ran, keeping legacy outputs unchanged.
+// clients ran.
 type ChurnResults struct {
 	Issued    uint64 // wire transmissions (first sends + resends)
 	Responses uint64
@@ -159,7 +160,7 @@ type Results struct {
 
 	// PktPool snapshots the host packet pool's recycling counters.
 	// After a drained run Outstanding must be zero — a non-zero value
-	// means pooled packets leaked (a lifecycle bug), and WriteStats
+	// means pooled packets leaked (a lifecycle bug), and String
 	// surfaces the full accounting.
 	PktPool pkt.PoolStats
 
@@ -190,9 +191,8 @@ type Results struct {
 	DRAMWrTL *stats.Timeline
 
 	// Metrics is the observability registry's snapshot at Collect time,
-	// in registration order: every WriteStats counter plus component
-	// gauges the flat stats file does not carry. WriteJSON serialises
-	// this view.
+	// in registration order. WriteStats and WriteJSON both render this
+	// view.
 	Metrics []obs.Sample
 	// MetricSeries holds the periodic registry snapshots recorded when
 	// Config.Obs.MetricsInterval > 0 (nil otherwise).
@@ -204,7 +204,7 @@ func (s *System) Collect() Results {
 	r := Results{
 		Now:           s.Sim.Now(),
 		Hier:          s.Hier.Stats(),
-		NIC:           s.NIC.Stats(),
+		NIC:           s.nicStats(),
 		DRAMReads:     s.Hier.DRAM().Reads(),
 		DRAMWrites:    s.Hier.DRAM().Writes(),
 		DRAMRowHits:   s.Hier.DRAM().RowHits(),
@@ -218,22 +218,6 @@ func (s *System) Collect() Results {
 		DRAMRdTL:      s.Hier.DRAM().ReadTL,
 		DRAMWrTL:      s.Hier.DRAM().WriteTL,
 	}
-	// Multi-port systems aggregate the non-primary ports' NIC counters
-	// so drops on any port are visible in the summary.
-	for _, port := range s.ports[1:] {
-		ps := port.Stats()
-		r.NIC.RxPackets += ps.RxPackets
-		r.NIC.RxBytes += ps.RxBytes
-		r.NIC.RxDrops += ps.RxDrops
-		r.NIC.TxPackets += ps.TxPackets
-		r.NIC.DMAWrites += ps.DMAWrites
-		r.NIC.DMAReads += ps.DMAReads
-		r.NIC.PoolDrops += ps.PoolDrops
-		r.NIC.LinkDownDrops += ps.LinkDownDrops
-		r.NIC.MisSteers += ps.MisSteers
-		r.NIC.AdmissionDrops += ps.AdmissionDrops
-		r.NIC.InvariantViolations += ps.InvariantViolations
-	}
 	if s.IOMMU != nil {
 		r.IOMMUReadFaults = s.IOMMU.ReadFaults
 		r.IOMMUWriteFaults = s.IOMMU.WriteFaults
@@ -242,14 +226,7 @@ func (s *System) Collect() Results {
 		r.Faults = s.Faults.Stats()
 	}
 	r.PktPool = s.PktPool.Stats()
-	var wd *sim.WatchdogError
-	if err := s.Sim.Err(); err != nil {
-		if werr, ok := err.(*sim.WatchdogError); ok {
-			wd = werr
-		}
-	}
-	r.Aborted = wd
-	var lastDone sim.Time
+	r.Aborted = s.watchdogErr()
 	for i, c := range s.Cores {
 		if c == nil {
 			r.Cores = append(r.Cores, CoreResult{Demand: s.Hier.Demand(i)})
@@ -268,13 +245,8 @@ func (s *System) Collect() Results {
 			cr.Mean = c.Latencies.Mean()
 		}
 		r.Cores = append(r.Cores, cr)
-		if c.LastDoneAt > lastDone {
-			lastDone = c.LastDoneAt
-		}
 	}
-	if first, ok := s.FirstDMAAt(); ok && lastDone > first {
-		r.ExeTime = lastDone.Sub(first)
-	}
+	r.ExeTime = s.exeTime()
 	r.Metrics = s.obs.Registry().Snapshot()
 	r.MetricSeries = s.obs.Metrics()
 	return r
@@ -340,13 +312,6 @@ func (r Results) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // TotalProcessed sums processed packets across cores.
 func (r Results) TotalProcessed() uint64 {
 	var n uint64
@@ -379,241 +344,33 @@ func (r Results) P50Across() sim.Duration {
 	return worst
 }
 
-// WriteStats dumps every counter as flat key=value lines (gem5-style
-// stats file), machine-greppable for post-processing.
+// perClientMetric reports whether name belongs to a per-client series,
+// rpc.c<N>.* or churn.c<N>.* (not the rpc.cs1.* class aggregate).
+func perClientMetric(name string) bool {
+	family, rest, _ := strings.Cut(name, ".")
+	id, _, ok := strings.Cut(rest, ".")
+	return ok && (family == "rpc" || family == "churn") &&
+		len(id) > 1 && id[0] == 'c' && strings.Trim(id[1:], "0123456789") == ""
+}
+
+// WriteStats dumps the registry snapshot (Metrics) as flat "key value"
+// lines in registration order — a gem5-style stats file,
+// machine-greppable for post-processing. Counters print as integers,
+// gauges as their shortest exact decimal. Two families stay JSON-only:
+// the sharded engine's domain.* progress counters and the per-client
+// rpc.c<N>.* / churn.c<N>.* series, so the dump is identical at every
+// shard count.
 func (r Results) WriteStats(w io.Writer) error {
-	kv := []struct {
-		k string
-		v interface{}
-	}{
-		{"sim.now_us", r.Now.Microseconds()},
-		{"nic.rx_packets", r.NIC.RxPackets},
-		{"nic.rx_bytes", r.NIC.RxBytes},
-		{"nic.rx_drops", r.NIC.RxDrops},
-		{"nic.pool_drops", r.NIC.PoolDrops},
-		{"nic.linkdown_drops", r.NIC.LinkDownDrops},
-		{"nic.missteers", r.NIC.MisSteers},
-		{"nic.invariant_violations", r.NIC.InvariantViolations},
-		{"nic.tx_packets", r.NIC.TxPackets},
-		{"nic.dma_writes", r.NIC.DMAWrites},
-		{"nic.dma_reads", r.NIC.DMAReads},
-		{"iommu.read_faults", r.IOMMUReadFaults},
-		{"iommu.write_faults", r.IOMMUWriteFaults},
-		{"ctrl.missteers", r.CtrlMisSteers},
-		{"hier.mlc_writebacks", r.Hier.MLCWriteback},
-		{"hier.mlc_writebacks_dirty", r.Hier.MLCWBDirty},
-		{"hier.mlc_invalidations", r.Hier.MLCInval},
-		{"hier.llc_writebacks", r.Hier.LLCWriteback},
-		{"hier.llc_writebacks_io", r.Hier.LLCWBIO},
-		{"hier.dir_back_invalidations", r.Hier.DirBackInval},
-		{"hier.self_invalidations", r.Hier.SelfInval},
-		{"hier.ddio_updates", r.Hier.DDIOUpdate},
-		{"hier.ddio_allocations", r.Hier.DDIOAlloc},
-		{"hier.ddio_direct_dram", r.Hier.DDIOToDRAM},
-		{"hier.prefetch_fills", r.Hier.PrefetchFill},
-		{"hier.prefetch_drops", r.Hier.PrefetchDrop},
-		{"hier.demand_l1_hits", r.Hier.DemandL1Hit},
-		{"hier.demand_mlc_hits", r.Hier.DemandMLCHit},
-		{"hier.demand_llc_hits", r.Hier.DemandLLCHit},
-		{"hier.demand_dram", r.Hier.DemandDRAM},
-		{"dram.reads", r.DRAMReads},
-		{"dram.writes", r.DRAMWrites},
-		{"dram.row_hits", r.DRAMRowHits},
-		{"dram.row_misses", r.DRAMRowMisses},
-		{"dram.penalized_accesses", r.DRAMPenalized},
-		{"exe_time_us", r.ExeTime.Microseconds()},
-		{"sim.aborted", boolToInt(r.Aborted != nil)},
-	}
-	// Admission-control sheds appear only when the watermark actually
-	// fired, keeping the historical key set for unconfigured runs.
-	if r.NIC.AdmissionDrops > 0 {
-		kv = append(kv, struct {
-			k string
-			v interface{}
-		}{"nic.admission_drops", r.NIC.AdmissionDrops})
-	}
-	// Pool-leak visibility, following the fault-keys pattern: a healthy
-	// drained run has zero outstanding pooled packets and the keys stay
-	// absent (legacy outputs unchanged); a leak surfaces the full
-	// accounting.
-	if r.PktPool.Outstanding > 0 {
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
-			{"pkt_pool.gets", r.PktPool.Gets},
-			{"pkt_pool.puts", r.PktPool.Puts},
-			{"pkt_pool.allocs", r.PktPool.Allocs},
-			{"pkt_pool.outstanding", r.PktPool.Outstanding},
-			{"pkt_pool.high_water", r.PktPool.HighWater},
-		}...)
-	}
-	if r.Faults.Total() > 0 {
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
-			{"fault.tlps_corrupted", r.Faults.TLPsCorrupted},
-			{"fault.tlps_poisoned", r.Faults.TLPsPoisoned},
-			{"fault.link_flaps", r.Faults.LinkFlaps},
-			{"fault.dma_stalls", r.Faults.DMAStalls},
-			{"fault.mbufs_leaked", r.Faults.MbufsLeaked},
-			{"fault.dram_spikes", r.Faults.DRAMSpikes},
-			{"fault.snoop_thrashes", r.Faults.SnoopThrashes},
-			{"fault.dir_evictions", r.Faults.DirEvictions},
-			{"fault.core_stalls", r.Faults.CoreStalls},
-		}...)
-		// Fabric fault keys only when a fabric was perturbed, so
-		// single-host fault runs keep their historical key set.
-		if r.Faults.FabricFlaps+r.Faults.FabricDegrades > 0 {
-			kv = append(kv, []struct {
-				k string
-				v interface{}
-			}{
-				{"fault.fabric_flaps", r.Faults.FabricFlaps},
-				{"fault.fabric_degrades", r.Faults.FabricDegrades},
-			}...)
-		}
-		if r.Faults.TimelinePhases > 0 {
-			kv = append(kv, struct {
-				k string
-				v interface{}
-			}{"fault.timeline_phases", r.Faults.TimelinePhases})
-		}
-	}
-	if f := r.Fabric; f != nil {
-		for _, l := range f.Links {
-			kv = append(kv, []struct {
-				k string
-				v interface{}
-			}{
-				{"fabric." + l.Name + ".tx_packets", l.Stats.TxPackets},
-				{"fabric." + l.Name + ".delivered", l.Stats.Delivered},
-				{"fabric." + l.Name + ".tail_drops", l.Stats.TailDrops},
-				{"fabric." + l.Name + ".down_drops", l.Stats.DownDrops},
-				{"fabric." + l.Name + ".queue_hwm", l.Stats.QueueHighWater},
-			}...)
-			// AQM sheds only when the controller actually dropped, so
-			// tail-drop-only fabrics keep their historical key set.
-			if l.Stats.AQMDrops > 0 {
-				kv = append(kv, struct {
-					k string
-					v interface{}
-				}{"fabric." + l.Name + ".aqm_drops", l.Stats.AQMDrops})
-			}
-			// Per-class egress breakdown, present only on scheduled (QoS)
-			// links.
-			for _, cc := range l.Classes {
-				cp := "fabric." + l.Name + "." + cc.Class + "."
-				kv = append(kv, []struct {
-					k string
-					v interface{}
-				}{
-					{cp + "tx_packets", cc.Stats.TxPackets},
-					{cp + "tail_drops", cc.Stats.TailDrops},
-				}...)
-				if cc.Stats.AQMDrops > 0 {
-					kv = append(kv, struct {
-						k string
-						v interface{}
-					}{cp + "aqm_drops", cc.Stats.AQMDrops})
-				}
-			}
-		}
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
-			{"fabric.switch.forwarded", f.Switch.Forwarded},
-			{"fabric.switch.no_route", f.Switch.NoRoute},
-			{"fabric.switch.parse_drops", f.Switch.ParseDrops},
-		}...)
-	}
-	if rpc := r.RPC; rpc != nil {
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
-			{"rpc.issued", rpc.Issued},
-			{"rpc.responses", rpc.Responses},
-			{"rpc.timeouts", rpc.Timeouts},
-			{"rpc.late", rpc.Late},
-			{"rpc.retries", rpc.Retries},
-			{"rpc.hedges", rpc.Hedges},
-			{"rpc.failed", rpc.Failed},
-			{"rpc.goodput_gbps", fmt.Sprintf("%.3f", rpc.GoodputBps/1e9)},
-			{"rpc.p50_us", fmt.Sprintf("%.3f", rpc.P50.Microseconds())},
-			{"rpc.p99_us", fmt.Sprintf("%.3f", rpc.P99.Microseconds())},
-			{"rpc.p999_us", fmt.Sprintf("%.3f", rpc.P999.Microseconds())},
-		}...)
-		// Per-service-class SLO accounting, present only under a QoS
-		// policy.
-		for _, c := range rpc.Classes {
-			cp := "rpc." + c.Class + "."
-			kv = append(kv, []struct {
-				k string
-				v interface{}
-			}{
-				{cp + "clients", c.Clients},
-				{cp + "issued", c.Issued},
-				{cp + "responses", c.Responses},
-				{cp + "timeouts", c.Timeouts},
-				{cp + "goodput_gbps", fmt.Sprintf("%.3f", c.GoodputBps/1e9)},
-				{cp + "p50_us", fmt.Sprintf("%.3f", c.P50.Microseconds())},
-				{cp + "p99_us", fmt.Sprintf("%.3f", c.P99.Microseconds())},
-				{cp + "p999_us", fmt.Sprintf("%.3f", c.P999.Microseconds())},
-			}...)
-		}
-	}
-	if ch := r.Churn; ch != nil {
-		kv = append(kv, []struct {
-			k string
-			v interface{}
-		}{
-			{"churn.issued", ch.Issued},
-			{"churn.responses", ch.Responses},
-			{"churn.timeouts", ch.Timeouts},
-			{"churn.late", ch.Late},
-			{"churn.arrivals", ch.Arrivals},
-			{"churn.departures", ch.Departures},
-			{"churn.active_flows", ch.ActiveFlows},
-			{"churn.table_load", fmt.Sprintf("%.4f", ch.TableLoad)},
-			{"churn.wheel_ticks", ch.WheelTicks},
-			{"churn.wheel_cascades", ch.WheelCascades},
-			{"churn.nic_flows_tracked", ch.NICFlowsTracked},
-			{"churn.nic_flow_refusals", ch.NICFlowRefusals},
-			{"churn.goodput_gbps", fmt.Sprintf("%.3f", ch.GoodputBps/1e9)},
-			{"churn.p50_us", fmt.Sprintf("%.3f", ch.P50.Microseconds())},
-			{"churn.p99_us", fmt.Sprintf("%.3f", ch.P99.Microseconds())},
-			{"churn.p999_us", fmt.Sprintf("%.3f", ch.P999.Microseconds())},
-		}...)
-	}
-	for _, e := range kv {
-		if _, err := fmt.Fprintf(w, "%-30s %v\n", e.k, e.v); err != nil {
-			return err
-		}
-	}
-	for i, c := range r.Cores {
-		if c.Processed == 0 && c.Demand.Total() == 0 {
+	for _, m := range r.Metrics {
+		if strings.HasPrefix(m.Name, "domain.") || perClientMetric(m.Name) {
 			continue
 		}
-		entries := []struct {
-			k string
-			v string
-		}{
-			{fmt.Sprintf("core%d.processed", i), fmt.Sprintf("%d", c.Processed)},
-			{fmt.Sprintf("core%d.p50_us", i), fmt.Sprintf("%.3f", c.P50.Microseconds())},
-			{fmt.Sprintf("core%d.p99_us", i), fmt.Sprintf("%.3f", c.P99.Microseconds())},
-			{fmt.Sprintf("core%d.demand_l1", i), fmt.Sprintf("%d", c.Demand.L1Hit)},
-			{fmt.Sprintf("core%d.demand_mlc", i), fmt.Sprintf("%d", c.Demand.MLCHit)},
-			{fmt.Sprintf("core%d.demand_llc", i), fmt.Sprintf("%d", c.Demand.LLCHit)},
-			{fmt.Sprintf("core%d.demand_dram", i), fmt.Sprintf("%d", c.Demand.DRAM)},
-			{fmt.Sprintf("core%d.onchip_hit_rate", i), fmt.Sprintf("%.4f", c.Demand.HitRateOnChip())},
+		v := strconv.FormatFloat(m.Value, 'f', -1, 64)
+		if m.Kind == obs.KindCounter {
+			v = strconv.FormatUint(m.Uint64(), 10)
 		}
-		for _, e := range entries {
-			if _, err := fmt.Fprintf(w, "%-30s %s\n", e.k, e.v); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(w, "%-30s %s\n", m.Name, v); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -64,10 +64,17 @@ go run ./cmd/idiosim -scenario scenarios/qos_mix.json -shards 4 \
     -stats "$obsdir/qos4.stats" > "$obsdir/qos4.out"
 cmp "$obsdir/qos1.out" "$obsdir/qos4.out"
 cmp "$obsdir/qos1.stats" "$obsdir/qos4.stats"
-# Chaos smoke: the chaos scenario's drained run must hold the pool-leak
-# gate: a leak surfaces as the "pkt pool: outstanding=" line, absent
-# when healthy.
-go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json > "$obsdir/chaos_scenario.txt"
+# Chaos smoke: the chaos scenario — timeline phases scheduled on the
+# domain owning each target — must stay byte-identical between
+# single-domain and sharded runs, and its drained run must hold the
+# pool-leak gate: a leak surfaces as the "pkt pool: outstanding=" line,
+# absent when healthy.
+go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json \
+    -stats "$obsdir/chaos1.stats" > "$obsdir/chaos_scenario.txt"
+go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json -shards 4 \
+    -stats "$obsdir/chaos4.stats" > "$obsdir/chaos4.out"
+cmp "$obsdir/chaos_scenario.txt" "$obsdir/chaos4.out"
+cmp "$obsdir/chaos1.stats" "$obsdir/chaos4.stats"
 if grep -q "pkt pool: outstanding=" "$obsdir/chaos_scenario.txt"; then
     echo "chaos scenario leaked packets" >&2
     exit 1

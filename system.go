@@ -300,49 +300,22 @@ func (s *System) ClassRx() (pkts, bytes [qos.NumClasses]uint64) {
 	return pkts, bytes
 }
 
-// registerMetrics populates the observability registry with every
-// counter WriteStats reports (same names) plus component-level gauges.
-// All entries are closures over live component state, so a registry
-// snapshot at any simulated time reflects that instant.
+// registerMetrics populates the observability registry: the one name
+// table behind the -stats dump (Results.WriteStats), the -json
+// document and the periodic metric series. All entries are closures
+// over live component state, so a registry snapshot at any simulated
+// time reflects that instant.
 func (s *System) registerMetrics() {
 	reg := s.obs.Registry()
 	reg.GaugeFunc("sim.now_us", func() float64 { return s.Sim.Now().Microseconds() })
-	nic.RegisterMetrics(reg, "nic.", func() nic.Stats {
-		agg := s.ports[0].Stats()
-		for _, port := range s.ports[1:] {
-			ps := port.Stats()
-			agg.RxPackets += ps.RxPackets
-			agg.RxBytes += ps.RxBytes
-			agg.RxDrops += ps.RxDrops
-			agg.TxPackets += ps.TxPackets
-			agg.DMAWrites += ps.DMAWrites
-			agg.DMAReads += ps.DMAReads
-			agg.PoolDrops += ps.PoolDrops
-			agg.LinkDownDrops += ps.LinkDownDrops
-			agg.MisSteers += ps.MisSteers
-			agg.InvariantViolations += ps.InvariantViolations
-		}
-		return agg
-	})
+	nic.RegisterMetrics(reg, "nic.", s.nicStats)
 	if s.Cfg.NIC.AdmissionWatermark > 0 {
-		reg.CounterFunc("nic.admission_drops", func() uint64 {
-			var n uint64
-			for _, port := range s.ports {
-				n += port.Stats().AdmissionDrops
-			}
-			return n
-		})
+		reg.CounterFunc("nic.admission_drops", func() uint64 { return s.nicStats().AdmissionDrops })
 	}
-	// WriteStats always reports the IOMMU keys, faulted or not, so the
-	// registry mirrors that even when address validation is disabled.
 	if u := s.IOMMU; u != nil {
 		u.RegisterMetrics(reg, "iommu.")
-	} else {
-		reg.CounterFunc("iommu.read_faults", func() uint64 { return 0 })
-		reg.CounterFunc("iommu.write_faults", func() uint64 { return 0 })
 	}
-	// Per-class keys exist only when QoS is armed, so disarmed runs
-	// keep the historical registry (and WriteJSON document) exactly.
+	// Per-class keys exist only when QoS is armed.
 	if s.Cfg.QoS != nil {
 		for c := 0; c < qos.NumClasses; c++ {
 			c := c
@@ -368,6 +341,13 @@ func (s *System) registerMetrics() {
 	s.Classifier.RegisterMetrics(reg, "classifier.")
 	s.Hier.RegisterMetrics(reg, "hier.")
 	s.Hier.DRAM().RegisterMetrics(reg, "dram.")
+	reg.GaugeFunc("exe_time_us", func() float64 { return s.exeTime().Microseconds() })
+	reg.CounterFunc("sim.aborted", func() uint64 {
+		if s.watchdogErr() != nil {
+			return 1
+		}
+		return 0
+	})
 	for i, p := range s.Prefetchers {
 		p.RegisterMetrics(reg, fmt.Sprintf("prefetch.core%d.", i))
 	}
@@ -416,7 +396,54 @@ func (s *System) registerMetrics() {
 			}
 			return 0
 		})
+		reg.CounterFunc(fmt.Sprintf("core%d.demand_l1", i), func() uint64 { return s.Hier.Demand(i).L1Hit })
+		reg.CounterFunc(fmt.Sprintf("core%d.demand_mlc", i), func() uint64 { return s.Hier.Demand(i).MLCHit })
+		reg.CounterFunc(fmt.Sprintf("core%d.demand_llc", i), func() uint64 { return s.Hier.Demand(i).LLCHit })
+		reg.CounterFunc(fmt.Sprintf("core%d.demand_dram", i), func() uint64 { return s.Hier.Demand(i).DRAM })
+		reg.GaugeFunc(fmt.Sprintf("core%d.onchip_hit_rate", i), func() float64 { return s.Hier.Demand(i).HitRateOnChip() })
 	}
+}
+
+// nicStats sums the NIC counters over every port, so drops on any port
+// are visible in the summary.
+func (s *System) nicStats() nic.Stats {
+	agg := s.ports[0].Stats()
+	for _, port := range s.ports[1:] {
+		ps := port.Stats()
+		agg.RxPackets += ps.RxPackets
+		agg.RxBytes += ps.RxBytes
+		agg.RxDrops += ps.RxDrops
+		agg.TxPackets += ps.TxPackets
+		agg.DMAWrites += ps.DMAWrites
+		agg.DMAReads += ps.DMAReads
+		agg.PoolDrops += ps.PoolDrops
+		agg.LinkDownDrops += ps.LinkDownDrops
+		agg.MisSteers += ps.MisSteers
+		agg.AdmissionDrops += ps.AdmissionDrops
+		agg.InvariantViolations += ps.InvariantViolations
+	}
+	return agg
+}
+
+// exeTime is the burst processing time: first inbound DMA to the last
+// packet completion across cores (zero before any packet completes).
+func (s *System) exeTime() sim.Duration {
+	var lastDone sim.Time
+	for _, c := range s.Cores {
+		if c != nil && c.LastDoneAt > lastDone {
+			lastDone = c.LastDoneAt
+		}
+	}
+	if first, ok := s.FirstDMAAt(); ok && lastDone > first {
+		return lastDone.Sub(first)
+	}
+	return 0
+}
+
+// watchdogErr returns the watchdog abort that stopped the run, or nil.
+func (s *System) watchdogErr() *sim.WatchdogError {
+	werr, _ := s.Sim.Err().(*sim.WatchdogError)
+	return werr
 }
 
 // Observe exposes the system's observability layer: its metric
