@@ -12,7 +12,8 @@ import (
 
 // The golden corpus pins what the simulator prints: the stdout, the
 // -stats dump and the -json metrics document of every scenarios/*.json
-// run, and the fig9-fig14, churn, rpc, qos and chaos -quick tables. A
+// run, and the fig4, fig5, fig9-fig14, breakdown, ablations,
+// degradation, churn, rpc, qos and chaos -quick tables. A
 // change that moves any of them on purpose regenerates the corpus with
 //
 //	go test ./cmd/idiosim -run TestGolden -update
@@ -24,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from this build
 const goldenDir = "../../testdata/golden"
 
 // goldenFigs are the experiment tables the corpus pins, run with -quick.
-var goldenFigs = []string{"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "churn", "rpc", "qos", "chaos"}
+var goldenFigs = []string{"fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "breakdown", "ablations", "degradation", "churn", "rpc", "qos", "chaos"}
 
 // timingLine matches the "[fig9 done in 175ms]" wall-clock footer, the
 // one line of output that differs from run to run.

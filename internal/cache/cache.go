@@ -87,8 +87,7 @@ type Line struct {
 	// been re-classified by a CPU-side fill. The DMA-bloating analysis
 	// (Sec. III, Observation 3) depends on tracking when I/O data loses
 	// this classification.
-	IO      bool
-	lastUse uint64
+	IO bool
 }
 
 // invalidTag marks an empty way in Cache.tags. Simulated line
@@ -122,18 +121,28 @@ type Config struct {
 
 // Cache is a single-level tag store. It tracks no data payloads: the
 // simulator reasons purely about residency and state transitions.
+//
+// Every operation probes its set once: find scans the set's tags, and
+// a fill picks its victim from the set's valid bitmap and the
+// replacement stamps of the allowed ways only.
 type Cache struct {
-	cfg      Config
-	sets     int
-	setShift uint
-	lines    []Line // sets*assoc, row-major
+	cfg   Config
+	sets  int
+	lines []Line // sets*assoc, row-major
 	// tags mirrors lines' (Valid, Addr) pairs as one word per way —
 	// invalidTag when the way is empty, the line address otherwise. A
-	// 16-way set's tags span two cache lines instead of the eight that
+	// 16-way set's tags span two cache lines instead of the four that
 	// the Line structs occupy, which matters because find is the
 	// hottest loop in the whole simulator (every DMA line write, CPU
 	// access and prefetch probes a set).
-	tags     []uint64
+	tags []uint64
+	// use is parallel to tags: each way's replacement stamp, the use
+	// clock under LRU and the RRPV under SRRIP (unused by TreePLRU).
+	use []uint64
+	// valid holds one bitmap per set, bit w set when way w holds a
+	// line, so a fill finds a free allowed way without scanning.
+	valid    []uint64
+	ways     WayMask  // FirstN(assoc): the ways a mask can select
 	plru     []uint64 // one tree per set (TreePLRU only)
 	useClock uint64
 	occ      int // valid-line count, maintained incrementally
@@ -158,11 +167,13 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %s: tree-PLRU needs power-of-two associativity, got %d", cfg.Name, cfg.Assoc))
 	}
 	c := &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setShift: uint(bits.TrailingZeros(uint(sets))),
-		lines:    make([]Line, sets*cfg.Assoc),
-		tags:     make([]uint64, sets*cfg.Assoc),
+		cfg:   cfg,
+		sets:  sets,
+		lines: make([]Line, sets*cfg.Assoc),
+		tags:  make([]uint64, sets*cfg.Assoc),
+		use:   make([]uint64, sets*cfg.Assoc),
+		valid: make([]uint64, sets),
+		ways:  FirstN(cfg.Assoc),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -192,20 +203,18 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(lineAddr & uint64(c.sets-1))
 }
 
-func (c *Cache) set(lineAddr uint64) []Line {
-	si := c.setIndex(lineAddr)
-	return c.lines[si*c.cfg.Assoc : (si+1)*c.cfg.Assoc]
-}
-
-func (c *Cache) find(lineAddr uint64) (int, *Line) {
-	base := c.setIndex(lineAddr) * c.cfg.Assoc
+// find probes lineAddr's set once, returning the set index and the
+// way holding the line (-1 on a miss).
+func (c *Cache) find(lineAddr uint64) (si, way int) {
+	si = c.setIndex(lineAddr)
+	base := si * c.cfg.Assoc
 	tags := c.tags[base : base+c.cfg.Assoc]
 	for w := range tags {
 		if tags[w] == lineAddr {
-			return w, &c.lines[base+w]
+			return si, w
 		}
 	}
-	return -1, nil
+	return si, -1
 }
 
 // Lookup probes for lineAddr. When touch is true a hit updates
@@ -214,48 +223,61 @@ func (c *Cache) find(lineAddr uint64) (int, *Line) {
 // Lookup counts hits/misses only when touch is true so that occupancy
 // scans do not pollute the statistics.
 func (c *Cache) Lookup(lineAddr uint64, touch bool) *Line {
-	way, ln := c.find(lineAddr)
-	if ln == nil {
-		if touch {
-			c.stats.Misses++
-		}
+	si, way := c.probe(lineAddr, touch)
+	if way < 0 {
 		return nil
 	}
-	if touch {
-		c.stats.Hits++
-		c.touch(lineAddr, way)
+	return &c.lines[si*c.cfg.Assoc+way]
+}
+
+// Take is Lookup followed by Invalidate in one probe: it removes
+// lineAddr and returns the entry it held. With touch it counts the hit
+// (or miss) and updates replacement state first, exactly as Lookup
+// would; a hit counts as an invalidation either way.
+func (c *Cache) Take(lineAddr uint64, touch bool) (Line, bool) {
+	si, way := c.probe(lineAddr, touch)
+	if way < 0 {
+		return Line{}, false
 	}
-	return ln
+	ln := c.lines[si*c.cfg.Assoc+way]
+	c.invalidate(si, way)
+	return ln, true
+}
+
+// probe is find plus Lookup's accounting: with touch, a miss or a hit
+// is counted and a hit updates replacement state.
+func (c *Cache) probe(lineAddr uint64, touch bool) (si, way int) {
+	si, way = c.find(lineAddr)
+	if touch {
+		if way < 0 {
+			c.stats.Misses++
+		} else {
+			c.stats.Hits++
+			c.touch(si, way)
+		}
+	}
+	return si, way
 }
 
 // Contains reports residency without touching replacement state or
 // statistics.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	_, ln := c.find(lineAddr)
-	return ln != nil
+	_, way := c.find(lineAddr)
+	return way >= 0
 }
 
-// touch updates replacement state on a hit. The lastUse field holds a
-// use clock under LRU and the RRPV under SRRIP.
-func (c *Cache) touch(lineAddr uint64, way int) {
+// touch updates replacement state on a hit: a use-clock stamp under
+// LRU, the tree under TreePLRU, a promoted RRPV under SRRIP.
+func (c *Cache) touch(si, way int) {
 	switch c.cfg.Policy {
 	case LRU:
 		c.useClock++
-		c.set(lineAddr)[way].lastUse = c.useClock
+		c.use[si*c.cfg.Assoc+way] = c.useClock
 	case TreePLRU:
-		c.plruTouch(c.setIndex(lineAddr), way)
+		c.plruTouch(si, way)
 	case SRRIP:
-		c.set(lineAddr)[way].lastUse = rrpvPromote
+		c.use[si*c.cfg.Assoc+way] = rrpvPromote
 	}
-}
-
-// place initialises replacement state for a fresh fill.
-func (c *Cache) place(lineAddr uint64, way int) {
-	if c.cfg.Policy == SRRIP {
-		c.set(lineAddr)[way].lastUse = rrpvInsert
-		return
-	}
-	c.touch(lineAddr, way)
 }
 
 // Insert fills lineAddr with the given state. If the line is already
@@ -264,86 +286,106 @@ func (c *Cache) place(lineAddr uint64, way int) {
 // victimises only ways allowed by mask. It returns the displaced victim
 // if one was valid.
 func (c *Cache) Insert(lineAddr uint64, dirty, io bool, mask WayMask) (Victim, bool) {
-	c.stats.Inserts++
-	if way, ln := c.find(lineAddr); ln != nil {
-		ln.Dirty = ln.Dirty || dirty
-		ln.IO = io
-		c.touch(lineAddr, way)
-		return Victim{}, false
+	si, way := c.find(lineAddr)
+	if way < 0 {
+		return c.fill(si, lineAddr, dirty, io, mask)
 	}
-	way := c.victimWay(lineAddr, mask)
-	set := c.set(lineAddr)
+	c.stats.Inserts++
+	ln := &c.lines[si*c.cfg.Assoc+way]
+	ln.Dirty = ln.Dirty || dirty
+	ln.IO = io
+	c.touch(si, way)
+	return Victim{}, false
+}
+
+// Fill is Insert for a line the caller knows is absent (it has just
+// missed, and nothing has filled it since): it skips the presence
+// probe and goes straight to victim selection. Filling a line that is
+// already resident would leave two copies in the set.
+func (c *Cache) Fill(lineAddr uint64, dirty, io bool, mask WayMask) (Victim, bool) {
+	return c.fill(c.setIndex(lineAddr), lineAddr, dirty, io, mask)
+}
+
+func (c *Cache) fill(si int, lineAddr uint64, dirty, io bool, mask WayMask) (Victim, bool) {
+	c.stats.Inserts++
+	way := c.victimWay(si, mask)
+	i := si*c.cfg.Assoc + way
 	var v Victim
-	evicted := false
-	if set[way].Valid {
-		v = Victim{Addr: set[way].Addr, Dirty: set[way].Dirty, IO: set[way].IO}
-		evicted = true
+	evicted := c.valid[si]&(1<<uint(way)) != 0
+	if evicted {
+		old := &c.lines[i]
+		v = Victim{Addr: old.Addr, Dirty: old.Dirty, IO: old.IO}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.DirtyEvict++
 		}
-	}
-	if !evicted {
+	} else {
 		c.occ++
+		c.valid[si] |= 1 << uint(way)
 	}
-	set[way] = Line{Addr: lineAddr, Valid: true, Dirty: dirty, IO: io}
-	c.tags[c.setIndex(lineAddr)*c.cfg.Assoc+way] = lineAddr
-	c.place(lineAddr, way)
+	c.lines[i] = Line{Addr: lineAddr, Valid: true, Dirty: dirty, IO: io}
+	c.tags[i] = lineAddr
+	if c.cfg.Policy == SRRIP {
+		c.use[i] = rrpvInsert
+	} else {
+		c.touch(si, way)
+	}
 	return v, evicted
 }
 
 // victimWay picks the fill way: an invalid allowed way if any exists,
-// otherwise the replacement policy's choice among allowed ways.
+// otherwise the replacement policy's choice among allowed ways. It
+// visits only the allowed ways (mask bits at or above the
+// associativity select nothing).
 //
-// Invalid ways are scanned from the HIGHEST index down. DDIO ways sit
+// Invalid ways are taken from the HIGHEST index down. DDIO ways sit
 // at the low indices by convention, so unmasked (CPU-side) fills
 // prefer invalid slots outside the DDIO region and only squat in a
 // DDIO way when nothing else is free. Without this bias, slots freed
 // by IDIO's prefetcher attract application victims that the very next
 // DMA write-allocate clobbers — wrecking the LLC isolation the
 // mechanism is supposed to provide.
-func (c *Cache) victimWay(lineAddr uint64, mask WayMask) int {
+func (c *Cache) victimWay(si int, mask WayMask) int {
 	if mask == 0 {
 		panic(fmt.Sprintf("cache %s: empty way mask", c.cfg.Name))
 	}
-	set := c.set(lineAddr)
-	base := c.setIndex(lineAddr) * c.cfg.Assoc
-	for w := len(set) - 1; w >= 0; w-- {
-		if mask&(1<<uint(w)) != 0 && c.tags[base+w] == invalidTag {
-			return w
-		}
+	allowed := uint64(mask & c.ways)
+	if allowed == 0 {
+		panic(fmt.Sprintf("cache %s: mask %x selects no way of %d", c.cfg.Name, mask, c.cfg.Assoc))
 	}
+	if free := allowed &^ c.valid[si]; free != 0 {
+		return 63 - bits.LeadingZeros64(free)
+	}
+	use := c.use[si*c.cfg.Assoc : (si+1)*c.cfg.Assoc]
 	switch c.cfg.Policy {
 	case TreePLRU:
-		return c.plruVictim(c.setIndex(lineAddr), mask)
+		return c.plruVictim(si, mask)
 	case SRRIP:
-		// Find a distant-re-reference line among allowed ways; if none,
-		// age every allowed way and retry (guaranteed to terminate in
-		// at most rrpvMax rounds).
-		for {
-			for w := range set {
-				if mask&(1<<uint(w)) != 0 && set[w].lastUse >= rrpvMax {
-					return w
-				}
-			}
-			for w := range set {
-				if mask&(1<<uint(w)) != 0 {
-					set[w].lastUse++
-				}
+		// The lowest allowed way predicted for distant re-reference; if
+		// none is, age every allowed way until the oldest (the lowest
+		// of them on a tie) reaches it — the same outcome as aging one
+		// step at a time and rescanning.
+		first, oldest := -1, uint64(0)
+		for m := allowed; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			if u := use[w]; u >= rrpvMax {
+				return w
+			} else if first < 0 || u > oldest {
+				first, oldest = w, u
 			}
 		}
+		for m := allowed; m != 0; m &= m - 1 {
+			use[bits.TrailingZeros64(m)] += rrpvMax - oldest
+		}
+		return first
 	default:
+		// The least recently used allowed way, the lowest on a tie.
 		best, bestUse := -1, ^uint64(0)
-		for w := range set {
-			if mask&(1<<uint(w)) == 0 {
-				continue
+		for m := allowed; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			if use[w] < bestUse {
+				best, bestUse = w, use[w]
 			}
-			if set[w].lastUse < bestUse {
-				best, bestUse = w, set[w].lastUse
-			}
-		}
-		if best < 0 {
-			panic(fmt.Sprintf("cache %s: mask %x selects no way of %d", c.cfg.Name, mask, c.cfg.Assoc))
 		}
 		return best
 	}
@@ -354,26 +396,33 @@ func (c *Cache) victimWay(lineAddr uint64, mask WayMask) int {
 // the caller decides what to do with a dirty victim (this is exactly
 // the distinction IDIO's invalidate-without-writeback exploits).
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	way, ln := c.find(lineAddr)
-	if ln == nil {
+	si, way := c.find(lineAddr)
+	if way < 0 {
 		return false, false
 	}
-	c.stats.Invals++
-	dirty = ln.Dirty
-	*ln = Line{}
-	c.tags[c.setIndex(lineAddr)*c.cfg.Assoc+way] = invalidTag
-	c.occ--
+	dirty = c.lines[si*c.cfg.Assoc+way].Dirty
+	c.invalidate(si, way)
 	return true, dirty
+}
+
+// invalidate empties a valid way.
+func (c *Cache) invalidate(si, way int) {
+	i := si*c.cfg.Assoc + way
+	c.stats.Invals++
+	c.lines[i] = Line{}
+	c.tags[i] = invalidTag
+	c.valid[si] &^= 1 << uint(way)
+	c.occ--
 }
 
 // SetDirty marks a resident line dirty; it reports whether the line was
 // present.
 func (c *Cache) SetDirty(lineAddr uint64) bool {
-	_, ln := c.find(lineAddr)
-	if ln == nil {
+	si, way := c.find(lineAddr)
+	if way < 0 {
 		return false
 	}
-	ln.Dirty = true
+	c.lines[si*c.cfg.Assoc+way].Dirty = true
 	return true
 }
 
@@ -419,6 +468,9 @@ func (c *Cache) Flush() []Victim {
 			c.lines[i] = Line{}
 		}
 		c.tags[i] = invalidTag
+	}
+	for si := range c.valid {
+		c.valid[si] = 0
 	}
 	c.occ = 0
 	return out
@@ -491,11 +543,7 @@ func (c *Cache) plruVictim(setIdx int, mask WayMask) int {
 	return lo
 }
 
+// maskHasWayIn reports whether mask allows any way in [lo, hi).
 func maskHasWayIn(mask WayMask, lo, hi int) bool {
-	for w := lo; w < hi; w++ {
-		if mask&(1<<uint(w)) != 0 {
-			return true
-		}
-	}
-	return false
+	return mask&(FirstN(hi)&^FirstN(lo)) != 0
 }

@@ -497,7 +497,7 @@ func (si *sinkInterposer) DMAWrite(now sim.Time, tlp pcie.WriteTLP) sim.Duration
 		return 0 // discarded at the root complex: never touches memory
 	}
 	if corrupted {
-		tlp = tlp.FlipMetaBit(si.in.rng.Intn(len(pcie.MetaBits())))
+		tlp = tlp.FlipMetaBit(si.in.rng.Intn(pcie.NumMetaBits))
 		si.in.tlpsCorrupted.Inc()
 	}
 	return si.next.DMAWrite(now, tlp)

@@ -157,6 +157,26 @@ func TestCorruptFlipsExactlyOneMetaBit(t *testing.T) {
 	}
 }
 
+// TestCorruptPathAllocatesNothing: corrupting a TLP draws its bit and
+// flips it without touching the heap.
+func TestCorruptPathAllocatesNothing(t *testing.T) {
+	in := New(Config{Seed: 5, PCIe: &PCIeConfig{CorruptProb: 1}})
+	sink := in.WrapSink(discardSink{})
+	tlp := pcie.WriteTLP{LineAddr: 7}
+	if n := testing.AllocsPerRun(100, func() { sink.DMAWrite(0, tlp) }); n != 0 {
+		t.Fatalf("corrupt path: %v allocs per TLP, want 0", n)
+	}
+	if got := in.Stats().TLPsCorrupted; got == 0 {
+		t.Fatal("no TLP was corrupted")
+	}
+}
+
+// discardSink is a nic.Sink that drops everything.
+type discardSink struct{}
+
+func (discardSink) DMAWrite(sim.Time, pcie.WriteTLP) sim.Duration { return 0 }
+func (discardSink) DMARead(sim.Time, uint64) sim.Duration         { return 0 }
+
 // TestInterposerDeterminism: same seed, same TLP stream — identical
 // perturbation decisions.
 func TestInterposerDeterminism(t *testing.T) {

@@ -376,36 +376,42 @@ func (h *Hierarchy) coreAccess(now sim.Time, core int, line mem.LineAddr, store 
 		return h.mlcLat
 	}
 	// LLC hit: bring the line MLC-ward. Exclusive mode deallocates the
-	// LLC copy; NINE mode keeps a clean copy behind (the dirtiness
-	// moves with the MLC copy so only one level ever writes back).
-	if ln := h.llc.Lookup(la, true); ln != nil {
-		dirty, io := ln.Dirty, ln.IO
-		if h.cfg.RetainLLCOnHit {
-			ln.Dirty = false
-		} else {
-			h.llc.Invalidate(la)
+	// LLC copy in the same probe; NINE mode keeps a clean copy behind
+	// (the dirtiness moves with the MLC copy so only one level ever
+	// writes back).
+	var ln cache.Line
+	var hit bool
+	if h.cfg.RetainLLCOnHit {
+		if p := h.llc.Lookup(la, true); p != nil {
+			ln, hit = *p, true
+			p.Dirty = false
 		}
-		h.fillMLC(now, core, la, dirty || store, io)
+	} else {
+		ln, hit = h.llc.Take(la, true)
+	}
+	if hit {
+		h.fillMLC(now, core, la, ln.Dirty || store, ln.IO)
 		h.fillL1(core, la, store)
 		h.stats.DemandLLCHit++
 		h.demand[core].LLCHit++
 		return h.llcLat
 	}
-	// Check other cores' MLCs via directory (cross-core transfer).
-	if owner, ok := h.dir.owner(la); ok && owner != core {
-		// Remote MLC hit: transfer the line (invalidate remote copy).
-		if ln := h.mlc[owner].Lookup(la, false); ln != nil {
-			dirty, io := ln.Dirty, ln.IO
-			h.mlc[owner].Invalidate(la)
-			h.l1[owner].Invalidate(la)
-			h.dir.remove(la)
-			h.fillMLC(now, core, la, dirty || store, io)
-			h.fillL1(core, la, store)
-			h.stats.DemandLLCHit++ // charged as an on-chip hit
-			h.demand[core].LLCHit++
-			return h.llcLat
+	// Check other cores' MLCs via directory (cross-core transfer). A
+	// foreign entry goes either way: the line moves here, or it was
+	// stale.
+	if w := h.dir.find(la); w >= 0 {
+		if owner := h.dir.ownerAt(w); owner != core {
+			h.dir.removeAt(w)
+			// Remote MLC hit: transfer the line (invalidate remote copy).
+			if ln, ok := h.mlc[owner].Take(la, false); ok {
+				h.l1[owner].Invalidate(la)
+				h.fillMLC(now, core, la, ln.Dirty || store, ln.IO)
+				h.fillL1(core, la, store)
+				h.stats.DemandLLCHit++ // charged as an on-chip hit
+				h.demand[core].LLCHit++
+				return h.llcLat
+			}
 		}
-		h.dir.remove(la) // stale entry
 	}
 	// DRAM: fill MLC directly (non-inclusive DRAM fills bypass the LLC).
 	lat := h.dram.Read(now, la)
@@ -416,19 +422,19 @@ func (h *Hierarchy) coreAccess(now sim.Time, core int, line mem.LineAddr, store 
 	return h.llcLat + lat
 }
 
-// fillL1 inserts the line into a core's L1, spilling a dirty victim's
-// state into the MLC (L1 is kept a subset of the MLC).
+// fillL1 fills a line the core's L1 just missed, spilling a dirty
+// victim's state into the MLC (L1 is kept a subset of the MLC).
 func (h *Hierarchy) fillL1(core int, la uint64, dirty bool) {
-	v, ev := h.l1[core].Insert(la, dirty, false, cache.AllWays)
+	v, ev := h.l1[core].Fill(la, dirty, false, cache.AllWays)
 	if ev && v.Dirty {
 		h.mlc[core].SetDirty(v.Addr)
 	}
 }
 
-// fillMLC inserts the line into a core's MLC, handling the victim and
-// directory bookkeeping.
+// fillMLC fills a line the core's MLC just missed, handling the victim
+// and directory bookkeeping.
 func (h *Hierarchy) fillMLC(now sim.Time, core int, la uint64, dirty, io bool) {
-	v, ev := h.mlc[core].Insert(la, dirty, io, cache.AllWays)
+	v, ev := h.mlc[core].Fill(la, dirty, io, cache.AllWays)
 	if ev {
 		h.l1[core].Invalidate(v.Addr) // maintain L1 subset of MLC
 		h.dir.remove(v.Addr)
@@ -476,9 +482,8 @@ func (h *Hierarchy) llcWriteback(now sim.Time, v cache.Victim) {
 // ran out of tracking space; a dirty line is written back to the LLC.
 func (h *Hierarchy) backInvalidate(now sim.Time, core int, la uint64) {
 	h.stats.DirBackInval++
-	h.l1[core].Invalidate(la)
-	present, dirty := h.mlc[core].Invalidate(la)
-	if present {
+	if present, dirty := h.mlc[core].Invalidate(la); present {
+		h.l1[core].Invalidate(la) // L1 ⊆ MLC: only an MLC hit can hit here
 		h.allocLLCVictim(now, core, cache.Victim{Addr: la, Dirty: dirty})
 	}
 }
@@ -519,7 +524,7 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 		return h.llcLat
 	}
 	// Write-allocate into the DDIO ways (P1-2/P5-1 in Fig. 1).
-	v, ev := h.llc.Insert(la, true, true, mask)
+	v, ev := h.llc.Fill(la, true, true, mask)
 	if ev && v.Dirty {
 		h.llcWriteback(now, v)
 	}
@@ -530,14 +535,12 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 // snoopInvalMLC invalidates la from every core's L1/MLC without
 // writeback.
 func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) {
-	owner, ok := h.dir.owner(la)
+	owner, ok := h.dir.take(la)
 	if !ok {
 		return
 	}
-	h.l1[owner].Invalidate(la)
-	present, _ := h.mlc[owner].Invalidate(la)
-	h.dir.remove(la)
-	if present {
+	if present, _ := h.mlc[owner].Invalidate(la); present {
+		h.l1[owner].Invalidate(la) // L1 ⊆ MLC: only an MLC hit can hit here
 		h.stats.MLCInval++
 		if h.MLCInvTL != nil {
 			h.MLCInvTL.Record(now, 1)
@@ -569,17 +572,14 @@ func (h *Hierarchy) DirectDRAMWrite(now sim.Time, line mem.LineAddr) sim.Duratio
 func (h *Hierarchy) PCIeRead(now sim.Time, line mem.LineAddr) sim.Duration {
 	la := uint64(line)
 	// MLC-resident: write the line back to LLC and serve from there
-	// (P1-1/P2-1 in Fig. 1). The MLC copy is invalidated.
-	if owner, ok := h.dir.owner(la); ok {
-		if ln := h.mlc[owner].Lookup(la, false); ln != nil {
-			dirty, io := ln.Dirty, ln.IO
+	// (P1-1/P2-1 in Fig. 1). The MLC copy is invalidated, and the
+	// directory entry goes either way (it was stale if the MLC missed).
+	if owner, ok := h.dir.take(la); ok {
+		if ln, ok := h.mlc[owner].Take(la, false); ok {
 			h.l1[owner].Invalidate(la)
-			h.mlc[owner].Invalidate(la)
-			h.dir.remove(la)
-			h.allocLLCVictimEgress(now, owner, la, dirty, io)
+			h.allocLLCVictimEgress(now, owner, la, ln.Dirty, ln.IO)
 			return h.llcLat + h.mlcLat
 		}
-		h.dir.remove(la)
 	}
 	if h.llc.Lookup(la, true) != nil {
 		return h.llcLat
@@ -624,32 +624,39 @@ func (h *Hierarchy) EnforceInvalidatable(on bool) { h.invalCheck = on }
 // MLC and from the LLC without any writeback — the new cache
 // maintenance instruction of Sec. IV-A / V-D.
 func (h *Hierarchy) InvalidateNoWB(now sim.Time, core int, line mem.LineAddr) {
-	la := uint64(line)
-	if h.invalCheck {
-		if !h.invalidatable.Contains(line.Addr()) {
-			panic(fmt.Sprintf("hier: InvalidateNoWB on non-Invalidatable line %v", line))
-		}
-	}
-	dropped := false
-	if p, _ := h.l1[core].Invalidate(la); p {
-		dropped = true
-	}
-	if p, _ := h.mlc[core].Invalidate(la); p {
-		h.dir.remove(la)
-		dropped = true
-	}
-	if p, _ := h.llc.Invalidate(la); p {
-		dropped = true
-	}
-	if dropped {
-		h.stats.SelfInval++
-	}
+	h.invalidateLines(core, line, 1)
 }
 
 // InvalidateRegionNoWB applies InvalidateNoWB to every line of a region
 // (the multi-cacheline invalidate instruction of Sec. V).
 func (h *Hierarchy) InvalidateRegionNoWB(now sim.Time, core int, r mem.Region) {
-	r.Lines(func(l mem.LineAddr) { h.InvalidateNoWB(now, core, l) })
+	h.invalidateLines(core, r.Base.Line(), r.NumLines())
+}
+
+// invalidateLines drops the n lines from first on, in address order.
+// Each line probes the MLC first and the L1 only on an MLC hit: the L1
+// is kept a subset of the MLC, so a line the MLC lacks is not in the
+// L1 either.
+func (h *Hierarchy) invalidateLines(core int, first mem.LineAddr, n int) {
+	l1, mlc := h.l1[core], h.mlc[core]
+	for line := first; line < first+mem.LineAddr(n); line++ {
+		if h.invalCheck && !h.invalidatable.Contains(line.Addr()) {
+			panic(fmt.Sprintf("hier: InvalidateNoWB on non-Invalidatable line %v", line))
+		}
+		la := uint64(line)
+		dropped := false
+		if p, _ := mlc.Invalidate(la); p {
+			l1.Invalidate(la)
+			h.dir.remove(la)
+			dropped = true
+		}
+		if p, _ := h.llc.Invalidate(la); p {
+			dropped = true
+		}
+		if dropped {
+			h.stats.SelfInval++
+		}
+	}
 }
 
 // PrefetchToMLC services a prefetch hint from the IDIO controller: pull
@@ -658,7 +665,8 @@ func (h *Hierarchy) InvalidateRegionNoWB(now sim.Time, core int, r mem.Region) {
 // whether a fill actually happened.
 func (h *Hierarchy) PrefetchToMLC(now sim.Time, core int, line mem.LineAddr) bool {
 	la := uint64(line)
-	if h.mlc[core].Contains(la) || h.l1[core].Contains(la) {
+	// L1 ⊆ MLC, so the MLC probe covers both private levels.
+	if h.mlc[core].Contains(la) {
 		h.stats.PrefetchDrop++
 		h.tracePrefetch(now, la, core, "drop-resident")
 		return false
@@ -669,10 +677,8 @@ func (h *Hierarchy) PrefetchToMLC(now sim.Time, core int, line mem.LineAddr) boo
 		h.tracePrefetch(now, la, core, "drop-foreign")
 		return false
 	}
-	if ln := h.llc.Lookup(la, false); ln != nil {
-		dirty, io := ln.Dirty, ln.IO
-		h.llc.Invalidate(la)
-		h.fillMLC(now, core, la, dirty, io)
+	if ln, ok := h.llc.Take(la, false); ok {
+		h.fillMLC(now, core, la, ln.Dirty, ln.IO)
 		h.stats.PrefetchFill++
 		h.tracePrefetch(now, la, core, "fill-llc")
 		return true
@@ -727,7 +733,7 @@ func (h *Hierarchy) WarmWrite(core int, line mem.LineAddr) {
 		return
 	}
 	h.llc.Invalidate(la) // keep exclusivity
-	v, ev := h.mlc[core].Insert(la, false, false, cache.AllWays)
+	v, ev := h.mlc[core].Fill(la, false, false, cache.AllWays)
 	if ev {
 		h.l1[core].Invalidate(v.Addr)
 		h.dir.remove(v.Addr)
@@ -805,9 +811,26 @@ func (d *directory) find(line uint64) int {
 
 func (d *directory) owner(line uint64) (int, bool) {
 	if w := d.find(line); w >= 0 {
-		return int(d.owners[w]), true
+		return d.ownerAt(w), true
 	}
 	return 0, false
+}
+
+// ownerAt returns the owning core of the entry at way index w.
+func (d *directory) ownerAt(w int) int { return int(d.owners[w]) }
+
+// removeAt drops the entry at way index w.
+func (d *directory) removeAt(w int) { d.tags[w] = dirInvalid }
+
+// take drops line's entry in the same probe that finds it, returning
+// the owner it had.
+func (d *directory) take(line uint64) (int, bool) {
+	w := d.find(line)
+	if w < 0 {
+		return 0, false
+	}
+	d.removeAt(w)
+	return d.ownerAt(w), true
 }
 
 // insert records line as resident in owner's MLC. If the set is full a
@@ -837,7 +860,7 @@ func (d *directory) insert(line uint64, owner int) (dirVictim, bool) {
 				w, minUse = i, d.use[i]
 			}
 		}
-		v = dirVictim{line: d.tags[w], owner: int(d.owners[w])}
+		v = dirVictim{line: d.tags[w], owner: d.ownerAt(w)}
 	}
 	d.tags[w], d.owners[w], d.use[w] = line, uint16(owner), d.clock
 	return v, evicted
@@ -845,7 +868,7 @@ func (d *directory) insert(line uint64, owner int) (dirVictim, bool) {
 
 func (d *directory) remove(line uint64) {
 	if w := d.find(line); w >= 0 {
-		d.tags[w] = dirInvalid
+		d.removeAt(w)
 	}
 }
 

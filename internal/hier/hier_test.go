@@ -482,31 +482,74 @@ func TestExclusivityInvariantUnderRandomOps(t *testing.T) {
 	}
 }
 
-// L1 must remain a subset of the MLC.
+// L1 must remain a subset of the MLC on every core, after every
+// hierarchy operation, under victim-cache and NINE semantics and with a
+// directory small enough that conflicts back-invalidate constantly.
+// The MLC-first probes (invalidation, snoops, prefetch drops) skip the
+// L1 whenever the MLC misses, so they are exact only while this holds.
 func TestL1SubsetInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	h := small(t)
-	for op := 0; op < 5000; op++ {
-		l := mem.LineAddr(rng.Intn(64))
-		switch rng.Intn(4) {
-		case 0:
-			h.CoreRead(0, 0, l)
-		case 1:
-			h.CoreWrite(0, 0, l)
-		case 2:
-			h.PCIeWrite(0, l)
-		case 3:
-			h.InvalidateNoWB(0, 0, l)
-		}
-		bad := false
-		h.l1[0].ForEach(func(ln cache.Line) {
-			if !h.mlc[0].Contains(ln.Addr) {
-				bad = true
+	tinyDir := func(t *testing.T) *Hierarchy {
+		h := small(t)
+		cfg := h.Config()
+		cfg.DirEntriesPerCore, cfg.DirAssoc = 8, 2
+		return New(cfg)
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T) *Hierarchy
+	}{{"default", small}, {"nine", nine}, {"tiny-directory", tinyDir}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			h := tc.mk(t)
+			h.SetClassDDIOWays(1, 1)
+			const lines = 96
+			for op := 0; op < 20000; op++ {
+				l := mem.LineAddr(rng.Intn(lines))
+				core := rng.Intn(2)
+				now := sim.Time(op) * sim.Time(sim.Nanosecond)
+				switch rng.Intn(12) {
+				case 0:
+					h.CoreRead(now, core, l)
+				case 1:
+					h.CoreWrite(now, core, l)
+				case 2:
+					h.PCIeWrite(now, l)
+				case 3:
+					h.PCIeWriteClass(now, l, rng.Intn(4))
+				case 4:
+					h.PCIeRead(now, l)
+				case 5:
+					h.DirectDRAMWrite(now, l)
+				case 6:
+					h.PrefetchToMLC(now, core, l)
+				case 7:
+					h.InvalidateNoWB(now, core, l)
+				case 8:
+					n := 1 + rng.Intn(6)
+					h.InvalidateRegionNoWB(now, core, mem.Region{Base: l.Addr() + mem.Addr(rng.Intn(64)), Size: uint64(n * 64)})
+				case 9:
+					h.WarmWrite(core, l)
+				case 10:
+					pressure := make([]uint64, 1+rng.Intn(4))
+					for i := range pressure {
+						pressure[i] = uint64(rng.Intn(lines))
+					}
+					h.InjectSnoopPressure(now, core, pressure)
+				case 11:
+					h.CoreRead(now, core, l+lines) // a second working set
+				}
+				for c := 0; c < 2; c++ {
+					h.l1[c].ForEach(func(ln cache.Line) {
+						if !h.mlc[c].Contains(ln.Addr) {
+							t.Fatalf("op %d: core %d's L1 holds line %d, absent from its MLC", op, c, ln.Addr)
+						}
+					})
+				}
+			}
+			if tc.name == "tiny-directory" && h.Stats().DirBackInval == 0 {
+				t.Fatal("the tiny directory never back-invalidated")
 			}
 		})
-		if bad {
-			t.Fatalf("op %d: L1 holds a line absent from MLC", op)
-		}
 	}
 }
 

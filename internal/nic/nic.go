@@ -389,7 +389,9 @@ func boolBit(b bool) uint64 {
 // walk continues inline while sim.ContinueAt grants the next instant
 // and re-queues itself (preserving its ordering seq) when an
 // interleaving event preempts the pacing, so fusion never reorders the
-// DMA stream against CPU or fabric events.
+// DMA stream against CPU or fabric events. Every line but the first
+// carries the same metadata, so the walk encodes the body DW0 once
+// (and the header's only when it starts at line 0).
 func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 	n := a.Obj.(*NIC)
 	slot := a.Obj2.(*Slot)
@@ -401,6 +403,12 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 	total := nLines + slot.Desc.NumLines()
 	firstPayload := uint64(payload.Base.Line())
 	firstDesc := uint64(slot.Desc.Base.Line())
+	body, bodyErr := n.encodeDW0(slot, coreID, false, inBurst)
+	var head uint32
+	var headErr error
+	if idx == 0 {
+		head, headErr = n.encodeDW0(slot, coreID, true, inBurst)
+	}
 	lt := n.lineTime()
 	t := sm.Now()
 	for {
@@ -410,9 +418,10 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 		} else {
 			lineAddr = firstDesc + uint64(idx-nLines)
 		}
-		meta := n.classifier.Tag(slot.AppClass, coreID, idx == 0, inBurst)
-		meta.QoS = slot.QoS
-		tlp, err := pcie.NewWriteTLP(lineAddr, meta)
+		dw, err := body, bodyErr
+		if idx == 0 {
+			dw, err = head, headErr
+		}
 		if err != nil {
 			// The line's DMA is skipped; the packet degrades rather
 			// than the process dying mid-run.
@@ -423,7 +432,7 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 			}
 		} else {
 			n.stats.DMAWrites++
-			n.sink.DMAWrite(t, tlp)
+			n.sink.DMAWrite(t, pcie.WriteTLP{LineAddr: lineAddr, DW0: dw})
 		}
 		if idx++; idx >= total {
 			return
@@ -434,6 +443,14 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 			return
 		}
 	}
+}
+
+// encodeDW0 packs the classifier's metadata for one of slot's DMA
+// lines (the header line when isHeader) into a TLP DW0.
+func (n *NIC) encodeDW0(slot *Slot, coreID int, isHeader, inBurst bool) (uint32, error) {
+	meta := n.classifier.Tag(slot.AppClass, coreID, isHeader, inBurst)
+	meta.QoS = slot.QoS
+	return pcie.EncodeDW0(meta)
 }
 
 // descVisibleEv fires a descriptor write-back becoming visible to the

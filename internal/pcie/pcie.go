@@ -135,20 +135,28 @@ func NewWriteTLP(lineAddr uint64, m Meta) (WriteTLP, error) {
 // Meta decodes the transaction's metadata.
 func (t WriteTLP) Meta() Meta { return DecodeDW0(t.DW0) }
 
-// MetaBits lists every DW0 bit position carrying IDIO metadata, in
-// descending order. Fault injectors flip these to model single-event
-// upsets in the reserved header bits (a mis-steer the classifier's
-// consumer must tolerate).
-func MetaBits() []uint {
-	bits := []uint{isHeaderBit, isBurstBit}
-	return append(bits, destCoreBits[:]...)
-}
+// metaBits lists every DW0 bit position carrying IDIO metadata:
+// isHeader, isBurst, then destCore from its most significant bit.
+var metaBits = func() (b [NumMetaBits]uint) {
+	b[0], b[1] = isHeaderBit, isBurstBit
+	copy(b[2:], destCoreBits[:])
+	return b
+}()
+
+// NumMetaBits is the number of DW0 bits carrying IDIO metadata.
+const NumMetaBits = 2 + len(destCoreBits)
+
+// MetaBits returns a copy of the DW0 bit positions carrying IDIO
+// metadata: isHeader, isBurst, then destCore from its most significant
+// bit. Fault injectors flip these to model single-event upsets in the
+// reserved header bits (a mis-steer the classifier's consumer must
+// tolerate).
+func MetaBits() []uint { return append([]uint(nil), metaBits[:]...) }
 
 // FlipMetaBit returns the TLP with the i-th metadata bit (an index
-// into MetaBits) inverted. The TLP itself is unchanged; the caller
-// forwards the corrupted copy.
+// into MetaBits, modulo NumMetaBits) inverted. The TLP itself is
+// unchanged; the caller forwards the corrupted copy.
 func (t WriteTLP) FlipMetaBit(i int) WriteTLP {
-	bits := MetaBits()
-	t.DW0 ^= 1 << bits[i%len(bits)]
+	t.DW0 ^= 1 << metaBits[i%NumMetaBits]
 	return t
 }

@@ -45,6 +45,11 @@ type Timeline struct {
 	bucket  sim.Duration
 	counts  []uint64
 	horizon sim.Time
+	// cur is the bucket the last Record landed in, covering [lo, hi):
+	// events arrive in near time order, so most records skip the
+	// division that maps a time to its bucket.
+	cur    int
+	lo, hi sim.Time
 }
 
 // NewTimeline creates a timeline with the given bucket width.
@@ -60,11 +65,15 @@ func (tl *Timeline) Bucket() sim.Duration { return tl.bucket }
 
 // Record adds n events at time t.
 func (tl *Timeline) Record(t sim.Time, n uint64) {
-	idx := int(int64(t) / int64(tl.bucket))
-	for len(tl.counts) <= idx {
-		tl.counts = append(tl.counts, 0)
+	if t < tl.lo || t >= tl.hi {
+		idx := int(int64(t) / int64(tl.bucket))
+		for len(tl.counts) <= idx {
+			tl.counts = append(tl.counts, 0)
+		}
+		tl.cur, tl.lo = idx, sim.Time(int64(idx)*int64(tl.bucket))
+		tl.hi = tl.lo.Add(tl.bucket)
 	}
-	tl.counts[idx] += n
+	tl.counts[tl.cur] += n
 	if t > tl.horizon {
 		tl.horizon = t
 	}

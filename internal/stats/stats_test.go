@@ -46,6 +46,36 @@ func TestTimelineBuckets(t *testing.T) {
 	}
 }
 
+// Records out of time order, around bucket edges, must land where the
+// plain time/bucket division puts them.
+func TestTimelineOutOfOrderMatchesDivision(t *testing.T) {
+	const bucket = 10 * sim.Microsecond
+	tl := NewTimeline(bucket)
+	want := map[int]uint64{}
+	rng := rand.New(rand.NewSource(7))
+	at := sim.Time(0)
+	for i := 0; i < 5000; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			at = sim.Time(rng.Int63n(int64(50 * bucket)))
+		case 1:
+			at = sim.Time(int64(bucket)*rng.Int63n(50) - rng.Int63n(2)) // an edge
+		default:
+			at += sim.Time(rng.Int63n(int64(bucket) / 4))
+		}
+		if at < 0 {
+			at = 0
+		}
+		tl.Record(at, uint64(i))
+		want[int(int64(at)/int64(bucket))] += uint64(i)
+	}
+	for i := 0; i < tl.NumBuckets(); i++ {
+		if tl.Count(i) != want[i] {
+			t.Fatalf("bucket %d: %d, want %d", i, tl.Count(i), want[i])
+		}
+	}
+}
+
 func TestTimelineRateMTPS(t *testing.T) {
 	tl := NewTimeline(10 * sim.Microsecond)
 	// 500 events in 10us = 50 M/s.

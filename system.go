@@ -24,6 +24,16 @@ import (
 // implements nic.Sink.
 type rootComplex struct {
 	sys *System
+	// trace caches whether the observer traces at all (fixed at
+	// construction), so untraced runs test one field per line.
+	trace bool
+
+	// dw0 and meta memoise the last decoded TLP header. Every line of a
+	// packet after its first carries the same DW0, so a packet costs two
+	// decodes, not one per line. The zero values agree: DW0 0 decodes to
+	// the zero Meta.
+	dw0  uint32
+	meta pcie.Meta
 
 	// firstDMAAt records the first inbound DMA after the last call to
 	// ResetMeasurement — the start of the DMA phase for exe-time
@@ -32,11 +42,14 @@ type rootComplex struct {
 	sawDMA     bool
 }
 
-// DMAWrite implements nic.Sink.
+// DMAWrite implements nic.Sink. Steering, the IOMMU check and the
+// prefetch hint stay per line; the header decode is shared by every
+// line with the same DW0.
 func (rc *rootComplex) DMAWrite(now sim.Time, tlp pcie.WriteTLP) sim.Duration {
-	if rc.sys.IOMMU != nil && !rc.sys.IOMMU.CheckWrite(tlp.LineAddr) {
-		if o := rc.sys.obs; o.Tracing() {
-			o.LineEvent(obs.EvDrop, now, tlp.LineAddr, -1, "iommu-fault", 0)
+	sys := rc.sys
+	if sys.IOMMU != nil && !sys.IOMMU.CheckWrite(tlp.LineAddr) {
+		if rc.trace {
+			sys.obs.LineEvent(obs.EvDrop, now, tlp.LineAddr, -1, "iommu-fault", 0)
 		}
 		return 0 // faulted: dropped before touching memory
 	}
@@ -44,42 +57,31 @@ func (rc *rootComplex) DMAWrite(now sim.Time, tlp pcie.WriteTLP) sim.Duration {
 		rc.sawDMA = true
 		rc.firstDMAAt = now
 	}
-	meta := tlp.Meta()
-	steer := rc.sys.Controller.Steer(meta)
-	var lat sim.Duration
-	switch steer {
-	case idiocore.SteerDRAM:
-		lat = rc.sys.Hier.DirectDRAMWrite(now, mem.LineAddr(tlp.LineAddr))
-	case idiocore.SteerMLC:
-		lat = rc.writeLine(now, tlp.LineAddr, meta.QoS)
-		// A corrupted metadata bit can decode to a core the system
-		// does not have; Steer only returns SteerMLC for in-range
-		// cores, but guard anyway — a mis-steer must degrade, never
-		// crash.
-		if meta.DestCore >= 0 && meta.DestCore < len(rc.sys.Prefetchers) {
-			if rc.sys.qosArmed {
-				rc.sys.Prefetchers[meta.DestCore].HintClass(rc.sys.Sim, tlp.LineAddr, meta.QoS)
-			} else {
-				rc.sys.Prefetchers[meta.DestCore].Hint(rc.sys.Sim, tlp.LineAddr)
-			}
-		}
-	default:
-		lat = rc.writeLine(now, tlp.LineAddr, meta.QoS)
+	if tlp.DW0 != rc.dw0 {
+		rc.dw0, rc.meta = tlp.DW0, tlp.Meta()
 	}
-	if o := rc.sys.obs; o.Tracing() {
-		o.LineEvent(obs.EvPlace, now, tlp.LineAddr, meta.DestCore, steer.String(), lat)
+	meta := rc.meta
+	steer := sys.Controller.Steer(meta)
+	line := mem.LineAddr(tlp.LineAddr)
+	var lat sim.Duration
+	if steer == idiocore.SteerDRAM {
+		lat = sys.Hier.DirectDRAMWrite(now, line)
+	} else {
+		// The class's DDIO way quota applies when QoS set one; without
+		// QoS every class falls back to the host-wide DDIO mask.
+		lat = sys.Hier.PCIeWriteClass(now, line, int(meta.QoS))
+	}
+	// A corrupted metadata bit can decode to a core the system does not
+	// have; Steer only returns SteerMLC for in-range cores, but guard
+	// anyway — a mis-steer must degrade, never crash. Without QoS the
+	// class hint is the plain hint.
+	if steer == idiocore.SteerMLC && meta.DestCore >= 0 && meta.DestCore < len(sys.Prefetchers) {
+		sys.Prefetchers[meta.DestCore].HintClass(sys.Sim, tlp.LineAddr, meta.QoS)
+	}
+	if rc.trace {
+		sys.obs.LineEvent(obs.EvPlace, now, tlp.LineAddr, meta.DestCore, steer.String(), lat)
 	}
 	return lat
-}
-
-// writeLine performs the LLC-directed placement of one inbound line:
-// under the class's DDIO way quota when QoS is armed, the host-wide
-// mask otherwise (the exact legacy call).
-func (rc *rootComplex) writeLine(now sim.Time, lineAddr uint64, class uint8) sim.Duration {
-	if rc.sys.qosArmed {
-		return rc.sys.Hier.PCIeWriteClass(now, mem.LineAddr(lineAddr), int(class))
-	}
-	return rc.sys.Hier.PCIeWrite(now, mem.LineAddr(lineAddr))
 }
 
 // DMARead implements nic.Sink (TX egress path).
@@ -150,9 +152,6 @@ type System struct {
 	rc      *rootComplex
 	layout  *mem.Layout
 	started bool
-	// qosArmed mirrors Cfg.QoS != nil; checked on the DMA hot path so
-	// the disarmed placement calls are exactly the legacy ones.
-	qosArmed bool
 
 	obs           *obs.Observer
 	prefetchHooks []func(core int, line uint64, filled bool)
@@ -202,7 +201,7 @@ func NewHostE(sm *sim.Simulator, cfg Config) (*System, error) {
 	if cfg.DynamicDDIOWays != nil {
 		s.WayTuner = idiocore.NewWayTuner(*cfg.DynamicDDIOWays, s.Hier.LLCWBIOCount, s.Hier.SetDDIOWays)
 	}
-	s.rc = &rootComplex{sys: s}
+	s.rc = &rootComplex{sys: s, trace: s.obs.Tracing()}
 	s.layout = mem.NewLayout(1 << 30) // DMA regions above 1 GB
 	// The fault injector interposes on the NIC→root-complex PCIe path
 	// so TLP perturbations happen before IOMMU checks and steering,
@@ -263,7 +262,6 @@ func NewHostE(sm *sim.Simulator, cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.qosArmed = true
 		for _, port := range s.ports {
 			port.SetQoSMap(qmap)
 		}
