@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -12,9 +13,9 @@ import (
 
 // The golden corpus pins what the simulator prints: the stdout, the
 // -stats dump and the -json metrics document of every scenarios/*.json
-// run, and the fig4, fig5, fig9-fig14, breakdown, ablations,
-// degradation, churn, rpc, qos and chaos -quick tables. A
-// change that moves any of them on purpose regenerates the corpus with
+// run, the fig4, fig5, fig9-fig14, breakdown, ablations,
+// degradation, churn, rpc, qos and chaos -quick tables, and the stdout
+// of every examples/* program. A change that moves any of them on purpose regenerates the corpus with
 //
 //	go test ./cmd/idiosim -run TestGolden -update
 //
@@ -104,6 +105,32 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, fig+"_quick.txt", out.Bytes())
+		})
+	}
+	checkExamples(t)
+}
+
+// checkExamples builds every examples/* program in one go build and
+// pins each one's stdout as example_<name>.txt.
+func checkExamples(t *testing.T) {
+	mains, err := filepath.Glob("../../examples/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found (%v)", err)
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
+	build.Dir = "../.."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building the examples: %v\n%s", err, out)
+	}
+	for _, m := range mains {
+		name := filepath.Base(filepath.Dir(m))
+		t.Run("example/"+name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, name)).Output()
+			if err != nil {
+				t.Fatalf("running example %s: %v", name, err)
+			}
+			checkGolden(t, "example_"+name+".txt", out)
 		})
 	}
 }

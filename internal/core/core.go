@@ -682,11 +682,11 @@ func (p *Prefetcher) issue(s *sim.Simulator) {
 			p.busy = false
 			return
 		}
-		// Drain the queue inline while nothing else is due before the
-		// next paced issue instant (sim.FuseAt matches the ordering of
-		// the fresh event s.After would schedule).
-		if !s.FuseAt(s.Now().Add(p.cfg.IssueInterval)) {
-			s.After(p.cfg.IssueInterval, p.issueFn)
+		// Drain the queue inline at the paced issue instants.
+		// sim.FuseAfter orders each step exactly as the fresh event
+		// s.After would schedule, running any event due first in place,
+		// and files that event when it cannot continue now.
+		if !s.FuseAfter(p.cfg.IssueInterval, p.issueFn) {
 			return
 		}
 	}

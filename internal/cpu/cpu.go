@@ -519,40 +519,43 @@ func (c *Core) poll(s *sim.Simulator) {
 			c.batch = append(c.batch, slot)
 		}
 		if len(c.batch) > 0 {
-			break
+			if c.FirstPacketAt == 0 && c.Processed == 0 {
+				c.FirstPacketAt = s.Now()
+			}
+			c.releasable = c.releasable[:0]
+			// Process the batch and re-poll in this loop rather than by
+			// recursion, so a core whose work keeps fusing runs in one
+			// stack frame however long the chain.
+			if !c.processNext(s, 0) || !c.endBatch(s) {
+				return
+			}
+			continue
 		}
 		if c.cfg.Driver == DriverInterrupt {
 			c.irqArmed = true
 			return
 		}
-		// Fuse the idle re-poll: while no other event is pending before
-		// the next poll instant, spin the poll loop inline instead of
-		// paying a scheduler round trip per empty poll. FuseAt's strict
-		// tie handling (any pending event at or before the instant
-		// refuses the fuse) makes the inline spin order-identical to the
-		// scheduled re-poll, and its horizon check bounds the spin.
-		if !s.FuseAt(s.Now().Add(c.cfg.PollInterval)) {
-			s.After(c.cfg.PollInterval, c.pollFn)
+		// Fuse the idle re-poll: spin the poll loop inline instead of
+		// scheduling the next poll. sim.FuseAfter runs any event due
+		// before the next poll instant in place first, exactly when
+		// the scheduled re-poll would have let it run, and files the
+		// re-poll when the run's bound or the nesting limit refuses.
+		if !s.FuseAfter(c.cfg.PollInterval, c.pollFn) {
 			return
 		}
 	}
-	if c.FirstPacketAt == 0 && c.Processed == 0 {
-		c.FirstPacketAt = s.Now()
-	}
-	c.releasable = c.releasable[:0]
-	c.processNext(s, 0)
 }
 
 // processNext runs the batch from entry i: each packet's OnPacket fires
-// at its start instant and its retirement at start+lat. When no other
-// event is pending in between, the retirement is fused inline
-// (sim.FuseAt) and the loop continues to the next packet without a
-// scheduler round trip; otherwise the packet's pkt-done is scheduled as
-// its own event exactly as before fusion — FuseAt's strict tie handling
-// means the fused path is taken only when the two are indistinguishable.
-// Per-packet state lives on the Core — a core runs exactly one packet
-// at a time, so the fields replace what used to be closure captures.
-func (c *Core) processNext(s *sim.Simulator, i int) {
+// at its start instant and its retirement at start+lat. The retirement
+// is fused inline (sim.FuseAtArg), with any event due in between run
+// in place first, and the loop continues to the next packet; when the
+// kernel refuses the fuse it files the packet's pkt-done event exactly
+// as an unfused core would schedule it. processNext reports whether
+// the whole batch retired inline. Per-packet state lives on the Core —
+// a core runs exactly one packet at a time, so the fields replace what
+// used to be closure captures.
+func (c *Core) processNext(s *sim.Simulator, i int) bool {
 	for {
 		slot := c.batch[i]
 		start := s.Now()
@@ -572,14 +575,12 @@ func (c *Core) processNext(s *sim.Simulator, i int) {
 		if !deferred {
 			c.releasable = append(c.releasable, slot)
 		}
-		if !s.FuseAt(done) {
-			s.AtArgNamed(done, "pkt-done", pktDoneEv, sim.Arg{Obj: c})
-			return
+		if !s.FuseAtArg(done, pktDoneEv, &sim.Arg{Obj: c}) {
+			return false
 		}
 		c.retire(s)
 		if c.curIdx+1 >= len(c.batch) {
-			c.endBatch(s)
-			return
+			return true
 		}
 		i = c.curIdx + 1
 	}
@@ -610,38 +611,33 @@ func (c *Core) retire(s *sim.Simulator) {
 }
 
 // endBatch releases the batch's non-deferred buffers in ring order
-// (charging the invalidate-instruction cost) and re-polls — inline when
-// the free-cost delay fuses, via a scheduled event otherwise.
-func (c *Core) endBatch(s *sim.Simulator) {
+// (charging the invalidate-instruction cost). It reports whether the
+// caller re-polls inline now: true when there is no free cost or its
+// delay fuses (sim.FuseAfter), false when the re-poll was filed as an
+// event.
+func (c *Core) endBatch(s *sim.Simulator) bool {
 	c.curSlot = nil
 	var freeCost sim.Duration
 	for _, sl := range c.releasable {
 		freeCost += c.env.FreeSlot(sl)
 	}
 	c.BusyTime += freeCost
-	if freeCost > 0 {
-		if s.FuseAt(s.Now().Add(freeCost)) {
-			c.poll(s)
-			return
-		}
-		s.After(freeCost, c.pollFn)
-		return
-	}
-	c.poll(s)
+	return freeCost == 0 || s.FuseAfter(freeCost, c.pollFn)
 }
 
 // pktDoneEv retires the in-flight packet (Arg.Obj is the *Core) and
 // either chains to the next batch entry or frees the batch and
-// re-polls. It fires only when the retirement could not be fused
-// inline (another event interleaved the service interval).
+// re-polls. It fires only when the kernel refused to fuse the
+// retirement inline.
 func pktDoneEv(sm *sim.Simulator, a sim.Arg) {
 	c := a.Obj.(*Core)
 	c.retire(sm)
-	if c.curIdx+1 < len(c.batch) {
-		c.processNext(sm, c.curIdx+1)
+	if c.curIdx+1 < len(c.batch) && !c.processNext(sm, c.curIdx+1) {
 		return
 	}
-	c.endBatch(sm)
+	if c.endBatch(sm) {
+		c.poll(sm)
+	}
 }
 
 // memLatencyOf combines app-reported latency with the per-packet

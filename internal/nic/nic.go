@@ -386,12 +386,12 @@ func boolBit(b bool) uint64 {
 // then descriptor lines — inline: Arg.Obj is the *NIC, Obj2 the *Slot,
 // U0 the cursor (line index << 1) and the burst-classification bit,
 // I0 the destination core. Each line fires at burstStart + idx·lt; the
-// walk continues inline while sim.ContinueAt grants the next instant
-// and re-queues itself (preserving its ordering seq) when an
-// interleaving event preempts the pacing, so fusion never reorders the
-// DMA stream against CPU or fabric events. Every line but the first
-// carries the same metadata, so the walk encodes the body DW0 once
-// (and the header's only when it starts at line 0).
+// walk continues inline through sim.ContinueArg, which runs any event
+// due before the next line in place (the walk keeps its ordering seq)
+// and re-queues the walk only when it cannot continue now, so fusion
+// never reorders the DMA stream against CPU or fabric events. Every
+// line but the first carries the same metadata, so the walk encodes
+// the body DW0 once (and the header's only when it starts at line 0).
 func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 	n := a.Obj.(*NIC)
 	slot := a.Obj2.(*Slot)
@@ -438,8 +438,8 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 			return
 		}
 		t = t.Add(lt)
-		if !sm.ContinueAt(t) {
-			sm.YieldArg(t, dmaBurstEv, sim.Arg{Obj: n, Obj2: slot, U0: uint64(idx)<<1 | a.U0&1, I0: coreID})
+		a.U0 = uint64(idx)<<1 | a.U0&1
+		if !sm.ContinueArg(t, dmaBurstEv, &a) {
 			return
 		}
 	}
@@ -511,9 +511,8 @@ func (n *NIC) transmitLines(s *sim.Simulator, payload mem.Region) sim.Time {
 
 // dmaReadBurstEv walks a run of consecutive paced TX DMA line reads
 // inline: Arg.Obj is the *NIC, U0 the first line address, U1 the line
-// count, I0 the cursor. Like dmaBurstEv it continues in-event while
-// sim.ContinueAt grants the next paced instant and yields (keeping its
-// seq) when another event interleaves.
+// count, I0 the cursor. Like dmaBurstEv it continues in-event through
+// sim.ContinueArg, keeping its seq.
 func dmaReadBurstEv(sm *sim.Simulator, a sim.Arg) {
 	n := a.Obj.(*NIC)
 	idx := uint64(a.I0)
@@ -526,8 +525,8 @@ func dmaReadBurstEv(sm *sim.Simulator, a sim.Arg) {
 			return
 		}
 		t = t.Add(lt)
-		if !sm.ContinueAt(t) {
-			sm.YieldArg(t, dmaReadBurstEv, sim.Arg{Obj: n, U0: a.U0, U1: a.U1, I0: int(idx)})
+		a.I0 = int(idx)
+		if !sm.ContinueArg(t, dmaReadBurstEv, &a) {
 			return
 		}
 	}

@@ -7,6 +7,7 @@ package sim
 // array, which is reused across RunUntil segments.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,7 +75,8 @@ func BenchmarkScheduleDeep(b *testing.B) {
 		// Replace the queue head: one pop, one push, depth constant.
 		// Addressed through the facade so both scheduler levels are
 		// exercised at depth.
-		e, _ := s.popWithin(Never)
+		s.headBefore(Never, math.MaxUint64)
+		e := s.popHead()
 		s.enqueue(schedEvent{at: e.at + Time(offsets[i&(depth-1)]), seq: e.seq, fn: fn})
 	}
 }

@@ -249,32 +249,44 @@ func (e *WatchdogError) Error() string {
 // with O(1) insertion, while the 4-ary heap keeps sparse long-horizon
 // timers and the wheel's refusals. Dispatch merges the two by
 // (at, seq), so the executed sequence is identical to a single heap's.
+//
+// Dispatch is one bounded drain (drain): RunUntil runs it with the
+// bound (horizon, MaxUint64), and a fused handler whose continuation
+// is preceded by other events runs it in place, under the
+// continuation's own key, before carrying on (see ContinueArg).
 type Simulator struct {
 	now       Time
 	seq       uint64
 	heap      eventQueue
 	wheel     timeWheel
 	processed uint64
-	horizon   Time // hard stop; events beyond are not executed
+	runStart  uint64 // processed at RunUntil entry: the event budget's base
 	stopped   bool
 
 	// curSeq is the seq of the event currently being dispatched — the
-	// anchor for the inline-continuation API (ContinueAt / YieldArg).
+	// key a continuation keeps (ContinueAt, ContinueArg).
 	curSeq uint64
 
-	// nextEv/nextSrc cache peekEvent's answer while nextValid: fused
-	// burst walks probe the scheduler head between every link
-	// (ContinueAt/FuseAt), and the cache turns those probes into two
+	// boundAt/boundSeq is the (at, seq) key of the innermost active
+	// drain: only events ordering strictly before it may run. RunUntil
+	// sets (horizon, MaxUint64); each in-place drain narrows it to the
+	// key of the continuation it suspends, which is logically the next
+	// pending event. depth counts the in-place drains on the stack.
+	boundAt  Time
+	boundSeq uint64
+	depth    int
+
+	// nextAt/nextSeq cache the key of the scheduler head: fused
+	// handlers probe it between every link (ContinueArg, FuseAtArg,
+	// FuseAfter), and the cache turns those probes into two
 	// comparisons. enqueue keeps the cache exact (a smaller arrival
-	// replaces it, tagged with the queue that accepted it); popWithin
-	// invalidates it. nextSrc records where the cached minimum lives so
-	// the pop needn't re-derive it: srcWheel means wheel.peek has
-	// already positioned the consume cursor on it, srcWheelRaw that the
-	// event was cached at enqueue time and the cursor still needs a
-	// wheel.peek before popping.
-	nextEv    schedEvent
-	nextSrc   uint8
-	nextValid bool
+	// replaces it, tagged with the queue that accepted it); every pop
+	// resets it to the trivial lower bound (staleHead). nextSrc records
+	// where the cached head lives so the pop needn't re-derive it (see
+	// the src* constants).
+	nextAt  Time
+	nextSeq uint64
+	nextSrc uint8
 
 	wd          WatchdogConfig
 	wdEnabled   bool
@@ -292,6 +304,10 @@ type Simulator struct {
 	// ascending order with contiguous blocks merged; AtArgSeq accepts
 	// only seqs inside one of them.
 	reserved []seqBlock
+
+	// spills counts events the wheel refused to the heap; the kernel's
+	// differential tests compare it across dispatch styles.
+	spills uint64
 }
 
 // seqBlock is the inclusive seq range [lo, hi] of one reservation.
@@ -319,27 +335,46 @@ func (s *Simulator) takeArg(i int32) Arg {
 
 // New returns an empty simulator positioned at time zero.
 func New() *Simulator {
-	return &Simulator{horizon: Never, wheel: newTimeWheel()}
+	return &Simulator{boundAt: Never, boundSeq: math.MaxUint64, nextAt: staleHead, wheel: newTimeWheel()}
+}
+
+// Sources of the cached scheduler head (Simulator.nextSrc).
+const (
+	// srcLower: the cached key is only a lower bound on every pending
+	// event's key, to be resolved by refreshNext once a query reaches
+	// it. After a pop it is the trivial bound (staleHead); after
+	// peekUntil kept the cursor from a slot, it is that slot's start
+	// with seq 0.
+	srcLower    = iota
+	srcNone     // no pending events; the key is (Never, MaxUint64)
+	srcHeap     // head is heap[0]
+	srcWheel    // head is at the wheel cursor (peeked)
+	srcWheelRaw // head is in the wheel, cursor not yet there
+)
+
+// staleHead is the cached key of a cache that must be recomputed.
+const staleHead = Time(math.MinInt64)
+
+// maxNest bounds how many in-place drains may be suspended on the
+// stack at once; a continuation refused at the limit is filed instead.
+const maxNest = 4
+
+// keyLess orders two (at, seq) keys.
+func keyLess(at Time, seq uint64, bAt Time, bSeq uint64) bool {
+	return at < bAt || (at == bAt && seq < bSeq)
 }
 
 // enqueue files one event into the two-level scheduler: the wheel when
-// it can hold it, the heap otherwise (past-cursor, sorted-slot, or
+// it can hold it, the heap otherwise (past-cursor, full-bucket, or
 // far-future overflow spills).
-// Sources of the cached scheduler minimum (Simulator.nextSrc).
-const (
-	srcNone     = iota // no pending events
-	srcHeap            // minimum is heap[0]
-	srcWheel           // minimum is at the wheel cursor (peeked)
-	srcWheelRaw        // minimum is in the wheel, cursor not yet there
-)
-
 func (s *Simulator) enqueue(e schedEvent) {
 	inWheel := s.wheel.push(e)
 	if !inWheel {
 		s.heap.push(e)
+		s.spills++
 	}
-	if s.nextValid && (s.nextSrc == srcNone || lessEv(e, s.nextEv)) {
-		s.nextEv = e
+	if keyLess(e.at, e.seq, s.nextAt, s.nextSeq) {
+		s.nextAt, s.nextSeq = e.at, e.seq
 		if inWheel {
 			s.nextSrc = srcWheelRaw
 		} else {
@@ -348,55 +383,67 @@ func (s *Simulator) enqueue(e schedEvent) {
 	}
 }
 
-// refreshNext recomputes the cached global minimum of the two queues
-// by (at, seq). The cache stays valid until the next pop; a cheaper
-// arrival refreshes it in enqueue, so a valid cache is always exact.
-// An enqueue-cached wheel minimum (srcWheelRaw) is safe even though
-// the cursor hasn't visited it: anything smaller than it would have
-// been refused by the wheel (behind the cursor) and cached from the
-// heap instead. Hot callers (FuseAt, ContinueAt, popWithin) test the
-// cached fields in place rather than going through peekEvent, which
-// would copy the 40-byte event on every return.
-func (s *Simulator) refreshNext() {
-	we, wok := s.wheel.peek()
+// refreshNext recomputes the cached head of the two queues by
+// (at, seq), without moving the wheel cursor to a slot starting after
+// limit or after the heap head (see peekUntil and srcLower): the
+// cursor never runs past the instant being asked about, nor past the
+// event that will be popped first. The cache stays valid until the
+// next pop; a cheaper arrival refreshes it in enqueue, so the cache is
+// exact — or, for srcLower, a lower bound that only a query reaching
+// past it needs to resolve. An enqueue-cached wheel head (srcWheelRaw)
+// is safe even though the cursor hasn't visited it: anything smaller
+// would have been refused by the wheel (behind the cursor) and cached
+// from the heap instead.
+func (s *Simulator) refreshNext(limit Time) {
+	if len(s.heap) > 0 && s.heap[0].at < limit {
+		limit = s.heap[0].at
+	}
+	at, seq, exact, wok := s.wheel.peekUntil(limit)
 	src := srcNone
 	if wok {
 		src = srcWheel
+		if !exact {
+			src = srcLower
+		}
+	} else {
+		at, seq = Never, math.MaxUint64
 	}
-	if len(s.heap) > 0 && (!wok || lessEv(s.heap[0], we)) {
-		we, src = s.heap[0], srcHeap
+	if len(s.heap) > 0 && keyLess(s.heap[0].at, s.heap[0].seq, at, seq) {
+		at, seq, src = s.heap[0].at, s.heap[0].seq, srcHeap
 	}
-	s.nextEv, s.nextSrc, s.nextValid = we, uint8(src), true
+	s.nextAt, s.nextSeq, s.nextSrc = at, seq, uint8(src)
 }
 
-// peekEvent returns the global minimum without consuming it.
-func (s *Simulator) peekEvent() (schedEvent, bool) {
-	if !s.nextValid {
-		s.refreshNext()
+// resolveHead makes the cached head key exact enough to compare with
+// any key at time at: it refreshes the cache only when it holds a
+// lower bound (srcLower) that such a key could reach.
+func (s *Simulator) resolveHead(at Time) {
+	if s.nextSrc == srcLower && s.nextAt <= at {
+		s.refreshNext(at)
 	}
-	return s.nextEv, s.nextSrc != srcNone
 }
 
-// popWithin consumes and returns the global minimum event if its time
-// is within the horizon.
-func (s *Simulator) popWithin(horizon Time) (schedEvent, bool) {
-	if !s.nextValid {
-		s.refreshNext()
-	}
-	if s.nextSrc == srcNone || s.nextEv.at > horizon {
-		return schedEvent{}, false
-	}
+// headBefore reports whether a pending event orders before the key
+// (at, seq).
+func (s *Simulator) headBefore(at Time, seq uint64) bool {
+	s.resolveHead(at)
+	return keyLess(s.nextAt, s.nextSeq, at, seq)
+}
+
+// popHead consumes and returns the head event; headBefore must just
+// have reported one.
+func (s *Simulator) popHead() schedEvent {
 	src := s.nextSrc
-	s.nextValid = false
+	s.nextAt, s.nextSeq, s.nextSrc = staleHead, 0, srcLower
 	if src == srcHeap {
-		return s.heap.pop(), true
+		return s.heap.pop()
 	}
 	if src == srcWheelRaw {
-		// Position the wheel cursor on its minimum — which is the
-		// cached one, since anything smaller was diverted to the heap.
-		s.wheel.peek()
+		// Position the wheel cursor on its head — which is the cached
+		// one, since anything smaller was diverted to the heap.
+		s.wheel.peekUntil(Never)
 	}
-	return s.wheel.pop(), true
+	return s.wheel.pop()
 }
 
 // Now returns the current simulation time.
@@ -508,26 +555,16 @@ func (s *Simulator) isReserved(seq uint64) bool {
 	return lo < len(s.reserved) && s.reserved[lo].lo <= seq
 }
 
-// ContinueAt is the inline-continuation check for fused (batched)
-// events: called from inside a running event's handler, it reports
-// whether that handler may keep executing inline at time t — i.e.
-// whether an event re-scheduled at (t, curSeq) would be the very next
-// thing the dispatch loop ran anyway. On success the clock advances to
-// t and the handler continues; on failure the handler must YieldArg
-// the remainder of its work and return. Because continuation is
-// granted only when (t, curSeq) precedes every pending event (and t is
-// within the run horizon), fusing a chain of events into one handler
-// executes the exact same model actions at the exact same times and in
-// the exact same total order as scheduling each link separately —
-// which is what keeps fused runs byte-identical to unfused ones.
+// ContinueAt is the pure inline-continuation check: called from
+// inside a running event's handler, it reports whether an event
+// re-filed at (t, curSeq) would be the very next thing dispatched —
+// nothing pending orders before it and it orders before the active
+// bound (the run horizon, or the continuation an enclosing in-place
+// drain suspended). On success the clock advances to t. Fused call
+// sites use ContinueArg, which also runs the preceding events in place
+// or files the continuation.
 func (s *Simulator) ContinueAt(t Time) bool {
-	if s.stopped || t > s.horizon {
-		return false
-	}
-	if !s.nextValid {
-		s.refreshNext()
-	}
-	if s.nextSrc != srcNone && (s.nextEv.at < t || (s.nextEv.at == t && s.nextEv.seq < s.curSeq)) {
+	if s.stopped || !keyLess(t, s.curSeq, s.boundAt, s.boundSeq) || s.headBefore(t, s.curSeq) {
 		return false
 	}
 	if t > s.now {
@@ -541,14 +578,9 @@ func (s *Simulator) ContinueAt(t Time) bool {
 // would run immediately next. A fresh event's seq would exceed every
 // pending seq, so ties at t defer to the pending event — the strict
 // form of the ContinueAt check. On success the clock advances to t.
+// Fused call sites use FuseAfter or FuseAtArg.
 func (s *Simulator) FuseAt(t Time) bool {
-	if s.stopped || t > s.horizon {
-		return false
-	}
-	if !s.nextValid {
-		s.refreshNext()
-	}
-	if s.nextSrc != srcNone && s.nextEv.at <= t {
+	if s.stopped || !keyLess(t, s.seq+1, s.boundAt, s.boundSeq) || s.headBefore(t, s.seq+1) {
 		return false
 	}
 	if t > s.now {
@@ -557,19 +589,86 @@ func (s *Simulator) FuseAt(t Time) bool {
 	return true
 }
 
-// YieldArg re-queues the running argful event at time at, preserving
-// its original ordering seq — the hand-off path when ContinueAt
-// refuses. The remainder of the fused work keeps its place in the
-// (at, seq) total order, so interleaving events observe the same
-// schedule as if every link had been a separate event.
-func (s *Simulator) YieldArg(at Time, fn ArgEvent, arg Arg) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: yield at %v before now %v", at, s.now))
+// ContinueArg continues the running event's fused work at time t,
+// keeping its ordering seq: the continuation's key is (t, curSeq).
+// When pending events order before that key, they are dispatched in
+// place — inside the caller, under the key as the drain's bound — so
+// they run exactly when they would have run had the continuation been
+// filed and popped in turn. It returns true when the caller may carry
+// on at t (the clock then reads t). It returns false, having filed
+// fn at (t, curSeq) with a copy of *arg, when the continuation cannot
+// run now: its key does not precede the active bound, the nesting
+// limit is reached, or the run stopped (Stop or a watchdog) during the
+// in-place drain. The caller must then return. Either way the executed
+// (at, seq) order is the one a separately scheduled continuation would
+// produce. arg is read only when filing, so callers pass the address
+// of a local payload and nothing escapes.
+func (s *Simulator) ContinueArg(t Time, fn ArgEvent, arg *Arg) bool {
+	return s.resume(t, s.curSeq, nil, fn, arg)
+}
+
+// FuseAtArg runs work that would otherwise be the fresh event
+// AtArgNamed(t, fn, arg) inline. It draws that event's seq first, so
+// every event it dispatches in place orders before it and every event
+// scheduled meanwhile after it, then proceeds as ContinueArg under the
+// drawn seq: true means carry on at t as that event; false means fn
+// was filed at (t, drawn seq) and the caller must return.
+func (s *Simulator) FuseAtArg(t Time, fn ArgEvent, arg *Arg) bool {
+	if fn == nil {
+		panic("sim: nil event")
+	}
+	s.seq++
+	return s.resume(t, s.seq, nil, fn, arg)
+}
+
+// FuseAfter is FuseAtArg for the plain event After(d, fn).
+func (s *Simulator) FuseAfter(d Duration, fn Event) bool {
+	if d < 0 {
+		panic("sim: negative delay")
 	}
 	if fn == nil {
 		panic("sim: nil event")
 	}
-	s.enqueue(schedEvent{at: at, seq: s.curSeq, afn: fn, arg: s.putArg(arg)})
+	s.seq++
+	return s.resume(s.now.Add(d), s.seq, fn, nil, nil)
+}
+
+// resume implements ContinueArg, FuseAtArg and FuseAfter for the
+// continuation key (t, seq); exactly one of fn/afn is set, and arg is
+// afn's payload.
+func (s *Simulator) resume(t Time, seq uint64, fn Event, afn ArgEvent, arg *Arg) bool {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: continuation at %v before now %v", t, s.now))
+	}
+	if !s.stopped && keyLess(t, seq, s.boundAt, s.boundSeq) {
+		s.resolveHead(t)
+		ok := true
+		if keyLess(s.nextAt, s.nextSeq, t, seq) {
+			ok = false
+			if s.depth < maxNest {
+				bAt, bSeq := s.boundAt, s.boundSeq
+				s.boundAt, s.boundSeq = t, seq
+				s.depth++
+				ok = s.drain(t, seq)
+				s.depth--
+				s.boundAt, s.boundSeq = bAt, bSeq
+			}
+		}
+		if ok {
+			if t > s.now {
+				s.now = t
+				s.sameInstant = 0
+			}
+			s.curSeq = seq
+			return true
+		}
+	}
+	e := schedEvent{at: t, seq: seq, fn: fn, afn: afn}
+	if afn != nil {
+		e.arg = s.putArg(*arg)
+	}
+	s.enqueue(e)
+	return false
 }
 
 // AfterArg schedules an argful event d after the current time.
@@ -625,8 +724,14 @@ func (s *Simulator) Err() error {
 }
 
 // checkWatchdog enforces the configured bounds after one event; a trip
-// records the error and stops the loop.
-func (s *Simulator) checkWatchdog(start uint64) {
+// records the error and stops the loop. The first trip stands: the
+// checks of handlers suspended around an in-place drain that tripped
+// run after it and would only restate it.
+func (s *Simulator) checkWatchdog() {
+	if s.wdErr != nil {
+		return
+	}
+	start := s.runStart
 	if s.wd.MaxEventsPerInstant > 0 && s.sameInstant > s.wd.MaxEventsPerInstant {
 		s.wdErr = &WatchdogError{Kind: "no-progress", At: s.now, Events: s.sameInstant, Pending: s.Pending()}
 		s.stopped = true
@@ -647,15 +752,31 @@ func (s *Simulator) checkWatchdog(start uint64) {
 // or the next event is later than horizon. It returns the number of
 // events executed.
 func (s *Simulator) RunUntil(horizon Time) uint64 {
-	s.horizon = horizon
+	s.boundAt, s.boundSeq = horizon, math.MaxUint64
 	s.stopped = false
 	s.wdErr = nil
-	start := s.processed
+	s.runStart = s.processed
+	s.drain(horizon, math.MaxUint64)
+	// Advance the clock to the horizon even if the queue drained early,
+	// so rate computations over [0, horizon] are well defined.
+	if !s.stopped && s.now < horizon && horizon != Never {
+		s.now = horizon
+	}
+	return s.processed - s.runStart
+}
+
+// drain is the dispatch loop: it executes pending events in (at, seq)
+// order while they order before the bound (at, seq). It reports true
+// once the head no longer does, false when the run stopped first.
+// RunUntil drains to (horizon, MaxUint64); resume drains in place to a
+// suspended continuation's key, re-entering this same loop.
+func (s *Simulator) drain(at Time, seq uint64) bool {
 	for !s.stopped {
-		next, ok := s.popWithin(horizon)
-		if !ok {
-			break
+		s.resolveHead(at)
+		if !keyLess(s.nextAt, s.nextSeq, at, seq) {
+			return true
 		}
+		next := s.popHead()
 		if next.at > s.now {
 			s.sameInstant = 0
 		}
@@ -669,15 +790,10 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 			next.fn(s)
 		}
 		if s.wdEnabled {
-			s.checkWatchdog(start)
+			s.checkWatchdog()
 		}
 	}
-	// Advance the clock to the horizon even if the queue drained early,
-	// so rate computations over [0, horizon] are well defined.
-	if !s.stopped && s.now < horizon && horizon != Never {
-		s.now = horizon
-	}
-	return s.processed - start
+	return false
 }
 
 // Run executes until the event queue is empty.

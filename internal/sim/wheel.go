@@ -115,37 +115,51 @@ func (w *timeWheel) push(e schedEvent) bool {
 	return true
 }
 
-// peek returns the wheel's minimum event without consuming it,
-// advancing the cursor (and sorting the next occupied slot) as needed.
-func (w *timeWheel) peek() (schedEvent, bool) {
+// peekUntil returns the wheel's minimum event without consuming it,
+// moving the cursor to (and sorting) the next occupied slot — but
+// never to a slot that starts after limit. When the next event lies in
+// such a slot, peekUntil leaves the cursor where it is and returns,
+// with exact false, that slot's start and seq 0: a lower bound on
+// every wheel event's key. Only the head's key is returned; pop
+// consumes the event itself. Keeping the cursor at or before the
+// instant a suspended handler resumes at is what lets the events it
+// schedules next land in the wheel instead of spilling behind the
+// cursor to the heap. A drained cursor slot is recycled in place, so
+// later arrivals in its time range still fit in the wheel.
+func (w *timeWheel) peekUntil(limit Time) (at Time, seq uint64, exact, ok bool) {
+	cur := w.cursor
+	from := cur
 	if w.sorted {
-		if b := w.slots[w.cursor]; w.pos < len(b) {
-			return b[w.pos], true
+		b := w.slots[cur]
+		if w.pos < len(b) {
+			return b[w.pos].at, b[w.pos].seq, true, true
 		}
-		// Cursor slot drained: reset its bucket (elements were zeroed
-		// as they were popped) and step past it.
-		w.slots[w.cursor] = w.slots[w.cursor][:0]
-		w.bitmap[w.cursor>>6] &^= 1 << (w.cursor & 63)
-		w.sorted = false
-		w.cursor = (w.cursor + 1) & wheelMask
-		w.base += Time(wheelGran)
+		if len(b) > 0 {
+			// Drained: its elements were zeroed as they were popped.
+			w.slots[cur] = b[:0]
+			w.pos = 0
+			w.bitmap[cur>>6] &^= 1 << (cur & 63)
+		}
+		from = (cur + 1) & wheelMask
 	}
 	if w.count == 0 {
-		return schedEvent{}, false
+		return 0, 0, false, false
 	}
-	c := w.nextOccupied(w.cursor)
-	w.base += Time(Duration((c-w.cursor)&wheelMask) << wheelGranBits)
-	w.cursor = c
+	c := w.nextOccupied(from)
+	start := w.base + Time(Duration((c-cur)&wheelMask)<<wheelGranBits)
+	if start > limit {
+		return start, 0, false, true
+	}
+	w.cursor, w.base = c, start
 	b := w.slots[c]
 	sortSched(b)
-	w.sorted = true
-	w.pos = 0
-	return b[0], true
+	w.sorted, w.pos = true, 0
+	return b[0].at, b[0].seq, true, true
 }
 
-// pop consumes the event peek exposed, zeroing the vacated slot so the
-// bucket's backing array does not pin closures or arg payloads for the
-// GC. Must be preceded by a peek that returned a wheel event.
+// pop consumes the event peekUntil exposed, zeroing the vacated slot so
+// the bucket's backing array does not pin closures or arg payloads for
+// the GC. Must be preceded by a peekUntil that returned an exact event.
 func (w *timeWheel) pop() schedEvent {
 	b := w.slots[w.cursor]
 	e := b[w.pos]

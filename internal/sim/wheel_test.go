@@ -1,13 +1,14 @@
 package sim
 
 // Property tests for the two-level scheduler: the time wheel plus the
-// 4-ary spill heap, merged by enqueue/popWithin, must pop the exact
+// 4-ary spill heap, merged by enqueue/popHead, must pop the exact
 // (at, seq) sequence a single reference heap would — that equivalence
 // is what makes the wheel invisible to every replay and golden test.
 // These extend TestEventQueueHeapOrder (bench_test.go), which checks
 // the heap alone.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -76,10 +77,10 @@ func TestTwoLevelVsHeapProperty(t *testing.T) {
 			k = pending
 		}
 		for i := 0; i < k && pending > 0; i++ {
-			got, ok := s.popWithin(Never)
-			if !ok {
+			if !s.headBefore(Never, math.MaxUint64) {
 				t.Fatalf("two-level scheduler empty with %d events pending", pending)
 			}
+			got := s.popHead()
 			want := ref.pop()
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("after %d pops: two-level popped (at=%d seq=%d), reference heap (at=%d seq=%d)",

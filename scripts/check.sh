@@ -39,11 +39,11 @@ go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.json" -trace-sample 16 \
     -json "$obsdir/results.json" > /dev/null
 go run ./cmd/obscheck "$obsdir/trace.json" "$obsdir/results.json"
-# Golden tables under parallel cells: the rpc, qos, chaos, churn, fig4,
-# fig5, breakdown, ablations and degradation -quick tables run with
-# -j 2 must match the committed corpus, which TestGolden checks at -j 1
-# (the wall-clock footer goes to stderr).
-for exp in rpc qos chaos churn fig4 fig5 breakdown ablations degradation; do
+# Golden tables under parallel cells: all 15 pinned -quick tables (rpc,
+# qos, chaos, churn, fig4, fig5, fig9-fig14, breakdown, ablations and
+# degradation) run with -j 2 must match the committed corpus, which
+# TestGolden checks at -j 1 (the wall-clock footer goes to stderr).
+for exp in rpc qos chaos churn fig4 fig5 fig9 fig10 fig11 fig12 fig13 fig14 breakdown ablations degradation; do
     go run ./cmd/idiosim -exp "$exp" -quick -j 2 > "$obsdir/$exp.txt"
     cmp "$obsdir/$exp.txt" "testdata/golden/${exp}_quick.txt"
 done
