@@ -36,13 +36,15 @@ func ClientIP(i int) pkt.IPv4 { return pkt.IPv4{10, 0, 2, byte(i + 1)} }
 //	                 │    └─ srv.down ─▶ [DUT NIC → cores → TX]
 //	                 └────── srv.up ◀────────────┘
 //
-// With ClusterConfig.Shards <= 1 every host shares one simulator —
-// the exact historical run. With Shards >= 2 the DUT, the switch and
-// groups of clients each own a private event domain advancing on its
-// own goroutine, synchronized conservatively at the links (the only
-// legal cross-domain edges); outputs stay byte-identical.
+// Every cluster runs on a sim.Engine. With ClusterConfig.Shards <= 1
+// it has one event domain: every host shares one simulator. With
+// Shards >= 2 the DUT, the switch and groups of clients each own a
+// private event domain advancing on its own goroutine, synchronized
+// conservatively at the links (the only legal cross-domain edges);
+// outputs stay byte-identical.
 type Cluster struct {
-	// Sim is the DUT's simulator — the only simulator when unsharded.
+	// Sim is the DUT's simulator: event domain 0, and the only domain
+	// when unsharded.
 	Sim *sim.Simulator
 	// DUT is the server host: the full System (hierarchy, NIC, IDIO).
 	DUT *System
@@ -72,21 +74,24 @@ type Cluster struct {
 	qosMap      *qos.Map
 	clientClass []qos.Class
 
-	// Sharded-mode state; engine is nil when Shards <= 1.
+	// Event domains: doms[0] is the DUT; when sharded, doms[1] is the
+	// switch and doms[2..] the client groups.
 	engine       *sim.Engine
-	doms         []*clusterDomain // [0]=dut, [1]=switch, [2..]=client groups
-	clientDomOf  []int            // client slot -> domain index
-	clientSlots  []int            // Clients[j] -> slot (parallel to Clients)
-	churnSlots   []int            // ChurnClients[j] -> slot
-	faultLinkDom []int            // fault AttachLink order -> owning domain
+	doms         []*clusterDomain
+	switchDom    int   // domain index owning the switch
+	clientDomOf  []int // client slot -> domain index
+	clientSlots  []int // Clients[j] -> slot (parallel to Clients)
+	churnSlots   []int // ChurnClients[j] -> slot
+	faultLinkDom []int // fault AttachLink order -> owning domain
 	outboxes     []*fnet.Outbox
 	flushScratch []fnet.XEntry
 }
 
-// clusterDomain is one event domain of a sharded cluster: a private
+// clusterDomain is one event domain of a cluster: a private
 // simulator, a private packet pool (pkt.Pool is deliberately not
 // concurrency-safe) and the outbox collecting its cross-domain
-// handoffs between barriers.
+// handoffs between barriers (always empty when the cluster has one
+// domain).
 type clusterDomain struct {
 	name string
 	sm   *sim.Simulator
@@ -94,10 +99,21 @@ type clusterDomain struct {
 	out  *fnet.Outbox
 }
 
-// runStep is the until-idle checkpoint period, shared by the
-// single-simulator slicing loop and the sharded epoch engine so both
-// stop at identical instants (see System.RunUntilIdle).
+// runStep is the until-idle checkpoint period of every run, single
+// host or cluster, at any shard count.
 const runStep = 100 * sim.Microsecond
+
+// runUntilIdle advances e to the first runStep checkpoint where idle
+// reports true, or else through horizon rounded up to a checkpoint.
+// The polling loops of a host never terminate, so an until-idle run
+// cannot wait for its event queues to drain.
+func runUntilIdle(e *sim.Engine, horizon sim.Duration, idle func() bool) error {
+	end := sim.Time(horizon)
+	if r := end % sim.Time(runStep); r != 0 {
+		end += sim.Time(runStep) - r
+	}
+	return e.Run(end, runStep, idle)
+}
 
 // NewCluster wires the topology: the DUT server (full System) and
 // nClients client slots. Client slots start empty — attach an RPC
@@ -136,9 +152,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// replaces its FIFO with the scheduled per-class queues.
 		cl.Switch.ArmQoS(cfg.QoS, qm)
 	}
-	if cfg.Shards > 1 {
-		cl.buildDomains()
-	}
+	cl.buildDomains()
 	o := dut.Observe()
 	cl.Switch.SetObserver(o)
 	reg := o.Registry()
@@ -156,7 +170,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cl.qosMap != nil {
 		cl.ServerDown.ArmQoS(cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ServerDown, domSwitch, domDUT)
+	cl.bindLink(cl.ServerDown, cl.switchDom, domDUT)
 	cl.ServerDown.RegisterMetrics(reg, "fabric.srv.down.")
 	cl.Switch.Route(ServerIP, cl.Switch.AddPort(cl.ServerDown))
 
@@ -167,7 +181,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	up.Name = "srv.up"
 	cl.ServerUp = fnet.NewLink(up, cl.Switch)
 	cl.ServerUp.SetObserver(o)
-	cl.bindLink(cl.ServerUp, domDUT, domSwitch)
+	cl.bindLink(cl.ServerUp, domDUT, cl.switchDom)
 	cl.ServerUp.RegisterMetrics(reg, "fabric.srv.up.")
 	// The echo response is drawn from the host pool — usually the very
 	// request packet just released by the slot free in this same event,
@@ -196,8 +210,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Clients and generators feeding this uplink draw their request
 		// packets from the owning domain's pool (the host pool when
 		// unsharded — central leak accounting either way).
-		cl.ClientUp[i].SetPacketPool(cl.clientPool(i))
-		cl.bindLink(cl.ClientUp[i], cl.clientDomain(i), domSwitch)
+		cl.ClientUp[i].SetPacketPool(cl.doms[cl.clientDomOf[i]].pool)
+		cl.bindLink(cl.ClientUp[i], cl.clientDomOf[i], cl.switchDom)
 		cl.ClientUp[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.up.", i))
 	}
 	cl.Switch.RegisterMetrics(reg, "fabric.switch.")
@@ -205,13 +219,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// Fabric links are fault targets; attach in slot order so the
 	// injector's victim choice is deterministic.
 	if dut.Faults != nil {
-		cl.attachFaultLink(cl.ServerDown, domSwitch)
+		cl.attachFaultLink(cl.ServerDown, cl.switchDom)
 		cl.attachFaultLink(cl.ServerUp, domDUT)
 		for i, l := range cl.ClientUp {
-			cl.attachFaultLink(l, cl.clientDomain(i))
+			cl.attachFaultLink(l, cl.clientDomOf[i])
 		}
 	}
-	if cl.engine != nil {
+	if cl.sharded() {
 		// Per-domain progress counters exist only when sharded, so
 		// WriteStats omits them to keep the dump shard-invariant.
 		for _, d := range cl.doms {
@@ -223,29 +237,27 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// Domain indices: the DUT always owns domain 0 (it is the heaviest
-// host, so the epoch coordinator runs it inline), the switch domain 1,
-// and client groups fill 2..N-1.
-const (
-	domDUT    = 0
-	domSwitch = 1
-)
+// domDUT is the DUT's domain index: it always owns domain 0 (it is
+// the heaviest host, so the epoch coordinator runs it inline). When
+// sharded, the switch owns domain 1 and client groups fill 2..N-1.
+const domDUT = 0
 
-// buildDomains partitions the cluster into Shards event domains and
-// builds the barrier-epoch engine. The conservative lookahead is the
-// minimum link propagation delay: a handoff produced during an epoch
-// always lands strictly after the next barrier, so flushing mailboxes
-// at every barrier is always in time.
+// buildDomains partitions the cluster into event domains — one when
+// Shards <= 1, else the DUT, the switch and Shards-2 (at least one)
+// client groups — and builds the barrier-epoch engine. The
+// conservative lookahead is the minimum link propagation delay: a
+// handoff produced during an epoch always lands strictly after the
+// next barrier, so flushing mailboxes at every barrier is always in
+// time.
 func (cl *Cluster) buildDomains() {
 	cfg := cl.cfg
-	groups := cfg.Shards - 2
-	if groups < 1 {
-		groups = 1
+	names := []string{"dut"}
+	groups := 0
+	if cfg.Shards > 1 {
+		groups = min(max(cfg.Shards-2, 1), cfg.Clients)
+		names = append(names, "switch")
+		cl.switchDom = 1
 	}
-	if groups > cfg.Clients {
-		groups = cfg.Clients
-	}
-	names := []string{"dut", "switch"}
 	for g := 0; g < groups; g++ {
 		names = append(names, fmt.Sprintf("clients.%d", g))
 	}
@@ -266,49 +278,39 @@ func (cl *Cluster) buildDomains() {
 	// that send at the same instant merge in slot order. The shared
 	// simulator serves them in scheduling order instead, which can
 	// differ: per-client timing is not shard-invariant (see the
-	// Outbox merge key in internal/net).
-	per := (cfg.Clients + groups - 1) / groups
+	// Outbox merge key in internal/net). Unsharded, every slot lives
+	// in domain 0.
 	cl.clientDomOf = make([]int, cfg.Clients)
-	for i := range cl.clientDomOf {
-		cl.clientDomOf[i] = 2 + i/per
+	if groups > 0 {
+		per := (cfg.Clients + groups - 1) / groups
+		for i := range cl.clientDomOf {
+			cl.clientDomOf[i] = 2 + i/per
+		}
 	}
-	lookahead := cfg.ClientLink.Delay
-	if cfg.ServerLink.Delay < lookahead {
-		lookahead = cfg.ServerLink.Delay
-	}
+	lookahead := min(cfg.ClientLink.Delay, cfg.ServerLink.Delay)
 	cl.engine = sim.NewEngine(lookahead, func() {
 		fnet.Flush(cl.outboxes, &cl.flushScratch)
 	})
 	for _, d := range cl.doms {
 		cl.engine.AddDomain(&sim.Domain{Name: d.name, Sim: d.sm, PendingExternal: d.out.Pending})
 	}
-	if cl.DUT.Faults != nil {
+	if cl.sharded() && cl.DUT.Faults != nil {
 		// Timeline phases are scheduled per owning domain in Start;
 		// everything else the injector runs stays DUT-local.
 		cl.DUT.Faults.ScheduleTimelineExternally()
 	}
 }
 
-// clientDomain returns the domain index owning client slot i.
-func (cl *Cluster) clientDomain(i int) int {
-	if cl.engine == nil {
-		return domDUT
-	}
-	return cl.clientDomOf[i]
-}
+// sharded reports whether the cluster runs more than one event
+// domain. Only then do links cross domains, so only then are the
+// multi-domain restrictions (shared histograms, timeline phase
+// owners) and the domain.* counters in force.
+func (cl *Cluster) sharded() bool { return len(cl.doms) > 1 }
 
-// clientPool returns the packet pool client slot i draws from.
-func (cl *Cluster) clientPool(i int) *pkt.Pool {
-	if cl.engine == nil {
-		return cl.DUT.PktPool
-	}
-	return cl.doms[cl.clientDomOf[i]].pool
-}
-
-// bindLink marks l as a cross-domain edge from src to dst when the
-// cluster is sharded; unsharded clusters leave the link untouched.
+// bindLink marks l as a cross-domain edge from src to dst. A link
+// whose two ends share a domain is an ordinary link.
 func (cl *Cluster) bindLink(l *fnet.Link, src, dst int) {
-	if cl.engine == nil {
+	if src == dst {
 		return
 	}
 	l.BindCrossDomain(cl.doms[src].out, cl.doms[dst].sm, cl.doms[dst].pool)
@@ -331,12 +333,7 @@ func (cl *Cluster) ClientIngress(i int) traffic.Receiver { return cl.ClientUp[i]
 // simulator when unsharded, the slot's client-group domain when
 // sharded. Anything generating traffic into ClientIngress(i) must
 // schedule its events here.
-func (cl *Cluster) ClientSim(i int) *sim.Simulator {
-	if cl.engine == nil {
-		return cl.Sim
-	}
-	return cl.doms[cl.clientDomOf[i]].sm
-}
+func (cl *Cluster) ClientSim(i int) *sim.Simulator { return cl.doms[cl.clientDomOf[i]].sm }
 
 // ClientFlow returns the canonical request flow for client slot i
 // targeting the NF on the given DUT core: source is the client's own
@@ -364,7 +361,7 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, core)
 	}
-	if cl.engine != nil && ccfg.Hist != nil {
+	if cl.sharded() && ccfg.Hist != nil {
 		panic("idio: a sharded cluster cannot share one histogram across client domains; leave ClientConfig.Hist nil")
 	}
 	c := fnet.NewClient(ccfg, cl.ClientUp[i])
@@ -378,11 +375,11 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	if cl.qosMap != nil {
 		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ClientDown[i], domSwitch, cl.clientDomain(i))
+	cl.bindLink(cl.ClientDown[i], cl.switchDom, cl.clientDomOf[i])
 	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
 	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
 	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], domSwitch)
+		cl.attachFaultLink(cl.ClientDown[i], cl.switchDom)
 	}
 
 	cl.DUT.FlowDir.AddEPRule(ccfg.Flow.Tuple(), core)
@@ -430,11 +427,11 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	if cl.qosMap != nil {
 		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ClientDown[i], domSwitch, cl.clientDomain(i))
+	cl.bindLink(cl.ClientDown[i], cl.switchDom, cl.clientDomOf[i])
 	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
 	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
 	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], domSwitch)
+		cl.attachFaultLink(cl.ClientDown[i], cl.switchDom)
 	}
 
 	if !cl.DUT.FlowDir.FlowStatsEnabled() {
@@ -462,7 +459,7 @@ func (cl *Cluster) Start() {
 	}
 	cl.started = true
 	cl.DUT.Start()
-	if cl.engine != nil && cl.DUT.Faults != nil {
+	if cl.sharded() && cl.DUT.Faults != nil {
 		// Every timeline phase runs on the domain owning its target, at
 		// exactly its declared instant of that domain's timeline.
 		for di := range cl.doms {
@@ -494,7 +491,7 @@ func (cl *Cluster) phaseDomain(ph fault.Phase) int {
 // the targets' actual owners (sharded clusters only — on one shared
 // simulator the name is advisory).
 func (cl *Cluster) validatePhases() error {
-	if cl.engine == nil || cl.DUT.Faults == nil || cl.cfg.Host.Faults == nil {
+	if !cl.sharded() || cl.DUT.Faults == nil || cl.cfg.Host.Faults == nil {
 		return nil
 	}
 	for i, ph := range cl.cfg.Host.Faults.Timeline {
@@ -544,12 +541,7 @@ func (cl *Cluster) Idle() bool {
 // domain's event queue plus cross-domain mailbox entries not yet
 // injected — so a sharded and an unsharded cluster agree on whether
 // anything is still in flight (a packet parked in a mailbox counts).
-func (cl *Cluster) Pending() int {
-	if cl.engine != nil {
-		return cl.engine.Pending()
-	}
-	return cl.Sim.Pending()
-}
+func (cl *Cluster) Pending() int { return cl.engine.Pending() }
 
 // links returns every fabric link in slot order (nil downlinks of
 // empty client slots are skipped).
@@ -573,49 +565,26 @@ type RunOpts struct {
 	// UntilIdle stops early at the first 100 µs checkpoint where the
 	// topology has drained (all clients done, fabric, mailboxes and
 	// rings empty) — the natural mode for fixed request budgets. The
-	// checkpoint granularity is identical in sharded and unsharded
-	// runs, so both stop at the same instant.
+	// checkpoints do not depend on the shard count, so every shard
+	// count stops at the same instant.
 	UntilIdle bool
 }
 
-// Run starts the cluster (if needed) and executes to opts.Horizon —
-// on the single shared simulator when ClusterConfig.Shards <= 1, or
-// as conservative barrier epochs across the per-host domains when
-// sharded. It returns the collected results and the first structured
-// abort (watchdog trip, named by domain when sharded), nil on a
-// clean run.
+// Run starts the cluster (if needed) and executes to opts.Horizon as
+// barrier epochs of its event engine: epochs that end only at
+// checkpoints and the horizon on the one domain of an unsharded
+// cluster, conservative lookahead epochs across the per-host domains
+// when sharded. It returns the collected results and the first
+// structured abort (watchdog trip, named by domain), nil on a clean
+// run.
 func (cl *Cluster) Run(opts RunOpts) (Results, error) {
 	if err := cl.validatePhases(); err != nil {
 		return Results{}, err
 	}
 	cl.Start()
-	if cl.engine == nil {
-		if opts.UntilIdle {
-			// The DUT's polling loops never terminate, so run in slices
-			// and stop when the topology has drained (see
-			// System.RunUntilIdle). A tripped watchdog stops the clock;
-			// keeping on slicing would spin through the horizon.
-			for t := sim.Duration(0); t < opts.Horizon; t += runStep {
-				cl.Sim.RunUntil(sim.Time(t + runStep))
-				if cl.Sim.Err() != nil || cl.Idle() {
-					break
-				}
-			}
-		} else {
-			cl.Sim.RunUntil(sim.Time(opts.Horizon))
-		}
-		return cl.Collect(), cl.Sim.Err()
-	}
 	var err error
 	if opts.UntilIdle {
-		// Mirror the slicing loop exactly: the effective end is the
-		// horizon rounded up to the next checkpoint, and idleness is
-		// evaluated only at checkpoint multiples.
-		eff := sim.Time(opts.Horizon)
-		if r := eff % sim.Time(runStep); r != 0 {
-			eff += sim.Time(runStep) - r
-		}
-		err = cl.engine.Run(eff, runStep, cl.Idle)
+		err = runUntilIdle(cl.engine, opts.Horizon, cl.Idle)
 	} else {
 		err = cl.engine.Run(sim.Time(opts.Horizon), 0, nil)
 	}

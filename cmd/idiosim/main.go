@@ -12,6 +12,7 @@
 //	idiosim -scenario s.json -json r.json # schema-versioned metrics JSON
 //	idiosim -scenario s.json -trace t.json -trace-sample 8
 //	                                      # Chrome/Perfetto packet-journey trace
+//	idiosim -scenario s.json -trace t.csv # per-packet latency-breakdown CSV
 //	idiosim -scenario s.json -metrics-interval 10us -metrics m.csv
 //	                                      # periodic metric snapshots as CSV
 //	idiosim -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -36,6 +37,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"idio/internal/experiment"
@@ -54,7 +56,7 @@ func main() {
 	scenarioPath := flag.String("scenario", "", "run a JSON scenario file instead of a named experiment")
 	statsPath := flag.String("stats", "", "write a flat key=value stats dump for -scenario runs")
 	jsonPath := flag.String("json", "", "write schema-versioned metrics JSON for -scenario runs ('-' for stdout)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) packet journey for -scenario runs")
+	tracePath := flag.String("trace", "", "write the packet journey of -scenario runs: a per-packet latency-breakdown CSV for a .csv path, else a Chrome trace-event JSON (Perfetto-loadable)")
 	traceSample := flag.Int("trace-sample", 1, "with -trace, follow every Nth packet")
 	metricsInterval := flag.Duration("metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
 	metricsPath := flag.String("metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
@@ -520,7 +522,8 @@ type scenarioOpts struct {
 
 // runScenario executes a JSON scenario file and prints its summary to
 // stdout, optionally writing a flat stats dump, a metrics JSON document, a
-// Chrome trace, and a metric-snapshot CSV series.
+// packet trace (per-packet CSV for a .csv path, else Chrome JSON), and a
+// metric-snapshot CSV series.
 func runScenario(path string, o scenarioOpts, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -541,7 +544,11 @@ func runScenario(path string, o scenarioOpts, stdout io.Writer) error {
 			return err
 		}
 		ropts.TraceSampleN = o.traceSample
-		ropts.TraceSink = obs.NewChromeSink(tf)
+		if strings.HasSuffix(o.tracePath, ".csv") {
+			ropts.TraceSink = obs.NewCSVSink(tf)
+		} else {
+			ropts.TraceSink = obs.NewChromeSink(tf)
+		}
 	}
 	if o.metricsInterval > 0 {
 		ropts.MetricsInterval = sim.Duration(o.metricsInterval.Nanoseconds()) * sim.Nanosecond

@@ -144,10 +144,10 @@ type ClusterConfig struct {
 	// Shards partitions the cluster into parallel event domains, each
 	// advancing on its own goroutine and synchronized conservatively at
 	// link boundaries (lookahead = the minimum link propagation delay;
-	// see DESIGN.md "Sharded event domains"). 0 or 1 keep today's exact
-	// single-simulator run. N >= 2 gives the DUT and the switch one
-	// domain each and spreads the client hosts over the remaining N-2
-	// (at least one) domains. Results and stats output are
+	// see DESIGN.md "Sharded event domains"). 0 or 1 run every host in
+	// one domain on one simulator. N >= 2 gives the DUT and the switch
+	// one domain each and spreads the client hosts over the remaining
+	// N-2 (at least one) domains. Results and stats output are
 	// byte-identical across shard counts; only wall-clock time changes.
 	Shards int
 }

@@ -145,73 +145,23 @@ type Env struct {
 	outstanding []sim.Duration
 }
 
-// Transmit forwards a slot's payload back out of the port it arrived
-// on (zero-copy TX), invoking done when the TX DMA reads complete.
-// This is the lightweight egress model; TransmitQueued drives the
-// full TX-descriptor-ring path. When the port has an egress wire
-// installed (a network fabric), the transmitted frame is handed to it
-// at TX completion, after done has run.
-func (e *Env) Transmit(slot *nic.Slot, payload mem.Region, done func(sim.Time)) {
-	port := slot.NIC()
-	if !port.HasWire() {
-		port.Transmit(e.Sim, payload, done)
-		return
-	}
-	// Capture the packet now: done typically frees the slot, and the
-	// ring clears the packet pointer on free.
-	p := slot.Pkt
-	port.Transmit(e.Sim, payload, func(t sim.Time) {
-		if done != nil {
-			done(t)
-		}
-		port.WirePacket(e.Sim, p)
-	})
+// TransmitAndFree forwards a slot's payload back out of the port it
+// arrived on (zero-copy TX) and frees the slot when the TX DMA reads
+// complete, through a package-level completion event, so the egress
+// path allocates nothing. This is the lightweight egress model;
+// TransmitQueuedAndFree drives the full TX-descriptor-ring path. When
+// the port has an egress wire installed (a network fabric), the
+// transmitted frame is handed to it at TX completion, after the free.
+func (e *Env) TransmitAndFree(slot *nic.Slot, payload mem.Region) {
+	slot.NIC().Transmit(e.Sim, payload, txFreeEv, sim.Arg{Obj: e, Obj2: slot})
 }
 
-// TransmitQueued forwards a slot's payload through the TX descriptor
+// TransmitQueuedAndFree is TransmitAndFree through the TX descriptor
 // ring: the driver writes the descriptor through the cache hierarchy
 // (the returned latency is that store cost), then the NIC fetches the
 // descriptor and payload over PCIe and writes back a completion. It
-// reports false when the TX ring is full (the packet is dropped, as a
-// real driver would on a stuck queue).
-func (e *Env) TransmitQueued(slot *nic.Slot, payload mem.Region, done func(sim.Time)) (sim.Duration, bool) {
-	port := slot.NIC()
-	tx := port.PrepareTX(e.CoreID)
-	if tx == nil {
-		return 0, false
-	}
-	var lat sim.Duration
-	tx.Desc.Lines(func(l mem.LineAddr) { lat += e.Write(l) })
-	if port.HasWire() {
-		p := slot.Pkt // capture before the slot recycles
-		inner := done
-		done = func(t sim.Time) {
-			if inner != nil {
-				inner(t)
-			}
-			port.WirePacket(e.Sim, p)
-		}
-	}
-	port.KickTX(e.Sim, e.CoreID, tx, payload, done)
-	return lat, true
-}
-
-// TransmitAndFree is the allocation-free fast path for zero-copy
-// forwarders: Transmit the slot's payload and free the slot when the
-// TX DMA reads complete, equivalent to
-//
-//	e.Transmit(slot, payload, func(sim.Time) { e.FreeSlot(slot) })
-//
-// but with a package-level completion event instead of per-packet
-// closures. As with Transmit, a port wire (network fabric) receives
-// the frame after the free.
-func (e *Env) TransmitAndFree(slot *nic.Slot, payload mem.Region) {
-	slot.NIC().TransmitArg(e.Sim, payload, txFreeEv, sim.Arg{Obj: e, Obj2: slot})
-}
-
-// TransmitQueuedAndFree is TransmitAndFree through the full TX
-// descriptor ring (see TransmitQueued). It reports false when the TX
-// ring is full; the caller should then drop the packet.
+// reports false when the TX ring is full; the caller should then drop
+// the packet, as a real driver would on a stuck queue.
 func (e *Env) TransmitQueuedAndFree(slot *nic.Slot, payload mem.Region) (sim.Duration, bool) {
 	port := slot.NIC()
 	tx := port.PrepareTX(e.CoreID)
@@ -223,14 +173,13 @@ func (e *Env) TransmitQueuedAndFree(slot *nic.Slot, payload mem.Region) (sim.Dur
 	for i, n := 0, tx.Desc.NumLines(); i < n; i++ {
 		lat += e.Write(first + mem.LineAddr(i))
 	}
-	port.KickTXArg(e.Sim, e.CoreID, tx, payload, txFreeEv, sim.Arg{Obj: e, Obj2: slot})
+	port.KickTX(e.Sim, e.CoreID, tx, payload, txFreeEv, sim.Arg{Obj: e, Obj2: slot})
 	return lat, true
 }
 
 // txFreeEv is the TX completion for TransmitAndFree /
 // TransmitQueuedAndFree: Arg.Obj is the *Env, Obj2 the *nic.Slot.
-// Free first, then hand the frame to the wire — the same order as the
-// closure form (done before WirePacket); the wire hook reads the
+// Free first, then hand the frame to the wire; the wire hook reads the
 // frame synchronously in this event, before any later event can
 // recycle the packet.
 func txFreeEv(sm *sim.Simulator, a sim.Arg) {
@@ -303,16 +252,6 @@ func (e *Env) ReadRegion(r mem.Region) sim.Duration {
 	}
 	e.outstanding = outstanding[:0]
 	return finish
-}
-
-// WriteRegion stores every line of a region, returning total latency.
-func (e *Env) WriteRegion(r mem.Region) sim.Duration {
-	var total sim.Duration
-	first := r.Base.Line()
-	for i, n := 0, r.NumLines(); i < n; i++ {
-		total += e.Write(first + mem.LineAddr(i))
-	}
-	return total
 }
 
 // FreeSlot returns a consumed slot to its ring, self-invalidating its
@@ -482,9 +421,6 @@ func (c *Core) InjectStall(now sim.Time, d sim.Duration) {
 		c.stallUntil = until
 	}
 }
-
-// Stalled reports whether the core is inside an injected stall at now.
-func (c *Core) Stalled(now sim.Time) bool { return now < c.stallUntil }
 
 // poll implements the driver loop: gather a burst of visible
 // descriptors and process it. When idle, a polling driver re-polls

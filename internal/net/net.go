@@ -265,20 +265,27 @@ func (l *Link) Receive(s *sim.Simulator, p *pkt.Packet) {
 	l.busyUntil = end
 	l.stats.BusyTime += tx
 
-	deliverAt := end.Add(l.cfg.Delay)
 	s.AtArgNamed(end, "link-tx", linkTxEv, sim.Arg{Obj: l})
+	l.propagate(s, end.Add(l.cfg.Delay), now, now, p)
+}
+
+// propagate schedules p's arrival at the far end at deliverAt. sendAt
+// is the cross-domain merge key's send time, arrival the packet's
+// arrival at this link (the start of its traced link span). Both
+// egress modes, FIFO and scheduled, deliver through it.
+func (l *Link) propagate(s *sim.Simulator, deliverAt, sendAt, arrival sim.Time, p *pkt.Packet) {
 	if l.xOut != nil {
 		// Event-domain edge: park the frame in the mailbox for the next
 		// barrier flush and keep the delivery-side accounting local via
 		// linkXDoneEv at the instant the far side receives it.
-		l.xOut.add(deliverAt, now, l, p)
+		l.xOut.add(deliverAt, sendAt, l, p)
 		s.AtArgNamed(deliverAt, "link-xdone", linkXDoneEv,
 			sim.Arg{Obj: l, U0: uint64(p.Len())})
 		p.Release()
 		return
 	}
 	s.AtArgNamed(deliverAt, "link-deliver", linkDeliverEv,
-		sim.Arg{Obj: l, Obj2: p, U0: uint64(now)})
+		sim.Arg{Obj: l, Obj2: p, U0: uint64(arrival)})
 }
 
 // aqmDrop runs the CoDel control law on one arrival: sojourn is the

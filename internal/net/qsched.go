@@ -9,9 +9,9 @@
 // Accounting in scheduled mode: TxPackets/TxBytes/BusyTime count at
 // dequeue-commit (when a packet is accepted into the serializer), so
 // the conservation invariant "offered = TxPackets + TailDrops +
-// DownDrops + AQMDrops" still holds after a drain. The delivery path
-// beyond the serializer — propagation, cross-domain mailboxes, trace
-// spans — is byte-for-byte the legacy one.
+// DownDrops + AQMDrops" still holds after a drain. Beyond the
+// serializer both modes share one delivery path (Link.propagate):
+// propagation, cross-domain mailboxes and trace spans.
 
 package net
 
@@ -180,24 +180,14 @@ func (l *Link) schedNext(s *sim.Simulator) {
 }
 
 // linkQTxEv finishes one scheduled packet's serialization: Arg.Obj is
-// the *Link, Obj2 the *pkt.Packet, U0 the link-arrival time. Delivery
-// is exactly the legacy path (propagation event or cross-domain
-// mailbox), then the serializer picks again.
+// the *Link, Obj2 the *pkt.Packet, U0 the link-arrival time. The
+// packet propagates through Link.propagate (a propagation event or a
+// cross-domain mailbox), then the serializer picks again.
 func linkQTxEv(sm *sim.Simulator, a sim.Arg) {
 	l := a.Obj.(*Link)
-	p := a.Obj2.(*pkt.Packet)
 	l.qlen--
 	now := sm.Now()
-	deliverAt := now.Add(l.cfg.Delay)
-	if l.xOut != nil {
-		l.xOut.add(deliverAt, now, l, p)
-		sm.AtArgNamed(deliverAt, "link-xdone", linkXDoneEv,
-			sim.Arg{Obj: l, U0: uint64(p.Len())})
-		p.Release()
-	} else {
-		sm.AtArgNamed(deliverAt, "link-deliver", linkDeliverEv,
-			sim.Arg{Obj: l, Obj2: p, U0: a.U0})
-	}
+	l.propagate(sm, now.Add(l.cfg.Delay), now, sim.Time(a.U0), a.Obj2.(*pkt.Packet))
 	l.qs.serializing = false
 	l.schedNext(sm)
 }

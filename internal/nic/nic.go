@@ -474,22 +474,12 @@ func (n *NIC) traceDrop(s *sim.Simulator, p *pkt.Packet, coreID int, reason stri
 }
 
 // Transmit performs the egress path for a zero-copy forwarder: paced
-// PCIe reads of the packet's lines, then the done callback (used by
-// the software stack to recycle the buffer). Descriptor bookkeeping on
-// TX is folded into the per-line reads.
-func (n *NIC) Transmit(s *sim.Simulator, payload mem.Region, done func(sim.Time)) {
-	end := n.transmitLines(s, payload)
-	n.stats.TxPackets++
-	if done != nil {
-		s.AtArgNamed(end, "tx-done", txDoneEv, sim.Arg{Obj: done})
-	}
-}
-
-// TransmitArg is Transmit with an argful completion event instead of a
-// callback: fn fires at TX-DMA completion with arg. With a
-// package-level fn this makes the whole egress schedule
-// allocation-free (see cpu.Env.TransmitAndFree).
-func (n *NIC) TransmitArg(s *sim.Simulator, payload mem.Region, fn sim.ArgEvent, arg sim.Arg) {
+// PCIe reads of the packet's lines, then the completion event fn (nil
+// for none) fires with arg — the software stack uses it to recycle
+// the buffer. Descriptor bookkeeping on TX is folded into the
+// per-line reads. With a package-level fn the whole egress schedule
+// is allocation-free (see cpu.Env.TransmitAndFree).
+func (n *NIC) Transmit(s *sim.Simulator, payload mem.Region, fn sim.ArgEvent, arg sim.Arg) {
 	end := n.transmitLines(s, payload)
 	n.stats.TxPackets++
 	if fn != nil {
@@ -530,14 +520,6 @@ func dmaReadBurstEv(sm *sim.Simulator, a sim.Arg) {
 			return
 		}
 	}
-}
-
-// txDoneEv invokes a caller-supplied TX completion callback stored in
-// Arg.Obj. (The callback itself is the caller's allocation; the
-// zero-allocation forwarding path uses cpu.Env.TransmitAndFree, which
-// needs no callback at all.)
-func txDoneEv(sm *sim.Simulator, a sim.Arg) {
-	a.Obj.(func(sim.Time))(sm.Now())
 }
 
 // RegisterMetrics registers the NIC counter set under prefix (e.g.

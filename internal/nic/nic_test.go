@@ -389,8 +389,9 @@ func TestTransmitPacedReadsAndCompletion(t *testing.T) {
 	n, sink, s := newNIC(t, 1, 16)
 	region := mem.Region{Base: 0x200000, Size: 1514}
 	var doneAt sim.Time
+	done := func(sm *sim.Simulator, a sim.Arg) { *a.Obj.(*sim.Time) = sm.Now() }
 	s.At(0, func(sm *sim.Simulator) {
-		n.Transmit(sm, region, func(at sim.Time) { doneAt = at })
+		n.Transmit(sm, region, done, sim.Arg{Obj: &doneAt})
 	})
 	s.Run()
 	if len(sink.reads) != 24 {

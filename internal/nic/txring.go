@@ -88,18 +88,10 @@ func (n *NIC) PrepareTX(q int) *TXSlot {
 // KickTX performs the NIC side of the egress path for a slot returned
 // by PrepareTX: fetch the TX descriptor (PCIe reads), fetch the
 // payload (PCIe reads — invalidating MLC copies per Fig. 1), and write
-// a completion back into the descriptor (a DDIO write). done fires
-// once the completion lands.
-func (n *NIC) KickTX(s *sim.Simulator, q int, slot *TXSlot, payload mem.Region, done func(sim.Time)) {
-	end := n.kickTX(s, q, slot, payload)
-	if done != nil {
-		s.AtArgNamed(end, "tx-done", txDoneEv, sim.Arg{Obj: done})
-	}
-}
-
-// KickTXArg is KickTX with an argful completion event instead of a
-// callback (the allocation-free form; see NIC.TransmitArg).
-func (n *NIC) KickTXArg(s *sim.Simulator, q int, slot *TXSlot, payload mem.Region, fn sim.ArgEvent, arg sim.Arg) {
+// a completion back into the descriptor (a DDIO write). The
+// completion event fn (nil for none) fires with arg once the
+// completion lands (see NIC.Transmit).
+func (n *NIC) KickTX(s *sim.Simulator, q int, slot *TXSlot, payload mem.Region, fn sim.ArgEvent, arg sim.Arg) {
 	end := n.kickTX(s, q, slot, payload)
 	if fn != nil {
 		s.AtArgNamed(end, "tx-done", fn, arg)

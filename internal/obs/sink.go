@@ -193,15 +193,17 @@ func (s *ChromeSink) Close() error {
 	return nil
 }
 
-// CSVSink writes one row per completed packet in the column layout
-// cmd/idiotrace has always produced; all other event kinds are
-// ignored. Rows appear in completion order.
+// CSVSink writes one row per completed packet (the layout of
+// CSVHeader); all other event kinds are ignored. Rows appear in
+// completion order. idiosim writes it for a -trace path ending in
+// .csv.
 type CSVSink struct {
 	w      *bufio.Writer
 	closer io.Closer
 }
 
-// CSVHeader is the per-packet column layout shared with idiotrace.
+// CSVHeader is the per-packet column layout: ids, stage timestamps,
+// then the notification, queueing, service and total latencies.
 const CSVHeader = "core,seq,arrival_us,ready_us,start_us,done_us,notify_us,queue_us,service_us,total_us"
 
 // NewCSVSink writes per-packet CSV to w. If w is an io.Closer it is

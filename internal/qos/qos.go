@@ -85,8 +85,9 @@ type ClassPolicy struct {
 }
 
 // Config is the full per-class policy table. A nil *Config anywhere in
-// the stack means QoS is disarmed and the legacy single-class path
-// runs unchanged.
+// the stack means QoS is disarmed: links keep their FIFO egress queue,
+// the NIC leaves every packet in class 0 and DDIO uses the host-wide
+// way mask.
 type Config struct {
 	Classes [NumClasses]ClassPolicy
 	// Quantum is the WRR byte quantum per weight unit (0 = 2048,

@@ -256,8 +256,8 @@ type Scenario struct {
 	Antagonist *Antagonist `json:"antagonist,omitempty"`
 	Topology   *Topology   `json:"topology,omitempty"`
 
-	// QoS arms the service-class pipeline; omit for the single-class
-	// legacy data plane (see QoSSpec).
+	// QoS arms the service-class pipeline; omit it and every link keeps
+	// one FIFO egress queue and the host one DDIO way mask (see QoSSpec).
 	QoS *QoSSpec `json:"qos,omitempty"`
 
 	// Chaos schedules deterministic fault phases (fault.Phase) across

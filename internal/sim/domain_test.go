@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -61,8 +62,8 @@ func TestEngineEpochBarriers(t *testing.T) {
 
 // TestEngineIdleStopsAtCheckpoint checks that the until-idle predicate
 // is consulted only at checkpoint multiples — the contract that keeps
-// sharded runs stopping at exactly the same instant as the
-// single-simulator 100 µs slicing loop.
+// sharded runs stopping at exactly the same instant as one-domain
+// runs, whose epochs end only at the 100 µs checkpoints.
 func TestEngineIdleStopsAtCheckpoint(t *testing.T) {
 	a := New()
 	done := false
@@ -137,14 +138,122 @@ func TestEnginePending(t *testing.T) {
 	}
 }
 
-// TestEngineLookaheadValidation rejects a non-positive window: with
-// zero lookahead a handoff could land inside the very epoch that
-// produced it, after its delivery time has already passed.
+// TestEngineLookaheadValidation rejects a non-positive window once an
+// engine has two domains: with zero lookahead a handoff could land
+// inside the very epoch that produced it, after its delivery time has
+// already passed. A lone domain has no cross-domain edge and needs no
+// window.
 func TestEngineLookaheadValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEngine(0, nil) did not panic")
+	for _, w := range []Duration{0, -Microsecond} {
+		e := NewEngine(w, nil)
+		e.AddDomain(&Domain{Name: "a", Sim: New()})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddDomain of a second domain with lookahead %v did not panic", w)
+				}
+			}()
+			e.AddDomain(&Domain{Name: "b", Sim: New()})
+		}()
+	}
+}
+
+// slicingLoop is a reference copy of the until-idle loop that System
+// and Cluster ran before every run became a sim.Engine: run in step
+// slices from time zero and stop after the first slice that ends idle
+// or aborted. It returns the slice end it stopped at.
+func slicingLoop(s *Simulator, horizon, step Duration, idle func() bool) Time {
+	var t Duration
+	for ; t < horizon; t += step {
+		s.RunUntil(Time(t + step))
+		if s.Err() != nil || idle() {
+			return Time(t + step)
 		}
-	}()
-	NewEngine(0, nil)
+	}
+	return Time(t)
+}
+
+// randomWorkload builds a simulator with seeded self-rescheduling event
+// chains that move a work level up and down, and an idle predicate that
+// holds only when the level is zero and a seeded per-checkpoint flip
+// allows it, so runs stop at varying checkpoints. With spin, one chain
+// ends in a zero-delay loop that trips the watchdog.
+func randomWorkload(seed int64, step Duration, spin bool) (*Simulator, func() bool) {
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	s.SetWatchdog(WatchdogConfig{MaxEventsPerInstant: 256})
+	level := 0
+	for c, chains := 0, 1+rng.Intn(8); c < chains; c++ {
+		crng := rand.New(rand.NewSource(rng.Int63()))
+		gap := 1 + crng.Int63n(int64(60*Microsecond))
+		left := crng.Intn(200)
+		var ev func(*Simulator)
+		ev = func(s *Simulator) {
+			if crng.Intn(2) == 0 {
+				level++
+			} else if level > 0 {
+				level--
+			}
+			if left--; left > 0 {
+				s.After(Duration(crng.Int63n(gap)), ev)
+			}
+		}
+		s.At(Time(crng.Int63n(int64(2*Millisecond))), ev)
+	}
+	if spin {
+		var loop func(*Simulator)
+		loop = func(s *Simulator) { s.After(0, loop) }
+		s.At(Time(rng.Int63n(int64(Millisecond))), loop)
+	}
+	flips := make([]bool, 64)
+	for i := range flips {
+		flips[i] = rng.Intn(3) == 0
+	}
+	return s, func() bool { return level == 0 && flips[int(s.Now()/Time(step))%len(flips)] }
+}
+
+// TestEngineMatchesSlicingLoop checks that a one-domain engine with no
+// lookahead, run to the horizon rounded up to a checkpoint, stops where
+// the reference slicing loop stops: the same instant, the same event
+// count, and the same barrier when the watchdog trips.
+func TestEngineMatchesSlicingLoop(t *testing.T) {
+	const step = 100 * Microsecond
+	var tripped, idled, full int
+	for seed := int64(1); seed <= 200; seed++ {
+		spin := seed%3 == 0
+		rng := rand.New(rand.NewSource(-seed))
+		horizon := Duration(1 + rng.Int63n(int64(5*Millisecond)))
+
+		ref, refIdle := randomWorkload(seed, step, spin)
+		refStop := slicingLoop(ref, horizon, step, refIdle)
+
+		s, idle := randomWorkload(seed, step, spin)
+		e := NewEngine(0, nil)
+		e.AddDomain(&Domain{Name: "host", Sim: s})
+		end := Time(horizon)
+		if r := end % Time(step); r != 0 {
+			end += Time(step) - r
+		}
+		err := e.Run(end, step, idle)
+
+		if s.Now() != ref.Now() || s.Processed() != ref.Processed() || e.Now() != refStop {
+			t.Fatalf("seed %d: engine stopped at %v (barrier %v) after %d events, slicing loop at %v (barrier %v) after %d",
+				seed, s.Now(), e.Now(), s.Processed(), ref.Now(), refStop, ref.Processed())
+		}
+		if (err != nil) != (ref.Err() != nil) {
+			t.Fatalf("seed %d: engine error %v, slicing loop error %v", seed, err, ref.Err())
+		}
+		switch {
+		case err != nil:
+			tripped++
+		case e.Now() < end:
+			idled++
+		default:
+			full++
+		}
+	}
+	// Every way a run can end must be exercised.
+	if tripped < 10 || idled < 10 || full < 10 {
+		t.Fatalf("outcomes too skewed: %d watchdog trips, %d idle stops, %d full runs", tripped, idled, full)
+	}
 }

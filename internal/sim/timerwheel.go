@@ -152,9 +152,6 @@ func NewTimerWheel(s *Simulator, gran Duration, slots int) *TimerWheel {
 	return w
 }
 
-// Gran returns the wheel's tick granularity.
-func (w *TimerWheel) Gran() Duration { return w.gran }
-
 // Len returns the number of armed timers.
 func (w *TimerWheel) Len() int { return w.count }
 

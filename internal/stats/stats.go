@@ -60,9 +60,6 @@ func NewTimeline(bucket sim.Duration) *Timeline {
 	return &Timeline{bucket: bucket}
 }
 
-// Bucket returns the bucket width.
-func (tl *Timeline) Bucket() sim.Duration { return tl.bucket }
-
 // Record adds n events at time t.
 func (tl *Timeline) Record(t sim.Time, n uint64) {
 	if t < tl.lo || t >= tl.hi {

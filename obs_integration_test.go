@@ -191,9 +191,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	})
 }
 
-// TestCSVSinkFromScenario checks the idiotrace replacement path: a
-// CSV sink attached through RunOpts yields the historical per-packet
-// layout.
+// TestCSVSinkFromScenario checks the library form of idiosim's
+// -trace x.csv: a CSV sink attached through RunOpts yields the
+// per-packet layout of obs.CSVHeader.
 func TestCSVSinkFromScenario(t *testing.T) {
 	sc := loadMixedNFS(t)
 	var buf bytes.Buffer

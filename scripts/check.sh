@@ -39,6 +39,10 @@ go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.json" -trace-sample 16 \
     -json "$obsdir/results.json" > /dev/null
 go run ./cmd/obscheck "$obsdir/trace.json" "$obsdir/results.json"
+# The same smoke with a .csv trace path writes the per-packet CSV.
+go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
+    -trace "$obsdir/trace.csv" -trace-sample 16 > /dev/null
+test "$(head -n 1 "$obsdir/trace.csv")" = "core,seq,arrival_us,ready_us,start_us,done_us,notify_us,queue_us,service_us,total_us"
 # Golden tables under parallel cells: all 15 pinned -quick tables (rpc,
 # qos, chaos, churn, fig4, fig5, fig9-fig14, breakdown, ablations and
 # degradation) run with -j 2 must match the committed corpus, which

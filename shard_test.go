@@ -312,6 +312,41 @@ func TestClusterShardValidation(t *testing.T) {
 	}
 }
 
+// TestClusterZeroDelayLookahead: an unsharded cluster is one event
+// domain with no cross-domain edge, so zero-delay links need no
+// lookahead window and the cluster builds and drains; from two domains
+// up (every Shards >= 2) the same links are rejected.
+func TestClusterZeroDelayLookahead(t *testing.T) {
+	for _, shards := range []int{0, 1, 2, 3, 4} {
+		cfg := DefaultClusterConfig(2, 2)
+		cfg.Shards = shards
+		cfg.ClientLink.Delay = 0
+		cfg.ServerLink.Delay = 0
+		cl, err := NewCluster(cfg)
+		if shards > 1 {
+			if err == nil {
+				t.Errorf("shards=%d: cluster accepted with zero link delay (no lookahead window)", shards)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("shards=%d: NewCluster: %v", shards, err)
+		}
+		for c := 0; c < 2; c++ {
+			cl.DUT.AddNF(c, apps.L2Fwd{}, cl.DUT.DefaultFlow(c))
+			cl.AddRPCClient(c, c, fnet.ClientConfig{Mode: fnet.ModeClosed, Outstanding: 4, Requests: 64})
+		}
+		res, err := cl.Run(RunOpts{Horizon: 20 * sim.Millisecond, UntilIdle: true})
+		if err != nil {
+			t.Fatalf("shards=%d: Run: %v", shards, err)
+		}
+		if !cl.Idle() || res.RPC.Responses != 128 || res.PktPool.Outstanding != 0 {
+			t.Fatalf("shards=%d: idle=%v responses=%d pool outstanding=%d, want a drained run with 128 responses",
+				shards, cl.Idle(), res.RPC.Responses, res.PktPool.Outstanding)
+		}
+	}
+}
+
 // TestClusterShardedPhaseDomainMismatch: a timeline phase that names
 // the wrong owning domain must fail the run instead of perturbing the
 // wrong timeline.

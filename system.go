@@ -93,17 +93,12 @@ func (rc *rootComplex) DMARead(now sim.Time, line uint64) sim.Duration {
 }
 
 // prefetchAdapter bridges the controller-side prefetcher to the
-// hierarchy's typed API and fans each prefetch outcome out to hooks
-// registered through System.OnPrefetch. It also exposes MLC load so
-// the adaptive prefetcher variant can regulate itself.
+// hierarchy's typed API. It also exposes MLC load so the adaptive
+// prefetcher variant can regulate itself.
 type prefetchAdapter struct{ sys *System }
 
 func (a prefetchAdapter) PrefetchToMLC(now sim.Time, coreID int, line uint64) bool {
-	filled := a.sys.Hier.PrefetchToMLC(now, coreID, mem.LineAddr(line))
-	for _, fn := range a.sys.prefetchHooks {
-		fn(coreID, line, filled)
-	}
-	return filled
+	return a.sys.Hier.PrefetchToMLC(now, coreID, mem.LineAddr(line))
 }
 
 func (a prefetchAdapter) MLCLoadFraction(coreID int) float64 {
@@ -153,8 +148,7 @@ type System struct {
 	layout  *mem.Layout
 	started bool
 
-	obs           *obs.Observer
-	prefetchHooks []func(core int, line uint64, filled bool)
+	obs *obs.Observer
 }
 
 // NewSystem wires a system from the configuration. It panics on an
@@ -467,14 +461,6 @@ func (s *System) OnInvariant(fn func(error)) {
 	}
 }
 
-// OnPrefetch registers an observer for every MLC prefetch attempt
-// (filled reports whether the line was actually installed in the
-// destination core's MLC). Observers accumulate; registration must
-// happen before the run for complete coverage.
-func (s *System) OnPrefetch(fn func(core int, line uint64, filled bool)) {
-	s.prefetchHooks = append(s.prefetchHooks, fn)
-}
-
 // Ports returns every NIC port.
 func (s *System) Ports() []*nic.NIC { return s.ports }
 
@@ -584,22 +570,17 @@ func (s *System) Run(horizon sim.Duration) Results {
 	return s.Collect()
 }
 
-// RunUntilIdle executes until the event queue drains of packet work,
-// bounded by the horizon. Useful for "process one burst to completion"
-// experiments.
+// RunUntilIdle executes until no ring holds packet work, checked at
+// every 100 µs checkpoint and bounded by the horizon (rounded up to a
+// checkpoint), or until the watchdog trips. Useful for "process one
+// burst to completion" experiments. The host runs as a fresh
+// one-domain engine starting from time zero, so checkpoints the clock
+// has already passed cost only an idle check.
 func (s *System) RunUntilIdle(horizon sim.Duration) Results {
 	s.Start()
-	// The polling loops never terminate, so run in slices and stop
-	// when no core has pending ring work.
-	step := 100 * sim.Microsecond
-	for t := sim.Duration(0); t < horizon; t += step {
-		s.Sim.RunUntil(sim.Time(t + step))
-		// A tripped watchdog stops the clock; keeping on slicing would
-		// spin through the horizon doing nothing.
-		if s.Sim.Err() != nil || s.idle() {
-			break
-		}
-	}
+	e := sim.NewEngine(0, nil)
+	e.AddDomain(&sim.Domain{Name: "host", Sim: s.Sim})
+	_ = runUntilIdle(e, horizon, s.idle) // the abort stays readable via Err
 	return s.Collect()
 }
 
