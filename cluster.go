@@ -38,10 +38,10 @@ func ClientIP(i int) pkt.IPv4 { return pkt.IPv4{10, 0, 2, byte(i + 1)} }
 //
 // Every cluster runs on a sim.Engine. With ClusterConfig.Shards <= 1
 // it has one event domain: every host shares one simulator. With
-// Shards >= 2 the DUT, the switch and groups of clients each own a
-// private event domain advancing on its own goroutine, synchronized
-// conservatively at the links (the only legal cross-domain edges);
-// outputs stay byte-identical.
+// Shards >= 2 the DUT, the switch and groups of clients each own an
+// event domain with its own simulator, advanced in turn through
+// conservative epochs and synchronized at the links (the only legal
+// cross-domain edges); outputs stay byte-identical.
 type Cluster struct {
 	// Sim is the DUT's simulator: event domain 0, and the only domain
 	// when unsharded.
@@ -88,14 +88,13 @@ type Cluster struct {
 }
 
 // clusterDomain is one event domain of a cluster: a private
-// simulator, a private packet pool (pkt.Pool is deliberately not
-// concurrency-safe) and the outbox collecting its cross-domain
-// handoffs between barriers (always empty when the cluster has one
-// domain).
+// simulator and the outbox collecting its cross-domain handoffs
+// between barriers (always empty when the cluster has one domain).
+// Every domain draws packets from the DUT's pool: the engine never
+// runs two domains at once.
 type clusterDomain struct {
 	name string
 	sm   *sim.Simulator
-	pool *pkt.Pool
 	out  *fnet.Outbox
 }
 
@@ -208,9 +207,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.ClientUp[i] = fnet.NewLink(lc, cl.Switch)
 		cl.ClientUp[i].SetObserver(o)
 		// Clients and generators feeding this uplink draw their request
-		// packets from the owning domain's pool (the host pool when
-		// unsharded — central leak accounting either way).
-		cl.ClientUp[i].SetPacketPool(cl.doms[cl.clientDomOf[i]].pool)
+		// packets from the host pool at every shard count, so its leak
+		// accounting covers the whole fabric.
+		cl.ClientUp[i].SetPacketPool(dut.PktPool)
 		cl.bindLink(cl.ClientUp[i], cl.clientDomOf[i], cl.switchDom)
 		cl.ClientUp[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.up.", i))
 	}
@@ -237,9 +236,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// domDUT is the DUT's domain index: it always owns domain 0 (it is
-// the heaviest host, so the epoch coordinator runs it inline). When
-// sharded, the switch owns domain 1 and client groups fill 2..N-1.
+// domDUT is the DUT's domain index: it always owns domain 0, the
+// shared simulator of an unsharded cluster. When sharded, the switch
+// owns domain 1 and client groups fill 2..N-1.
 const domDUT = 0
 
 // buildDomains partitions the cluster into event domains — one when
@@ -264,9 +263,9 @@ func (cl *Cluster) buildDomains() {
 	for i, name := range names {
 		d := &clusterDomain{name: name, out: fnet.NewOutbox(i)}
 		if i == domDUT {
-			d.sm, d.pool = cl.Sim, cl.DUT.PktPool
+			d.sm = cl.Sim
 		} else {
-			d.sm, d.pool = sim.New(), pkt.NewPool(0)
+			d.sm = sim.New()
 			if cfg.Host.Watchdog != nil {
 				d.sm.SetWatchdog(*cfg.Host.Watchdog)
 			}
@@ -313,7 +312,7 @@ func (cl *Cluster) bindLink(l *fnet.Link, src, dst int) {
 	if src == dst {
 		return
 	}
-	l.BindCrossDomain(cl.doms[src].out, cl.doms[dst].sm, cl.doms[dst].pool)
+	l.BindCrossDomain(cl.doms[src].out, cl.doms[dst].sm)
 }
 
 // attachFaultLink registers l as a fault target and records its

@@ -60,7 +60,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "with -trace, follow every Nth packet")
 	metricsInterval := flag.Duration("metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
 	metricsPath := flag.String("metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
-	shards := flag.Int("shards", 0, "partition a -scenario topology into this many parallel event domains (0 = use the scenario's setting; output is byte-identical across shard counts)")
+	shards := flag.Int("shards", 0, "partition a -scenario topology into this many event domains, run in turn on one goroutine (0 = use the scenario's setting; output is byte-identical across shard counts)")
 	reportPath := flag.String("report", "", "regenerate everything and write a markdown report to this path")
 	flag.Parse()
 

@@ -141,14 +141,16 @@ type ClusterConfig struct {
 	// and drop breakdowns. Nil keeps the single-class fabric and the
 	// exact historical outputs.
 	QoS *qos.Config
-	// Shards partitions the cluster into parallel event domains, each
-	// advancing on its own goroutine and synchronized conservatively at
-	// link boundaries (lookahead = the minimum link propagation delay;
-	// see DESIGN.md "Sharded event domains"). 0 or 1 run every host in
-	// one domain on one simulator. N >= 2 gives the DUT and the switch
-	// one domain each and spreads the client hosts over the remaining
-	// N-2 (at least one) domains. Results and stats output are
-	// byte-identical across shard counts; only wall-clock time changes.
+	// Shards partitions the cluster into event domains, each with its
+	// own simulator, advanced in turn on one goroutine through
+	// conservative epochs synchronized at link boundaries (lookahead =
+	// the minimum link propagation delay; see DESIGN.md "Sharded event
+	// domains"). 0 or 1 run every host in one domain on one simulator.
+	// N >= 2 gives the DUT and the switch one domain each and spreads
+	// the client hosts over the remaining N-2 (at least one) domains.
+	// Results and stats output are byte-identical across shard counts;
+	// only host time changes, and sharding costs more of it than one
+	// domain.
 	Shards int
 }
 

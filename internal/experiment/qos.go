@@ -70,8 +70,8 @@ type QoSOpts struct {
 	RingSize int
 	MLCSize  int
 	LLCSize  int
-	// Shards partitions each cell's cluster into parallel event
-	// domains (0/1 = single simulator); outputs are identical.
+	// Shards partitions each cell's cluster into event domains (0/1 =
+	// single simulator); outputs are identical.
 	Shards int
 	// Parallelism bounds the worker pool over independent cells.
 	Parallelism int

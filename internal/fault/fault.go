@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"idio/internal/cpu"
 	"idio/internal/dram"
@@ -412,11 +411,6 @@ type Injector struct {
 	fabricDegrades stats.Counter
 	timelinePhases stats.Counter
 
-	// phaseMu serialises applyPhase's shared counters when a sharded
-	// cluster runs timeline phases on concurrent domain goroutines
-	// (each phase still only touches components its domain owns).
-	phaseMu sync.Mutex
-
 	started          bool
 	timelineExternal bool
 }
@@ -667,8 +661,6 @@ func (in *Injector) SchedulePhases(s *sim.Simulator, keep func(Phase) bool) {
 // start+duration. Phases draw nothing from the rng, so a timeline is
 // deterministic regardless of what else is configured.
 func (in *Injector) applyPhase(sm *sim.Simulator, ph Phase) {
-	in.phaseMu.Lock()
-	defer in.phaseMu.Unlock()
 	switch ph.Layer {
 	case "fabric":
 		if ph.Target >= len(in.links) {

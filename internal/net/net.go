@@ -127,12 +127,11 @@ type Link struct {
 	pktPool *pkt.Pool
 
 	// Cross-domain binding (BindCrossDomain): when xOut is non-nil the
-	// link is an event-domain edge — accepted packets are copied into
+	// link is an event-domain edge — accepted packets are parked in
 	// the source domain's outbox instead of being scheduled into the
 	// destination's (foreign) simulator.
-	xOut     *Outbox
-	xDstSim  *sim.Simulator
-	xDstPool *pkt.Pool
+	xOut    *Outbox
+	xDstSim *sim.Simulator
 
 	// qs, when non-nil, switches the egress to scheduled mode: per-class
 	// queues under a strict-priority + WRR scheduler (see qsched.go).
@@ -275,13 +274,12 @@ func (l *Link) Receive(s *sim.Simulator, p *pkt.Packet) {
 // egress modes, FIFO and scheduled, deliver through it.
 func (l *Link) propagate(s *sim.Simulator, deliverAt, sendAt, arrival sim.Time, p *pkt.Packet) {
 	if l.xOut != nil {
-		// Event-domain edge: park the frame in the mailbox for the next
+		// Event-domain edge: park the packet in the mailbox for the next
 		// barrier flush and keep the delivery-side accounting local via
 		// linkXDoneEv at the instant the far side receives it.
 		l.xOut.add(deliverAt, sendAt, l, p)
 		s.AtArgNamed(deliverAt, "link-xdone", linkXDoneEv,
 			sim.Arg{Obj: l, U0: uint64(p.Len())})
-		p.Release()
 		return
 	}
 	s.AtArgNamed(deliverAt, "link-deliver", linkDeliverEv,

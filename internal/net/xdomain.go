@@ -2,8 +2,8 @@
 // event domains, links are the only legal edge between domains. The
 // source side of a bound link runs exactly the single-domain queueing,
 // serialization and accounting, but instead of scheduling the delivery
-// into a foreign simulator it copies the frame into its domain's
-// Outbox. At every epoch barrier the coordinator drains all outboxes,
+// into a foreign simulator it parks the packet in its domain's Outbox.
+// At every epoch barrier the engine's flush drains all outboxes,
 // sorts the accumulated entries by the canonical merge key
 // (deliveryTime, sendTime, srcDomain, srcSeq) and injects them into
 // the destination domains. The order is deterministic but not always
@@ -31,28 +31,22 @@ type XEntry struct {
 	// domain's index and a per-outbox monotone sequence.
 	Src int
 	Idx uint64
-	// Link is the crossing edge; its destination endpoint, simulator
-	// and packet pool were fixed by BindCrossDomain.
+	// Link is the crossing edge; its destination endpoint and
+	// simulator were fixed by BindCrossDomain.
 	Link *Link
-	// Seq and Arrival reproduce the packet's identity on the far side;
-	// Frame is a private copy of the bytes (the source packet returns
-	// to its own domain's pool at handoff).
-	Seq     uint64
-	Arrival int64
-	Frame   []byte
-
-	owner *Outbox
+	// Pkt is the packet itself, handed to the far side as is: domains
+	// never run at once, so the packet (and the pool it returns to)
+	// needs no copy to cross.
+	Pkt *pkt.Packet
 }
 
 // Outbox accumulates one domain's outbound cross-domain handoffs
 // during an epoch. It is owned by the producing domain while an epoch
-// runs and by the barrier coordinator between epochs; it needs no
-// locking. Frame buffers are recycled through a free list, so the
-// steady state adds no allocations.
+// runs and by the barrier flush between epochs. Its entry slice is
+// reused across barriers, so the steady state adds no allocations.
 type Outbox struct {
 	domain  int
 	entries []XEntry
-	spare   [][]byte
 	idx     uint64
 }
 
@@ -63,33 +57,25 @@ func NewOutbox(domain int) *Outbox { return &Outbox{domain: domain} }
 // parked outside any simulator (sim.Domain.PendingExternal).
 func (o *Outbox) Pending() int { return len(o.entries) }
 
-// add copies p into the outbox. The caller releases p afterwards.
+// add parks p in the outbox until the next flush hands it over.
 func (o *Outbox) add(deliverAt, sendAt sim.Time, l *Link, p *pkt.Packet) {
-	var buf []byte
-	if n := len(o.spare); n > 0 {
-		buf = o.spare[n-1][:0]
-		o.spare = o.spare[:n-1]
-	}
-	buf = append(buf, p.Frame...)
 	o.entries = append(o.entries, XEntry{
 		DeliverAt: deliverAt, SendAt: sendAt,
 		Src: o.domain, Idx: o.idx,
-		Link: l, Seq: p.Seq, Arrival: p.ArrivalTimePS,
-		Frame: buf, owner: o,
+		Link: l, Pkt: p,
 	})
 	o.idx++
 }
 
 // BindCrossDomain marks the link as an event-domain boundary: packets
-// it accepts are copied into the source domain's outbox and
-// re-materialized from the destination domain's packet pool when the
-// coordinator flushes the mailboxes. dstSim must be the simulator of
-// the domain owning the link's destination endpoint.
-func (l *Link) BindCrossDomain(out *Outbox, dstSim *sim.Simulator, dstPool *pkt.Pool) {
-	if out == nil || dstSim == nil || dstPool == nil {
-		panic(fmt.Sprintf("net: link %q cross-domain binding needs outbox, destination simulator and pool", l.cfg.Name))
+// it accepts are parked in the source domain's outbox and delivered
+// into dstSim when the engine flushes the mailboxes. dstSim must be
+// the simulator of the domain owning the link's destination endpoint.
+func (l *Link) BindCrossDomain(out *Outbox, dstSim *sim.Simulator) {
+	if out == nil || dstSim == nil {
+		panic(fmt.Sprintf("net: link %q cross-domain binding needs outbox and destination simulator", l.cfg.Name))
 	}
-	l.xOut, l.xDstSim, l.xDstPool = out, dstSim, dstPool
+	l.xOut, l.xDstSim = out, dstSim
 }
 
 // CrossDomain reports whether the link crosses an event-domain
@@ -130,14 +116,8 @@ func Flush(outboxes []*Outbox, scratch *[]XEntry) {
 	})
 	for i := range all {
 		e := &all[i]
-		l := e.Link
-		p := l.xDstPool.Get(len(e.Frame))
-		copy(p.Frame, e.Frame)
-		p.Seq = e.Seq
-		p.ArrivalTimePS = e.Arrival
-		l.xDstSim.AtArgNamed(e.DeliverAt, "xdom-deliver", xDeliverEv, sim.Arg{Obj: l, Obj2: p})
-		e.owner.spare = append(e.owner.spare, e.Frame)
-		e.Frame, e.owner, e.Link = nil, nil, nil
+		e.Link.xDstSim.AtArgNamed(e.DeliverAt, "xdom-deliver", xDeliverEv, sim.Arg{Obj: e.Link, Obj2: e.Pkt})
+		e.Link, e.Pkt = nil, nil
 	}
 	*scratch = all[:0]
 }

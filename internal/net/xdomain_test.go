@@ -20,12 +20,6 @@ func (k *seqSink) Receive(s *sim.Simulator, p *pkt.Packet) {
 	p.Release()
 }
 
-// releaseSink frees every delivered packet without recording anything,
-// so allocation measurements see only the handoff machinery.
-type releaseSink struct{}
-
-func (releaseSink) Receive(_ *sim.Simulator, p *pkt.Packet) { p.Release() }
-
 // runEpochs mimics the engine's barrier loop for two simulators: run
 // both to each barrier, then flush the outboxes.
 func runEpochs(src, dst *sim.Simulator, horizon sim.Time, lookahead sim.Duration, outboxes []*Outbox, scratch *[]XEntry) {
@@ -61,7 +55,7 @@ func TestCrossDomainEquivalence(t *testing.T) {
 	srcSim, dstSim := sim.New(), sim.New()
 	xSink := &seqSink{}
 	x := NewLink(lcfg, xSink)
-	x.BindCrossDomain(NewOutbox(0), dstSim, pkt.NewPool(0))
+	x.BindCrossDomain(NewOutbox(0), dstSim)
 	if !x.CrossDomain() {
 		t.Fatal("CrossDomain false after binding")
 	}
@@ -99,7 +93,7 @@ func TestFlushMergeOrder(t *testing.T) {
 	mk := func(domain int) (*Link, *Outbox) {
 		l := NewLink(LinkConfig{Name: "x", RateBps: 100e9, Delay: sim.Microsecond}, sink)
 		out := NewOutbox(domain)
-		l.BindCrossDomain(out, dstSim, pool)
+		l.BindCrossDomain(out, dstSim)
 		return l, out
 	}
 	l1, o1 := mk(1)
@@ -134,32 +128,44 @@ func TestFlushMergeOrder(t *testing.T) {
 	}
 }
 
-// TestOutboxRecycling checks the steady state allocates nothing: frame
-// buffers return to the free list at flush, and the scratch slice is
-// reused across barriers.
+// handSink records the last packet it was handed and releases it.
+type handSink struct{ got *pkt.Packet }
+
+func (k *handSink) Receive(_ *sim.Simulator, p *pkt.Packet) {
+	k.got = p
+	p.Release()
+}
+
+// TestOutboxRecycling checks the pointer handoff: the far side receives
+// the very packet the source parked, a warm handoff allocates nothing
+// (the outbox and the flush scratch are reused across barriers), and
+// every packet is back in the shared pool after the drain.
 func TestOutboxRecycling(t *testing.T) {
 	dstSim := sim.New()
 	pool := pkt.NewPool(0)
-	l := NewLink(LinkConfig{Name: "x", RateBps: 100e9, Delay: sim.Microsecond}, releaseSink{})
+	sink := &handSink{}
+	l := NewLink(LinkConfig{Name: "x", RateBps: 100e9, Delay: sim.Microsecond}, sink)
 	out := NewOutbox(0)
-	l.BindCrossDomain(out, dstSim, pool)
+	l.BindCrossDomain(out, dstSim)
 
 	var scratch []XEntry
-	// Warm up one barrier to size the free list and scratch.
-	p := pool.Get(256)
-	out.add(1, 0, l, p)
-	p.Release()
-	Flush([]*Outbox{out}, &scratch)
-	dstSim.RunUntil(2)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		q := pool.Get(256)
-		out.add(dstSim.Now()+1, dstSim.Now(), l, q)
-		q.Release()
+	handoff := func() *pkt.Packet {
+		p := pool.Get(256)
+		out.add(dstSim.Now()+1, dstSim.Now(), l, p)
 		Flush([]*Outbox{out}, &scratch)
 		dstSim.RunUntil(dstSim.Now() + 2)
-	})
+		return p
+	}
+	// The first barrier sizes the outbox and scratch and checks identity.
+	if p := handoff(); sink.got != p {
+		t.Fatalf("far side received %p, want the parked packet %p", sink.got, p)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() { handoff() })
 	if allocs > 0 {
 		t.Errorf("steady-state cross-domain handoff allocates %.1f/op, want 0", allocs)
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Errorf("pool holds %d outstanding packets after drain, want 0", n)
 	}
 }

@@ -226,7 +226,7 @@ type Topology struct {
 	ServerLink TopoLink   `json:"serverLink"`
 	RPC        *RPCSpec   `json:"rpc,omitempty"`
 	Churn      *ChurnSpec `json:"churn,omitempty"`
-	// Shards partitions the cluster into parallel event domains (see
+	// Shards partitions the cluster into event domains (see
 	// idio.ClusterConfig.Shards); 0 or 1 run everything on one
 	// simulator. Output is byte-identical either way. The -shards CLI
 	// flag overrides this field.

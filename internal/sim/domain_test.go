@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -255,5 +256,78 @@ func TestEngineMatchesSlicingLoop(t *testing.T) {
 	// Every way a run can end must be exercised.
 	if tripped < 10 || idled < 10 || full < 10 {
 		t.Fatalf("outcomes too skewed: %d watchdog trips, %d idle stops, %d full runs", tripped, idled, full)
+	}
+}
+
+// ring is a synthetic cross-domain mailbox for TestEngineRunAllocs:
+// each hopper forwards its token to the next domain one lookahead
+// later, through the engine's barrier flush.
+type ring struct {
+	box  []handoff
+	hops int
+}
+
+type handoff struct {
+	to *hopper
+	at Time
+}
+
+type hopper struct {
+	r    *ring
+	sim  *Simulator
+	next *hopper
+}
+
+const ringLookahead = Microsecond
+
+// hopEv is a package-level handler so scheduling it allocates nothing.
+func hopEv(s *Simulator, a Arg) {
+	h := a.Obj.(*hopper)
+	h.r.hops++
+	h.r.box = append(h.r.box, handoff{to: h.next, at: s.Now() + Time(ringLookahead)})
+}
+
+// TestEngineRunAllocs checks that a warm multi-domain Engine.Run
+// allocates nothing per call: three domains trade tokens through a
+// barrier flush, and the mailbox and event queues are reused.
+func TestEngineRunAllocs(t *testing.T) {
+	r := &ring{}
+	sims := []*Simulator{New(), New(), New()}
+	hs := make([]*hopper, len(sims))
+	for i, s := range sims {
+		hs[i] = &hopper{r: r, sim: s}
+	}
+	for i, h := range hs {
+		h.next = hs[(i+1)%len(hs)]
+	}
+	flush := func() {
+		for _, h := range r.box {
+			h.to.sim.AtArgNamed(h.at, "hop", hopEv, Arg{Obj: h.to})
+		}
+		r.box = r.box[:0]
+	}
+	e := NewEngine(ringLookahead, flush)
+	for i, s := range sims {
+		e.AddDomain(&Domain{Name: fmt.Sprintf("d%d", i), Sim: s})
+		// Stagger the tokens so every epoch carries traffic.
+		s.AtArgNamed(Time(i+1)*Time(ringLookahead)/4, "hop", hopEv, Arg{Obj: hs[i]})
+	}
+	const span = 10 * ringLookahead
+	if err := e.Run(e.Now()+Time(span), 0, nil); err != nil {
+		t.Fatalf("warm-up Run: %v", err)
+	}
+	before := r.hops
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Run(e.Now()+Time(span), 0, nil); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Engine.Run allocates %.1f per call, want 0", allocs)
+	}
+	// AllocsPerRun makes one extra warm-up call: 101 calls of 10 epochs,
+	// each moving all three tokens once per epoch.
+	if got, want := r.hops-before, 101*10*len(sims); got != want {
+		t.Errorf("%d hops across the measured runs, want %d", got, want)
 	}
 }

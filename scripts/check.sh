@@ -14,9 +14,10 @@ go test -race ./internal/...
 GOMAXPROCS=2 go test -race ./internal/experiment
 GOMAXPROCS=2 go test -race ./internal/net
 GOMAXPROCS=2 go test -race ./internal/fault
-# Race pass over the sharded event-domain engine: the epoch barrier
-# handshake and cross-domain mailbox flushes are the only goroutine
-# synchronization in the simulator; drive them hard under the detector.
+# Race pass over the sharded event-domain engine and sharded clusters.
+# The engine runs every domain on the caller's goroutine, so the
+# detector here guards against any goroutine creeping back into the
+# epoch loop, the mailbox flushes or the shared packet pool.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestEngine' ./internal/sim
 GOMAXPROCS=4 go test -race -count=1 -run 'TestClusterShard|TestClusterRunOpts' .
 go test -run '^$' -bench . -benchtime=1x ./...
@@ -33,12 +34,9 @@ go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRe
 go test -run '^$' -bench 'BenchmarkLinkTransit|BenchmarkSwitchForward' -benchtime=1x -benchmem ./internal/net
 # Observability smoke: run a short traced scenario and validate that
 # the Chrome trace and the metrics JSON both parse.
+go test -run 'TestObsArtifactsParse' -count=1 ./cmd/idiosim
 obsdir=$(mktemp -d)
 trap 'rm -rf "$obsdir"' EXIT
-go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
-    -trace "$obsdir/trace.json" -trace-sample 16 \
-    -json "$obsdir/results.json" > /dev/null
-go run ./cmd/obscheck "$obsdir/trace.json" "$obsdir/results.json"
 # The same smoke with a .csv trace path writes the per-packet CSV.
 go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.csv" -trace-sample 16 > /dev/null
@@ -71,19 +69,22 @@ cmp "$obsdir/qos1.out" "$obsdir/qos4.out"
 cmp "$obsdir/qos1.stats" "$obsdir/qos4.stats"
 # Chaos smoke: the chaos scenario — timeline phases scheduled on the
 # domain owning each target — must stay byte-identical between
-# single-domain and sharded runs, and its drained run must hold the
+# single-domain and sharded runs, and both drained runs must hold the
 # pool-leak gate: a leak surfaces as the "pkt pool: outstanding=" line,
-# absent when healthy.
+# absent when healthy. Every domain draws from the host pool, so the
+# sharded run's gate covers switch- and client-side packets too.
 go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json \
     -stats "$obsdir/chaos1.stats" > "$obsdir/chaos_scenario.txt"
 go run ./cmd/idiosim -scenario scenarios/chaos_recovery.json -shards 4 \
     -stats "$obsdir/chaos4.stats" > "$obsdir/chaos4.out"
 cmp "$obsdir/chaos_scenario.txt" "$obsdir/chaos4.out"
 cmp "$obsdir/chaos1.stats" "$obsdir/chaos4.stats"
-if grep -q "pkt pool: outstanding=" "$obsdir/chaos_scenario.txt"; then
-    echo "chaos scenario leaked packets" >&2
-    exit 1
-fi
+for out in chaos_scenario.txt chaos4.out; do
+    if grep -q "pkt pool: outstanding=" "$obsdir/$out"; then
+        echo "chaos scenario leaked packets ($out)" >&2
+        exit 1
+    fi
+done
 # Churn smoke: the churn scenario — whose per-flow state lives in the
 # compact flow table with every deadline on the hashed timer wheel —
 # must stay byte-identical between single-domain and sharded runs,

@@ -9,14 +9,14 @@ import (
 	"idio/internal/sim"
 )
 
-// BenchmarkClusterSharded measures the wall-clock scaling of the
-// sharded event-domain engine: the same closed-loop RPC workload run
-// on one shared simulator (shards=1) and partitioned into parallel
-// domains. Results are byte-identical across the shard axis (see
-// TestClusterShardedByteIdentical); only wall-clock time may differ.
-// Small frames keep the per-packet DUT work light, so the client- and
-// switch-side event load — the part sharding takes off the critical
-// path — dominates as the client count grows.
+// BenchmarkClusterSharded measures the host cost of the sharded
+// event-domain engine: the same closed-loop RPC workload run on one
+// shared simulator (shards=1) and partitioned into event domains that
+// one goroutine advances in turn. Results are byte-identical across
+// the shard axis (see TestClusterShardedByteIdentical); only host time
+// may differ. Small frames keep the per-packet DUT work light, so the
+// client- and switch-side event load, which crosses the domain
+// mailboxes, dominates as the client count grows.
 func BenchmarkClusterSharded(b *testing.B) {
 	for _, clients := range []int{1, 4, 16, 64} {
 		for _, shards := range []int{1, 4, 8} {
