@@ -271,15 +271,14 @@ func (l *Link) Receive(s *sim.Simulator, p *pkt.Packet) {
 // propagate schedules p's arrival at the far end at deliverAt. sendAt
 // is the cross-domain merge key's send time, arrival the packet's
 // arrival at this link (the start of its traced link span). Both
-// egress modes, FIFO and scheduled, deliver through it.
+// egress modes, FIFO and scheduled, deliver through it. On an
+// event-domain edge the packet is parked in the mailbox for the next
+// barrier flush instead, and the one delivery event the flush files in
+// the destination domain also does this link's delivery accounting
+// (xDeliverEv): the source domain schedules nothing.
 func (l *Link) propagate(s *sim.Simulator, deliverAt, sendAt, arrival sim.Time, p *pkt.Packet) {
 	if l.xOut != nil {
-		// Event-domain edge: park the packet in the mailbox for the next
-		// barrier flush and keep the delivery-side accounting local via
-		// linkXDoneEv at the instant the far side receives it.
 		l.xOut.add(deliverAt, sendAt, l, p)
-		s.AtArgNamed(deliverAt, "link-xdone", linkXDoneEv,
-			sim.Arg{Obj: l, U0: uint64(p.Len())})
 		return
 	}
 	s.AtArgNamed(deliverAt, "link-deliver", linkDeliverEv,

@@ -162,11 +162,47 @@ func TestSwitchRouting(t *testing.T) {
 }
 
 // echoEndpoint bounces every request back as its response through a
-// reply link — a one-packet-deep stand-in for the DUT.
+// reply link — a one-packet-deep stand-in for the DUT. The request
+// packet is rewritten in place into its reply, so the client releases
+// it back to its pool and a warm round trip allocates nothing.
 type echoEndpoint struct{ reply *Link }
 
 func (e *echoEndpoint) Receive(s *sim.Simulator, p *pkt.Packet) {
-	e.reply.Receive(s, pkt.EchoResponse(p))
+	e.reply.Receive(s, pkt.EchoInto(p, p))
+}
+
+// TestClientRoundTripAllocs asserts the closed loop behind
+// BenchmarkClientRoundTrip stays off the heap once warm: request
+// pacing, both link transits, the echo, response matching and latency
+// recording allocate nothing per round trip.
+func TestClientRoundTripAllocs(t *testing.T) {
+	s := sim.New()
+	echo := &echoEndpoint{}
+	up := NewLink(LinkConfig{Name: "up", RateBps: 100e9, Delay: sim.Microsecond, QueueDepth: 64}, echo)
+	c := NewClient(ClientConfig{
+		Flow: testFlow(1514), Mode: ModeClosed, Outstanding: 4, Requests: 1 << 30,
+	}, up)
+	echo.reply = NewLink(LinkConfig{Name: "down", RateBps: 100e9, Delay: sim.Microsecond, QueueDepth: 64}, c)
+	c.Start(s)
+	now := sim.Time(200 * sim.Microsecond)
+	s.RunUntil(now)
+	warm := c.Responses()
+	if warm == 0 {
+		t.Fatal("warm-up answered no requests")
+	}
+	const step = 20 * sim.Microsecond
+	avg := testing.AllocsPerRun(100, func() {
+		now = now.Add(step)
+		s.RunUntil(now)
+	})
+	reqs := c.Responses() - warm
+	if reqs == 0 {
+		t.Fatal("measured window answered no requests")
+	}
+	if avg != 0 {
+		t.Fatalf("%.2f allocs per %v slice (%d round trips measured): the warm closed loop must not allocate",
+			avg, step, reqs)
+	}
 }
 
 // TestClientClosedLoop runs a closed-loop client against a loopback

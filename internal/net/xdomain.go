@@ -1,16 +1,18 @@
 // Cross-domain link plumbing: when a Cluster is sharded into multiple
 // event domains, links are the only legal edge between domains. The
-// source side of a bound link runs exactly the single-domain queueing,
-// serialization and accounting, but instead of scheduling the delivery
-// into a foreign simulator it parks the packet in its domain's Outbox.
-// At every epoch barrier the engine's flush drains all outboxes,
-// sorts the accumulated entries by the canonical merge key
-// (deliveryTime, sendTime, srcDomain, srcSeq) and injects them into
-// the destination domains. The order is deterministic but not always
-// the shared simulator's: that one serves same-instant sends in the
-// order their send events were scheduled, while the key breaks the
-// tie by source domain, so per-client timing can differ across shard
-// counts (aggregate outputs have stayed identical).
+// source side of a bound link runs exactly the single-domain queueing
+// and serialization, but instead of scheduling the delivery into a
+// foreign simulator it parks the packet in its domain's Outbox. At
+// every epoch barrier the engine's flush drains all outboxes, sorts
+// the accumulated entries by the canonical merge key (deliveryTime,
+// sendTime, srcDomain, srcSeq) and injects each into its destination
+// domain as one delivery event, which also does the link's delivery
+// accounting (xDeliverEv) — so a crossing costs the same number of
+// events as an in-domain hop. The order is deterministic but not
+// always the shared simulator's: that one serves same-instant sends in
+// the order their send events were scheduled, while the key breaks
+// the tie by source domain, so per-client timing can differ across
+// shard counts (aggregate outputs have stayed identical).
 package net
 
 import (
@@ -133,21 +135,20 @@ func cmpOrder(less bool) int {
 	return 1
 }
 
-// xDeliverEv hands a cross-domain packet to the destination endpoint.
-// It runs in the destination domain; the source side's delivery
-// accounting happened in linkXDoneEv at the same instant.
+// xDeliverEv hands a cross-domain packet to the destination endpoint
+// and does the link's delivery accounting — Delivered, DeliveredBytes
+// and the in-flight count — at the same instant linkDeliverEv would.
+// It runs in the destination domain and touches the source side's
+// link state; that is safe because domains never run at once. Readers
+// see the same values as with a source-side update: Cluster.Idle reads
+// InFlight only at checkpoint barriers, by which time every delivery
+// at or before the barrier has run in its destination domain, and
+// stats are read at collect.
 func xDeliverEv(sm *sim.Simulator, a sim.Arg) {
 	l := a.Obj.(*Link)
-	l.dst.Receive(sm, a.Obj2.(*pkt.Packet))
-}
-
-// linkXDoneEv is the source-domain half of a cross-domain delivery:
-// the stats and in-flight accounting linkDeliverEv would have done,
-// scheduled at the same DeliverAt so Idle checks at barriers see the
-// packet as in flight until it has actually landed.
-func linkXDoneEv(_ *sim.Simulator, a sim.Arg) {
-	l := a.Obj.(*Link)
+	p := a.Obj2.(*pkt.Packet)
 	l.stats.Delivered++
-	l.stats.DeliveredBytes += a.U0
+	l.stats.DeliveredBytes += uint64(p.Len())
 	l.inflight--
+	l.dst.Receive(sm, p)
 }

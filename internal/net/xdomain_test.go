@@ -169,3 +169,50 @@ func TestOutboxRecycling(t *testing.T) {
 		t.Errorf("pool holds %d outstanding packets after drain, want 0", n)
 	}
 }
+
+// TestCrossDomainDeliveryAccounting pins where a crossing's delivery
+// accounting happens: the source domain schedules nothing for it, and
+// the link keeps the packet in flight — undelivered — until the
+// destination domain runs the delivery event at DeliverAt.
+func TestCrossDomainDeliveryAccounting(t *testing.T) {
+	srcSim, dstSim := sim.New(), sim.New()
+	sink := &seqSink{}
+	lcfg := LinkConfig{Name: "x", RateBps: 10e9, Delay: 2 * sim.Microsecond}
+	l := NewLink(lcfg, sink)
+	l.BindCrossDomain(NewOutbox(0), dstSim)
+	offer(t, srcSim, l, testFlow(1514), 1)
+
+	// The source runs past serialization: only its link-tx event ran,
+	// and the packet waits in the outbox.
+	srcSim.RunUntil(sim.Time(lcfg.Delay))
+	if n := srcSim.Pending(); n != 0 {
+		t.Fatalf("source domain holds %d events after handing the packet off, want 0", n)
+	}
+	if l.xOut.Pending() != 1 {
+		t.Fatalf("outbox holds %d entries, want 1", l.xOut.Pending())
+	}
+	deliverAt := l.xOut.entries[0].DeliverAt
+
+	var scratch []XEntry
+	Flush([]*Outbox{l.xOut}, &scratch)
+	check := func(when string, inflight int, delivered uint64) {
+		t.Helper()
+		if got := l.InFlight(); got != inflight {
+			t.Errorf("%s: InFlight()=%d, want %d", when, got, inflight)
+		}
+		if got := l.Stats().Delivered; got != delivered {
+			t.Errorf("%s: Delivered=%d, want %d", when, got, delivered)
+		}
+	}
+	check("after flush", 1, 0)
+	dstSim.RunUntil(deliverAt - 1)
+	check("destination just before DeliverAt", 1, 0)
+	dstSim.RunUntil(deliverAt)
+	check("destination at DeliverAt", 0, 1)
+	if st := l.Stats(); st.DeliveredBytes != st.TxBytes {
+		t.Errorf("DeliveredBytes=%d, want TxBytes %d", st.DeliveredBytes, st.TxBytes)
+	}
+	if len(sink.at) != 1 || sink.at[0] != deliverAt {
+		t.Errorf("far side received at %v, want one packet at %v", sink.at, deliverAt)
+	}
+}

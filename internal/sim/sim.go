@@ -365,8 +365,8 @@ func keyLess(at Time, seq uint64, bAt Time, bSeq uint64) bool {
 }
 
 // enqueue files one event into the two-level scheduler: the wheel when
-// it can hold it, the heap otherwise (past-cursor, full-bucket, or
-// far-future overflow spills).
+// it can hold it, the heap otherwise (past-cursor or far-future
+// spills).
 func (s *Simulator) enqueue(e schedEvent) {
 	inWheel := s.wheel.push(e)
 	if !inWheel {

@@ -22,44 +22,65 @@ const (
 	// (4096 slots × 8192 ps ≈ 33.5 µs).
 	wheelGran = Duration(1) << wheelGranBits
 	wheelSpan = Duration(wheelSlots) << wheelGranBits
-	// wheelSlotCap fixes each slot's bucket capacity. Buckets are carved
-	// out of one contiguous slab at construction and never grow: a full
-	// bucket refuses the push and the event spills to the heap, so the
-	// steady state allocates nothing no matter how lumpy the schedule.
-	wheelSlotCap = 8
+	// wheelPoolInit pre-sizes the node pool so a small run's pending
+	// population never grows it; the pool grows on demand past this.
+	wheelPoolInit = 256
 )
 
+// nilNode terminates a slot list and the node free list.
+const nilNode = -1
+
+// wheelNode is one pending wheel event: the event by value plus the
+// index of the next node in its slot's list (or in the free list).
+type wheelNode struct {
+	ev   schedEvent
+	next int32
+}
+
 // timeWheel is the dense half of the two-level scheduler: a circular
-// calendar of per-slot buckets plus an occupancy bitmap. Scheduling
-// appends to a bucket in O(1); buckets are sorted by (at, seq) only
-// when the consuming cursor reaches them, so the amortized per-event
-// cost is one append plus a share of a small-bucket sort.
+// calendar of per-slot event lists plus an occupancy bitmap. A slot is
+// one int32 list head indexing a shared node pool, so the calendar
+// itself is 16 KiB and the memory behind it tracks the pending
+// population, not slots × capacity. Scheduling links a pooled node
+// into its slot in O(1); when the consuming cursor reaches a slot, its
+// list is gathered into one reused cursor buffer and sorted there by
+// (at, seq), so the amortized per-event cost is one link, one copy
+// and a share of a small-bucket sort. Nodes recycle through a LIFO
+// free list, keeping the working set hot.
 //
 // Determinism argument: the simulator's total order is (at, seq) with
 // seq unique, and the wheel preserves it exactly. Every event in slot
 // k fires before every event in slot k+1 (slot ranges are disjoint
 // time intervals), and within a slot the sort recovers the (at, seq)
 // order; late arrivals into the already-sorted cursor slot are
-// inserted in (at, seq) position within its unconsumed tail, which is
-// always ahead of the consume cursor (see push). The only events that
-// could violate the "sorted then drained" discipline — events behind
-// an already-advanced cursor, events a full rotation or more ahead
-// (which would alias into an earlier slot), and overflow of a full
-// bucket — are refused by push and diverted to the heap, whose pop
-// order is compared against the wheel head on every dispatch. The
-// merged stream is therefore the exact (at, seq) sequence a single
-// heap would produce.
+// inserted in (at, seq) position within the cursor buffer's
+// unconsumed tail, which is always ahead of the consume cursor (see
+// push). Slots have no capacity limit, so the only events that could
+// violate the "sorted then drained" discipline — events behind an
+// already-advanced cursor and events a full rotation or more ahead
+// (which would alias into an earlier slot) — are refused by push and
+// diverted to the heap, whose pop order is compared against the wheel
+// head on every dispatch. The merged stream is therefore the exact
+// (at, seq) sequence a single heap would produce.
 type timeWheel struct {
-	slots  [][]schedEvent
+	// heads holds each slot's list head (nilNode when the slot's list
+	// is empty); bitmap marks the slots whose list is non-empty.
+	heads  []int32
 	bitmap []uint64
+	// nodes is the node pool; free heads its LIFO free list, threaded
+	// through wheelNode.next.
+	nodes []wheelNode
+	free  int32
 	// cursor is the slot currently being (or next to be) drained; base
 	// is that slot's absolute start time. All wheel events lie in
 	// [base, base+wheelSpan).
 	cursor int
 	base   Time
-	// pos/sorted describe the cursor slot: once sorted, slots[cursor]
-	// is consumed in order from pos; new arrivals are inserted in order
-	// into the unconsumed tail (see push).
+	// buf/pos/sorted describe the cursor slot: once sorted, its events
+	// live in buf (its list is empty) and are consumed in order from
+	// pos; new arrivals are inserted in order into the unconsumed tail
+	// (see push).
+	buf    []schedEvent
 	pos    int
 	sorted bool
 	count  int
@@ -67,51 +88,57 @@ type timeWheel struct {
 
 func newTimeWheel() timeWheel {
 	w := timeWheel{
-		slots:  make([][]schedEvent, wheelSlots),
+		heads:  make([]int32, wheelSlots),
 		bitmap: make([]uint64, wheelSlots/64),
+		nodes:  make([]wheelNode, 0, wheelPoolInit),
+		free:   nilNode,
 	}
-	slab := make([]schedEvent, wheelSlots*wheelSlotCap)
-	for i := range w.slots {
-		w.slots[i] = slab[i*wheelSlotCap : i*wheelSlotCap : (i+1)*wheelSlotCap]
+	for i := range w.heads {
+		w.heads[i] = nilNode
 	}
 	return w
 }
 
 // push files e into its slot, returning false when the event must go
-// to the heap instead: at behind the cursor slot's start, at beyond
-// one full rotation (it would alias into a stale slot), or into a
-// bucket already at capacity. A push into the cursor slot after it was
-// sorted — the common case for events scheduled a few ns ahead by a
-// running handler — is inserted in order into the slot's unconsumed
-// tail instead of spilling: any event scheduled while dispatching
-// orders at or after the event being dispatched (scheduling into the
-// past panics upstream, fresh seqs exceed consumed ones, and a stream
-// files each reserved-seq successor (AtArgSeq) only after its own
-// predecessor in (at, seq) order), so a valid position at or after the
-// consume cursor always exists.
+// to the heap instead: at behind the cursor slot's start, or at beyond
+// one full rotation (it would alias into a stale slot). A push into
+// the cursor slot after it was sorted — the common case for events
+// scheduled a few ns ahead by a running handler — is inserted in order
+// into the cursor buffer's unconsumed tail instead of spilling: any
+// event scheduled while dispatching orders at or after the event being
+// dispatched (scheduling into the past panics upstream, fresh seqs
+// exceed consumed ones, and a stream files each reserved-seq successor
+// (AtArgSeq) only after its own predecessor in (at, seq) order), so a
+// valid position at or after the consume cursor always exists.
 func (w *timeWheel) push(e schedEvent) bool {
 	if e.at < w.base || e.at-w.base >= Time(wheelSpan) {
 		return false
 	}
 	slot := int(e.at>>wheelGranBits) & wheelMask
-	b := w.slots[slot]
-	if len(b) == wheelSlotCap {
-		return false
-	}
+	w.count++
 	if slot == w.cursor && w.sorted {
-		b = append(b, e)
+		b := append(w.buf, e)
 		k := len(b) - 1
 		for k > w.pos && lessEv(e, b[k-1]) {
 			b[k] = b[k-1]
 			k--
 		}
 		b[k] = e
-		w.slots[slot] = b
-	} else {
-		w.slots[slot] = append(b, e)
+		w.buf = b
+		return true
 	}
+	n := w.free
+	if n == nilNode {
+		n = int32(len(w.nodes))
+		w.nodes = append(w.nodes, wheelNode{})
+	} else {
+		w.free = w.nodes[n].next
+	}
+	nd := &w.nodes[n]
+	nd.ev = e
+	nd.next = w.heads[slot]
+	w.heads[slot] = n
 	w.bitmap[slot>>6] |= 1 << (slot & 63)
-	w.count++
 	return true
 }
 
@@ -124,22 +151,20 @@ func (w *timeWheel) push(e schedEvent) bool {
 // consumes the event itself. Keeping the cursor at or before the
 // instant a suspended handler resumes at is what lets the events it
 // schedules next land in the wheel instead of spilling behind the
-// cursor to the heap. A drained cursor slot is recycled in place, so
-// later arrivals in its time range still fit in the wheel.
+// cursor to the heap. A drained cursor buffer is reset in place, so
+// later arrivals in the cursor slot's time range still fit in the
+// wheel.
 func (w *timeWheel) peekUntil(limit Time) (at Time, seq uint64, exact, ok bool) {
 	cur := w.cursor
 	from := cur
 	if w.sorted {
-		b := w.slots[cur]
-		if w.pos < len(b) {
-			return b[w.pos].at, b[w.pos].seq, true, true
+		if w.pos < len(w.buf) {
+			e := &w.buf[w.pos]
+			return e.at, e.seq, true, true
 		}
-		if len(b) > 0 {
-			// Drained: its elements were zeroed as they were popped.
-			w.slots[cur] = b[:0]
-			w.pos = 0
-			w.bitmap[cur>>6] &^= 1 << (cur & 63)
-		}
+		// Drained: its elements were zeroed as they were popped.
+		w.buf = w.buf[:0]
+		w.pos = 0
 		from = (cur + 1) & wheelMask
 	}
 	if w.count == 0 {
@@ -151,19 +176,43 @@ func (w *timeWheel) peekUntil(limit Time) (at Time, seq uint64, exact, ok bool) 
 		return start, 0, false, true
 	}
 	w.cursor, w.base = c, start
-	b := w.slots[c]
-	sortSched(b)
+	w.gather(c)
 	w.sorted, w.pos = true, 0
-	return b[0].at, b[0].seq, true, true
+	return w.buf[0].at, w.buf[0].seq, true, true
 }
 
-// pop consumes the event peekUntil exposed, zeroing the vacated slot so
-// the bucket's backing array does not pin closures or arg payloads for
-// the GC. Must be preceded by a peekUntil that returned an exact event.
+// gather moves slot c's list into the (empty) cursor buffer, sorted by
+// (at, seq), and returns its nodes to the free list with their events
+// zeroed so the pool does not pin closures or arg payloads for the GC.
+func (w *timeWheel) gather(c int) {
+	b := w.buf[:0]
+	for n := w.heads[c]; n != nilNode; {
+		nd := &w.nodes[n]
+		b = append(b, nd.ev)
+		nd.ev = schedEvent{}
+		next := nd.next
+		nd.next = w.free
+		w.free = n
+		n = next
+	}
+	w.heads[c] = nilNode
+	w.bitmap[c>>6] &^= 1 << (c & 63)
+	// The list is newest first; reversing restores scheduling order,
+	// which is usually (at, seq) order already, the insertion sort's
+	// best case.
+	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
+		b[i], b[j] = b[j], b[i]
+	}
+	sortSched(b)
+	w.buf = b
+}
+
+// pop consumes the event peekUntil exposed, zeroing the vacated buffer
+// element so it does not pin closures or arg payloads for the GC. Must
+// be preceded by a peekUntil that returned an exact event.
 func (w *timeWheel) pop() schedEvent {
-	b := w.slots[w.cursor]
-	e := b[w.pos]
-	b[w.pos] = schedEvent{}
+	e := w.buf[w.pos]
+	w.buf[w.pos] = schedEvent{}
 	w.pos++
 	w.count--
 	return e

@@ -10,6 +10,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -17,8 +18,8 @@ import (
 // through the two-level scheduler and a reference single heap in
 // lockstep and asserts both pop identical sequences. The stream mix is
 // chosen to hit every wheel path: same-instant ties (duplicate at,
-// distinct seq), dense bursts into one wheel slot (bucket overflow
-// spills), arrivals into the sorted cursor slot (in-order tail
+// distinct seq), dense bursts into one wheel slot (long slot lists),
+// arrivals into the sorted cursor slot (in-order tail
 // insertion), events beyond one wheel rotation (far-future spills),
 // and interleaved pops that march the cursor across slot and rotation
 // boundaries. Millions of events in the default mode; -short trims
@@ -59,8 +60,8 @@ func TestTwoLevelVsHeapProperty(t *testing.T) {
 					// Exact duplicate of the previous at: a seq-only tie.
 					push(lastAt)
 				case r < 35:
-					// Dense burst into the cursor's own slot — with >8
-					// events this overflows the bucket and spills.
+					// Dense burst into the cursor's own slot — a long
+					// list to gather, and sorted-tail insertions.
 					push(vnow.Add(Duration(rng.Int63n(int64(wheelGran)))))
 				case r < 90:
 					// Anywhere within the wheel's rotation.
@@ -139,8 +140,8 @@ func TestTwoLevelFacadeOrder(t *testing.T) {
 }
 
 // TestEventStormNoRetention is the GC-leak regression guard for the
-// scheduler's three retention surfaces: the arg slab, the heap's
-// backing array, and the wheel's bucket slab. It schedules and drains
+// scheduler's retention surfaces: the arg slab, the heap's backing
+// array, and the wheel's node pool and cursor buffer. It schedules and drains
 // a million argful events (the wheel cursor wraps its rotation dozens
 // of times, the heap churns through far-future spills) and then
 // asserts that every released slot was zeroed — a stale schedEvent or
@@ -197,22 +198,98 @@ func TestEventStormNoRetention(t *testing.T) {
 		}
 	}
 
-	// Wheel: every bucket reset to zero length with its full slab
-	// capacity zeroed (pop zeroes each consumed element; peek resets
-	// the drained cursor slot).
-	if s.wheel.count != 0 {
-		t.Fatalf("wheel not drained: count=%d", s.wheel.count)
+	// Wheel: drained, every pool node back on the free list with its
+	// event zeroed (gather zeroes each node it unlinks), and the cursor
+	// buffer's full capacity zeroed (pop zeroes each consumed element).
+	w := &s.wheel
+	if w.count != 0 {
+		t.Fatalf("wheel not drained: count=%d", w.count)
 	}
-	for si := range s.wheel.slots {
-		b := s.wheel.slots[si]
-		if len(b) != 0 {
-			t.Errorf("wheel slot %d not reset: len=%d", si, len(b))
-			continue
-		}
-		for k, e := range b[:wheelSlotCap] {
-			if e.fn != nil || e.afn != nil || e.at != 0 || e.seq != 0 || e.arg != 0 {
-				t.Errorf("wheel slot %d[%d] retains event (at=%d seq=%d) after drain", si, k, e.at, e.seq)
-			}
+	for si, h := range w.heads {
+		if h != nilNode {
+			t.Fatalf("wheel slot %d still heads node %d after drain", si, h)
 		}
 	}
+	free := 0
+	for n := w.free; n != nilNode; n = w.nodes[n].next {
+		free++
+		if free > len(w.nodes) {
+			t.Fatal("wheel free list cycles")
+		}
+	}
+	if free != len(w.nodes) {
+		t.Errorf("wheel pool: %d nodes but only %d free after drain", len(w.nodes), free)
+	}
+	for i, nd := range w.nodes {
+		if e := nd.ev; e.fn != nil || e.afn != nil || e.at != 0 || e.seq != 0 || e.arg != 0 {
+			t.Errorf("wheel pool node %d retains event (at=%d seq=%d) after drain", i, e.at, e.seq)
+		}
+	}
+	for k, e := range w.buf[:cap(w.buf)] {
+		if e.fn != nil || e.afn != nil || e.at != 0 || e.seq != 0 || e.arg != 0 {
+			t.Errorf("wheel cursor buffer[%d] retains event (at=%d seq=%d) after drain", k, e.at, e.seq)
+		}
+	}
+	// The pool tracks the pending population (one wave), not the
+	// total event count.
+	if len(w.nodes) > wave+64 {
+		t.Errorf("wheel pool high-water %d exceeds the %d-event wave population", len(w.nodes), wave)
+	}
+}
+
+// TestDenseSlotNoSpill files 64 events into one wheel slot — eight
+// times what a fixed-capacity bucket used to hold — both before the
+// cursor reaches the slot and into the sorted cursor slot itself, and
+// checks that none spills to the heap and all fire in (at, seq) order.
+func TestDenseSlotNoSpill(t *testing.T) {
+	s := New()
+	var fired []uint64
+	record := func(_ *Simulator, a Arg) { fired = append(fired, a.U0) }
+	const n = 64
+	slotStart := Time(10 * wheelGran)
+	// Filed ahead of the cursor, latest first, so the gather has to
+	// sort them.
+	for i := n - 1; i >= 0; i-- {
+		s.AtArgNamed(slotStart+Time(i), "dense", record, Arg{U0: uint64(i)})
+	}
+	// Filed from inside the slot once it is sorted: each lands in the
+	// cursor buffer's unconsumed tail.
+	s.AtArgNamed(slotStart, "late", func(sm *Simulator, _ Arg) {
+		for i := 0; i < n; i++ {
+			sm.AtArgNamed(slotStart+Time(n+i), "late", record, Arg{U0: uint64(n + i)})
+		}
+	}, Arg{})
+	s.Run()
+	if s.spills != 0 {
+		t.Fatalf("%d events spilled to the heap from one dense slot", s.spills)
+	}
+	if len(fired) != 2*n {
+		t.Fatalf("fired %d of %d events", len(fired), 2*n)
+	}
+	for i, id := range fired {
+		if id != uint64(i) {
+			t.Fatalf("dense slot fired %v, want 0..%d in order", fired, 2*n-1)
+		}
+	}
+}
+
+// TestNewFootprint bounds what one empty simulator allocates: the
+// wheel's calendar is 16 KiB of list heads plus a small pre-sized node
+// pool, not a slots × capacity event slab.
+func TestNewFootprint(t *testing.T) {
+	const runs = 16
+	var keep [runs]*Simulator
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("sim.New allocates %d B", per)
+	if per > 64<<10 {
+		t.Fatalf("sim.New allocates %d B, bound %d", per, 64<<10)
+	}
+	runtime.KeepAlive(keep)
 }

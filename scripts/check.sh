@@ -27,11 +27,14 @@ go test -run '^$' -bench . -benchtime=1x ./...
 # gate on any per-packet allocation (see alloc_test.go). The same gate
 # covers the million-flow engine (TestChurnAllocsPerRequest: 128k
 # resident flows churning at zero allocs per request; TestChurnFootprint:
-# at most 100 B of live heap per resident flow) and the pooled fabric
-# benchmarks (link transit and switch forwarding at 0 allocs/op).
+# at most 100 B of live heap per resident flow), the sharded event cost
+# (TestDispatchesPerRequestSharded: a cross-domain hop dispatches no
+# more events than an in-domain one) and the pooled fabric (link
+# transit and switch forwarding at 0 allocs/op; the warm client round
+# trip at 0 allocs, asserted by TestClientRoundTripAllocs).
 go test -run '^$' -bench 'BenchmarkPacketLifecycle' -benchtime=1x -benchmem .
-go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRequest|TestChurnFootprint' -count=1 .
-go test -run '^$' -bench 'BenchmarkLinkTransit|BenchmarkSwitchForward' -benchtime=1x -benchmem ./internal/net
+go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRequest|TestChurnFootprint|TestDispatchesPerRequestSharded' -count=1 .
+go test -run 'TestClientRoundTripAllocs' -count=1 -bench 'BenchmarkLinkTransit|BenchmarkSwitchForward' -benchtime=1x -benchmem ./internal/net
 # Observability smoke: run a short traced scenario and validate that
 # the Chrome trace and the metrics JSON both parse.
 go test -run 'TestObsArtifactsParse' -count=1 ./cmd/idiosim
