@@ -19,7 +19,7 @@
 //
 //	-baseline old.json   compare against a committed baseline and print
 //	                     a WARNING for every benchmark whose headline
-//	                     metric (ns/pkt when present, ns/op otherwise)
+//	                     metric (ns/pkt, else ns/req, else ns/op)
 //	                     regressed by more than 10%
 //	-history hist.jsonl  append this run's condensed results as one
 //	                     JSON line (with -label and a UTC timestamp),
@@ -41,7 +41,7 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	baseline := flag.String("baseline", "", "baseline JSON: warn on >10% ns/pkt (or ns/op) regressions")
+	baseline := flag.String("baseline", "", "baseline JSON: warn on >10% ns/pkt (else ns/req, else ns/op) regressions")
 	history := flag.String("history", "", "JSONL ledger to append this run's results to")
 	label := flag.String("label", "", "label stored with the -history entry (e.g. git commit)")
 	flag.Parse()
@@ -82,7 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "[%d benchmarks written to %s]\n", len(results), *out)
 	}
 	if *baseline != "" {
-		if err := compare(results, *baseline); err != nil {
+		if err := compare(os.Stderr, results, *baseline); err != nil {
 			fatal(err)
 		}
 	}
@@ -93,12 +93,15 @@ func main() {
 	}
 }
 
-// compare warns (stderr, exit 0) about benchmarks whose headline
-// latency metric regressed >10% against the baseline file. The
+// compare warns on w (exit 0) about benchmarks whose headline latency
+// metric regressed >10% against the baseline file. The headline is
+// the first of ns/pkt, ns/req and ns/op that both runs report: a
+// per-packet or per-request figure stays comparable when one b.N
+// iteration does a variable amount of work, where ns/op does not. The
 // comparison is advisory by design: wall-clock benchmarks on shared
 // machines are too noisy for a hard gate, but a loud warning in the
 // pre-merge check output is hard to miss.
-func compare(results map[string]map[string]float64, path string) error {
+func compare(w io.Writer, results map[string]map[string]float64, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -119,21 +122,24 @@ func compare(results map[string]map[string]float64, path string) error {
 			continue
 		}
 		metric := "ns/op"
-		if _, a := old["ns/pkt"]; a {
-			if _, b := results[name]["ns/pkt"]; b {
-				metric = "ns/pkt"
+		for _, m := range []string{"ns/pkt", "ns/req"} {
+			_, a := old[m]
+			_, b := results[name][m]
+			if a && b {
+				metric = m
+				break
 			}
 		}
 		ov, nv := old[metric], results[name][metric]
 		if ov <= 0 || nv <= ov*1.10 {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: WARNING: %s %s regressed %+.1f%% vs %s (%.4g -> %.4g)\n",
+		fmt.Fprintf(w, "benchjson: WARNING: %s %s regressed %+.1f%% vs %s (%.4g -> %.4g)\n",
 			name, metric, 100*(nv/ov-1), path, ov, nv)
 		warned++
 	}
 	if warned == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no >10%% regressions vs %s\n", path)
+		fmt.Fprintf(w, "benchjson: no >10%% regressions vs %s\n", path)
 	}
 	return nil
 }

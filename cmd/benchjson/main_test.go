@@ -2,6 +2,8 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,5 +48,35 @@ func TestParseIgnoresGarbage(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("expected no results, got %v", got)
+	}
+}
+
+// TestCompareHeadlineMetric: a MillionFlow-shaped benchmark runs a
+// variable number of requests per b.N iteration, so its ns/op at
+// -benchtime=3x is far from the baseline's while ns/req is comparable.
+// compare must judge it on ns/req: equal ns/req stays quiet, +20%
+// ns/req warns.
+func TestCompareHeadlineMetric(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(base, []byte(`{"BenchmarkMillionFlowSteadyState": {"ns/op": 17452, "ns/req": 17428}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		nsReq float64
+		warn  bool
+	}{{17428, false}, {17428 * 1.2, true}} {
+		run := map[string]map[string]float64{
+			"BenchmarkMillionFlowSteadyState": {"ns/op": 17452 * 48, "ns/req": tc.nsReq},
+		}
+		var out strings.Builder
+		if err := compare(&out, run, base); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out.String(), "WARNING"); got != tc.warn {
+			t.Fatalf("ns/req %.0f: warned=%v, want %v:\n%s", tc.nsReq, got, tc.warn, out.String())
+		}
+		if tc.warn && !strings.Contains(out.String(), "ns/req") {
+			t.Fatalf("warning should name ns/req:\n%s", out.String())
+		}
 	}
 }

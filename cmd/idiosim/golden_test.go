@@ -6,16 +6,18 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
+
+	"idio/internal/experiment"
 )
 
 // The golden corpus pins what the simulator prints: the stdout, the
 // -stats dump and the -json metrics document of every scenarios/*.json
-// run, the fig4, fig5, fig9-fig14, breakdown, ablations,
-// degradation, churn, rpc, qos and chaos -quick tables, and the stdout
-// of every examples/* program. A change that moves any of them on purpose regenerates the corpus with
+// run, the -quick output of every experiment.Catalogue entry (checked
+// once per entry serially and once through `-exp all -j 2`), and the
+// stdout of every examples/* program. A change that moves any of them
+// on purpose regenerates the corpus with
 //
 //	go test ./cmd/idiosim -run TestGolden -update
 //
@@ -25,16 +27,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from this build
 
 const goldenDir = "../../testdata/golden"
 
-// goldenFigs are the experiment tables the corpus pins, run with -quick.
-var goldenFigs = []string{"fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "breakdown", "ablations", "degradation", "churn", "rpc", "qos", "chaos"}
-
-// timingLine matches the "[fig9 done in 175ms]" wall-clock footer, the
-// one line of output that differs from run to run.
-var timingLine = regexp.MustCompile(`(?m)^\[[^\]]* done in [^\]]*\]\n`)
-
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	got = timingLine.ReplaceAll(got, nil)
 	path := filepath.Join(goldenDir, name)
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -46,7 +40,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	want = timingLine.ReplaceAll(want, nil)
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -97,17 +90,41 @@ func TestGolden(t *testing.T) {
 			checkGolden(t, "scenario_"+name+".json", doc)
 		})
 	}
-	for _, fig := range goldenFigs {
-		t.Run(fig, func(t *testing.T) {
-			var out bytes.Buffer
-			r := &runner{quick: true, par: 1}
-			if err := r.run(fig, &out); err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, fig+"_quick.txt", out.Bytes())
+	for _, e := range experiment.Catalogue {
+		t.Run(e.Name, func(t *testing.T) {
+			checkQuick(t, runGolden(t, e.Name, 1)...)
 		})
 	}
+	// -exp all -quick -j 2: the entries fan out over the pool, and so
+	// do their grids.
+	t.Run("all-j2", func(t *testing.T) {
+		if *update {
+			t.Skip("the serial pass writes the corpus")
+		}
+		checkQuick(t, runGolden(t, "all", 2)...)
+	})
 	checkExamples(t)
+}
+
+// runGolden runs -exp name -quick -j par through main's path.
+func runGolden(t *testing.T, name string, par int) []*experiment.Output {
+	t.Helper()
+	outs, err := runExperiments(name, "", experiment.Env{Quick: true, Parallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// checkQuick compares each output with its <name>_quick.txt golden.
+func checkQuick(t *testing.T, outs ...*experiment.Output) {
+	t.Helper()
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.Name, o.Err)
+		}
+		checkGolden(t, o.Name+"_quick.txt", o.Text.Bytes())
+	}
 }
 
 // checkExamples builds every examples/* program in one go build and

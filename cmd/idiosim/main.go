@@ -20,8 +20,8 @@
 //	idiosim -exp rpc -scenario scenarios/rpc_closed_loop.json
 //	                                      # sweep parameterised by a topology
 //
-// Experiments: fig4 fig5 fig9 fig10 fig11 fig12 fig13 fig14 breakdown
-// ablations degradation rpc chaos qos churn verify all.
+// The experiments are experiment.Catalogue's entries (`idiosim -h`
+// lists them), plus verify and all.
 //
 // Every experiment cell simulates an independent System, so -j only
 // changes wall-clock time: the tables and CSVs are byte-identical for
@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,7 +47,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig10", "experiment to run: fig4|fig5|fig9|fig10|fig11|fig12|fig13|fig14|breakdown|ablations|degradation|rpc|chaos|qos|churn|verify|all")
+	exp := flag.String("exp", "fig10", "experiment to run: "+expChoices())
 	csvDir := flag.String("csv", "", "directory to write timeline CSVs into (optional)")
 	quick := flag.Bool("quick", false, "run reduced-size variants (256-entry rings, scaled caches)")
 	par := flag.Int("j", 1, "worker-pool size for experiment grids (0 = GOMAXPROCS, 1 = serial)")
@@ -61,7 +61,7 @@ func main() {
 	metricsInterval := flag.Duration("metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
 	metricsPath := flag.String("metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
 	shards := flag.Int("shards", 0, "partition a -scenario topology into this many event domains, run in turn on one goroutine (0 = use the scenario's setting; output is byte-identical across shard counts)")
-	reportPath := flag.String("report", "", "regenerate everything and write a markdown report to this path")
+	reportPath := flag.String("report", "", "regenerate every experiment and the reproduction claims into a markdown report at this path")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -79,22 +79,10 @@ func main() {
 		defer writeMemProfile(*memProfile)
 	}
 
-	r := &runner{csvDir: *csvDir, quick: *quick, par: *par}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
 	// -exp rpc composes with -scenario: the scenario's topology
 	// parameterises the sweep instead of replacing it, so the short-
 	// circuit below is skipped in that combination.
-	if *scenarioPath != "" && *exp == "rpc" {
-		sc, err := loadScenario(*scenarioPath)
-		if err != nil {
-			fatal(err)
-		}
-		r.rpcScenario = &sc
-	} else if *scenarioPath != "" {
+	if *scenarioPath != "" && *exp != "rpc" {
 		opts := scenarioOpts{
 			statsPath:       *statsPath,
 			jsonPath:        *jsonPath,
@@ -109,332 +97,103 @@ func main() {
 		}
 		return
 	}
+	env := experiment.Env{Quick: *quick, Parallelism: *par}
 	if *reportPath != "" {
 		f, err := os.Create(*reportPath)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := experiment.WriteReport(f, experiment.ReportOpts{Quick: *quick, Parallelism: *par}); err != nil {
+		if err := experiment.WriteReport(f, env); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "[report written to %s]\n", *reportPath)
 		return
 	}
-
-	all := []string{"fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "breakdown", "ablations", "degradation", "rpc", "chaos", "qos", "churn"}
-	targets := []string{*exp}
-	if *exp == "all" {
-		targets = all
+	if *exp == "verify" {
+		if failed := experiment.Verify(os.Stdout); failed > 0 {
+			fatal(fmt.Errorf("%d reproduction claims failed", failed))
+		}
+		return
 	}
-	// Each experiment renders into a private buffer so -exp all can fan
-	// the targets themselves out over the pool; buffers are flushed in
-	// the fixed target order, keeping stdout byte-identical to a serial
-	// run.
-	type expResult struct {
-		out     bytes.Buffer
-		elapsed time.Duration
-		err     error
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatal(err)
+		}
 	}
-	results := experiment.RunCells(r.par, targets, func(name string) *expResult {
-		res := &expResult{}
-		start := time.Now()
-		res.err = r.run(name, &res.out)
-		res.elapsed = time.Since(start)
-		return res
-	})
-	for i, res := range results {
-		os.Stdout.Write(res.out.Bytes())
-		if res.err != nil {
-			fatal(res.err)
-		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", targets[i], res.elapsed.Round(time.Millisecond))
+	outs, err := runExperiments(*exp, *scenarioPath, env)
+	if err != nil {
+		fatal(err)
 	}
-}
-
-type runner struct {
-	csvDir string
-	quick  bool
-	par    int
-	// rpcScenario, when set, parameterises -exp rpc from a scenario
-	// file's topology section.
-	rpcScenario *scenario.Scenario
-}
-
-// scale shrinks a figure's geometry for -quick runs.
-const (
-	quickRing = 256
-	quickMLC  = 256 << 10
-	quickLLC  = 768 << 10
-)
-
-func (r *runner) run(name string, w io.Writer) error {
-	switch name {
-	case "fig4":
-		opts := experiment.DefaultFig4Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.Rings = []int{64, quickRing}
-			opts.OneWayRings = []int{quickRing}
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Loads["low"] = 0.5
+	// Outputs are flushed in catalogue order, keeping stdout
+	// byte-identical to a serial run.
+	for _, o := range outs {
+		os.Stdout.Write(o.Text.Bytes())
+		if o.Err != nil {
+			fatal(o.Err)
 		}
-		rows := experiment.Fig4(opts)
-		return experiment.WriteTable(w, "Fig 4: MLC/DRAM leaks vs load and ring size (DDIO baseline)",
-			experiment.Fig4Header(), experiment.Rows(rows))
-
-	case "fig5":
-		opts := experiment.DefaultFig5Opts()
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		res := experiment.Fig5(opts)
-		fmt.Fprintf(w, "== Fig 5: bursty TouchDrop under DDIO ==\n")
-		fmt.Fprintf(w, "processed=%d  totalMLCWB=%d  totalLLCWB=%d  (timeline: %d buckets)\n",
-			res.Processed, res.TotalMLCWB, res.TotalLLCWB, len(res.MLCWB.Points))
-		return r.csv("fig5_timeline.csv", res.MLCWB, res.LLCWB, res.DMA)
-
-	case "fig9":
-		opts := experiment.DefaultFig9Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		cells := experiment.Fig9(opts)
-		rows := make([]experiment.TableRow, len(cells))
-		for i, c := range cells {
-			rows[i] = c
-		}
-		if err := experiment.WriteTable(w, "Fig 9: per-mechanism burst comparison (2x TouchDrop)",
-			experiment.Fig9Header(), rows); err != nil {
-			return err
-		}
-		for _, c := range cells {
-			name := fmt.Sprintf("fig9_%s_%.0fG.csv", c.Policy.Name(), c.RateGbps)
-			if err := r.csv(name, c.MLCWB, c.LLCWB, c.DMA); err != nil {
-				return err
+		for _, f := range o.Files {
+			if err := writeCSV(*csvDir, f); err != nil {
+				fatal(err)
 			}
 		}
-		return nil
-
-	case "fig10":
-		opts := experiment.DefaultFig10Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Fig10(opts)
-		return experiment.WriteTable(w,
-			"Fig 10: Static/IDIO normalized to DDIO (lower is better)",
-			experiment.Fig10Header(), experiment.Rows(rows))
-
-	case "fig11":
-		opts := experiment.DefaultFig11Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-		}
-		res := experiment.Fig11(opts)
-		fmt.Fprintf(w, "== Fig 11: L2Fwd (zero-copy shallow NF), %d-byte packets ==\n", opts.FrameLen)
-		fmt.Fprintf(w, "DDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus\n",
-			res.DDIO.Summary.MLCWB, res.DDIO.Summary.LLCWB, res.DDIO.Summary.DRAMWrites, res.DDIO.Summary.ExeTimeUS)
-		fmt.Fprintf(w, "IDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus\n",
-			res.IDIO.Summary.MLCWB, res.IDIO.Summary.LLCWB, res.IDIO.Summary.DRAMWrites, res.IDIO.Summary.ExeTimeUS)
-		fmt.Fprintf(w, "Direct-DRAM variant (class-1 payload): RX=%.2f Gbps, DRAM write=%.2f Gbps\n",
-			res.DirectDRAM.RxGbps, res.DirectDRAM.DRAMWriteGbps)
-		if err := r.csv("fig11_ddio.csv", res.DDIO.MLCWB, res.DDIO.LLCWB); err != nil {
-			return err
-		}
-		return r.csv("fig11_idio.csv", res.IDIO.MLCWB, res.IDIO.LLCWB)
-
-	case "fig12":
-		opts := experiment.DefaultFig12Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-		}
-		rows := experiment.Fig12(opts)
-		return experiment.WriteTable(w,
-			"Fig 12: p50/p99 latency normalized to DDIO solo",
-			experiment.Fig12Header(), experiment.Rows(rows))
-
-	case "fig13":
-		opts := experiment.DefaultFig13Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Packets = 2048
-		}
-		res := experiment.Fig13(opts)
-		fmt.Fprintf(w, "== Fig 13: steady traffic (10 Gbps per TouchDrop) ==\n")
-		fmt.Fprintf(w, "DDIO: mlcWB=%d llcWB=%d drops=%d p99=%.1fus\n",
-			res.DDIO.Summary.MLCWB, res.DDIO.Summary.LLCWB, res.DDIO.Summary.Drops, res.DDIO.Summary.P99US)
-		fmt.Fprintf(w, "IDIO: mlcWB=%d llcWB=%d drops=%d p99=%.1fus\n",
-			res.IDIO.Summary.MLCWB, res.IDIO.Summary.LLCWB, res.IDIO.Summary.Drops, res.IDIO.Summary.P99US)
-		if err := r.csv("fig13_ddio.csv", res.DDIO.MLCWB, res.DDIO.LLCWB); err != nil {
-			return err
-		}
-		return r.csv("fig13_idio.csv", res.IDIO.MLCWB, res.IDIO.LLCWB)
-
-	case "fig14":
-		opts := experiment.DefaultFig14Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Fig14(opts)
-		return experiment.WriteTable(w,
-			"Fig 14: IDIO sensitivity to mlcTHR at 100 Gbps (normalized to DDIO)",
-			experiment.Fig14Header(), experiment.Rows(rows))
-
-	case "breakdown":
-		opts := experiment.DefaultBreakdownOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Breakdown(opts)
-		return experiment.WriteTable(w,
-			"Latency breakdown (us): notification / queueing / service",
-			experiment.BreakdownHeader(), experiment.Rows(rows))
-
-	case "rpc":
-		opts := experiment.DefaultRPCOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Requests = 512
-			opts.LoadsGbps = []float64{5, 15, 25}
-			opts.Windows = []int{1, 16}
-		}
-		if r.rpcScenario != nil {
-			if err := applyRPCScenario(&opts, r.rpcScenario); err != nil {
-				return err
-			}
-		}
-		rows := experiment.RPC(opts)
-		return experiment.WriteTable(w,
-			"RPC: end-to-end latency vs offered load over the fabric (DDIO vs IDIO)",
-			experiment.RPCHeader(), experiment.Rows(rows))
-
-	case "qos":
-		opts := experiment.DefaultQoSOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.EFRequests = 32
-			opts.Horizon = 4 * sim.Millisecond
-		}
-		rows := experiment.QoS(opts)
-		return experiment.WriteTable(w,
-			"QoS: per-class SLOs under a saturating bulk+scavenger mix (DDIO vs IDIO vs QoS-aware IDIO)",
-			experiment.QoSHeader(), experiment.Rows(rows))
-
-	case "churn":
-		opts := experiment.DefaultChurnOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Flows = []int{1_000, 65_536}
-			opts.Horizon = 4 * sim.Millisecond
-		}
-		rows := experiment.Churn(opts)
-		return experiment.WriteTable(w,
-			"Churn: constant offered load over growing concurrent-flow populations (DDIO vs IDIO)",
-			experiment.ChurnHeader(), experiment.Rows(rows))
-
-	case "chaos":
-		opts := experiment.DefaultChaosOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Requests = 10000
-			opts.Horizon = 25 * sim.Millisecond
-		}
-		rows := experiment.Chaos(opts)
-		return experiment.WriteTable(w,
-			"Chaos: scripted fault timeline, per-phase behaviour and time-to-recover (DDIO vs IDIO)",
-			experiment.ChaosHeader(), experiment.Rows(rows))
-
-	case "degradation":
-		opts := experiment.DefaultDegradationOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Degradation(opts)
-		return experiment.WriteTable(w,
-			"Degradation: DDIO vs IDIO under swept fault rates (drops / p99 / WB inflation)",
-			experiment.DegradationHeader(), experiment.Rows(rows))
-
-	case "verify":
-		if failed := experiment.Verify(w); failed > 0 {
-			return fmt.Errorf("%d reproduction claims failed", failed)
-		}
-		return nil
-
-	case "ablations":
-		opts := experiment.DefaultAblationOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		var rows []experiment.AblationRow
-		rows = append(rows, experiment.AblationDDIOWays(opts, []int{1, 2, 4})...)
-		rows = append(rows, experiment.AblationRingSize(opts, []int{64, 256, opts.RingSize})...)
-		rows = append(rows, experiment.AblationPrefetchDepth(opts, []int{4, 32, 128})...)
-		rows = append(rows, experiment.AblationDescCoalescing(opts,
-			[]sim.Duration{0, 1900 * sim.Nanosecond, 20 * sim.Microsecond})...)
-		hot := opts
-		hot.RateGbps = 100
-		rows = append(rows, experiment.AblationAdaptivePrefetch(hot)...)
-		rows = append(rows, experiment.AblationMLP(hot, []int{1, 4, 8, 32})...)
-		rows = append(rows, experiment.AblationReplacement(opts)...)
-		rows = append(rows, experiment.AblationInclusion(opts)...)
-		rows = append(rows, experiment.AblationFrameSize(opts, []int{128, 512, 1514})...)
-		if err := experiment.WriteTable(w, "Ablations: design-choice sweeps (Fig. 9 scenario)",
-			experiment.AblationHeader(), experiment.Rows(rows)); err != nil {
-			return err
-		}
-		baseOpts := experiment.DefaultBaselineOpts()
-		baseOpts.Parallelism = r.par
-		if r.quick {
-			baseOpts.RingSize = quickRing
-			baseOpts.MLCSize, baseOpts.LLCSize = quickMLC, quickLLC
-		}
-		return experiment.WriteTable(w,
-			"Baselines: static DDIO vs IAT-style dynamic ways vs IDIO (100 Gbps burst)",
-			experiment.BaselineHeader(), experiment.Rows(experiment.Baselines(baseOpts)))
-
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", o.Name, o.Elapsed.Round(time.Millisecond))
 	}
 }
 
-// csv writes series into the CSV directory; a no-op when -csv is
-// unset.
-func (r *runner) csv(name string, series ...experiment.Series) error {
-	if r.csvDir == "" {
+// runExperiments renders -exp name — one catalogue entry, or "all" for
+// the whole catalogue, fanned out over env.Parallelism workers. A
+// non-empty scenarioPath folds the scenario's topology into the rpc
+// sweep (applyRPCScenario).
+func runExperiments(name, scenarioPath string, env experiment.Env) ([]*experiment.Output, error) {
+	targets := experiment.Catalogue
+	if name != "all" {
+		e, ok := experiment.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, expChoices())
+		}
+		targets = []experiment.Experiment{e}
+	}
+	if scenarioPath != "" {
+		sc, err := loadScenario(scenarioPath)
+		if err != nil {
+			return nil, err
+		}
+		env.Tune = func(opts any) error {
+			if o, ok := opts.(*experiment.RPCOpts); ok {
+				return applyRPCScenario(o, &sc)
+			}
+			return nil
+		}
+	}
+	return experiment.RunAll(targets, env), nil
+}
+
+// expChoices lists what -exp takes: every catalogue entry, verify and
+// all.
+func expChoices() string {
+	names := make([]string, 0, len(experiment.Catalogue)+2)
+	for _, e := range experiment.Catalogue {
+		names = append(names, e.Name)
+	}
+	return strings.Join(append(names, "verify", "all"), "|")
+}
+
+// writeCSV writes one side file into the CSV directory; a no-op when
+// -csv is unset.
+func writeCSV(dir string, f experiment.SeriesFile) error {
+	if dir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(r.csvDir, name))
+	out, err := os.Create(filepath.Join(dir, f.Name))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return experiment.WriteSeriesCSV(f, series...)
+	if err := experiment.WriteSeriesCSV(out, f.Series...); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // loadScenario parses and validates a scenario file.
@@ -480,33 +239,15 @@ func applyRPCScenario(o *experiment.RPCOpts, sc *scenario.Scenario) error {
 	}
 	switch rpc.Mode {
 	case "closed":
-		if rpc.Outstanding > 0 && !containsInt(o.Windows, rpc.Outstanding) {
+		if rpc.Outstanding > 0 && !slices.Contains(o.Windows, rpc.Outstanding) {
 			o.Windows = append(o.Windows, rpc.Outstanding)
 		}
 	case "open", "ramp":
-		if rpc.Gbps > 0 && !containsFloat(o.LoadsGbps, rpc.Gbps) {
+		if rpc.Gbps > 0 && !slices.Contains(o.LoadsGbps, rpc.Gbps) {
 			o.LoadsGbps = append(o.LoadsGbps, rpc.Gbps)
 		}
 	}
 	return nil
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsFloat(xs []float64, x float64) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // scenarioOpts bundles the -scenario output flags.
@@ -525,12 +266,7 @@ type scenarioOpts struct {
 // packet trace (per-packet CSV for a .csv path, else Chrome JSON), and a
 // metric-snapshot CSV series.
 func runScenario(path string, o scenarioOpts, stdout io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc, err := scenario.Load(f)
+	sc, err := loadScenario(path)
 	if err != nil {
 		return err
 	}

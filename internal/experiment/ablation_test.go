@@ -8,8 +8,8 @@ import (
 
 func smallAblationOpts(rate float64) AblationOpts {
 	return AblationOpts{
-		RingSize: 256, RateGbps: rate, Horizon: 9 * sim.Millisecond,
-		MLCSize: 256 << 10, LLCSize: 768 << 10,
+		RingSize: quickRing, RateGbps: rate, Horizon: 9 * sim.Millisecond,
+		MLCSize: quickMLC, LLCSize: quickLLC,
 	}
 }
 

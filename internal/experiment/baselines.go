@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	idiocore "idio/internal/core"
-	"idio/internal/sim"
 )
 
 // Baselines reproduces the paper's Shortcoming S1 argument: static
@@ -81,10 +80,4 @@ func Baselines(opts AblationOpts) []BaselineRow {
 	return RunCells(opts.Parallelism, cells, func(c cell) BaselineRow {
 		return run(c.name, c.pol, c.tuner)
 	})
-}
-
-// DefaultBaselineOpts runs the comparison at the rate where DMA leaks
-// are most severe.
-func DefaultBaselineOpts() AblationOpts {
-	return AblationOpts{RingSize: 1024, RateGbps: 100, Horizon: 9 * sim.Millisecond}
 }

@@ -8,8 +8,8 @@ import (
 
 func TestBreakdownStages(t *testing.T) {
 	opts := BreakdownOpts{
-		RingSize: 256, RateGbps: 25, Horizon: 9 * sim.Millisecond,
-		MLCSize: 256 << 10, LLCSize: 768 << 10,
+		RingSize: quickRing, RateGbps: 25, Horizon: 9 * sim.Millisecond,
+		MLCSize: quickMLC, LLCSize: quickLLC,
 	}
 	rows := Breakdown(opts)
 	if len(rows) != 2 {

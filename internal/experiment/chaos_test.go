@@ -12,9 +12,9 @@ import (
 // and retrying clients.
 func quickChaosOpts() ChaosOpts {
 	opts := DefaultChaosOpts()
-	opts.RingSize = 256
-	opts.MLCSize = 256 << 10
-	opts.LLCSize = 768 << 10
+	opts.RingSize = quickRing
+	opts.MLCSize = quickMLC
+	opts.LLCSize = quickLLC
 	opts.Requests = 10000
 	opts.Horizon = 25 * sim.Millisecond
 	return opts

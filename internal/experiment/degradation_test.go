@@ -12,9 +12,9 @@ import (
 // with the rate, and no run aborts or hangs.
 func TestDegradationSweep(t *testing.T) {
 	opts := DefaultDegradationOpts()
-	opts.RingSize = 256
-	opts.MLCSize = 256 << 10
-	opts.LLCSize = 768 << 10
+	opts.RingSize = quickRing
+	opts.MLCSize = quickMLC
+	opts.LLCSize = quickLLC
 	rows := Degradation(opts)
 
 	perBlock := map[string][]DegradationRow{}
@@ -90,8 +90,8 @@ func TestDegradationSweep(t *testing.T) {
 func TestDegradationDeterminism(t *testing.T) {
 	opts := DefaultDegradationOpts()
 	opts.RingSize = 128
-	opts.MLCSize = 256 << 10
-	opts.LLCSize = 768 << 10
+	opts.MLCSize = quickMLC
+	opts.LLCSize = quickLLC
 	opts.Rates = []float64{0.02}
 	a := Degradation(opts)
 	b := Degradation(opts)

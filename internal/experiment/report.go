@@ -1,198 +1,39 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
-
-	"idio/internal/sim"
 )
 
-// ReportOpts sizes a report run.
-type ReportOpts struct {
-	// Quick shrinks every experiment to the 256-entry-ring scale.
-	Quick bool
-	// Parallelism bounds each experiment's worker pool
-	// (0 = GOMAXPROCS, 1 = serial). Per-cell results are independent
-	// of this value; only wall-clock time changes.
-	Parallelism int
-}
-
-// WriteReport regenerates the full evaluation — every paper figure,
-// the baselines, the ablations and the latency breakdown — and writes
-// a self-contained markdown report. This is the artifact a user would
-// attach to a reproduction claim.
-func WriteReport(w io.Writer, opts ReportOpts) error {
-	rw := &reportWriter{w: w}
-	scale := func(ring *int, mlc, llc *int) {
-		if opts.Quick {
-			*ring = 256
-			*mlc = 256 << 10
-			*llc = 768 << 10
+// WriteReport regenerates the full evaluation under env — every
+// catalogue entry, each printed exactly as `idiosim -exp <name>` prints
+// it, in a fenced block under its name — followed by the reproduction
+// claims, as one self-contained markdown report. This is the artifact a
+// user would attach to a reproduction claim.
+func WriteReport(w io.Writer, env Env) error {
+	scale := "Paper-scale run: 1024-entry rings, 1 MB MLC per core, 3 MB shared LLC, " +
+		"1514-byte packets unless stated otherwise."
+	if env.Quick {
+		scale = fmt.Sprintf("Reduced-scale run (%d-entry rings, %d KiB MLC per core, %d KiB shared LLC). "+
+			"Run without -quick for the paper-scale geometry.", quickRing, quickMLC>>10, quickLLC>>10)
+	}
+	if _, err := fmt.Fprintf(w, "# IDIO reproduction report\n\n%s\n\n", scale); err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	for _, o := range RunAll(Catalogue, env) {
+		if o.Err != nil {
+			return fmt.Errorf("%s: %w", o.Name, o.Err)
 		}
+		fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n", o.Name, o.Text.Bytes())
 	}
-
-	rw.h1("IDIO reproduction report")
-	if opts.Quick {
-		rw.p("Reduced-scale run (256-entry rings, caches scaled 4x down). " +
-			"Run without -quick for the paper-scale geometry.")
-	} else {
-		rw.p("Paper-scale run: 1024-entry rings, 1 MB MLC per core, 3 MB shared LLC, " +
-			"1514-byte packets unless stated otherwise.")
-	}
-
-	// Fig. 4.
-	f4 := DefaultFig4Opts()
-	f4.Parallelism = opts.Parallelism
-	if opts.Quick {
-		f4.Rings = []int{64, 256}
-		f4.OneWayRings = []int{256}
-		f4.MLCSize, f4.LLCSize = 256<<10, 768<<10
-		f4.Loads["low"] = 0.5
-	}
-	rw.h2("Fig. 4 — MLC/DRAM leaks vs load and ring size (DDIO baseline)")
-	rw.table(Fig4Header(), Rows(Fig4(f4)))
-
-	// Fig. 9.
-	f9 := DefaultFig9Opts()
-	f9.Parallelism = opts.Parallelism
-	scale(&f9.RingSize, &f9.MLCSize, &f9.LLCSize)
-	cells := Fig9(f9)
-	rw.h2("Fig. 9 — per-mechanism burst comparison (2x TouchDrop)")
-	cr := make([]TableRow, len(cells))
-	for i, c := range cells {
-		cr[i] = c
-	}
-	rw.table(Fig9Header(), cr)
-
-	// Fig. 10.
-	f10 := DefaultFig10Opts()
-	f10.Parallelism = opts.Parallelism
-	scale(&f10.RingSize, &f10.MLCSize, &f10.LLCSize)
-	rw.h2("Fig. 10 — Static/IDIO normalized to DDIO (lower is better)")
-	rw.table(Fig10Header(), Rows(Fig10(f10)))
-
-	// Fig. 11.
-	f11 := DefaultFig11Opts()
-	f11.Parallelism = opts.Parallelism
-	if opts.Quick {
-		f11.RingSize = 256
-	}
-	r11 := Fig11(f11)
-	rw.h2("Fig. 11 — zero-copy shallow NF (L2Fwd)")
-	rw.p(fmt.Sprintf("DDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus — "+
-		"IDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus",
-		r11.DDIO.Summary.MLCWB, r11.DDIO.Summary.LLCWB, r11.DDIO.Summary.DRAMWrites, r11.DDIO.Summary.ExeTimeUS,
-		r11.IDIO.Summary.MLCWB, r11.IDIO.Summary.LLCWB, r11.IDIO.Summary.DRAMWrites, r11.IDIO.Summary.ExeTimeUS))
-	rw.p(fmt.Sprintf("Selective direct DRAM (class-1 payloads): RX %.2f Gbps vs DRAM write %.2f Gbps.",
-		r11.DirectDRAM.RxGbps, r11.DirectDRAM.DRAMWriteGbps))
-
-	// Fig. 12.
-	f12 := DefaultFig12Opts()
-	f12.Parallelism = opts.Parallelism
-	if opts.Quick {
-		f12.RingSize = 256
-	}
-	rw.h2("Fig. 12 — p50/p99 latency normalized to DDIO solo")
-	rw.table(Fig12Header(), Rows(Fig12(f12)))
-
-	// Fig. 13.
-	f13 := DefaultFig13Opts()
-	f13.Parallelism = opts.Parallelism
-	scale(&f13.RingSize, &f13.MLCSize, &f13.LLCSize)
-	if opts.Quick {
-		f13.Packets = 2048
-	}
-	r13 := Fig13(f13)
-	rw.h2("Fig. 13 — steady traffic (10 Gbps per TouchDrop)")
-	rw.p(fmt.Sprintf("DDIO: mlcWB=%d llcWB=%d p99=%.1fus — IDIO: mlcWB=%d llcWB=%d p99=%.1fus",
-		r13.DDIO.Summary.MLCWB, r13.DDIO.Summary.LLCWB, r13.DDIO.Summary.P99US,
-		r13.IDIO.Summary.MLCWB, r13.IDIO.Summary.LLCWB, r13.IDIO.Summary.P99US))
-
-	// Fig. 14.
-	f14 := DefaultFig14Opts()
-	f14.Parallelism = opts.Parallelism
-	scale(&f14.RingSize, &f14.MLCSize, &f14.LLCSize)
-	rw.h2("Fig. 14 — mlcTHR sensitivity at 100 Gbps (normalized to DDIO)")
-	rw.table(Fig14Header(), Rows(Fig14(f14)))
-
-	// Breakdown.
-	bo := DefaultBreakdownOpts()
-	bo.Parallelism = opts.Parallelism
-	scale(&bo.RingSize, &bo.MLCSize, &bo.LLCSize)
-	rw.h2("Latency breakdown (µs)")
-	rw.table(BreakdownHeader(), Rows(Breakdown(bo)))
-
-	// Baselines.
-	base := DefaultBaselineOpts()
-	base.Parallelism = opts.Parallelism
-	scale(&base.RingSize, &base.MLCSize, &base.LLCSize)
-	rw.h2("Baselines — static DDIO vs IAT-style dynamic ways vs IDIO (100 Gbps)")
-	rw.table(BaselineHeader(), Rows(Baselines(base)))
-
-	// Ablations.
-	ao := DefaultAblationOpts()
-	ao.Parallelism = opts.Parallelism
-	scale(&ao.RingSize, &ao.MLCSize, &ao.LLCSize)
-	hot := ao
-	hot.RateGbps = 100
-	var arows []AblationRow
-	arows = append(arows, AblationDDIOWays(ao, []int{1, 2, 4})...)
-	arows = append(arows, AblationRingSize(ao, []int{64, 256, ao.RingSize})...)
-	arows = append(arows, AblationPrefetchDepth(ao, []int{4, 32, 128})...)
-	arows = append(arows, AblationDescCoalescing(ao, []sim.Duration{0, 1900 * sim.Nanosecond, 20 * sim.Microsecond})...)
-	arows = append(arows, AblationAdaptivePrefetch(hot)...)
-	arows = append(arows, AblationMLP(hot, []int{1, 4, 8, 32})...)
-	arows = append(arows, AblationReplacement(ao)...)
-	arows = append(arows, AblationInclusion(ao)...)
-	arows = append(arows, AblationFrameSize(ao, []int{128, 512, 1514})...)
-	rw.h2("Ablations — design-choice sweeps")
-	rw.table(AblationHeader(), Rows(arows))
-
-	// Claim verification.
-	rw.h2("Reproduction claims")
-	var claims strings.Builder
+	var claims bytes.Buffer
 	failed := Verify(&claims)
-	rw.pre(claims.String())
+	fmt.Fprintf(&b, "## Reproduction claims\n\n```\n%s```\n\n", claims.Bytes())
 	if failed > 0 {
-		rw.p(fmt.Sprintf("**%d claims FAILED.**", failed))
+		fmt.Fprintf(&b, "**%d claims FAILED.**\n\n", failed)
 	}
-	return rw.err
-}
-
-// reportWriter accumulates markdown, capturing the first write error.
-type reportWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (r *reportWriter) emit(format string, args ...interface{}) {
-	if r.err != nil {
-		return
-	}
-	_, r.err = fmt.Fprintf(r.w, format, args...)
-}
-
-func (r *reportWriter) h1(s string) { r.emit("# %s\n\n", s) }
-func (r *reportWriter) h2(s string) { r.emit("## %s\n\n", s) }
-func (r *reportWriter) p(s string)  { r.emit("%s\n\n", s) }
-func (r *reportWriter) pre(s string) {
-	r.emit("```\n%s```\n\n", s)
-}
-
-// table renders a markdown table.
-func (r *reportWriter) table(header []string, rows []TableRow) {
-	if r.err != nil {
-		return
-	}
-	r.emit("| %s |\n", strings.Join(header, " | "))
-	seps := make([]string, len(header))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	r.emit("| %s |\n", strings.Join(seps, " | "))
-	for _, row := range rows {
-		r.emit("| %s |\n", strings.Join(row.Row(), " | "))
-	}
-	r.emit("\n")
+	_, err := w.Write(b.Bytes())
+	return err
 }

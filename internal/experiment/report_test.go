@@ -1,43 +1,40 @@
 package experiment
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestWriteReportQuick: the -quick report holds every catalogue entry,
+// its section byte-equal to the entry's golden -quick output, then the
+// claims, all passing.
 func TestWriteReportQuick(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteReport(&buf, ReportOpts{Quick: true}); err != nil {
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, Env{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{
-		"# IDIO reproduction report",
-		"Fig. 4", "Fig. 9", "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14",
-		"Latency breakdown", "Baselines", "Ablations", "Reproduction claims",
-		"| rate | policy |", // a table header made it through
-		"PASS",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
+	for _, e := range Catalogue {
+		want, err := os.ReadFile(filepath.Join("../../testdata/golden", e.Name+"_quick.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := "## " + e.Name + "\n\n```\n"
+		i := strings.Index(out, open)
+		if i < 0 {
+			t.Fatalf("report has no %s section", e.Name)
+		}
+		body := out[i+len(open):]
+		body = body[:strings.Index(body, "```\n")]
+		if body != string(want) {
+			t.Errorf("report section %s differs from its golden -quick output:\n%s", e.Name, body)
 		}
 	}
-	if strings.Contains(out, "FAILED") {
-		t.Fatal("report contains failed claims")
-	}
-	// Markdown tables are well-formed: every table line has matching
-	// pipe counts with its header (spot check the Fig. 14 table).
-	lines := strings.Split(out, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "| mlcTHR |") {
-			want := strings.Count(l, "|")
-			for j := i + 1; j < len(lines) && strings.HasPrefix(lines[j], "|"); j++ {
-				if strings.Count(lines[j], "|") != want {
-					t.Fatalf("ragged table row %q", lines[j])
-				}
-			}
-		}
-		_ = i
+	if !strings.Contains(out, "## Reproduction claims\n\n```\nPASS") || strings.Contains(out, "FAIL") {
+		t.Fatalf("report claims missing or failing:\n%s", out[strings.Index(out, "## Reproduction claims"):])
 	}
 }
 
@@ -52,7 +49,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteReportPropagatesWriteErrors(t *testing.T) {
-	if err := WriteReport(&failWriter{}, ReportOpts{Quick: true}); err == nil {
+	if err := WriteReport(&failWriter{}, Env{Quick: true}); err == nil {
 		t.Fatal("write errors must propagate")
 	}
 }

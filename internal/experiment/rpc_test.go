@@ -11,9 +11,9 @@ import (
 // quickRPCOpts shrinks the sweep to CI size.
 func quickRPCOpts() RPCOpts {
 	opts := DefaultRPCOpts()
-	opts.RingSize = 256
-	opts.MLCSize = 256 << 10
-	opts.LLCSize = 768 << 10
+	opts.RingSize = quickRing
+	opts.MLCSize = quickMLC
+	opts.LLCSize = quickLLC
 	opts.Requests = 256
 	opts.LoadsGbps = []float64{5, 25}
 	opts.Windows = []int{1, 16}

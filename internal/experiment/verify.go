@@ -8,9 +8,9 @@ import (
 	"idio/internal/sim"
 )
 
-// Verify runs reduced-scale versions of the paper's headline
-// experiments and checks the qualitative claims hold, printing one
-// PASS/FAIL line per claim. It returns the number of failed claims.
+// Verify runs reduced-scale versions (the -quick geometry) of the
+// paper's headline experiments and checks the qualitative claims hold,
+// printing one PASS/FAIL line per claim. It returns the number of failed claims.
 // This is the same set of assertions the test suite enforces, exposed
 // as a user-facing reproduction check (`idiosim -exp verify`).
 func Verify(w io.Writer) int {
@@ -25,21 +25,16 @@ func Verify(w io.Writer) int {
 		fmt.Fprintf(w, "%-4s  %-58s %s\n", status, name, detail)
 	}
 
-	const (
-		ring = 256
-		mlc  = 256 << 10
-		llc  = 768 << 10
-	)
 	horizon := 9 * sim.Millisecond
 
 	// Claims from Fig. 9/10 at 100 and 25 Gbps.
 	cells := Fig9(Fig9Opts{
-		RingSize: ring, Rates: []float64{100, 25},
+		RingSize: quickRing, Rates: []float64{100, 25},
 		Policies: []idiocore.Policy{
 			idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyPrefetch,
 			idiocore.PolicyStatic, idiocore.PolicyIDIO,
 		},
-		Horizon: horizon, MLCSize: mlc, LLCSize: llc,
+		Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC,
 	})
 	get := func(rate float64, pol idiocore.Policy) BurstSummary {
 		for _, c := range cells {
@@ -81,15 +76,15 @@ func Verify(w io.Writer) int {
 
 	// Fig. 4 regimes.
 	f4 := Fig4(Fig4Opts{
-		Rings: []int{64, ring}, Loads: map[string]float64{"high": 8},
-		RingCycles: 5, OneWayRings: []int{ring}, MLCSize: mlc, LLCSize: llc,
+		Rings: []int{64, quickRing}, Loads: map[string]float64{"high": 8},
+		RingCycles: 5, OneWayRings: []int{quickRing}, MLCSize: quickMLC, LLCSize: quickLLC,
 	})
 	var small, large, oneWay Fig4Row
 	for _, r := range f4 {
 		switch {
 		case r.Ring == 64 && !r.OneWay:
 			small = r
-		case r.Ring == ring && !r.OneWay:
+		case r.Ring == quickRing && !r.OneWay:
 			large = r
 		case r.OneWay:
 			oneWay = r
@@ -106,7 +101,7 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(%.2f vs %.2f Gbps)", oneWay.DRAMWriteGbps, large.DRAMWriteGbps))
 
 	// Fig. 11: shallow NF and direct DRAM.
-	f11 := Fig11(Fig11Opts{RingSize: ring, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
+	f11 := Fig11(Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
 	check("IDIO cuts L2Fwd LLC writebacks (Fig. 11)",
 		f11.IDIO.Summary.LLCWB < f11.DDIO.Summary.LLCWB,
 		fmt.Sprintf("(%d vs %d)", f11.IDIO.Summary.LLCWB, f11.DDIO.Summary.LLCWB))
@@ -115,14 +110,14 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(%.1f vs RX %.1f Gbps)", f11.DirectDRAM.DRAMWriteGbps, f11.DirectDRAM.RxGbps))
 
 	// Fig. 13: steady traffic.
-	f13 := Fig13(Fig13Opts{RingSize: ring, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond, MLCSize: mlc, LLCSize: llc})
+	f13 := Fig13(Fig13Opts{RingSize: quickRing, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond, MLCSize: quickMLC, LLCSize: quickLLC})
 	check("steady-traffic MLC WB removed by IDIO (Fig. 13)",
 		f13.IDIO.Summary.MLCWB*10 <= f13.DDIO.Summary.MLCWB,
 		fmt.Sprintf("(%d vs %d)", f13.IDIO.Summary.MLCWB, f13.DDIO.Summary.MLCWB))
 
 	// Shortcoming S1: an IAT-style dynamic DDIO-way baseline reduces
 	// LLC leaks but cannot touch the MLC writeback problem.
-	baseRows := Baselines(AblationOpts{RingSize: ring, RateGbps: 100, Horizon: horizon, MLCSize: mlc, LLCSize: llc})
+	baseRows := Baselines(AblationOpts{RingSize: quickRing, RateGbps: 100, Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC})
 	sDDIO, sDyn, sIDIO := baseRows[0], baseRows[1], baseRows[2]
 	check("dynamic DDIO ways reduce LLC leaks (prior work)",
 		sDyn.LLCWB < sDDIO.LLCWB,
@@ -135,7 +130,7 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(mlc %d<%d, llc %d<%d)", sIDIO.MLCWB, sDyn.MLCWB, sIDIO.LLCWB, sDyn.LLCWB))
 
 	// Fig. 14: threshold insensitivity.
-	f14 := Fig14(Fig14Opts{RingSize: ring, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: horizon, MLCSize: mlc, LLCSize: llc})
+	f14 := Fig14(Fig14Opts{RingSize: quickRing, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC})
 	insensitive := true
 	for _, r := range f14 {
 		if r.NormMLCWB >= 1 || r.NormExeTime >= 1.05 {

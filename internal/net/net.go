@@ -110,14 +110,9 @@ type Link struct {
 	qlen     int
 	inflight int
 
-	// CoDel controller state (AQMTarget > 0): firstAbove is when the
-	// delay excursion will have persisted a full interval, dropNext the
-	// next scheduled drop while in dropping state, count the drops in
-	// the current dropping episode.
-	aqmFirstAbove sim.Time
-	aqmDropNext   sim.Time
-	aqmCount      int
-	aqmDropping   bool
+	// codel is the FIFO egress's CoDel controller (AQMTarget > 0), fed
+	// the enqueue-time sojourn.
+	codel codel
 
 	stats LinkStats
 	obs   *obs.Observer
@@ -245,7 +240,7 @@ func (l *Link) Receive(s *sim.Simulator, p *pkt.Packet) {
 	// The queueing delay this packet would see is known at enqueue
 	// time (FIFO serializer), so CoDel runs on it directly instead of
 	// waiting for dequeue.
-	if l.cfg.AQMTarget > 0 && l.aqmDrop(now, start.Sub(now)) {
+	if l.cfg.AQMTarget > 0 && l.codel.drop(&l.cfg, now, start.Sub(now)) {
 		l.stats.AQMDrops++
 		l.traceDrop(s, p, "aqm")
 		p.Release()
@@ -285,47 +280,61 @@ func (l *Link) propagate(s *sim.Simulator, deliverAt, sendAt, arrival sim.Time, 
 		sim.Arg{Obj: l, Obj2: p, U0: uint64(arrival)})
 }
 
-// aqmDrop runs the CoDel control law on one arrival: sojourn is the
-// queueing delay the packet would experience. It returns true when the
-// packet should be shed. Below target the controller resets; above it,
-// the first full AQMInterval of sustained excursion arms dropping,
-// after which drops come every interval/sqrt(count) — with count
-// carried over (minus 2) when a new episode starts soon after the
-// last, so repeated overload ramps the drop rate quickly.
-func (l *Link) aqmDrop(now sim.Time, sojourn sim.Duration) bool {
-	if sojourn < l.cfg.AQMTarget {
-		l.aqmFirstAbove = 0
-		l.aqmDropping = false
+// codel is one CoDel controller's state: firstAbove is when the delay
+// excursion will have persisted a full interval, dropNext the next
+// scheduled drop while in dropping state, count the drops in the
+// current dropping episode. The FIFO egress feeds it the enqueue-time
+// sojourn (a FIFO serializer knows a packet's wait on arrival); each
+// scheduled class queue keeps its own and feeds it the actual sojourn
+// at dequeue.
+type codel struct {
+	firstAbove sim.Time
+	dropNext   sim.Time
+	count      int
+	dropping   bool
+}
+
+// drop runs the CoDel control law on one packet with the given
+// sojourn (queueing delay) and reports whether to shed it. Below
+// cfg.AQMTarget the controller resets; above it, the first full
+// AQMInterval of sustained excursion arms dropping, after which drops
+// come every interval/sqrt(count) — with count carried over (minus 2)
+// when a new episode starts soon after the last, so repeated overload
+// ramps the drop rate quickly.
+func (c *codel) drop(cfg *LinkConfig, now sim.Time, sojourn sim.Duration) bool {
+	if sojourn < cfg.AQMTarget {
+		c.firstAbove = 0
+		c.dropping = false
 		return false
 	}
-	if l.aqmFirstAbove == 0 {
-		l.aqmFirstAbove = now.Add(l.cfg.AQMInterval)
+	if c.firstAbove == 0 {
+		c.firstAbove = now.Add(cfg.AQMInterval)
 		return false
 	}
-	if now < l.aqmFirstAbove {
+	if now < c.firstAbove {
 		return false
 	}
-	if !l.aqmDropping {
-		l.aqmDropping = true
-		if l.aqmCount > 2 && now.Sub(l.aqmDropNext) < 8*l.cfg.AQMInterval {
-			l.aqmCount -= 2
+	if !c.dropping {
+		c.dropping = true
+		if c.count > 2 && now.Sub(c.dropNext) < 8*cfg.AQMInterval {
+			c.count -= 2
 		} else {
-			l.aqmCount = 1
+			c.count = 1
 		}
-		l.aqmDropNext = now.Add(l.aqmControlLaw())
+		c.dropNext = now.Add(c.spacing(cfg.AQMInterval))
 		return true
 	}
-	if now >= l.aqmDropNext {
-		l.aqmCount++
-		l.aqmDropNext = l.aqmDropNext.Add(l.aqmControlLaw())
+	if now >= c.dropNext {
+		c.count++
+		c.dropNext = c.dropNext.Add(c.spacing(cfg.AQMInterval))
 		return true
 	}
 	return false
 }
 
-// aqmControlLaw returns the current inter-drop spacing.
-func (l *Link) aqmControlLaw() sim.Duration {
-	return sim.Duration(float64(l.cfg.AQMInterval) / math.Sqrt(float64(l.aqmCount)))
+// spacing returns the current inter-drop spacing.
+func (c *codel) spacing(interval sim.Duration) sim.Duration {
+	return sim.Duration(float64(interval) / math.Sqrt(float64(c.count)))
 }
 
 // linkTxEv finishes one packet's serialization: Arg.Obj is the *Link.

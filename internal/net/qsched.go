@@ -16,8 +16,6 @@
 package net
 
 import (
-	"math"
-
 	"idio/internal/obs"
 	"idio/internal/pkt"
 	"idio/internal/qos"
@@ -40,16 +38,15 @@ type schedEntry struct {
 }
 
 // classQueue is one class's fixed-capacity egress ring plus its
-// private CoDel controller state and counters.
+// private CoDel controller and counters. Each class keeps its own
+// controller so one bufferbloated class cannot arm drops against
+// another.
 type classQueue struct {
 	ring  []schedEntry
 	head  int
 	count int
 
-	aqmFirstAbove sim.Time
-	aqmDropNext   sim.Time
-	aqmCount      int
-	aqmDropping   bool
+	codel codel
 
 	stats ClassStats
 }
@@ -155,7 +152,7 @@ func (l *Link) schedNext(s *sim.Simulator) {
 		cq.head = (cq.head + 1) % len(cq.ring)
 		cq.count--
 		l.qs.backlog[class]--
-		if l.cfg.AQMTarget > 0 && cq.aqmDrop(&l.cfg, now, now.Sub(e.arrival)) {
+		if l.cfg.AQMTarget > 0 && cq.codel.drop(&l.cfg, now, now.Sub(e.arrival)) {
 			l.stats.AQMDrops++
 			cq.stats.AQMDrops++
 			l.qlen--
@@ -190,45 +187,6 @@ func linkQTxEv(sm *sim.Simulator, a sim.Arg) {
 	l.propagate(sm, now.Add(l.cfg.Delay), now, sim.Time(a.U0), a.Obj2.(*pkt.Packet))
 	l.qs.serializing = false
 	l.schedNext(sm)
-}
-
-// aqmDrop is the per-class dequeue-time CoDel control law — the same
-// state machine as Link.aqmDrop, but fed actual sojourn times and
-// keeping independent state per class so one bufferbloated class
-// cannot arm drops against another.
-func (cq *classQueue) aqmDrop(cfg *LinkConfig, now sim.Time, sojourn sim.Duration) bool {
-	if sojourn < cfg.AQMTarget {
-		cq.aqmFirstAbove = 0
-		cq.aqmDropping = false
-		return false
-	}
-	if cq.aqmFirstAbove == 0 {
-		cq.aqmFirstAbove = now.Add(cfg.AQMInterval)
-		return false
-	}
-	if now < cq.aqmFirstAbove {
-		return false
-	}
-	if !cq.aqmDropping {
-		cq.aqmDropping = true
-		if cq.aqmCount > 2 && now.Sub(cq.aqmDropNext) < 8*cfg.AQMInterval {
-			cq.aqmCount -= 2
-		} else {
-			cq.aqmCount = 1
-		}
-		cq.aqmDropNext = now.Add(cq.controlLaw(cfg))
-		return true
-	}
-	if now >= cq.aqmDropNext {
-		cq.aqmCount++
-		cq.aqmDropNext = cq.aqmDropNext.Add(cq.controlLaw(cfg))
-		return true
-	}
-	return false
-}
-
-func (cq *classQueue) controlLaw(cfg *LinkConfig) sim.Duration {
-	return sim.Duration(float64(cfg.AQMInterval) / math.Sqrt(float64(cq.aqmCount)))
 }
 
 // registerClassMetrics adds the armed link's per-class counters to the

@@ -159,3 +159,51 @@ func TestScheduledLinkWeightedShare(t *testing.T) {
 		t.Fatalf("conservation after drain: tx=%d tail=%d delivered=%d", st.TxPackets, st.TailDrops, st.Delivered)
 	}
 }
+
+// TestScheduledLinkPerClassAQM drives the per-class, dequeue-time CoDel
+// controller to drops: an AF21 stream slightly above the service rate
+// builds a standing class queue whose sojourn stays above target, so
+// that class sheds via AQM long before its 1024-deep tail, while a
+// light EF stream — served first by strict priority — sheds nothing.
+// Conservation holds per class (offered = tx + tail + aqm) and in
+// aggregate.
+func TestScheduledLinkPerClassAQM(t *testing.T) {
+	const bulkN, efN = 400, 20
+	s := sim.New()
+	dst := &sink{}
+	l := armedLink(t, dst, LinkConfig{
+		Name: "t", RateBps: 10e9, QueueDepth: 1024,
+		AQMTarget: 5 * sim.Microsecond, AQMInterval: 20 * sim.Microsecond,
+	})
+	// 1514 B serializes in ~1.21 us at 10 Gbps: a 1 us AF21 gap grows
+	// the class backlog ~0.21 us per packet, as in TestLinkAQMSheds.
+	paceInto(t, s, l, dscpFlow(18, 1), bulkN, sim.Microsecond)
+	paceInto(t, s, l, dscpFlow(46, 2), efN, 20*sim.Microsecond)
+	s.RunUntil(sim.Time(10 * sim.Millisecond))
+
+	cs := l.ClassStats()
+	bulk, ef := cs[qos.ClassAF21], cs[qos.ClassEF]
+	if bulk.AQMDrops == 0 {
+		t.Fatal("AF21 standing queue above target never shed via dequeue-time AQM")
+	}
+	if bulk.TailDrops != 0 {
+		t.Fatalf("AQM should shed before the 1024-deep class tail: %d tail drops", bulk.TailDrops)
+	}
+	if ef.AQMDrops != 0 || ef.TxPackets != efN {
+		t.Fatalf("EF below target must pass untouched: tx=%d aqm=%d", ef.TxPackets, ef.AQMDrops)
+	}
+	for c, offered := range map[qos.Class]uint64{qos.ClassAF21: bulkN, qos.ClassEF: efN} {
+		if got := cs[c].TxPackets + cs[c].TailDrops + cs[c].AQMDrops; got != offered {
+			t.Fatalf("%v conservation: tx %d + tail %d + aqm %d = %d, want %d",
+				c, cs[c].TxPackets, cs[c].TailDrops, cs[c].AQMDrops, got, offered)
+		}
+	}
+	st := l.Stats()
+	if got := st.TxPackets + st.TailDrops + st.DownDrops + st.AQMDrops; got != bulkN+efN {
+		t.Fatalf("aggregate conservation: %d, want %d", got, bulkN+efN)
+	}
+	if st.AQMDrops != bulk.AQMDrops || st.Delivered != st.TxPackets || dst.n != st.Delivered || l.InFlight() != 0 {
+		t.Fatalf("drained link: aqm %d (class %d), delivered %d of %d (sink %d), %d in flight",
+			st.AQMDrops, bulk.AQMDrops, st.Delivered, st.TxPackets, dst.n, l.InFlight())
+	}
+}

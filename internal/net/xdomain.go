@@ -91,10 +91,14 @@ func (l *Link) CrossDomain() bool { return l.xOut != nil }
 // (the conservative lookahead guarantees this). scratch is reused
 // across barriers to keep the flush allocation-free.
 //
-// Key order (DeliverAt, SendAt, Src, Idx) reproduces the shared
-// simulator's same-instant FIFO: simultaneous deliveries sort by when
-// their sources accepted them, then by domain index (clients are
-// grouped in slot order), then by within-domain production order.
+// Key order is (DeliverAt, SendAt, Src, Idx): simultaneous deliveries
+// sort by when their sources accepted them, then by source domain index
+// (clients are grouped in slot order), then by within-domain
+// production order. The order is deterministic, but it is not always
+// the shared simulator's same-instant FIFO: that one serves
+// same-instant sends in the order their send events were scheduled,
+// where the key breaks the tie by source domain (see the package
+// comment).
 func Flush(outboxes []*Outbox, scratch *[]XEntry) {
 	all := (*scratch)[:0]
 	for _, o := range outboxes {

@@ -44,14 +44,6 @@ trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.csv" -trace-sample 16 > /dev/null
 test "$(head -n 1 "$obsdir/trace.csv")" = "core,seq,arrival_us,ready_us,start_us,done_us,notify_us,queue_us,service_us,total_us"
-# Golden tables under parallel cells: all 15 pinned -quick tables (rpc,
-# qos, chaos, churn, fig4, fig5, fig9-fig14, breakdown, ablations and
-# degradation) run with -j 2 must match the committed corpus, which
-# TestGolden checks at -j 1 (the wall-clock footer goes to stderr).
-for exp in rpc qos chaos churn fig4 fig5 fig9 fig10 fig11 fig12 fig13 fig14 breakdown ablations degradation; do
-    go run ./cmd/idiosim -exp "$exp" -quick -j 2 > "$obsdir/$exp.txt"
-    cmp "$obsdir/$exp.txt" "testdata/golden/${exp}_quick.txt"
-done
 # Sharded smoke: the same scenario partitioned into 4 event domains
 # must produce byte-identical stdout and stats to the single-domain
 # run — the tentpole determinism guarantee, checked end to end.
@@ -103,10 +95,11 @@ cmp "$obsdir/churn1.stats" "$obsdir/churn4.stats"
 go test -run 'TestLossyFabricNoPoolLeak|TestClusterAllocsPerRequest' -count=1 .
 # Perf gate, part 2: compare quick lifecycle runs — the packet loop and
 # the million-flow churn loop — against the committed baseline;
-# benchjson prints a WARNING for every >10% ns/pkt (or ns/req)
-# regression. Advisory, not failing — wall-clock numbers on shared
-# machines are too noisy for a hard gate, but the warning lands in the
-# check output where a reviewer will see it.
+# benchjson prints a WARNING for every >10% regression of the headline
+# metric (ns/pkt, else ns/req, else ns/op). Advisory, not failing —
+# wall-clock numbers on shared machines are too noisy for a hard gate,
+# but the warning lands in the check output where a reviewer will see
+# it.
 if [ -f BENCH_sim.json ]; then
     go test -run '^$' -bench 'BenchmarkPacketLifecycle|BenchmarkMillionFlowSteadyState' -benchmem -benchtime=3x . > "$obsdir/lifecycle.txt"
     go run ./cmd/benchjson -baseline BENCH_sim.json -o "$obsdir/lifecycle.json" "$obsdir/lifecycle.txt"
