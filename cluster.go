@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"idio/internal/fault"
 	fnet "idio/internal/net"
 	"idio/internal/nic"
 	"idio/internal/obs"
@@ -36,15 +35,10 @@ func ClientIP(i int) pkt.IPv4 { return pkt.IPv4{10, 0, 2, byte(i + 1)} }
 //	                 │    └─ srv.down ─▶ [DUT NIC → cores → TX]
 //	                 └────── srv.up ◀────────────┘
 //
-// Every cluster runs on a sim.Engine. With ClusterConfig.Shards <= 1
-// it has one event domain: every host shares one simulator. With
-// Shards >= 2 the DUT, the switch and groups of clients each own an
-// event domain with its own simulator, advanced in turn through
-// conservative epochs and synchronized at the links (the only legal
-// cross-domain edges); outputs stay byte-identical.
+// Every host of a cluster, DUT, switch and clients alike, schedules
+// its events on one simulator, Sim.
 type Cluster struct {
-	// Sim is the DUT's simulator: event domain 0, and the only domain
-	// when unsharded.
+	// Sim is the one event queue every host of the cluster runs on.
 	Sim *sim.Simulator
 	// DUT is the server host: the full System (hierarchy, NIC, IDIO).
 	DUT *System
@@ -74,51 +68,32 @@ type Cluster struct {
 	qosMap      *qos.Map
 	clientClass []qos.Class
 
-	// Event domains: doms[0] is the DUT; when sharded, doms[1] is the
-	// switch and doms[2..] the client groups.
-	engine       *sim.Engine
-	doms         []*clusterDomain
-	switchDom    int   // domain index owning the switch
-	clientDomOf  []int // client slot -> domain index
-	clientSlots  []int // Clients[j] -> slot (parallel to Clients)
-	churnSlots   []int // ChurnClients[j] -> slot
-	faultLinkDom []int // fault AttachLink order -> owning domain
-	outboxes     []*fnet.Outbox
-	flushScratch []fnet.XEntry
-}
-
-// clusterDomain is one event domain of a cluster: a private
-// simulator and the outbox collecting its cross-domain handoffs
-// between barriers (always empty when the cluster has one domain).
-// Every domain draws packets from the DUT's pool: the engine never
-// runs two domains at once.
-type clusterDomain struct {
-	name string
-	sm   *sim.Simulator
-	out  *fnet.Outbox
+	// at is where the last Run stopped; the next one resumes there.
+	at sim.Time
 }
 
 // runStep is the until-idle checkpoint period of every run, single
-// host or cluster, at any shard count.
+// host or cluster.
 const runStep = 100 * sim.Microsecond
 
-// runUntilIdle advances e to the first runStep checkpoint where idle
-// reports true, or else through horizon rounded up to a checkpoint.
-// The polling loops of a host never terminate, so an until-idle run
-// cannot wait for its event queues to drain.
-func runUntilIdle(e *sim.Engine, horizon sim.Duration, idle func() bool) error {
+// runUntilIdle advances s from checkpoint from to the first runStep
+// checkpoint where idle reports true, or else through horizon rounded
+// up to a checkpoint, and returns where it stopped. The polling loops
+// of a host never terminate, so an until-idle run cannot wait for its
+// event queue to drain.
+func runUntilIdle(s *sim.Simulator, from sim.Time, horizon sim.Duration, idle func() bool) (sim.Time, error) {
 	end := sim.Time(horizon)
 	if r := end % sim.Time(runStep); r != 0 {
 		end += sim.Time(runStep) - r
 	}
-	return e.Run(end, runStep, idle)
+	return s.RunCheckpoints(from, end, runStep, idle)
 }
 
 // NewCluster wires the topology: the DUT server (full System) and
 // nClients client slots. Client slots start empty — attach an RPC
 // client with AddRPCClient, or feed a slot's uplink directly via
 // ClientIngress (generator traffic through the fabric; install on
-// ClientSim(i)). The DUT's port-0 TX path is wired to echo processed
+// Sim). The DUT's port-0 TX path is wired to echo processed
 // frames back through the switch.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -151,14 +126,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// replaces its FIFO with the scheduled per-class queues.
 		cl.Switch.ArmQoS(cfg.QoS, qm)
 	}
-	cl.buildDomains()
 	o := dut.Observe()
 	cl.Switch.SetObserver(o)
 	reg := o.Registry()
 
 	// Server downlink: switch → DUT NIC (port 0 receives like a
-	// generator would — *nic.NIC satisfies fnet.Endpoint). The switch
-	// domain owns it; the DUT domain is the delivery side.
+	// generator would — *nic.NIC satisfies fnet.Endpoint).
 	down := cfg.ServerLink
 	down.Name = "srv.down"
 	cl.ServerDown = fnet.NewLink(down, dut.NIC)
@@ -169,7 +142,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cl.qosMap != nil {
 		cl.ServerDown.ArmQoS(cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ServerDown, cl.switchDom, domDUT)
 	cl.ServerDown.RegisterMetrics(reg, "fabric.srv.down.")
 	cl.Switch.Route(ServerIP, cl.Switch.AddPort(cl.ServerDown))
 
@@ -180,7 +152,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	up.Name = "srv.up"
 	cl.ServerUp = fnet.NewLink(up, cl.Switch)
 	cl.ServerUp.SetObserver(o)
-	cl.bindLink(cl.ServerUp, domDUT, cl.switchDom)
 	cl.ServerUp.RegisterMetrics(reg, "fabric.srv.up.")
 	// The echo response is drawn from the host pool — usually the very
 	// request packet just released by the slot free in this same event,
@@ -207,10 +178,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.ClientUp[i] = fnet.NewLink(lc, cl.Switch)
 		cl.ClientUp[i].SetObserver(o)
 		// Clients and generators feeding this uplink draw their request
-		// packets from the host pool at every shard count, so its leak
-		// accounting covers the whole fabric.
+		// packets from the host pool, so its leak accounting covers the
+		// whole fabric.
 		cl.ClientUp[i].SetPacketPool(dut.PktPool)
-		cl.bindLink(cl.ClientUp[i], cl.clientDomOf[i], cl.switchDom)
 		cl.ClientUp[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.up.", i))
 	}
 	cl.Switch.RegisterMetrics(reg, "fabric.switch.")
@@ -218,121 +188,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// Fabric links are fault targets; attach in slot order so the
 	// injector's victim choice is deterministic.
 	if dut.Faults != nil {
-		cl.attachFaultLink(cl.ServerDown, cl.switchDom)
-		cl.attachFaultLink(cl.ServerUp, domDUT)
-		for i, l := range cl.ClientUp {
-			cl.attachFaultLink(l, cl.clientDomOf[i])
+		dut.Faults.AttachLink(cl.ServerDown)
+		dut.Faults.AttachLink(cl.ServerUp)
+		for _, l := range cl.ClientUp {
+			dut.Faults.AttachLink(l)
 		}
-	}
-	if cl.sharded() {
-		// Per-domain progress counters exist only when sharded, so
-		// WriteStats omits them to keep the dump shard-invariant.
-		for _, d := range cl.doms {
-			d := d
-			reg.CounterFunc("domain."+d.name+".events", func() uint64 { return d.sm.Processed() })
-		}
-		reg.CounterFunc("domain.epochs", func() uint64 { return cl.engine.Epochs() })
 	}
 	return cl, nil
-}
-
-// domDUT is the DUT's domain index: it always owns domain 0, the
-// shared simulator of an unsharded cluster. When sharded, the switch
-// owns domain 1 and client groups fill 2..N-1.
-const domDUT = 0
-
-// buildDomains partitions the cluster into event domains — one when
-// Shards <= 1, else the DUT, the switch and Shards-2 (at least one)
-// client groups — and builds the barrier-epoch engine. The
-// conservative lookahead is the minimum link propagation delay: a
-// handoff produced during an epoch always lands strictly after the
-// next barrier, so flushing mailboxes at every barrier is always in
-// time.
-func (cl *Cluster) buildDomains() {
-	cfg := cl.cfg
-	names := []string{"dut"}
-	groups := 0
-	if cfg.Shards > 1 {
-		groups = min(max(cfg.Shards-2, 1), cfg.Clients)
-		names = append(names, "switch")
-		cl.switchDom = 1
-	}
-	for g := 0; g < groups; g++ {
-		names = append(names, fmt.Sprintf("clients.%d", g))
-	}
-	for i, name := range names {
-		d := &clusterDomain{name: name, out: fnet.NewOutbox(i)}
-		if i == domDUT {
-			d.sm = cl.Sim
-		} else {
-			d.sm = sim.New()
-			if cfg.Host.Watchdog != nil {
-				d.sm.SetWatchdog(*cfg.Host.Watchdog)
-			}
-		}
-		cl.doms = append(cl.doms, d)
-		cl.outboxes = append(cl.outboxes, d.out)
-	}
-	// Client slots map onto groups in contiguous blocks, so clients
-	// that send at the same instant merge in slot order. The shared
-	// simulator serves them in scheduling order instead, which can
-	// differ: per-client timing is not shard-invariant (see the
-	// Outbox merge key in internal/net). Unsharded, every slot lives
-	// in domain 0.
-	cl.clientDomOf = make([]int, cfg.Clients)
-	if groups > 0 {
-		per := (cfg.Clients + groups - 1) / groups
-		for i := range cl.clientDomOf {
-			cl.clientDomOf[i] = 2 + i/per
-		}
-	}
-	lookahead := min(cfg.ClientLink.Delay, cfg.ServerLink.Delay)
-	cl.engine = sim.NewEngine(lookahead, func() {
-		fnet.Flush(cl.outboxes, &cl.flushScratch)
-	})
-	for _, d := range cl.doms {
-		cl.engine.AddDomain(&sim.Domain{Name: d.name, Sim: d.sm, PendingExternal: d.out.Pending})
-	}
-	if cl.sharded() && cl.DUT.Faults != nil {
-		// Timeline phases are scheduled per owning domain in Start;
-		// everything else the injector runs stays DUT-local.
-		cl.DUT.Faults.ScheduleTimelineExternally()
-	}
-}
-
-// sharded reports whether the cluster runs more than one event
-// domain. Only then do links cross domains, so only then are the
-// multi-domain restrictions (shared histograms, timeline phase
-// owners) and the domain.* counters in force.
-func (cl *Cluster) sharded() bool { return len(cl.doms) > 1 }
-
-// bindLink marks l as a cross-domain edge from src to dst. A link
-// whose two ends share a domain is an ordinary link.
-func (cl *Cluster) bindLink(l *fnet.Link, src, dst int) {
-	if src == dst {
-		return
-	}
-	l.BindCrossDomain(cl.doms[src].out, cl.doms[dst].sm)
-}
-
-// attachFaultLink registers l as a fault target and records its
-// owning domain so timeline phases can be scheduled there.
-func (cl *Cluster) attachFaultLink(l *fnet.Link, dom int) {
-	cl.DUT.Faults.AttachLink(l)
-	cl.faultLinkDom = append(cl.faultLinkDom, dom)
 }
 
 // ClientIngress returns slot i's uplink as a traffic.Receiver, so any
 // internal/traffic generator can be Installed onto the fabric instead
 // of injecting directly into the DUT NIC: generator → uplink → switch
-// → server downlink → NIC. Install onto ClientSim(i)'s simulator.
+// → server downlink → NIC. Install onto Sim.
 func (cl *Cluster) ClientIngress(i int) traffic.Receiver { return cl.ClientUp[i] }
-
-// ClientSim returns the simulator owning client slot i: the shared
-// simulator when unsharded, the slot's client-group domain when
-// sharded. Anything generating traffic into ClientIngress(i) must
-// schedule its events here.
-func (cl *Cluster) ClientSim(i int) *sim.Simulator { return cl.doms[cl.clientDomOf[i]].sm }
 
 // ClientFlow returns the canonical request flow for client slot i
 // targeting the NF on the given DUT core: source is the client's own
@@ -350,18 +219,13 @@ func (cl *Cluster) ClientFlow(i, core int) traffic.Flow {
 // downlink, routes the client's address to it, and pins the flow to
 // the core with an EP Flow Director rule. A zero ccfg.Flow defaults
 // to ClientFlow(i, core). Every client records latency into its own
-// histogram, and Collect merges them into the aggregate. A sharded
-// cluster rejects ccfg.Hist: clients in different event domains must
-// not write one shared histogram.
+// histogram, and Collect merges them into the aggregate.
 func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Client {
 	if cl.ClientDown[i] != nil {
 		panic(fmt.Sprintf("idio: client slot %d already has an RPC client", i))
 	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, core)
-	}
-	if cl.sharded() && ccfg.Hist != nil {
-		panic("idio: a sharded cluster cannot share one histogram across client domains; leave ClientConfig.Hist nil")
 	}
 	c := fnet.NewClient(ccfg, cl.ClientUp[i])
 	o := cl.DUT.Observe()
@@ -374,11 +238,10 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	if cl.qosMap != nil {
 		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ClientDown[i], cl.switchDom, cl.clientDomOf[i])
 	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
 	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
 	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], cl.switchDom)
+		cl.DUT.Faults.AttachLink(cl.ClientDown[i])
 	}
 
 	cl.DUT.FlowDir.AddEPRule(ccfg.Flow.Tuple(), core)
@@ -394,7 +257,6 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	}
 	c.RegisterMetrics(reg, fmt.Sprintf("rpc.c%d.", i))
 	cl.Clients = append(cl.Clients, c)
-	cl.clientSlots = append(cl.clientSlots, i)
 	return c
 }
 
@@ -415,7 +277,7 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, 0)
 	}
-	c := fnet.NewChurnClient(cl.ClientSim(i), ccfg, cl.ClientUp[i])
+	c := fnet.NewChurnClient(cl.Sim, ccfg, cl.ClientUp[i])
 	o := cl.DUT.Observe()
 	reg := o.Registry()
 
@@ -426,11 +288,10 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	if cl.qosMap != nil {
 		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
 	}
-	cl.bindLink(cl.ClientDown[i], cl.switchDom, cl.clientDomOf[i])
 	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
 	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
 	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], cl.switchDom)
+		cl.DUT.Faults.AttachLink(cl.ClientDown[i])
 	}
 
 	if !cl.DUT.FlowDir.FlowStatsEnabled() {
@@ -445,76 +306,30 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	}
 	c.RegisterMetrics(reg, fmt.Sprintf("churn.c%d.", i))
 	cl.ChurnClients = append(cl.ChurnClients, c)
-	cl.churnSlots = append(cl.churnSlots, i)
 	return c
 }
 
 // Start launches the DUT (cores, controller, injectors) and every
-// installed RPC client, each on its owning domain's simulator.
-// Calling it more than once is a no-op.
+// installed client. Calling it more than once is a no-op.
 func (cl *Cluster) Start() {
 	if cl.started {
 		return
 	}
 	cl.started = true
 	cl.DUT.Start()
-	if cl.sharded() && cl.DUT.Faults != nil {
-		// Every timeline phase runs on the domain owning its target, at
-		// exactly its declared instant of that domain's timeline.
-		for di := range cl.doms {
-			di := di
-			cl.DUT.Faults.SchedulePhases(cl.doms[di].sm, func(ph fault.Phase) bool {
-				return cl.phaseDomain(ph) == di
-			})
-		}
+	for _, c := range cl.Clients {
+		c.Start(cl.Sim)
 	}
-	for j, c := range cl.Clients {
-		c.Start(cl.ClientSim(cl.clientSlots[j]))
+	for _, c := range cl.ChurnClients {
+		c.Start(cl.Sim)
 	}
-	for j, c := range cl.ChurnClients {
-		c.Start(cl.ClientSim(cl.churnSlots[j]))
-	}
-}
-
-// phaseDomain resolves the domain that owns a timeline phase's
-// target: fabric phases belong to the domain whose events feed the
-// victim link; every other layer perturbs DUT components.
-func (cl *Cluster) phaseDomain(ph fault.Phase) int {
-	if ph.Layer == "fabric" && ph.Target >= 0 && ph.Target < len(cl.faultLinkDom) {
-		return cl.faultLinkDom[ph.Target]
-	}
-	return domDUT
-}
-
-// validatePhases cross-checks explicitly named phase domains against
-// the targets' actual owners (sharded clusters only — on one shared
-// simulator the name is advisory).
-func (cl *Cluster) validatePhases() error {
-	if !cl.sharded() || cl.DUT.Faults == nil || cl.cfg.Host.Faults == nil {
-		return nil
-	}
-	for i, ph := range cl.cfg.Host.Faults.Timeline {
-		if ph.Domain == "" {
-			continue
-		}
-		if want := cl.doms[cl.phaseDomain(ph)].name; ph.Domain != want {
-			return fmt.Errorf("idio: fault timeline[%d] names domain %q but its %s target %d belongs to domain %q",
-				i, ph.Domain, ph.Layer, ph.Target, want)
-		}
-	}
-	return nil
 }
 
 // Idle reports whether the whole topology has drained: DUT rings
-// empty, no packet queued/serializing/propagating on any link, no
-// handoff parked in a cross-domain mailbox, and every RPC client out
-// of budget with no request awaiting a response or timeout.
+// empty, no packet queued/serializing/propagating on any link, and
+// every client out of budget with no request awaiting a response or
+// timeout.
 func (cl *Cluster) Idle() bool {
-	for _, o := range cl.outboxes {
-		if o.Pending() != 0 {
-			return false
-		}
-	}
 	if !cl.DUT.idle() {
 		return false
 	}
@@ -536,11 +351,9 @@ func (cl *Cluster) Idle() bool {
 	return true
 }
 
-// Pending sums schedulable work across the whole cluster: every
-// domain's event queue plus cross-domain mailbox entries not yet
-// injected — so a sharded and an unsharded cluster agree on whether
-// anything is still in flight (a packet parked in a mailbox counts).
-func (cl *Cluster) Pending() int { return cl.engine.Pending() }
+// Pending returns the number of events queued on the cluster's
+// simulator.
+func (cl *Cluster) Pending() int { return cl.Sim.Pending() }
 
 // links returns every fabric link in slot order (nil downlinks of
 // empty client slots are skipped).
@@ -562,30 +375,21 @@ type RunOpts struct {
 	// Horizon bounds the run in simulated time.
 	Horizon sim.Duration
 	// UntilIdle stops early at the first 100 µs checkpoint where the
-	// topology has drained (all clients done, fabric, mailboxes and
-	// rings empty) — the natural mode for fixed request budgets. The
-	// checkpoints do not depend on the shard count, so every shard
-	// count stops at the same instant.
+	// topology has drained (all clients done, fabric and rings empty)
+	// — the natural mode for fixed request budgets.
 	UntilIdle bool
 }
 
-// Run starts the cluster (if needed) and executes to opts.Horizon as
-// barrier epochs of its event engine: epochs that end only at
-// checkpoints and the horizon on the one domain of an unsharded
-// cluster, conservative lookahead epochs across the per-host domains
-// when sharded. It returns the collected results and the first
-// structured abort (watchdog trip, named by domain), nil on a clean
-// run.
+// Run starts the cluster (if needed) and executes to opts.Horizon,
+// resuming from where the last Run stopped. It returns the collected
+// results and the watchdog's abort, nil on a clean run.
 func (cl *Cluster) Run(opts RunOpts) (Results, error) {
-	if err := cl.validatePhases(); err != nil {
-		return Results{}, err
-	}
 	cl.Start()
 	var err error
 	if opts.UntilIdle {
-		err = runUntilIdle(cl.engine, opts.Horizon, cl.Idle)
+		cl.at, err = runUntilIdle(cl.Sim, cl.at, opts.Horizon, cl.Idle)
 	} else {
-		err = cl.engine.Run(sim.Time(opts.Horizon), 0, nil)
+		cl.at, err = cl.Sim.RunCheckpoints(cl.at, sim.Time(opts.Horizon), 0, nil)
 	}
 	return cl.Collect(), err
 }
@@ -647,9 +451,7 @@ type respClient interface {
 
 // respSummary accumulates the response side of a set of clients.
 // Goodput spans the earliest first send to the latest response, and
-// the percentiles read the merge of the per-client histograms — bucket
-// addition is order-independent, so the result is identical across
-// shard counts.
+// the percentiles read the merge of the per-client histograms.
 type respSummary struct {
 	n           int
 	rxBytes     uint64

@@ -60,7 +60,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "with -trace, follow every Nth packet")
 	metricsInterval := flag.Duration("metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
 	metricsPath := flag.String("metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
-	shards := flag.Int("shards", 0, "partition a -scenario topology into this many event domains, run in turn on one goroutine (0 = use the scenario's setting; output is byte-identical across shard counts)")
 	reportPath := flag.String("report", "", "regenerate every experiment and the reproduction claims into a markdown report at this path")
 	flag.Parse()
 
@@ -90,7 +89,6 @@ func main() {
 			traceSample:     *traceSample,
 			metricsInterval: *metricsInterval,
 			metricsPath:     *metricsPath,
-			shards:          *shards,
 		}
 		if err := runScenario(*scenarioPath, opts, os.Stdout); err != nil {
 			fatal(err)
@@ -258,7 +256,6 @@ type scenarioOpts struct {
 	traceSample     int
 	metricsInterval time.Duration
 	metricsPath     string
-	shards          int
 }
 
 // runScenario executes a JSON scenario file and prints its summary to
@@ -290,12 +287,6 @@ func runScenario(path string, o scenarioOpts, stdout io.Writer) error {
 		ropts.MetricsInterval = sim.Duration(o.metricsInterval.Nanoseconds()) * sim.Nanosecond
 	} else if o.metricsPath != "" {
 		return fmt.Errorf("-metrics needs -metrics-interval > 0")
-	}
-	if o.shards > 0 {
-		if sc.Topology == nil {
-			return fmt.Errorf("-shards needs a scenario with a topology section")
-		}
-		ropts.Shards = o.shards
 	}
 	sys, res, cpi, err := scenario.RunSystemOpts(sc, ropts)
 	if err != nil {

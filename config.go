@@ -141,16 +141,10 @@ type ClusterConfig struct {
 	// and drop breakdowns. Nil keeps the single-class fabric and the
 	// exact historical outputs.
 	QoS *qos.Config
-	// Shards partitions the cluster into event domains, each with its
-	// own simulator, advanced in turn on one goroutine through
-	// conservative epochs synchronized at link boundaries (lookahead =
-	// the minimum link propagation delay; see DESIGN.md "Sharded event
-	// domains"). 0 or 1 run every host in one domain on one simulator.
-	// N >= 2 gives the DUT and the switch one domain each and spreads
-	// the client hosts over the remaining N-2 (at least one) domains.
-	// Results and stats output are byte-identical across shard counts;
-	// only host time changes, and sharding costs more of it than one
-	// domain.
+	// Shards is accepted for compatibility and has no effect on
+	// results or on how the cluster runs: every host of a cluster
+	// shares one simulator (DESIGN.md "One event queue"). It must be
+	// >= 0.
 	Shards int
 }
 
@@ -189,23 +183,6 @@ func (c ClusterConfig) Validate() error {
 	if c.QoS != nil {
 		if err := c.QoS.Validate(); err != nil {
 			errs = append(errs, err)
-		}
-	}
-	if c.Shards > 1 {
-		// Sharding is conservative PDES: the lookahead window is the
-		// minimum link propagation delay, and anything that samples or
-		// mutates cross-domain state mid-epoch cannot be supported.
-		if c.ClientLink.Delay <= 0 || c.ServerLink.Delay <= 0 {
-			errs = append(errs, fmt.Errorf("idio: sharded cluster needs positive link propagation delays (the conservative lookahead window)"))
-		}
-		if c.Host.Obs.TraceSampleN > 0 {
-			errs = append(errs, fmt.Errorf("idio: packet tracing requires Shards <= 1 (trace events interleave across domains)"))
-		}
-		if c.Host.Obs.MetricsInterval > 0 {
-			errs = append(errs, fmt.Errorf("idio: periodic metric snapshots require Shards <= 1 (the registry samples cross-domain state mid-run)"))
-		}
-		if c.Host.Faults.FabricRandomEnabled() {
-			errs = append(errs, fmt.Errorf("idio: random fabric fault injectors require Shards <= 1; use a deterministic fault Timeline"))
 		}
 	}
 	return errors.Join(errs...)

@@ -1,7 +1,6 @@
 package idio_test
 
 import (
-	"strings"
 	"testing"
 
 	"idio"
@@ -78,64 +77,6 @@ func TestDispatchesPerPacketChurn(t *testing.T) {
 		// Measured: 24.44 dispatches per packet; 39.46 when every
 		// refused step yielded through the scheduler.
 		27)
-}
-
-// TestDispatchesPerRequestSharded runs one rpc fan-in unsharded and
-// on two shards (three event domains) and compares the events
-// dispatched per answered request, summed over every domain. A
-// cross-domain hop must cost what an in-domain one does — one delivery
-// event, filed by the barrier flush in the destination domain — so the
-// two stay within 2%. Measured: 13.53 (1 shard) and 13.70 (2 shards);
-// 17.70 sharded when every crossing also dispatched a source-side
-// accounting event.
-func TestDispatchesPerRequestSharded(t *testing.T) {
-	perReq := func(shards int) float64 {
-		ccfg := idio.DefaultClusterConfig(2, 16)
-		ccfg.Host.Hier.MLCSize = benchMLC
-		ccfg.Host.Hier.LLCSize = benchLLC
-		ccfg.Host.NIC.RingSize = benchRing
-		ccfg.Shards = shards
-		cl, err := idio.NewCluster(ccfg)
-		if err != nil {
-			t.Fatalf("NewCluster: %v", err)
-		}
-		for c := 0; c < ccfg.Host.NumCores(); c++ {
-			cl.DUT.AddNF(c, apps.L2Fwd{}, cl.DUT.DefaultFlow(c))
-		}
-		for i := 0; i < 16; i++ {
-			flow := cl.ClientFlow(i, i%2)
-			flow.FrameLen = 128
-			cl.AddRPCClient(i, i%2, fnet.ClientConfig{
-				Flow: flow, Mode: fnet.ModeClosed, Outstanding: 8, Requests: 400,
-				Start: sim.Time(i) * sim.Time(sim.Microsecond),
-			})
-		}
-		res, err := cl.Run(idio.RunOpts{Horizon: 200 * sim.Millisecond, UntilIdle: true})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !cl.Idle() {
-			t.Fatalf("shards=%d: cluster did not drain", shards)
-		}
-		events := float64(cl.Sim.Processed())
-		if shards > 1 {
-			events = 0
-			for _, m := range res.Metrics {
-				if strings.HasPrefix(m.Name, "domain.") && strings.HasSuffix(m.Name, ".events") {
-					events += m.Value
-				}
-			}
-		}
-		if res.RPC.Responses != 16*400 {
-			t.Fatalf("shards=%d: %d responses, want %d", shards, res.RPC.Responses, 16*400)
-		}
-		return events / float64(res.RPC.Responses)
-	}
-	one, two := perReq(1), perReq(2)
-	t.Logf("dispatches per request: %.2f on 1 shard, %.2f on 2 shards", one, two)
-	if two > one*1.02 {
-		t.Fatalf("%.2f dispatches per request on 2 shards, %.2f on 1: a cross-domain hop costs more events than an in-domain one", two, one)
-	}
 }
 
 func checkDispatches(t *testing.T, events, rx, minRx uint64, bound float64) {

@@ -72,9 +72,6 @@ type ChurnOpts struct {
 	RingSize int
 	MLCSize  int
 	LLCSize  int
-	// Shards partitions each cell's cluster into event domains (0/1 =
-	// single simulator); outputs are identical.
-	Shards int
 	// Parallelism bounds the worker pool over independent cells.
 	Parallelism int
 }
@@ -137,7 +134,6 @@ func runChurnCell(opts ChurnOpts, cell churnCell) ChurnRow {
 	if opts.LLCSize > 0 {
 		ccfg.Host.Hier.LLCSize = opts.LLCSize
 	}
-	ccfg.Shards = opts.Shards
 	cl, err := idio.NewCluster(ccfg)
 	if err != nil {
 		panic(err)

@@ -70,9 +70,6 @@ type QoSOpts struct {
 	RingSize int
 	MLCSize  int
 	LLCSize  int
-	// Shards partitions each cell's cluster into event domains (0/1 =
-	// single simulator); outputs are identical.
-	Shards int
 	// Parallelism bounds the worker pool over independent cells.
 	Parallelism int
 }
@@ -156,7 +153,6 @@ func runQoSCell(opts QoSOpts, setup qosSetup) []QoSRow {
 	}
 	wd := sim.DefaultWatchdogConfig()
 	ccfg.Host.Watchdog = &wd
-	ccfg.Shards = opts.Shards
 	if setup.armed {
 		ccfg.QoS = qos.DefaultConfig()
 	}

@@ -154,13 +154,6 @@ type Phase struct {
 	// phases, ports for nic, cores for core. Ignored for dram. A
 	// target index with no attached victim skips the phase.
 	Target int
-	// Domain optionally names the event domain that owns the phase's
-	// target ("dut", "switch", "clients.0", ...). Single-simulator runs
-	// ignore it; a sharded Cluster verifies it against the target's
-	// actual owner and runs the phase on that domain's simulator, so
-	// the perturbation applies at exactly the declared instant of the
-	// owning timeline. Empty lets the cluster resolve the owner itself.
-	Domain string
 }
 
 // phaseKinds maps every supported layer to its kinds.
@@ -208,15 +201,6 @@ func (c *Config) Enabled() bool {
 	return c != nil && (c.PCIe != nil || c.LinkFlap != nil || c.DMAStall != nil ||
 		c.MbufLeak != nil || c.DRAMSpike != nil || c.SnoopThrash != nil || c.CoreStall != nil ||
 		c.FabricFlap != nil || c.FabricDegrade != nil || len(c.Timeline) > 0)
-}
-
-// FabricRandomEnabled reports whether a periodic rng-driven fabric
-// injector is configured. These pick victim links from the shared
-// seeded stream and flip them mid-epoch from the DUT's timeline, so
-// they cannot be split across event domains; a sharded cluster
-// rejects them (deterministic Timeline phases remain available).
-func (c *Config) FabricRandomEnabled() bool {
-	return c != nil && (c.FabricFlap != nil || c.FabricDegrade != nil)
 }
 
 // Validate checks every enabled injector's parameters, returning one
@@ -411,8 +395,7 @@ type Injector struct {
 	fabricDegrades stats.Counter
 	timelinePhases stats.Counter
 
-	started          bool
-	timelineExternal bool
+	started bool
 }
 
 // New builds an injector; the configuration must already have passed
@@ -628,28 +611,10 @@ func (in *Injector) Start(s *sim.Simulator) {
 			in.coreStalls.Inc()
 		})
 	}
-	if !in.timelineExternal {
-		in.SchedulePhases(s, nil)
-	}
-}
-
-// ScheduleTimelineExternally tells Start to leave the timeline phases
-// to the caller, which schedules them itself through SchedulePhases —
-// the sharded-cluster path, where each phase must run on the event
-// domain owning its target. Call before Start.
-func (in *Injector) ScheduleTimelineExternally() { in.timelineExternal = true }
-
-// SchedulePhases schedules onto s every timeline phase selected by
-// keep (nil keeps all). A sharded cluster calls it once per event
-// domain with a predicate matching the phases that domain owns;
-// relative order among a domain's same-instant phases follows the
-// timeline declaration order, exactly as in the single-simulator path.
-func (in *Injector) SchedulePhases(s *sim.Simulator, keep func(Phase) bool) {
+	// Timeline phases draw nothing from the rng; same-instant phases
+	// run in declaration order.
 	for i := range in.cfg.Timeline {
 		ph := in.cfg.Timeline[i]
-		if keep != nil && !keep(ph) {
-			continue
-		}
 		s.AtNamed(ph.Start, "fault-phase", func(sm *sim.Simulator) {
 			in.applyPhase(sm, ph)
 		})

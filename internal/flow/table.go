@@ -70,8 +70,8 @@ func SlotSize[V any]() uintptr { return unsafe.Sizeof(slot[V]{}) }
 
 // Table is a robin-hood open-addressing hash table keyed by uint64.
 // The zero value is not usable; construct with New or NewFixed. Not
-// safe for concurrent use — it lives inside a single event domain,
-// like everything else in the simulator.
+// safe for concurrent use — it lives inside a single simulator, like
+// everything else in the model.
 type Table[V any] struct {
 	slots []slot[V]
 	n     int

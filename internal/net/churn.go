@@ -219,8 +219,7 @@ type ChurnClient struct {
 }
 
 // NewChurnClient builds a churn client sending into up on s. The
-// timer wheel is created on s, so the client is bound to one event
-// domain: in sharded runs, s must be the client's own domain
+// timer wheel is created on s, so Start must be given the same
 // simulator.
 func NewChurnClient(s *sim.Simulator, cfg ChurnConfig, up *Link) *ChurnClient {
 	if up == nil {

@@ -121,13 +121,6 @@ type Link struct {
 	// feeding this link draw from (recycling through the fabric).
 	pktPool *pkt.Pool
 
-	// Cross-domain binding (BindCrossDomain): when xOut is non-nil the
-	// link is an event-domain edge — accepted packets are parked in
-	// the source domain's outbox instead of being scheduled into the
-	// destination's (foreign) simulator.
-	xOut    *Outbox
-	xDstSim *sim.Simulator
-
 	// qs, when non-nil, switches the egress to scheduled mode: per-class
 	// queues under a strict-priority + WRR scheduler (see qsched.go).
 	// Nil keeps the exact single-FIFO path below.
@@ -260,22 +253,14 @@ func (l *Link) Receive(s *sim.Simulator, p *pkt.Packet) {
 	l.stats.BusyTime += tx
 
 	s.AtArgNamed(end, "link-tx", linkTxEv, sim.Arg{Obj: l})
-	l.propagate(s, end.Add(l.cfg.Delay), now, now, p)
+	l.propagate(s, end.Add(l.cfg.Delay), now, p)
 }
 
-// propagate schedules p's arrival at the far end at deliverAt. sendAt
-// is the cross-domain merge key's send time, arrival the packet's
-// arrival at this link (the start of its traced link span). Both
-// egress modes, FIFO and scheduled, deliver through it. On an
-// event-domain edge the packet is parked in the mailbox for the next
-// barrier flush instead, and the one delivery event the flush files in
-// the destination domain also does this link's delivery accounting
-// (xDeliverEv): the source domain schedules nothing.
-func (l *Link) propagate(s *sim.Simulator, deliverAt, sendAt, arrival sim.Time, p *pkt.Packet) {
-	if l.xOut != nil {
-		l.xOut.add(deliverAt, sendAt, l, p)
-		return
-	}
+// propagate schedules p's arrival at the far end at deliverAt;
+// arrival is the packet's arrival at this link (the start of its
+// traced link span). Both egress modes, FIFO and scheduled, deliver
+// through it.
+func (l *Link) propagate(s *sim.Simulator, deliverAt, arrival sim.Time, p *pkt.Packet) {
 	s.AtArgNamed(deliverAt, "link-deliver", linkDeliverEv,
 		sim.Arg{Obj: l, Obj2: p, U0: uint64(arrival)})
 }

@@ -11,7 +11,7 @@
 // the conservation invariant "offered = TxPackets + TailDrops +
 // DownDrops + AQMDrops" still holds after a drain. Beyond the
 // serializer both modes share one delivery path (Link.propagate):
-// propagation, cross-domain mailboxes and trace spans.
+// propagation and trace spans.
 
 package net
 
@@ -178,13 +178,13 @@ func (l *Link) schedNext(s *sim.Simulator) {
 
 // linkQTxEv finishes one scheduled packet's serialization: Arg.Obj is
 // the *Link, Obj2 the *pkt.Packet, U0 the link-arrival time. The
-// packet propagates through Link.propagate (a propagation event or a
-// cross-domain mailbox), then the serializer picks again.
+// packet propagates through Link.propagate, then the serializer picks
+// again.
 func linkQTxEv(sm *sim.Simulator, a sim.Arg) {
 	l := a.Obj.(*Link)
 	l.qlen--
 	now := sm.Now()
-	l.propagate(sm, now.Add(l.cfg.Delay), now, sim.Time(a.U0), a.Obj2.(*pkt.Packet))
+	l.propagate(sm, now.Add(l.cfg.Delay), sim.Time(a.U0), a.Obj2.(*pkt.Packet))
 	l.qs.serializing = false
 	l.schedNext(sm)
 }

@@ -271,9 +271,9 @@ func (n *NIC) lineTime() sim.Duration {
 	return sim.Duration(64 * 8 * int64(sim.Second) / n.cfg.LineRateBps)
 }
 
-// reserveEngine serialises the DMA engine: returns the start time for
+// reserveDMA serialises the DMA engine: returns the start time for
 // a transfer of nLines beginning no earlier than now.
-func (n *NIC) reserveEngine(now sim.Time, nLines int) (start, end sim.Time) {
+func (n *NIC) reserveDMA(now sim.Time, nLines int) (start, end sim.Time) {
 	start = now
 	if n.engineFree > start {
 		start = n.engineFree
@@ -346,7 +346,7 @@ func (n *NIC) Receive(s *sim.Simulator, p *pkt.Packet) {
 	payload := slot.PayloadRegion()
 	nLines := payload.NumLines()
 	descLines := slot.Desc.NumLines()
-	start, end := n.reserveEngine(now, nLines+descLines)
+	start, end := n.reserveDMA(now, nLines+descLines)
 
 	if n.obs.TracingPacket(p.Seq) {
 		// Attribute the slot's payload and descriptor lines to this
@@ -491,7 +491,7 @@ func (n *NIC) Transmit(s *sim.Simulator, payload mem.Region, fn sim.ArgEvent, ar
 // and returns the engine completion time.
 func (n *NIC) transmitLines(s *sim.Simulator, payload mem.Region) sim.Time {
 	nLines := payload.NumLines()
-	start, end := n.reserveEngine(s.Now(), nLines)
+	start, end := n.reserveDMA(s.Now(), nLines)
 	if nLines > 0 {
 		s.AtArgNamed(start, "dma-read", dmaReadBurstEv,
 			sim.Arg{Obj: n, U0: uint64(payload.Base.Line()), U1: uint64(nLines)})

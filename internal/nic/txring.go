@@ -104,9 +104,9 @@ func (n *NIC) kickTX(s *sim.Simulator, q int, slot *TXSlot, payload mem.Region) 
 	ring := n.TXRing(q)
 	descLines := slot.Desc.NumLines()
 	payloadLines := payload.NumLines()
-	// Engine reservation: descriptor fetch + payload fetch + 1
+	// DMA reservation: descriptor fetch + payload fetch + 1
 	// completion write.
-	start, end := n.reserveEngine(s.Now(), descLines+payloadLines+1)
+	start, end := n.reserveDMA(s.Now(), descLines+payloadLines+1)
 	lt := n.lineTime()
 	// Descriptor fetch then payload fetch, each a fused burst of paced
 	// line reads (see dmaReadBurstEv) — the two runs cover disjoint

@@ -34,6 +34,7 @@ import (
 	"idio/internal/fault"
 	fnet "idio/internal/net"
 	"idio/internal/obs"
+	"idio/internal/pkt"
 	"idio/internal/qos"
 	"idio/internal/sim"
 	"idio/internal/traffic"
@@ -226,11 +227,6 @@ type Topology struct {
 	ServerLink TopoLink   `json:"serverLink"`
 	RPC        *RPCSpec   `json:"rpc,omitempty"`
 	Churn      *ChurnSpec `json:"churn,omitempty"`
-	// Shards partitions the cluster into event domains (see
-	// idio.ClusterConfig.Shards); 0 or 1 run everything on one
-	// simulator. Output is byte-identical either way. The -shards CLI
-	// flag overrides this field.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Scenario is the root document.
@@ -365,10 +361,6 @@ type ChaosPhase struct {
 	// Target selects the victim by attach order (link index, NIC port,
 	// or core).
 	Target int `json:"target,omitempty"`
-	// Domain optionally names the event domain expected to own the
-	// target in a sharded run ("dut", "switch", "clients.<g>"); a
-	// mismatch fails the run instead of perturbing the wrong domain.
-	Domain string `json:"domain,omitempty"`
 }
 
 // chaosTimeline converts the chaos section to fault phases.
@@ -385,7 +377,6 @@ func (sc Scenario) chaosTimeline() []fault.Phase {
 			Duration:  sim.Duration(p.DurationMS * float64(sim.Millisecond)),
 			Magnitude: p.Magnitude,
 			Target:    p.Target,
-			Domain:    p.Domain,
 		}
 	}
 	return tl
@@ -416,6 +407,14 @@ func Load(r io.Reader) (Scenario, error) {
 func (sc Scenario) Validate() error {
 	if sc.Cores <= 0 {
 		return fmt.Errorf("scenario %q: cores must be positive", sc.Name)
+	}
+	for _, l := range sc.costLimits() {
+		if l.val > l.max {
+			return fmt.Errorf("scenario %q: %s %d exceeds the supported maximum %d", sc.Name, l.key, l.val, l.max)
+		}
+	}
+	if err := sc.checkFrames(); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	if _, err := sc.policy(); err != nil {
 		return err
@@ -560,6 +559,78 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
+// maxFrameLen is the largest frame a scenario may ask for: a 9216 B
+// jumbo frame.
+const maxFrameLen = 9216
+
+// checkFrames rejects a set frame length outside [pkt.HeadersLen,
+// maxFrameLen] and a DSCP above 63 (the field has 6 bits).
+func (sc Scenario) checkFrames() error {
+	lens := []int{}
+	dscps := []uint8{}
+	for _, nf := range sc.NFs {
+		lens, dscps = append(lens, nf.FrameLen), append(dscps, nf.DSCP)
+	}
+	if t := sc.Topology; t != nil && t.RPC != nil {
+		lens = append(lens, t.RPC.FrameLen)
+	}
+	if t := sc.Topology; t != nil && t.Churn != nil {
+		lens, dscps = append(lens, t.Churn.FrameLen), append(dscps, t.Churn.DSCPs...)
+	}
+	if sc.QoS != nil {
+		dscps = append(dscps, sc.QoS.ClientDSCPs...)
+	}
+	for _, n := range lens {
+		if n > 0 && (n < pkt.HeadersLen || n > maxFrameLen) {
+			return fmt.Errorf("frameLen %d outside [%d,%d]", n, pkt.HeadersLen, maxFrameLen)
+		}
+	}
+	for _, d := range dscps {
+		if d > 63 {
+			return fmt.Errorf("dscp %d exceeds 63", d)
+		}
+	}
+	return nil
+}
+
+// knobLimit is one knob's value and its supported maximum.
+type knobLimit struct {
+	key      string
+	val, max int
+}
+
+// costLimits bounds the knobs whose memory or set-up work is paid up
+// front, before the watchdog sees an event. The bounds lie far above
+// any real device, and turn a typo into an error instead of an
+// out-of-memory kill.
+func (sc Scenario) costLimits() []knobLimit {
+	ls := []knobLimit{
+		{"ringSize", sc.RingSize, 1 << 15},
+		{"llcSizeKB", sc.LLCSizeKB, 1 << 18},
+		{"mlcSizeKB", sc.MLCSizeKB, 1 << 14},
+		{"tracePackets", sc.TracePackets, 1 << 16},
+	}
+	if a := sc.Antagonist; a != nil {
+		ls = append(ls, knobLimit{"antagonist bufKB", a.BufKB, 1 << 18}, knobLimit{"antagonist mlcKB", a.MLCKB, 1 << 14})
+	}
+	if t := sc.Topology; t != nil {
+		ls = append(ls, knobLimit{"topology clients", t.Clients, 256},
+			knobLimit{"clientLink queue", t.ClientLink.Queue, 4096}, knobLimit{"serverLink queue", t.ServerLink.Queue, 4096})
+		if t.RPC != nil {
+			ls = append(ls, knobLimit{"rpc outstanding", t.RPC.Outstanding, 4096})
+		}
+		if t.Churn != nil {
+			ls = append(ls, knobLimit{"churn flows", t.Churn.Flows, 1 << 21})
+		}
+	}
+	if q := sc.QoS; q != nil {
+		for _, c := range q.Classes {
+			ls = append(ls, knobLimit{"qos class queue", c.Queue, 4096})
+		}
+	}
+	return ls
+}
+
 func (sc Scenario) policy() (idiocore.Policy, error) {
 	switch sc.Policy {
 	case "DDIO", "":
@@ -617,10 +688,6 @@ type RunOpts struct {
 	// MetricsInterval > 0 records a metric-registry snapshot at this
 	// period (see Results.MetricSeries).
 	MetricsInterval sim.Duration
-	// Shards overrides the topology's shard count when > 0 (so one
-	// scenario file can be run single-domain or sharded without edits).
-	// Ignored for single-host scenarios.
-	Shards int
 }
 
 // Run builds, executes, and summarises the scenario. It returns the
@@ -639,9 +706,21 @@ func RunSystem(sc Scenario) (*idio.System, idio.Results, float64, error) {
 // RunSystemOpts is RunSystem with observability options layered on
 // top of the scenario document.
 func RunSystemOpts(sc Scenario, opts RunOpts) (*idio.System, idio.Results, float64, error) {
-	pol, err := sc.policy()
+	cfg, err := sc.hostConfig()
 	if err != nil {
 		return nil, idio.Results{}, 0, err
+	}
+	cfg.Obs.TraceSampleN = opts.TraceSampleN
+	cfg.Obs.MetricsInterval = opts.MetricsInterval
+	return sc.run(cfg, opts.TraceSink)
+}
+
+// hostConfig maps the document's host knobs onto the default
+// configuration: the DUT's, when the scenario has a topology.
+func (sc Scenario) hostConfig() (idio.Config, error) {
+	pol, err := sc.policy()
+	if err != nil {
+		return idio.Config{}, err
 	}
 	cfg := idio.DefaultConfig(sc.Cores)
 	cfg.Policy = pol
@@ -680,48 +759,44 @@ func RunSystemOpts(sc Scenario, opts RunOpts) (*idio.System, idio.Results, float
 	if tl := sc.chaosTimeline(); tl != nil {
 		cfg.Faults = &fault.Config{Timeline: tl}
 	}
-	cfg.Obs.TraceSampleN = opts.TraceSampleN
-	cfg.Obs.MetricsInterval = opts.MetricsInterval
-	var qcfg *qos.Config
 	if sc.QoS != nil {
-		var err error
-		if qcfg, err = sc.QoS.config(); err != nil {
-			return nil, idio.Results{}, 0, err
+		// The placement-side policy (filter table, way quotas, prefetch
+		// strides) applies to any host; a topology also schedules the
+		// fabric by it.
+		if cfg.QoS, err = sc.QoS.config(); err != nil {
+			return idio.Config{}, err
 		}
 	}
+	return cfg, nil
+}
 
+// run builds the scenario's system on cfg, executes and summarises
+// it; a non-nil sink receives the trace.
+func (sc Scenario) run(cfg idio.Config, sink obs.Sink) (*idio.System, idio.Results, float64, error) {
 	// A topology section switches the run from a bare System to a
 	// Cluster: same DUT, but traffic reaches it over the fabric.
 	var (
 		sys *idio.System
 		cl  *idio.Cluster
+		err error
 	)
 	if topo := sc.Topology; topo != nil {
-		shards := topo.Shards
-		if opts.Shards > 0 {
-			shards = opts.Shards
-		}
-		c, err := idio.NewCluster(idio.ClusterConfig{
+		cl, err = idio.NewCluster(idio.ClusterConfig{
 			Host:       cfg,
 			Clients:    topo.Clients,
 			ClientLink: topo.ClientLink.LinkConfig(),
 			ServerLink: topo.ServerLink.LinkConfig(),
-			QoS:        qcfg,
-			Shards:     shards,
+			QoS:        cfg.QoS,
 		})
 		if err != nil {
 			return nil, idio.Results{}, 0, err
 		}
-		cl, sys = c, c.DUT
-	} else {
-		// Single-host: the placement-side policy still applies (filter
-		// table, way quotas, prefetch strides); there is no fabric to
-		// schedule.
-		cfg.QoS = qcfg
-		sys = idio.NewSystem(cfg)
+		sys = cl.DUT
+	} else if sys, err = idio.NewSystemE(cfg); err != nil {
+		return nil, idio.Results{}, 0, err
 	}
-	if opts.TraceSink != nil {
-		sys.Observe().SetSink(opts.TraceSink)
+	if sink != nil {
+		sys.Observe().SetSink(sink)
 	}
 	var nfCores []int
 	for i, nf := range sc.NFs {
@@ -744,21 +819,16 @@ func RunSystemOpts(sc Scenario, opts RunOpts) (*idio.System, idio.Results, float
 		nfCores = append(nfCores, nf.Core)
 		// With a topology, generator traffic enters through a client
 		// host's uplink and crosses the switch; single-host scenarios
-		// keep the historical direct injection into the NIC. Generators
-		// schedule on the simulator owning their injection point — the
-		// client slot's domain when the cluster is sharded.
+		// keep the historical direct injection into the NIC.
 		var target traffic.Receiver = sys.NIC
-		onSim := sys.Sim
 		if cl != nil {
-			slot := i % sc.Topology.Clients
-			target = cl.ClientIngress(slot)
-			onSim = cl.ClientSim(slot)
+			target = cl.ClientIngress(i % sc.Topology.Clients)
 		}
 		switch nf.Traffic.Kind {
 		case "steady":
 			traffic.Steady{
 				Flow: flow, RateBps: traffic.Gbps(nf.Traffic.Gbps), Count: nf.Traffic.Count,
-			}.Install(onSim, target)
+			}.Install(sys.Sim, target)
 		case "bursty":
 			period := nf.Traffic.PeriodMS
 			if period == 0 {
@@ -770,7 +840,7 @@ func RunSystemOpts(sc Scenario, opts RunOpts) (*idio.System, idio.Results, float
 				Period:          sim.Duration(period * float64(sim.Millisecond)),
 				PacketsPerBurst: nf.Traffic.PacketsPerBurst,
 				NumBursts:       nf.Traffic.NumBursts,
-			}.Install(onSim, target)
+			}.Install(sys.Sim, target)
 		}
 	}
 	if cl != nil && sc.Topology.RPC != nil {

@@ -765,6 +765,32 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 	return s.processed - s.runStart
 }
 
+// RunCheckpoints is the run loop of every host and cluster: it
+// advances s from the checkpoint grid position from to horizon in
+// slices ending at the multiples of step, and returns where it
+// stopped. After every slice it returns the watchdog's abort, if any
+// (RunUntil resets it on entry, so a trip must be caught before the
+// next slice), and then stops at the first slice end where idle, when
+// non-nil, reports true. A slice end the clock has already passed
+// costs only those checks. step <= 0 runs to horizon in one slice.
+func (s *Simulator) RunCheckpoints(from, horizon Time, step Duration, idle func() bool) (Time, error) {
+	for from < horizon {
+		next := horizon
+		if step > 0 {
+			next = min(next, (from/Time(step)+1)*Time(step))
+		}
+		s.RunUntil(next)
+		from = next
+		if err := s.Err(); err != nil {
+			return from, err
+		}
+		if idle != nil && step > 0 && next%Time(step) == 0 && idle() {
+			return from, nil
+		}
+	}
+	return from, nil
+}
+
 // drain is the dispatch loop: it executes pending events in (at, seq)
 // order while they order before the bound (at, seq). It reports true
 // once the head no longer does, false when the run stopped first.

@@ -28,9 +28,9 @@
 // timers sharing a tick fire in arm order (slot lists append, and
 // rotation survivors keep their relative order). T depends only on E
 // and the granularity, never on the population or on cancel history,
-// so wheel-driven models stay byte-identical at any -shards/-j
-// setting: each wheel is private to one event domain and its tick is
-// an ordinary simulator event.
+// so wheel-driven models stay byte-identical at any -j setting: each
+// wheel is private to one simulator and its tick is an ordinary
+// simulator event.
 //
 // Note the wheel path is NOT event-identical to per-event timeouts:
 // expiries quantize to the granularity and cancels remove (rather
@@ -104,7 +104,7 @@ type TimerWheelStats struct {
 }
 
 // TimerWheel is a hashed timing wheel. Construct with NewTimerWheel;
-// not safe for concurrent use (one wheel per event domain).
+// not safe for concurrent use (one wheel per simulator).
 type TimerWheel struct {
 	s     *Simulator
 	gran  Duration

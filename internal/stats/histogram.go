@@ -91,11 +91,9 @@ func (h *Histogram) Reset() {
 // Merge folds o's samples into h by bucket addition. Both histograms
 // must use the same sub-bucket resolution. Because every tracked
 // quantity (bucket counts, total, exact sum/min/max) is
-// order-independent, merging per-domain histograms at collection time
+// order-independent, merging per-client histograms at collection time
 // reproduces exactly the state one shared histogram would have
-// reached recording the same samples — which is how a sharded cluster
-// keeps its aggregate latency percentiles byte-identical to the
-// single-domain run.
+// reached recording the same samples.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return

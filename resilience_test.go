@@ -5,7 +5,6 @@ package idio
 // a packet from the host pool or wedging the topology.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,12 +17,10 @@ import (
 
 // runChaosCluster wires a 2-core / 2-client cluster with the full
 // resilience stack (retrying clients, AQM, admission control) under a
-// scripted fault timeline, partitioned into the given shard count, and
-// runs it to drain.
-func runChaosCluster(t *testing.T, pol core.Policy, shards int, tl []fault.Phase) (*Cluster, Results) {
+// scripted fault timeline, and runs it to drain.
+func runChaosCluster(t *testing.T, pol core.Policy, tl []fault.Phase) (*Cluster, Results) {
 	t.Helper()
 	ccfg := DefaultClusterConfig(2, 2)
-	ccfg.Shards = shards
 	ccfg.Host.Policy = pol
 	ccfg.Host.NIC.RingSize = 256
 	ccfg.Host.Hier.MLCSize = 256 << 10
@@ -62,9 +59,8 @@ func runChaosCluster(t *testing.T, pol core.Policy, shards int, tl []fault.Phase
 // every hazardous path at once — timeouts, backoff retransmissions,
 // and stale responses arriving for superseded attempts. Every packet
 // on every path must return to the host pool, and every request must
-// resolve to exactly one of answered or failed. Every event domain
-// draws from the host pool, so the gate covers switch- and client-side
-// packets at every shard count.
+// resolve to exactly one of answered or failed. Clients draw from the
+// host pool, so the gate covers switch- and client-side packets too.
 func TestLossyFabricNoPoolLeak(t *testing.T) {
 	ms := sim.Millisecond
 	tl := []fault.Phase{
@@ -74,34 +70,32 @@ func TestLossyFabricNoPoolLeak(t *testing.T) {
 		// their responses race the clients' timeouts and retries.
 		{Layer: "nic", Kind: "dma-stall", Start: sim.Time(2 * ms), Duration: 300 * sim.Microsecond, Target: 0},
 	}
-	for _, shards := range []int{1, 4} {
-		for _, pol := range []core.Policy{core.PolicyDDIO, core.PolicyIDIO} {
-			cl, res := runChaosCluster(t, pol, shards, tl)
-			name := fmt.Sprintf("%s/shards=%d", pol.Name(), shards)
-			for _, c := range cl.Clients {
-				if !c.Done() {
-					t.Fatalf("%s: client wedged: %+v", name, c.Stats())
-				}
+	for _, pol := range []core.Policy{core.PolicyDDIO, core.PolicyIDIO} {
+		cl, res := runChaosCluster(t, pol, tl)
+		name := pol.Name()
+		for _, c := range cl.Clients {
+			if !c.Done() {
+				t.Fatalf("%s: client wedged: %+v", name, c.Stats())
 			}
-			rpc := res.RPC
-			if rpc.Timeouts == 0 || rpc.Retries == 0 {
-				t.Fatalf("%s: timeline never provoked the retry path: %+v", name, *rpc)
-			}
-			if rpc.Late == 0 {
-				t.Fatalf("%s: no late responses — the stalled-DMA window did not race the timeout: %+v", name, *rpc)
-			}
-			if got := rpc.Responses + rpc.Failed; got != rpc.Issued {
-				t.Fatalf("%s: request accounting broken: responses %d + failed %d != issued %d",
-					name, rpc.Responses, rpc.Failed, rpc.Issued)
-			}
-			if rpc.Issued != 2*4096 {
-				t.Fatalf("%s: issued %d, want the full 8192 budget", name, rpc.Issued)
-			}
-			// The gate: drops, retries, hedge-less late arrivals, AQM and
-			// admission sheds — and still not one packet unaccounted for.
-			if res.PktPool.Outstanding != 0 {
-				t.Fatalf("%s: pool leak on a lossy fabric: %+v", name, res.PktPool)
-			}
+		}
+		rpc := res.RPC
+		if rpc.Timeouts == 0 || rpc.Retries == 0 {
+			t.Fatalf("%s: timeline never provoked the retry path: %+v", name, *rpc)
+		}
+		if rpc.Late == 0 {
+			t.Fatalf("%s: no late responses — the stalled-DMA window did not race the timeout: %+v", name, *rpc)
+		}
+		if got := rpc.Responses + rpc.Failed; got != rpc.Issued {
+			t.Fatalf("%s: request accounting broken: responses %d + failed %d != issued %d",
+				name, rpc.Responses, rpc.Failed, rpc.Issued)
+		}
+		if rpc.Issued != 2*4096 {
+			t.Fatalf("%s: issued %d, want the full 8192 budget", name, rpc.Issued)
+		}
+		// The gate: drops, retries, hedge-less late arrivals, AQM and
+		// admission sheds — and still not one packet unaccounted for.
+		if res.PktPool.Outstanding != 0 {
+			t.Fatalf("%s: pool leak on a lossy fabric: %+v", name, res.PktPool)
 		}
 	}
 }
@@ -114,7 +108,7 @@ func TestChaosClusterDeterministicReplay(t *testing.T) {
 		{Layer: "fabric", Kind: "degrade", Start: sim.Time(sim.Millisecond), Duration: 500 * sim.Microsecond, Magnitude: 0.05, Target: 0},
 	}
 	run := func() RPCResults {
-		_, res := runChaosCluster(t, core.PolicyIDIO, 1, tl)
+		_, res := runChaosCluster(t, core.PolicyIDIO, tl)
 		return *res.RPC
 	}
 	a, b := run(), run()

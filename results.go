@@ -356,13 +356,12 @@ func perClientMetric(name string) bool {
 // WriteStats dumps the registry snapshot (Metrics) as flat "key value"
 // lines in registration order — a gem5-style stats file,
 // machine-greppable for post-processing. Counters print as integers,
-// gauges as their shortest exact decimal. Two families stay JSON-only:
-// the sharded engine's domain.* progress counters and the per-client
-// rpc.c<N>.* / churn.c<N>.* series, so the dump is identical at every
-// shard count.
+// gauges as their shortest exact decimal. The per-client rpc.c<N>.* /
+// churn.c<N>.* series stay JSON-only, so the dump's length does not
+// grow with the client count.
 func (r Results) WriteStats(w io.Writer) error {
 	for _, m := range r.Metrics {
-		if strings.HasPrefix(m.Name, "domain.") || perClientMetric(m.Name) {
+		if perClientMetric(m.Name) {
 			continue
 		}
 		v := strconv.FormatFloat(m.Value, 'f', -1, 64)

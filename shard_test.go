@@ -10,29 +10,12 @@ import (
 	"idio/internal/apps"
 	"idio/internal/fault"
 	fnet "idio/internal/net"
-	"idio/internal/pkt"
+	"idio/internal/obs"
 	"idio/internal/qos"
 	"idio/internal/sim"
 	"idio/internal/stats"
 	"idio/internal/traffic"
 )
-
-// normalizeShardArtifacts blanks the Results fields that differ between
-// shard counts: per-pool recycling counters (a sharded run draws client
-// packets from per-domain pools, so the host pool sees fewer Gets) and
-// the metric-registry snapshot. The snapshot differs in two ways:
-// sharded runs add domain.* progress counters, and per-client timing
-// is not shard-invariant. Two clients in different domains that send
-// at the same instant can be served in the opposite order to the
-// shared simulator's, which moves that client's rpc.c<N>.* series
-// (trial2_c5_s5 of TestClusterShardedRandomWorkloads shifts
-// rpc.c3.goodput_gbps). WriteStats omits both families, so the dump
-// is still compared byte for byte, and every other field must be
-// deep-equal.
-func normalizeShardArtifacts(r *Results) {
-	r.PktPool = pkt.PoolStats{}
-	r.Metrics = nil
-}
 
 // shardedResults builds and runs the given cluster workload at one
 // shard count and returns the results plus the rendered stats dump
@@ -53,8 +36,7 @@ func shardedResults(t *testing.T, shards int, build func(cfg *ClusterConfig), lo
 	if err != nil {
 		t.Fatalf("Run(shards=%d): %v", shards, err)
 	}
-	// A drained topology must have returned every packet, in every
-	// domain's pool.
+	// A drained topology must have returned every packet to the pool.
 	if res.PktPool.Outstanding != 0 {
 		t.Fatalf("shards=%d: host pool leak: %+v", shards, res.PktPool)
 	}
@@ -66,17 +48,16 @@ func shardedResults(t *testing.T, shards int, build func(cfg *ClusterConfig), lo
 }
 
 // requireShardEquivalence runs the workload unsharded and at each of
-// the given shard counts and demands deep-equal results and
+// the given shard counts and demands deep-equal results (the registry
+// snapshot, per-client series and pool counters included) and
 // byte-equal rendered output.
 func requireShardEquivalence(t *testing.T, shardCounts []int, build func(cfg *ClusterConfig), load func(cl *Cluster)) {
 	t.Helper()
 	ref, refStats, refStr := shardedResults(t, 0, build, load)
-	normalizeShardArtifacts(&ref)
 	for _, n := range shardCounts {
 		got, gotStats, gotStr := shardedResults(t, n, build, load)
-		normalizeShardArtifacts(&got)
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("shards=%d: results diverge from single-domain run\n  single:  %+v\n  sharded: %+v", n, ref, got)
+			t.Errorf("shards=%d: results diverge from the unsharded run\n  unsharded: %+v\n  sharded:   %+v", n, ref, got)
 		}
 		if !bytes.Equal(refStats, gotStats) {
 			t.Errorf("shards=%d: stats dump not byte-identical", n)
@@ -99,11 +80,8 @@ func closedLoopLoad(cl *Cluster) {
 	}
 }
 
-// TestClusterShardedByteIdentical is the tentpole invariant: the same
-// workload produces byte-identical results whether the cluster runs on
-// one simulator or is partitioned into any number of event domains —
-// including more domains than hosts (extra shards clamp) and a domain
-// per client.
+// TestClusterShardedByteIdentical: Shards has no effect on results,
+// whatever its value relative to the host count.
 func TestClusterShardedByteIdentical(t *testing.T) {
 	requireShardEquivalence(t, []int{2, 3, 4, 5, 9}, nil, closedLoopLoad)
 }
@@ -111,8 +89,7 @@ func TestClusterShardedByteIdentical(t *testing.T) {
 // TestClusterShardedQoSByteIdentical extends the invariant to the
 // class-aware data plane: mixed-DSCP clients over scheduled switch
 // egress, per-class placement on the DUT, and the per-class histogram
-// merge at Collect must all be shard-count-invariant, down to the
-// rendered per-class stats keys.
+// merge at Collect, down to the rendered per-class stats keys.
 func TestClusterShardedQoSByteIdentical(t *testing.T) {
 	dscps := []uint8{46, 34, 8} // ef, af41, cs1
 	requireShardEquivalence(t, []int{2, 3, 5},
@@ -133,8 +110,8 @@ func TestClusterShardedQoSByteIdentical(t *testing.T) {
 }
 
 // TestClusterShardedGeneratorTraffic covers the other ingress path:
-// generator traffic installed on a client slot's own domain simulator,
-// crossing the fabric into the DUT.
+// generator traffic installed on a client slot's uplink, crossing the
+// fabric into the DUT.
 func TestClusterShardedGeneratorTraffic(t *testing.T) {
 	requireShardEquivalence(t, []int{2, 4, 5}, nil, func(cl *Cluster) {
 		for c := 0; c < 2; c++ {
@@ -144,16 +121,14 @@ func TestClusterShardedGeneratorTraffic(t *testing.T) {
 			flow := cl.DUT.DefaultFlow(i % 2)
 			traffic.Steady{
 				Flow: flow, RateBps: traffic.Gbps(5), Count: 800,
-			}.Install(cl.ClientSim(i), cl.ClientIngress(i))
+			}.Install(cl.Sim, cl.ClientIngress(i))
 		}
 	})
 }
 
-// TestClusterShardedFaultTimeline pins phase scheduling across
-// domains: a fabric outage on a client uplink (owned by a client
-// domain), a degrade on the server downlink (switch domain) and a DRAM
-// spike (DUT domain) must perturb a sharded run exactly as they do a
-// single-simulator one.
+// TestClusterShardedFaultTimeline: a fabric outage on a client
+// uplink, a degrade on the server downlink and a DRAM spike perturb a
+// sharded run exactly as they do an unsharded one.
 func TestClusterShardedFaultTimeline(t *testing.T) {
 	timeline := []fault.Phase{
 		{Layer: "fabric", Kind: "down", Start: sim.Time(2 * sim.Millisecond), Duration: sim.Millisecond, Target: 2},
@@ -178,8 +153,9 @@ func TestClusterShardedFaultTimeline(t *testing.T) {
 }
 
 // TestClusterShardedRandomWorkloads is the property test: randomized
-// topologies and client mixes, each run single-domain and sharded,
-// must agree byte for byte. The seed is fixed so failures reproduce.
+// topologies and client mixes, each run unsharded and sharded, must
+// agree byte for byte, per-client metrics included. The seed is fixed
+// so failures reproduce.
 func TestClusterShardedRandomWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
@@ -261,9 +237,8 @@ func TestClusterRunOptsAPI(t *testing.T) {
 	}
 }
 
-// TestClusterShardedPendingIdle checks the cross-domain consistency of
-// Idle and Pending: both must account for work parked in mailboxes,
-// and both must agree with the single-domain cluster after a drain.
+// TestClusterShardedPendingIdle checks Idle and Pending before and
+// after a drain, unsharded and sharded.
 func TestClusterShardedPendingIdle(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		cfg := DefaultClusterConfig(2, 3)
@@ -285,37 +260,17 @@ func TestClusterShardedPendingIdle(t *testing.T) {
 	}
 }
 
-// TestClusterShardValidation covers the configuration guard rails.
+// TestClusterShardValidation covers the configuration guard rail.
 func TestClusterShardValidation(t *testing.T) {
 	cfg := DefaultClusterConfig(2, 2)
 	cfg.Shards = -1
 	if _, err := NewCluster(cfg); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	cfg = DefaultClusterConfig(2, 2)
-	cfg.Shards = 4
-	cfg.ClientLink.Delay = 0
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("sharded cluster accepted with zero link delay (no lookahead window)")
-	}
-	cfg = DefaultClusterConfig(2, 2)
-	cfg.Shards = 4
-	cfg.Host.Obs.TraceSampleN = 1
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("sharded cluster accepted with packet tracing")
-	}
-	cfg = DefaultClusterConfig(2, 2)
-	cfg.Shards = 4
-	cfg.Host.Faults = &fault.Config{FabricFlap: &fault.FabricFlapConfig{}}
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("sharded cluster accepted with a random fabric injector")
-	}
 }
 
-// TestClusterZeroDelayLookahead: an unsharded cluster is one event
-// domain with no cross-domain edge, so zero-delay links need no
-// lookahead window and the cluster builds and drains; from two domains
-// up (every Shards >= 2) the same links are rejected.
+// TestClusterZeroDelayLookahead: zero-delay links build and drain at
+// every shard count.
 func TestClusterZeroDelayLookahead(t *testing.T) {
 	for _, shards := range []int{0, 1, 2, 3, 4} {
 		cfg := DefaultClusterConfig(2, 2)
@@ -323,12 +278,6 @@ func TestClusterZeroDelayLookahead(t *testing.T) {
 		cfg.ClientLink.Delay = 0
 		cfg.ServerLink.Delay = 0
 		cl, err := NewCluster(cfg)
-		if shards > 1 {
-			if err == nil {
-				t.Errorf("shards=%d: cluster accepted with zero link delay (no lookahead window)", shards)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatalf("shards=%d: NewCluster: %v", shards, err)
 		}
@@ -347,42 +296,74 @@ func TestClusterZeroDelayLookahead(t *testing.T) {
 	}
 }
 
-// TestClusterShardedPhaseDomainMismatch: a timeline phase that names
-// the wrong owning domain must fail the run instead of perturbing the
-// wrong timeline.
-func TestClusterShardedPhaseDomainMismatch(t *testing.T) {
-	cfg := DefaultClusterConfig(2, 2)
-	cfg.Shards = 4
-	cfg.Host.Faults = &fault.Config{Timeline: []fault.Phase{
-		// Target 0 is the server downlink, owned by the switch domain.
-		{Layer: "fabric", Kind: "down", Start: sim.Time(sim.Millisecond), Duration: sim.Millisecond, Target: 0, Domain: "dut"},
-	}}
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	cl.DUT.AddNF(0, apps.L2Fwd{}, cl.DUT.DefaultFlow(0))
-	cl.AddRPCClient(0, 0, fnet.ClientConfig{Mode: fnet.ModeClosed, Outstanding: 1, Requests: 8})
-	if _, err := cl.Run(RunOpts{Horizon: 5 * sim.Millisecond, UntilIdle: true}); err == nil {
-		t.Fatal("Run accepted a phase naming the wrong owning domain")
-	}
-}
+// eventLog is a trace sink that keeps every event.
+type eventLog struct{ events []obs.Event }
 
-// TestClusterShardedSharedHistRejected: per-client histograms are the
-// only safe configuration across domains.
-func TestClusterShardedSharedHistRejected(t *testing.T) {
-	cfg := DefaultClusterConfig(2, 2)
-	cfg.Shards = 4
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+func (l *eventLog) Emit(e obs.Event) { l.events = append(l.events, e) }
+func (l *eventLog) Close() error     { return nil }
+
+// TestClusterShardedObservability runs a Shards: 4 cluster with
+// packet tracing, periodic metric snapshots, a random fabric flap
+// injector and one histogram shared by every client, and demands the
+// unsharded run's results, trace and shared histogram.
+func TestClusterShardedObservability(t *testing.T) {
+	type run struct {
+		res   Results
+		trace []obs.Event
+		p99   sim.Duration
+		count uint64
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AddRPCClient accepted a shared histogram in a sharded cluster")
+	observed := func(shards int) run {
+		cfg := DefaultClusterConfig(2, 3)
+		cfg.Shards = shards
+		cfg.Host.Obs.TraceSampleN = 7
+		cfg.Host.Obs.MetricsInterval = 200 * sim.Microsecond
+		cfg.Host.Faults = &fault.Config{Seed: 3, FabricFlap: &fault.FabricFlapConfig{
+			Period: 150 * sim.Microsecond, Down: 40 * sim.Microsecond,
+		}}
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: NewCluster: %v", shards, err)
 		}
-	}()
-	cl.AddRPCClient(0, 0, fnet.ClientConfig{
-		Mode: fnet.ModeClosed, Outstanding: 1, Requests: 1, Hist: stats.NewHistogram(5),
-	})
+		log := &eventLog{}
+		cl.DUT.Observe().SetSink(log)
+		hist := stats.NewHistogram(5)
+		for c := 0; c < 2; c++ {
+			cl.DUT.AddNF(c, apps.L2Fwd{}, cl.DUT.DefaultFlow(c))
+		}
+		for i := 0; i < 3; i++ {
+			cl.AddRPCClient(i, i%2, fnet.ClientConfig{
+				Mode: fnet.ModeClosed, Outstanding: 8, Requests: 512,
+				Timeout: 300 * sim.Microsecond, Hist: hist,
+			})
+		}
+		res, err := cl.Run(RunOpts{Horizon: 50 * sim.Millisecond, UntilIdle: true})
+		if err != nil {
+			t.Fatalf("shards=%d: Run: %v", shards, err)
+		}
+		if !cl.Idle() || res.PktPool.Outstanding != 0 {
+			t.Fatalf("shards=%d: idle=%v pool outstanding=%d, want a drained run",
+				shards, cl.Idle(), res.PktPool.Outstanding)
+		}
+		snaps := 0
+		if res.MetricSeries != nil {
+			snaps = res.MetricSeries.Len()
+		}
+		if snaps == 0 || len(log.events) == 0 || res.Faults.FabricFlaps == 0 || res.RPC.Timeouts == 0 {
+			t.Fatalf("shards=%d: %d snapshots, %d trace events, %d fabric flaps, %d timeouts: every observer and the injector must fire",
+				shards, snaps, len(log.events), res.Faults.FabricFlaps, res.RPC.Timeouts)
+		}
+		return run{res: res, trace: log.events, p99: hist.Quantile(0.99), count: hist.Count()}
+	}
+	ref := observed(0)
+	got := observed(4)
+	if !reflect.DeepEqual(ref.res, got.res) {
+		t.Errorf("results diverge\n  unsharded: %+v\n  sharded:   %+v", ref.res, got.res)
+	}
+	if !reflect.DeepEqual(ref.trace, got.trace) {
+		t.Errorf("traces diverge: %d events unsharded, %d sharded", len(ref.trace), len(got.trace))
+	}
+	if ref.p99 != got.p99 || ref.count != got.count {
+		t.Errorf("shared histogram diverges: p99 %v/%v, %d/%d samples", ref.p99, got.p99, ref.count, got.count)
+	}
 }

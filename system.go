@@ -573,14 +573,12 @@ func (s *System) Run(horizon sim.Duration) Results {
 // RunUntilIdle executes until no ring holds packet work, checked at
 // every 100 µs checkpoint and bounded by the horizon (rounded up to a
 // checkpoint), or until the watchdog trips. Useful for "process one
-// burst to completion" experiments. The host runs as a fresh
-// one-domain engine starting from time zero, so checkpoints the clock
-// has already passed cost only an idle check.
+// burst to completion" experiments. The checkpoint grid starts at
+// time zero, so checkpoints the clock has already passed cost only an
+// idle check.
 func (s *System) RunUntilIdle(horizon sim.Duration) Results {
 	s.Start()
-	e := sim.NewEngine(0, nil)
-	e.AddDomain(&sim.Domain{Name: "host", Sim: s.Sim})
-	_ = runUntilIdle(e, horizon, s.idle) // the abort stays readable via Err
+	_, _ = runUntilIdle(s.Sim, 0, horizon, s.idle) // the abort stays readable via Err
 	return s.Collect()
 }
 
