@@ -95,6 +95,19 @@ func TestGolden(t *testing.T) {
 			checkQuick(t, runGolden(t, e.Name, 1)...)
 		})
 	}
+	// -exp rpc -quick -scenario f: the file's ring and operating point
+	// shape the sweep, the -quick caches stay.
+	t.Run("rpc-scenario", func(t *testing.T) {
+		outs, err := runExperiments("rpc", "../../scenarios/rpc_closed_loop.json",
+			experiment.Env{Quick: true, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[0].Err != nil {
+			t.Fatal(outs[0].Err)
+		}
+		checkGolden(t, "rpc_scenario_quick.txt", outs[0].Text.Bytes())
+	})
 	// -exp all -quick -j 2: the entries fan out over the pool, and so
 	// do their grids.
 	t.Run("all-j2", func(t *testing.T) {
