@@ -24,6 +24,8 @@ const (
 	benchLLC  = 768 << 10
 )
 
+var benchGeometry = experiment.Geometry{RingSize: benchRing, MLCSize: benchMLC, LLCSize: benchLLC}
+
 // BenchmarkFig4 regenerates the MLC/DRAM leak characterization
 // (Fig. 4): writeback- vs invalidation-dominated regimes by ring size.
 func BenchmarkFig4(b *testing.B) {
@@ -33,8 +35,7 @@ func BenchmarkFig4(b *testing.B) {
 			Loads:       map[string]float64{"med": 2, "high": 8},
 			RingCycles:  5,
 			OneWayRings: []int{benchRing},
-			MLCSize:     benchMLC,
-			LLCSize:     benchLLC,
+			Geometry:    experiment.Geometry{MLCSize: benchMLC, LLCSize: benchLLC},
 		}
 		rows := experiment.Fig4(opts)
 		if i == b.N-1 {
@@ -62,8 +63,8 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.Fig5(experiment.Fig5Opts{
-			RingSize: benchRing, NumBursts: 2, BurstGbps: 25,
-			Horizon: 25 * sim.Millisecond, MLCSize: benchMLC, LLCSize: benchLLC,
+			Geometry: benchGeometry, NumBursts: 2, BurstGbps: 25,
+			Horizon: 25 * sim.Millisecond,
 		})
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.TotalMLCWB), "mlcWB")
@@ -78,14 +79,13 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cells := experiment.Fig9(experiment.Fig9Opts{
-			RingSize: benchRing,
+			Geometry: benchGeometry,
 			Rates:    []float64{100, 25},
 			Policies: []idiocore.Policy{
 				idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyPrefetch,
 				idiocore.PolicyStatic, idiocore.PolicyIDIO,
 			},
 			Horizon: 9 * sim.Millisecond,
-			MLCSize: benchMLC, LLCSize: benchLLC,
 		})
 		if i == b.N-1 {
 			var ddio, idio float64
@@ -109,9 +109,8 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiment.Fig10(experiment.Fig10Opts{
-			RingSize: benchRing, Rates: []float64{100, 25, 10},
+			Geometry: benchGeometry, Rates: []float64{100, 25, 10},
 			Horizon: 9 * sim.Millisecond, CoRun: true,
-			MLCSize: benchMLC, LLCSize: benchLLC,
 		})
 		if i == b.N-1 {
 			for _, r := range rows {
@@ -129,7 +128,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.Fig11(experiment.Fig11Opts{
-			RingSize: benchRing, FrameLen: 1024, BurstGbps: 25,
+			Geometry: experiment.Geometry{RingSize: benchRing}, FrameLen: 1024, BurstGbps: 25,
 			Horizon: 9 * sim.Millisecond,
 		})
 		if i == b.N-1 {
@@ -144,7 +143,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiment.Fig12(experiment.Fig12Opts{
-			RingSize: benchRing, Rates: []float64{100, 25, 10},
+			Geometry: experiment.Geometry{RingSize: benchRing}, Rates: []float64{100, 25, 10},
 			Horizon: 9 * sim.Millisecond,
 		})
 		if i == b.N-1 {
@@ -161,8 +160,8 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.Fig13(experiment.Fig13Opts{
-			RingSize: benchRing, Gbps: 10, Packets: 2048,
-			Horizon: 10 * sim.Millisecond, MLCSize: benchMLC, LLCSize: benchLLC,
+			Geometry: benchGeometry, Gbps: 10, Packets: 2048,
+			Horizon: 10 * sim.Millisecond,
 		})
 		if i == b.N-1 {
 			if res.DDIO.Summary.MLCWB > 0 {
@@ -268,9 +267,9 @@ func BenchmarkMillionFlowSteadyState(b *testing.B) {
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiment.Fig14(experiment.Fig14Opts{
-			RingSize: benchRing, RateGbps: 100,
+			Geometry: benchGeometry, RateGbps: 100,
 			THRs:    []uint64{10, 25, 50, 75, 100},
-			Horizon: 9 * sim.Millisecond, MLCSize: benchMLC, LLCSize: benchLLC,
+			Horizon: 9 * sim.Millisecond,
 		})
 		if i == b.N-1 {
 			worst := 0.0

@@ -18,7 +18,7 @@
 //	idiosim -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	idiosim -exp rpc                      # latency-vs-load over the fabric
 //	idiosim -exp rpc -scenario scenarios/rpc_closed_loop.json
-//	                                      # sweep parameterised by a topology
+//	                                      # sweep from the file's run
 //
 // The experiments are experiment.Catalogue's entries (`idiosim -h`
 // lists them), plus verify and all.
@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -78,9 +77,9 @@ func main() {
 		defer writeMemProfile(*memProfile)
 	}
 
-	// -exp rpc composes with -scenario: the scenario's topology
-	// parameterises the sweep instead of replacing it, so the short-
-	// circuit below is skipped in that combination.
+	// -exp rpc composes with -scenario: the sweep starts from the
+	// scenario's run instead of replacing it, so the short-circuit
+	// below is skipped in that combination.
 	if *scenarioPath != "" && *exp != "rpc" {
 		opts := scenarioOpts{
 			statsPath:       *statsPath,
@@ -141,8 +140,8 @@ func main() {
 
 // runExperiments renders -exp name — one catalogue entry, or "all" for
 // the whole catalogue, fanned out over env.Parallelism workers. A
-// non-empty scenarioPath folds the scenario's topology into the rpc
-// sweep (applyRPCScenario).
+// non-empty scenarioPath compiles the scenario into the run the rpc
+// sweep starts from (experiment.Env.Base).
 func runExperiments(name, scenarioPath string, env experiment.Env) ([]*experiment.Output, error) {
 	targets := experiment.Catalogue
 	if name != "all" {
@@ -157,12 +156,11 @@ func runExperiments(name, scenarioPath string, env experiment.Env) ([]*experimen
 		if err != nil {
 			return nil, err
 		}
-		env.Tune = func(opts any) error {
-			if o, ok := opts.(*experiment.RPCOpts); ok {
-				return applyRPCScenario(o, &sc)
-			}
-			return nil
+		d, err := sc.Compile()
+		if err != nil {
+			return nil, err
 		}
+		env.Base = &d
 	}
 	return experiment.RunAll(targets, env), nil
 }
@@ -202,50 +200,6 @@ func loadScenario(path string) (scenario.Scenario, error) {
 	}
 	defer f.Close()
 	return scenario.Load(f)
-}
-
-// applyRPCScenario maps a scenario's topology onto the RPC sweep:
-// geometry (cores, clients, links, ring) and request shape come from
-// the file, and the scenario's own operating point is folded into the
-// swept axis so the curve always includes it.
-func applyRPCScenario(o *experiment.RPCOpts, sc *scenario.Scenario) error {
-	topo := sc.Topology
-	if topo == nil {
-		return fmt.Errorf("scenario %q has no topology section; -exp rpc needs one", sc.Name)
-	}
-	o.Cores = sc.Cores
-	o.Clients = topo.Clients
-	o.Link = topo.ClientLink.LinkConfig()
-	if sc.RingSize > 0 {
-		o.RingSize = sc.RingSize
-	}
-	if sc.HorizonMS > 0 {
-		o.Horizon = sim.Duration(sc.HorizonMS * float64(sim.Millisecond))
-	}
-	rpc := topo.RPC
-	if rpc == nil {
-		return nil
-	}
-	if rpc.FrameLen > 0 {
-		o.FrameLen = rpc.FrameLen
-	}
-	if rpc.Requests > 0 {
-		o.Requests = rpc.Requests
-	}
-	if rpc.TimeoutUS > 0 {
-		o.Timeout = sim.Duration(rpc.TimeoutUS * float64(sim.Microsecond))
-	}
-	switch rpc.Mode {
-	case "closed":
-		if rpc.Outstanding > 0 && !slices.Contains(o.Windows, rpc.Outstanding) {
-			o.Windows = append(o.Windows, rpc.Outstanding)
-		}
-	case "open", "ramp":
-		if rpc.Gbps > 0 && !slices.Contains(o.LoadsGbps, rpc.Gbps) {
-			o.LoadsGbps = append(o.LoadsGbps, rpc.Gbps)
-		}
-	}
-	return nil
 }
 
 // scenarioOpts bundles the -scenario output flags.

@@ -68,3 +68,15 @@ func TestUnknownExperiment(t *testing.T) {
 		t.Fatalf("got %v, want an unknown-experiment error listing the choices", err)
 	}
 }
+
+// TestRPCScenarioNeedsRPC: -exp rpc -scenario with a document that has
+// no topology rpc section fails with an error instead of sweeping.
+func TestRPCScenarioNeedsRPC(t *testing.T) {
+	outs, err := runExperiments("rpc", "../../scenarios/mixed_nfs.json", experiment.Env{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), "topology rpc section") {
+		t.Fatalf("got %v, want an error asking for a topology rpc section", outs[0].Err)
+	}
+}

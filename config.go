@@ -177,6 +177,10 @@ func (c ClusterConfig) Validate() error {
 	if c.ServerLink.RateBps <= 0 {
 		errs = append(errs, fmt.Errorf("idio: cluster server-link rate %d must be positive", c.ServerLink.RateBps))
 	}
+	if c.ClientLink.Delay < 0 || c.ServerLink.Delay < 0 {
+		errs = append(errs, fmt.Errorf("idio: cluster link delays must be >= 0 (client %gus, server %gus)",
+			c.ClientLink.Delay.Microseconds(), c.ServerLink.Delay.Microseconds()))
+	}
 	if c.Shards < 0 {
 		errs = append(errs, fmt.Errorf("idio: cluster shards %d must be >= 0", c.Shards))
 	}

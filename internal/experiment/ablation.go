@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"idio/internal/cache"
 
+	"idio/internal/cache"
 	idiocore "idio/internal/core"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 )
 
@@ -53,11 +54,9 @@ func AblationHeader() []string {
 // AblationOpts parameterises the sweeps. Zero values inherit the
 // usual full-scale geometry.
 type AblationOpts struct {
-	RingSize int
+	Geometry
 	RateGbps float64
 	Horizon  sim.Duration
-	MLCSize  int
-	LLCSize  int
 	// Parallelism bounds the worker pool running independent sweep
 	// cells (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -66,15 +65,16 @@ type AblationOpts struct {
 // DefaultAblationOpts uses the Fig. 9 scenario (2x TouchDrop, one
 // 25 Gbps burst each).
 func DefaultAblationOpts() AblationOpts {
-	return AblationOpts{RingSize: 1024, RateGbps: 25, Horizon: 9 * sim.Millisecond}
+	return AblationOpts{Geometry: Geometry{RingSize: 1024}, RateGbps: 25, Horizon: 9 * sim.Millisecond}
 }
 
-func (o AblationOpts) spec(pol idiocore.Policy) Spec {
-	sp := DefaultSpec(pol)
-	sp.RingSize = o.RingSize
-	sp.MLCSize = o.MLCSize
-	sp.LLCSize = o.LLCSize
-	return sp
+// desc is the Fig. 9 run under pol, edited by each set (in order).
+func (o AblationOpts) desc(pol idiocore.Policy, set ...func(*scenario.Desc)) scenario.Desc {
+	d := gem5NFs(pol, o.Geometry, false)
+	for _, f := range set {
+		f(&d)
+	}
+	return d
 }
 
 func summarise(param, value string, c Fig9Cell) AblationRow {
@@ -87,17 +87,17 @@ func summarise(param, value string, c Fig9Cell) AblationRow {
 }
 
 // sweepCell is one configuration of a one-dimensional sweep: a fully
-// prepared Spec plus its table labels. Every Ablation* sweep reduces
+// prepared description plus its table labels. Every Ablation* sweep reduces
 // to a list of these fanned out over the worker pool.
 type sweepCell struct {
 	param, value string
-	spec         Spec
+	desc         scenario.Desc
 }
 
 // runSweep fans the cells out and summarises each in order.
 func runSweep(opts AblationOpts, cells []sweepCell) []AblationRow {
 	return RunCells(opts.Parallelism, cells, func(c sweepCell) AblationRow {
-		return summarise(c.param, c.value, runBurstCell(c.spec, opts.RateGbps, opts.Horizon))
+		return summarise(c.param, c.value, runBurstCell(c.desc, opts.RateGbps, opts.Horizon))
 	})
 }
 
@@ -107,9 +107,8 @@ func AblationDDIOWays(opts AblationOpts, ways []int) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, w := range ways {
-			sp := opts.spec(pol)
-			sp.DDIOWays = w
-			cells = append(cells, sweepCell{"ddioWays/" + pol.Name(), fmt.Sprintf("%d", w), sp})
+			d := opts.desc(pol, func(d *scenario.Desc) { d.Host.Hier.DDIOWays = w })
+			cells = append(cells, sweepCell{"ddioWays/" + pol.Name(), fmt.Sprintf("%d", w), d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -121,9 +120,8 @@ func AblationRingSize(opts AblationOpts, rings []int) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, ring := range rings {
-			sp := opts.spec(pol)
-			sp.RingSize = ring
-			cells = append(cells, sweepCell{"ring/" + pol.Name(), fmt.Sprintf("%d", ring), sp})
+			d := opts.desc(pol, func(d *scenario.Desc) { d.Host.NIC.RingSize = ring })
+			cells = append(cells, sweepCell{"ring/" + pol.Name(), fmt.Sprintf("%d", ring), d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -134,9 +132,8 @@ func AblationRingSize(opts AblationOpts, rings []int) []AblationRow {
 func AblationPrefetchDepth(opts AblationOpts, depths []int) []AblationRow {
 	var cells []sweepCell
 	for _, d := range depths {
-		sp := opts.spec(idiocore.PolicyIDIO)
-		sp.PrefetchDepth = d
-		cells = append(cells, sweepCell{"pfDepth", fmt.Sprintf("%d", d), sp})
+		desc := opts.desc(idiocore.PolicyIDIO, func(x *scenario.Desc) { x.Host.Prefetcher.QueueDepth = d })
+		cells = append(cells, sweepCell{"pfDepth", fmt.Sprintf("%d", d), desc})
 	}
 	return runSweep(opts, cells)
 }
@@ -147,13 +144,8 @@ func AblationPrefetchDepth(opts AblationOpts, depths []int) []AblationRow {
 func AblationDescCoalescing(opts AblationOpts, delays []sim.Duration) []AblationRow {
 	var cells []sweepCell
 	for _, d := range delays {
-		sp := opts.spec(idiocore.PolicyDDIO)
-		if d == 0 {
-			sp.DescWBDelay = -1 // explicit zero
-		} else {
-			sp.DescWBDelay = d
-		}
-		cells = append(cells, sweepCell{"descWB", fmt.Sprintf("%.1fus", d.Microseconds()), sp})
+		desc := opts.desc(idiocore.PolicyDDIO, func(x *scenario.Desc) { x.Host.NIC.DescWBDelay = d })
+		cells = append(cells, sweepCell{"descWB", fmt.Sprintf("%.1fus", d.Microseconds()), desc})
 	}
 	return runSweep(opts, cells)
 }
@@ -166,9 +158,8 @@ func AblationMLP(opts AblationOpts, mshrs []int) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, m := range mshrs {
-			sp := opts.spec(pol)
-			sp.MSHRs = m
-			cells = append(cells, sweepCell{"mshrs/" + pol.Name(), fmt.Sprintf("%d", m), sp})
+			d := opts.desc(pol, func(d *scenario.Desc) { d.Host.CPU.MSHRs = m })
+			cells = append(cells, sweepCell{"mshrs/" + pol.Name(), fmt.Sprintf("%d", m), d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -181,10 +172,8 @@ func AblationReplacement(opts AblationOpts) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, repl := range []cache.Policy{cache.LRU, cache.SRRIP} {
-			sp := opts.spec(pol)
-			repl := repl
-			sp.ReplPolicy = &repl
-			cells = append(cells, sweepCell{"repl/" + pol.Name(), repl.String(), sp})
+			d := opts.desc(pol, func(d *scenario.Desc) { d.Host.Hier.Policy = repl })
+			cells = append(cells, sweepCell{"repl/" + pol.Name(), repl.String(), d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -199,13 +188,12 @@ func AblationInclusion(opts AblationOpts) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, retain := range []bool{false, true} {
-			sp := opts.spec(pol)
-			sp.RetainLLCOnHit = retain
+			d := opts.desc(pol, func(d *scenario.Desc) { d.Host.Hier.RetainLLCOnHit = retain })
 			name := "exclusive"
 			if retain {
 				name = "nine"
 			}
-			cells = append(cells, sweepCell{"inclusion/" + pol.Name(), name, sp})
+			cells = append(cells, sweepCell{"inclusion/" + pol.Name(), name, d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -220,9 +208,12 @@ func AblationFrameSize(opts AblationOpts, sizes []int) []AblationRow {
 	var cells []sweepCell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
 		for _, fs := range sizes {
-			sp := opts.spec(pol)
-			sp.FrameLen = fs
-			cells = append(cells, sweepCell{"frame/" + pol.Name(), fmt.Sprintf("%dB", fs), sp})
+			d := opts.desc(pol, func(d *scenario.Desc) {
+				for i := range d.NFs {
+					d.NFs[i].FrameLen = fs
+				}
+			})
+			cells = append(cells, sweepCell{"frame/" + pol.Name(), fmt.Sprintf("%dB", fs), d})
 		}
 	}
 	return runSweep(opts, cells)
@@ -237,12 +228,10 @@ func AblationFrameSize(opts AblationOpts, sizes []int) []AblationRow {
 //     future work, layered on the unregulated Static policy so the
 //     throttle is the only regulator.
 func AblationAdaptivePrefetch(opts AblationOpts) []AblationRow {
-	adaptive := opts.spec(idiocore.PolicyStatic)
-	adaptive.AdaptivePrefetch = true
 	cells := []sweepCell{
-		{"pfRegulator", "none", opts.spec(idiocore.PolicyStatic)},
-		{"pfRegulator", "fsm", opts.spec(idiocore.PolicyIDIO)},
-		{"pfRegulator", "adaptive", adaptive},
+		{"pfRegulator", "none", opts.desc(idiocore.PolicyStatic)},
+		{"pfRegulator", "fsm", opts.desc(idiocore.PolicyIDIO)},
+		{"pfRegulator", "adaptive", opts.desc(idiocore.PolicyStatic, func(d *scenario.Desc) { d.Host.Prefetcher.Adaptive = true })},
 	}
 	return runSweep(opts, cells)
 }

@@ -8,8 +8,7 @@ import (
 
 func smallAblationOpts(rate float64) AblationOpts {
 	return AblationOpts{
-		RingSize: quickRing, RateGbps: rate, Horizon: 9 * sim.Millisecond,
-		MLCSize: quickMLC, LLCSize: quickLLC,
+		Geometry: quickGeometry, RateGbps: rate, Horizon: 9 * sim.Millisecond,
 	}
 }
 

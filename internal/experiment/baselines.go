@@ -43,16 +43,9 @@ func BaselineHeader() []string {
 // Baselines runs the three policies on the Fig. 9 scenario.
 func Baselines(opts AblationOpts) []BaselineRow {
 	run := func(name string, pol idiocore.Policy, tuner *idiocore.WayTunerConfig) BaselineRow {
-		spec := opts.spec(pol)
-		b := Build(spec)
-		if tuner != nil {
-			// Re-wire with the dynamic-way tuner enabled. Build does
-			// not expose the knob (it is not part of any figure), so
-			// construct the tuner against the built system directly.
-			b.Sys.WayTuner = idiocore.NewWayTuner(*tuner, b.Sys.Hier.LLCWBIOCount, b.Sys.Hier.SetDDIOWays)
-		}
-		b.InstallBurst(opts.RateGbps, spec.RingSize, 1)
-		res := b.RunBurstToCompletion(opts.Horizon)
+		d := opts.desc(pol)
+		d.Host.DynamicDDIOWays = tuner
+		b, res := runBurst(d, opts.RateGbps, opts.Horizon)
 		row := BaselineRow{
 			Name:      name,
 			MLCWB:     res.Hier.MLCWriteback,

@@ -42,11 +42,9 @@ func BreakdownHeader() []string {
 
 // BreakdownOpts parameterises the run.
 type BreakdownOpts struct {
-	RingSize int
+	Geometry
 	RateGbps float64
 	Horizon  sim.Duration
-	MLCSize  int
-	LLCSize  int
 	// Parallelism bounds the worker pool running the two policies
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -55,21 +53,16 @@ type BreakdownOpts struct {
 // DefaultBreakdownOpts uses the 25 Gbps burst where the paper's tail
 // effect is largest.
 func DefaultBreakdownOpts() BreakdownOpts {
-	return BreakdownOpts{RingSize: 1024, RateGbps: 25, Horizon: 9 * sim.Millisecond}
+	return BreakdownOpts{Geometry: Geometry{RingSize: 1024}, RateGbps: 25, Horizon: 9 * sim.Millisecond}
 }
 
 // Breakdown runs both policies with tracing enabled.
 func Breakdown(opts BreakdownOpts) []BreakdownRow {
 	pols := []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO}
 	return RunCells(opts.Parallelism, pols, func(pol idiocore.Policy) BreakdownRow {
-		spec := DefaultSpec(pol)
-		spec.RingSize = opts.RingSize
-		spec.MLCSize = opts.MLCSize
-		spec.LLCSize = opts.LLCSize
-		spec.TraceCapacity = opts.RingSize * spec.NumNFs
-		b := Build(spec)
-		b.InstallBurst(opts.RateGbps, opts.RingSize, 1)
-		b.RunBurstToCompletion(opts.Horizon)
+		d := gem5NFs(pol, opts.Geometry, false)
+		d.Host.CPU.TraceCapacity = d.Host.NIC.RingSize * len(d.NFs)
+		b, _ := runBurst(d, opts.RateGbps, opts.Horizon)
 
 		notify, queue, serv, total := stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist()
 		for _, c := range b.Sys.Cores {

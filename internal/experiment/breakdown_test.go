@@ -8,8 +8,7 @@ import (
 
 func TestBreakdownStages(t *testing.T) {
 	opts := BreakdownOpts{
-		RingSize: quickRing, RateGbps: 25, Horizon: 9 * sim.Millisecond,
-		MLCSize: quickMLC, LLCSize: quickLLC,
+		Geometry: quickGeometry, RateGbps: 25, Horizon: 9 * sim.Millisecond,
 	}
 	rows := Breakdown(opts)
 	if len(rows) != 2 {

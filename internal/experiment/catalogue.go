@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"idio/internal/scenario"
 	"idio/internal/sim"
 )
 
@@ -17,6 +19,8 @@ const (
 	quickMLC  = 256 << 10
 	quickLLC  = 768 << 10
 )
+
+var quickGeometry = Geometry{RingSize: quickRing, MLCSize: quickMLC, LLCSize: quickLLC}
 
 // Experiment is one catalogue entry: a named generator of the text
 // output (tables or summary lines) that reproduces one part of the
@@ -35,9 +39,10 @@ type Env struct {
 	// Parallelism bounds the entry's worker pool (0 = GOMAXPROCS,
 	// 1 = serial); the output is identical at every setting.
 	Parallelism int
-	// Tune, when non-nil, adjusts the entry's options — a pointer to
-	// its opts struct, e.g. *RPCOpts — after the -quick overrides.
-	Tune func(opts any) error
+	// Base, when non-nil, is the compiled scenario of `idiosim -exp rpc
+	// -scenario f`: the rpc entry sweeps from it, keeping its ring and
+	// applying only the -quick cache sizes. Other entries ignore it.
+	Base *scenario.Desc
 }
 
 // SeriesFile is one CSV side file: timelines sharing a time axis.
@@ -80,18 +85,14 @@ func Lookup(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// scale sets *par to env's parallelism and, under -quick, the ring and
-// cache sizes to the quick geometry. A nil par is skipped, as are nil
-// mlc and llc (figures that keep the default caches under -quick).
-func (env Env) scale(par, ring, mlc, llc *int) {
+// scale sets *par to env's parallelism and, under -quick, *g to the
+// quick geometry. A nil par is skipped.
+func (env Env) scale(par *int, g *Geometry) {
 	if par != nil {
 		*par = env.Parallelism
 	}
 	if env.Quick {
-		*ring = quickRing
-		if mlc != nil {
-			*mlc, *llc = quickMLC, quickLLC
-		}
+		*g = quickGeometry
 	}
 }
 
@@ -100,13 +101,7 @@ func (env Env) scale(par, ring, mlc, llc *int) {
 // render runs them and writes the text output.
 func entry[O any](name string, opts func(Env) O, render func(io.Writer, O) ([]SeriesFile, error)) Experiment {
 	return Experiment{Name: name, run: func(w io.Writer, env Env) ([]SeriesFile, error) {
-		o := opts(env)
-		if env.Tune != nil {
-			if err := env.Tune(&o); err != nil {
-				return nil, err
-			}
-		}
-		return render(w, o)
+		return render(w, opts(env))
 	}}
 }
 
@@ -118,7 +113,7 @@ var Catalogue = []Experiment{
 		o.Parallelism = env.Parallelism
 		if env.Quick {
 			o.Rings, o.OneWayRings = []int{64, quickRing}, []int{quickRing}
-			o.MLCSize, o.LLCSize = quickMLC, quickLLC
+			o.Geometry = Geometry{MLCSize: quickMLC, LLCSize: quickLLC}
 			o.Loads["low"] = 0.5
 		}
 		return o
@@ -129,7 +124,7 @@ var Catalogue = []Experiment{
 
 	entry("fig5", func(env Env) Fig5Opts {
 		o := DefaultFig5Opts()
-		env.scale(nil, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(nil, &o.Geometry)
 		return o
 	}, func(w io.Writer, o Fig5Opts) ([]SeriesFile, error) {
 		res := Fig5(o)
@@ -141,7 +136,7 @@ var Catalogue = []Experiment{
 
 	entry("fig9", func(env Env) Fig9Opts {
 		o := DefaultFig9Opts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o Fig9Opts) ([]SeriesFile, error) {
 		cells := Fig9(o)
@@ -156,7 +151,7 @@ var Catalogue = []Experiment{
 
 	entry("fig10", func(env Env) Fig10Opts {
 		o := DefaultFig10Opts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o Fig10Opts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Fig 10: Static/IDIO normalized to DDIO (lower is better)",
@@ -165,7 +160,10 @@ var Catalogue = []Experiment{
 
 	entry("fig11", func(env Env) Fig11Opts {
 		o := DefaultFig11Opts()
-		env.scale(&o.Parallelism, &o.RingSize, nil, nil)
+		o.Parallelism = env.Parallelism
+		if env.Quick {
+			o.RingSize = quickRing // the default caches even under -quick
+		}
 		return o
 	}, func(w io.Writer, o Fig11Opts) ([]SeriesFile, error) {
 		res := Fig11(o)
@@ -185,7 +183,10 @@ var Catalogue = []Experiment{
 
 	entry("fig12", func(env Env) Fig12Opts {
 		o := DefaultFig12Opts()
-		env.scale(&o.Parallelism, &o.RingSize, nil, nil)
+		o.Parallelism = env.Parallelism
+		if env.Quick {
+			o.RingSize = quickRing // the default caches even under -quick
+		}
 		return o
 	}, func(w io.Writer, o Fig12Opts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Fig 12: p50/p99 latency normalized to DDIO solo",
@@ -194,7 +195,7 @@ var Catalogue = []Experiment{
 
 	entry("fig13", func(env Env) Fig13Opts {
 		o := DefaultFig13Opts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		if env.Quick {
 			o.Packets = 2048
 		}
@@ -214,7 +215,7 @@ var Catalogue = []Experiment{
 
 	entry("fig14", func(env Env) Fig14Opts {
 		o := DefaultFig14Opts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o Fig14Opts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Fig 14: IDIO sensitivity to mlcTHR at 100 Gbps (normalized to DDIO)",
@@ -223,7 +224,7 @@ var Catalogue = []Experiment{
 
 	entry("breakdown", func(env Env) BreakdownOpts {
 		o := DefaultBreakdownOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o BreakdownOpts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Latency breakdown (us): notification / queueing / service",
@@ -232,7 +233,7 @@ var Catalogue = []Experiment{
 
 	entry("ablations", func(env Env) AblationOpts {
 		o := DefaultAblationOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o AblationOpts) ([]SeriesFile, error) {
 		// hot is the 100 Gbps burst: the rate where DMA leaks are most
@@ -260,7 +261,7 @@ var Catalogue = []Experiment{
 
 	entry("degradation", func(env Env) DegradationOpts {
 		o := DefaultDegradationOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		return o
 	}, func(w io.Writer, o DegradationOpts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Degradation: DDIO vs IDIO under swept fault rates (drops / p99 / WB inflation)",
@@ -269,21 +270,27 @@ var Catalogue = []Experiment{
 
 	entry("rpc", func(env Env) RPCOpts {
 		o := DefaultRPCOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		if env.Quick {
 			o.Requests = 512
 			o.LoadsGbps = []float64{5, 15, 25}
 			o.Windows = []int{1, 16}
 		}
+		if env.Base != nil {
+			o.base, o.RingSize = env.Base, 0
+		}
 		return o
 	}, func(w io.Writer, o RPCOpts) ([]SeriesFile, error) {
+		if o.base != nil && len(o.base.RPC) == 0 {
+			return nil, errors.New("-exp rpc needs a scenario with a topology rpc section")
+		}
 		return nil, WriteTable(w, "RPC: end-to-end latency vs offered load over the fabric (DDIO vs IDIO)",
 			RPCHeader(), Rows(RPC(o)))
 	}),
 
 	entry("chaos", func(env Env) ChaosOpts {
 		o := DefaultChaosOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		if env.Quick {
 			o.Requests = 10000
 			o.Horizon = 25 * sim.Millisecond
@@ -296,7 +303,7 @@ var Catalogue = []Experiment{
 
 	entry("qos", func(env Env) QoSOpts {
 		o := DefaultQoSOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		if env.Quick {
 			o.EFRequests = 32
 			o.Horizon = 4 * sim.Millisecond
@@ -309,7 +316,7 @@ var Catalogue = []Experiment{
 
 	entry("churn", func(env Env) ChurnOpts {
 		o := DefaultChurnOpts()
-		env.scale(&o.Parallelism, &o.RingSize, &o.MLCSize, &o.LLCSize)
+		env.scale(&o.Parallelism, &o.Geometry)
 		if env.Quick {
 			o.Flows = []int{1_000, 65_536}
 			o.Horizon = 4 * sim.Millisecond

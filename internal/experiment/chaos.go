@@ -6,12 +6,13 @@ import (
 	"strings"
 
 	"idio"
-	"idio/internal/apps"
 	idiocore "idio/internal/core"
 	"idio/internal/fault"
 	fnet "idio/internal/net"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 	"idio/internal/stats"
+	"idio/internal/traffic"
 )
 
 // ChaosRow is one phase of the chaos-and-recovery run for one policy:
@@ -77,10 +78,7 @@ type ChaosOpts struct {
 	MaxRecoverWindows int
 	Epsilon           float64
 	Horizon           sim.Duration
-	// RingSize/MLCSize/LLCSize scale the DUT (0 = defaults).
-	RingSize int
-	MLCSize  int
-	LLCSize  int
+	Geometry
 	// Parallelism bounds the worker pool (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
 }
@@ -121,7 +119,7 @@ func DefaultChaosOpts() ChaosOpts {
 		MaxRecoverWindows: 40,
 		Epsilon:           0.5,
 		Horizon:           40 * sim.Millisecond,
-		RingSize:          1024,
+		Geometry:          Geometry{RingSize: 1024},
 	}
 }
 
@@ -243,51 +241,30 @@ func chaosRowFrom(pol idiocore.Policy, label string, prev, cur chaosSnap) ChaosR
 // runChaosCell runs the scripted timeline against one policy and
 // reports one row per timeline segment plus the recovery row.
 func runChaosCell(opts ChaosOpts, pol idiocore.Policy) []ChaosRow {
-	ccfg := idio.DefaultClusterConfig(opts.Cores, opts.Clients)
-	ccfg.ClientLink = opts.Link
-	ccfg.ServerLink = opts.Link
-	ccfg.Host.Policy = pol
-	ccfg.Host.Hier.LLCSize = 3 << 20
-	if opts.RingSize > 0 {
-		ccfg.Host.NIC.RingSize = opts.RingSize
-	}
-	if opts.MLCSize > 0 {
-		ccfg.Host.Hier.MLCSize = opts.MLCSize
-	}
-	if opts.LLCSize > 0 {
-		ccfg.Host.Hier.LLCSize = opts.LLCSize
-	}
-	ccfg.Host.NIC.AdmissionWatermark = opts.AdmissionWatermark
-	ccfg.Host.Faults = &fault.Config{Timeline: opts.Timeline}
-	wd := sim.DefaultWatchdogConfig()
-	ccfg.Host.Watchdog = &wd
-	cl, err := idio.NewCluster(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	for core := 0; core < opts.Cores; core++ {
-		cl.DUT.AddNF(core, apps.L2Fwd{}, cl.DUT.DefaultFlow(core))
-	}
-
-	probe := &chaosProbe{cl: cl, hist: stats.NewHistogram(5)}
+	d := echoCluster(pol, opts.Cores, opts.Geometry, opts.Clients, opts.Link)
+	d.Host.NIC.AdmissionWatermark = opts.AdmissionWatermark
+	d.Host.Faults = &fault.Config{Timeline: opts.Timeline}
+	armWatchdog(&d.Host)
+	// Every client records into the probe's one histogram, which each
+	// cut resets.
+	hist := stats.NewHistogram(5)
 	for i := 0; i < opts.Clients; i++ {
-		core := i % opts.Cores
 		retry := opts.Retry
 		retry.Seed += int64(i)
-		ccfg := fnet.ClientConfig{
+		d.RPC = append(d.RPC, scenario.RPCClient{Core: i % opts.Cores, ClientConfig: fnet.ClientConfig{
 			Mode:        fnet.ModeClosed,
 			Outstanding: opts.Window,
 			Requests:    opts.Requests,
 			Timeout:     opts.Timeout,
-			Hist:        probe.hist,
+			Hist:        hist,
 			Retry:       &retry,
-		}
-		ccfg.Flow = cl.ClientFlow(i, core)
-		if opts.FrameLen > 0 {
-			ccfg.Flow.FrameLen = opts.FrameLen
-		}
-		cl.AddRPCClient(i, core, ccfg)
+			Flow:        traffic.Flow{FrameLen: opts.FrameLen},
+		}})
 	}
+	d.Horizon, d.UntilIdle = opts.Horizon, true
+	r := build(d)
+	cl := r.Cluster
+	probe := &chaosProbe{cl: cl, hist: hist}
 
 	// Phase-boundary cuts end each timeline segment; the series of
 	// snapshots turns into per-phase rows after the run.
@@ -341,7 +318,7 @@ func runChaosCell(opts ChaosOpts, pol idiocore.Policy) []ChaosRow {
 	})
 	reg.GaugeFunc("chaos.timeline_segments", func() float64 { return float64(len(segs)) })
 
-	cl.Run(idio.RunOpts{Horizon: opts.Horizon, UntilIdle: true})
+	r.Run()
 
 	rows := make([]ChaosRow, 0, len(segs)+1)
 	prev := chaosSnap{}

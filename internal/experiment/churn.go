@@ -3,11 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"idio"
-	"idio/internal/apps"
 	idiocore "idio/internal/core"
 	fnet "idio/internal/net"
 	"idio/internal/sim"
+	"idio/internal/traffic"
 )
 
 // ChurnRow is one (setup, flow population) cell of the million-flow
@@ -68,10 +67,7 @@ type ChurnOpts struct {
 	// cut mid-churn (Active carries the resident count).
 	Horizon sim.Duration
 	Seed    int64
-	// RingSize/MLCSize/LLCSize scale the DUT (0 = defaults).
-	RingSize int
-	MLCSize  int
-	LLCSize  int
+	Geometry
 	// Parallelism bounds the worker pool over independent cells.
 	Parallelism int
 }
@@ -86,7 +82,7 @@ func DefaultChurnOpts() ChurnOpts {
 		OfferedGbps: 8,
 		FrameLen:    1514,
 		Horizon:     20 * sim.Millisecond,
-		RingSize:    1024,
+		Geometry:    Geometry{RingSize: 1024},
 	}
 }
 
@@ -122,26 +118,7 @@ func churnShare(total, n, i int) int {
 // runChurnCell builds one cluster, installs the split population, and
 // runs to the horizon.
 func runChurnCell(opts ChurnOpts, cell churnCell) ChurnRow {
-	ccfg := idio.DefaultClusterConfig(opts.Cores, opts.Clients)
-	ccfg.Host.Policy = cell.setup.pol
-	ccfg.Host.Hier.LLCSize = 3 << 20 // gem5 scale, as the burst figures use
-	if opts.RingSize > 0 {
-		ccfg.Host.NIC.RingSize = opts.RingSize
-	}
-	if opts.MLCSize > 0 {
-		ccfg.Host.Hier.MLCSize = opts.MLCSize
-	}
-	if opts.LLCSize > 0 {
-		ccfg.Host.Hier.LLCSize = opts.LLCSize
-	}
-	cl, err := idio.NewCluster(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	for core := 0; core < opts.Cores; core++ {
-		cl.DUT.AddNF(core, apps.L2Fwd{}, cl.DUT.DefaultFlow(core))
-	}
-
+	d := echoCluster(cell.setup.pol, opts.Cores, opts.Geometry, opts.Clients, link100G)
 	// Constant offered load: rate requests/s aggregate, so the mean
 	// think time is population/rate. The request budget is sized past
 	// what the horizon can spend — the horizon, not the budget, ends
@@ -150,25 +127,23 @@ func runChurnCell(opts ChurnOpts, cell churnCell) ChurnRow {
 	think := sim.Duration(float64(sim.Second) * float64(cell.flows) / rate)
 	budget := uint64(rate*opts.Horizon.Seconds())*2 + 64
 	for i := 0; i < opts.Clients; i++ {
-		cc := fnet.ChurnConfig{
+		d.Churn = append(d.Churn, fnet.ChurnConfig{
 			Flows:    churnShare(cell.flows, opts.Clients, i),
 			Requests: uint64(churnShare(int(budget), opts.Clients, i)),
 			Timeout:  opts.Timeout,
 			Think:    think,
 			Seed:     opts.Seed + int64(i),
-		}
-		cc.Flow = cl.ClientFlow(i, 0)
-		if opts.FrameLen > 0 {
-			cc.Flow.FrameLen = opts.FrameLen
-		}
-		cl.AddChurnClient(i, cc)
+			Flow:     traffic.Flow{FrameLen: opts.FrameLen},
+		})
 	}
-	res, _ := cl.Run(idio.RunOpts{Horizon: opts.Horizon})
+	d.Horizon = opts.Horizon
+	r := build(d)
+	res := r.Run()
 
 	row := ChurnRow{
 		Setup:      cell.setup.name,
 		Flows:      cell.flows,
-		LLCIOLines: cl.DUT.Hier.LLCOccupancyIO(),
+		LLCIOLines: r.Sys.Hier.LLCOccupancyIO(),
 		Aborted:    res.Aborted != nil,
 	}
 	if ch := res.Churn; ch != nil {

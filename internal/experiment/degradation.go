@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"idio"
 	idiocore "idio/internal/core"
 	"idio/internal/fault"
 	fnet "idio/internal/net"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 )
 
@@ -49,7 +49,7 @@ type DegradationRow struct {
 
 // DegradationOpts parameterises the sweep.
 type DegradationOpts struct {
-	RingSize int
+	Geometry
 	RateGbps float64
 	// Rates are the per-TLP fault probabilities to sweep (0 is always
 	// run first per policy as the normalization baseline).
@@ -58,9 +58,6 @@ type DegradationOpts struct {
 	// whole sweep reproducible.
 	Seed    int64
 	Horizon sim.Duration
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
 	// Parallelism bounds the worker pool running independent sweep
 	// cells (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -70,7 +67,7 @@ type DegradationOpts struct {
 // link" (0.1%) to "failing link" (5%) at the Fig. 9 burst rate.
 func DefaultDegradationOpts() DegradationOpts {
 	return DegradationOpts{
-		RingSize: 1024,
+		Geometry: Geometry{RingSize: 1024},
 		RateGbps: 100,
 		Rates:    []float64{0.001, 0.01, 0.05},
 		Seed:     42,
@@ -138,35 +135,18 @@ func fabricFaultConfigFor(rate float64, seed int64) *fault.Config {
 // flap and degrade at the swept intensity. P99 here is end-to-end
 // client latency, not server-side service time.
 func fabricDegradationCell(pol idiocore.Policy, rate float64, opts DegradationOpts) DegradationRow {
-	const nClients = 2
-	ccfg := idio.DefaultClusterConfig(2, nClients)
-	ccfg.Host.Policy = pol
-	ccfg.Host.Hier.LLCSize = 3 << 20 // gem5 scale, like the host cells
-	ccfg.Host.NIC.RingSize = opts.RingSize
-	if opts.MLCSize > 0 {
-		ccfg.Host.Hier.MLCSize = opts.MLCSize
-	}
-	if opts.LLCSize > 0 {
-		ccfg.Host.Hier.LLCSize = opts.LLCSize
-	}
-	ccfg.Host.Faults = fabricFaultConfigFor(rate, opts.Seed)
-	wd := sim.DefaultWatchdogConfig()
-	ccfg.Host.Watchdog = &wd
-	cl, err := idio.NewCluster(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	for core := 0; core < 2; core++ {
-		cl.DUT.AddNF(core, L2Fwd.app(), cl.DUT.DefaultFlow(core))
-	}
-	for i := 0; i < nClients; i++ {
-		cl.AddRPCClient(i, i, fnet.ClientConfig{
+	d := echoCluster(pol, 2, opts.Geometry, 2, link100G)
+	d.Host.Faults = fabricFaultConfigFor(rate, opts.Seed)
+	armWatchdog(&d.Host)
+	for i := 0; i < 2; i++ {
+		d.RPC = append(d.RPC, scenario.RPCClient{Core: i, ClientConfig: fnet.ClientConfig{
 			Mode:        fnet.ModeClosed,
 			Outstanding: 16,
 			Requests:    2048,
-		})
+		}})
 	}
-	res, _ := cl.Run(idio.RunOpts{Horizon: opts.Horizon, UntilIdle: true})
+	d.Horizon, d.UntilIdle = opts.Horizon, true
+	res := build(d).Run()
 
 	row := DegradationRow{
 		Policy:         pol,
@@ -220,17 +200,10 @@ func Degradation(opts DegradationOpts) []DegradationRow {
 		if c.fabric {
 			return fabricDegradationCell(c.pol, c.rate, opts)
 		}
-		sp := DefaultSpec(c.pol)
-		sp.RingSize = opts.RingSize
-		sp.MLCSize = opts.MLCSize
-		sp.LLCSize = opts.LLCSize
-		sp.Faults = faultConfigFor(c.rate, opts.Seed)
-		wd := sim.DefaultWatchdogConfig()
-		sp.Watchdog = &wd
-
-		b := Build(sp)
-		b.InstallBurst(opts.RateGbps, sp.RingSize, 1)
-		res := b.RunBurstToCompletion(opts.Horizon)
+		d := gem5NFs(c.pol, opts.Geometry, false)
+		d.Host.Faults = faultConfigFor(c.rate, opts.Seed)
+		armWatchdog(&d.Host)
+		_, res := runBurst(d, opts.RateGbps, opts.Horizon)
 
 		return DegradationRow{
 			Policy:         c.pol,

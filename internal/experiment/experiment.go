@@ -1,8 +1,9 @@
 // Package experiment regenerates every quantitative figure of the
 // paper's analysis (Fig. 4, 5) and evaluation (Fig. 9-14). Each FigN
-// function builds the scenario the paper describes, runs it, and
-// returns structured rows/series mirroring what the figure reports;
-// render.go formats them as ASCII tables and CSV for inspection.
+// function describes the runs the paper describes (scenario.Desc),
+// builds and runs them with scenario.Build, and returns structured
+// rows/series mirroring what the figure reports; render.go formats
+// them as ASCII tables and CSV for inspection.
 //
 // The experiments are parameterised by an options struct whose
 // Default* constructor reproduces the paper's setup; tests shrink the
@@ -11,243 +12,120 @@ package experiment
 
 import (
 	"idio"
-	"idio/internal/apps"
-	"idio/internal/cache"
 	idiocore "idio/internal/core"
-	"idio/internal/cpu"
-	"idio/internal/fault"
+	fnet "idio/internal/net"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 	"idio/internal/stats"
 	"idio/internal/traffic"
 )
 
-// AppKind selects the network function on the NF cores.
-type AppKind int
-
-// Network functions from Table II (and the Sec. VII L2Fwd variant).
-const (
-	TouchDrop AppKind = iota
-	L2Fwd
-	L2FwdDropPayload
-)
-
-func (a AppKind) String() string {
-	switch a {
-	case TouchDrop:
-		return "TouchDrop"
-	case L2Fwd:
-		return "L2Fwd"
-	case L2FwdDropPayload:
-		return "L2FwdDropPayload"
-	default:
-		return "unknown"
-	}
-}
-
-func (a AppKind) app() cpu.App {
-	switch a {
-	case TouchDrop:
-		return apps.TouchDrop{}
-	case L2Fwd:
-		return apps.L2Fwd{}
-	case L2FwdDropPayload:
-		return apps.L2FwdDropPayload{}
-	default:
-		panic("experiment: unknown app kind")
-	}
-}
-
-// Spec assembles a complete scenario: the gem5-style two-NF system of
-// Sec. VI plus optional co-running antagonist and configuration
-// overrides used by individual figures.
-type Spec struct {
-	Policy   idiocore.Policy
-	App      AppKind
-	NumNFs   int
+// Geometry scales the DUT for reduced-size runs: ring entries and
+// cache bytes, 0 keeping the gem5-scale default. Scaled-down runs
+// shrink MLC and LLC together with the ring so capacity ratios (ring
+// footprint vs. MLC, DDIO ways vs. burst) match the full-size run.
+type Geometry struct {
 	RingSize int
-	FrameLen int
-
-	// ClassOne marks the NF flows as application class 1 via DSCP 46
-	// (used by the selective-direct-DRAM experiments).
-	ClassOne bool
-
-	// Antagonist adds an LLCAntagonist on an extra core with a 256 KB
-	// MLC and the given buffer size (Sec. VI).
-	Antagonist    bool
-	AntagonistBuf uint64
-
-	// LLCSize overrides the scaled-down 3 MB gem5 LLC; 0 keeps it.
-	LLCSize int
-	// MLCSize overrides the per-core 1 MB MLC; 0 keeps it. Scaled-down
-	// tests shrink MLC and LLC together with the ring so capacity
-	// ratios (ring footprint vs. MLC, DDIO ways vs. burst) match the
-	// full-size scenario.
-	MLCSize int
-	// AppWayMask partitions CPU-side LLC fills (Fig. 4's _1way runs).
-	AppWayMask cache.WayMask
-	// MLCTHR overrides the controller threshold (Fig. 14); 0 keeps 50.
-	MLCTHR uint64
-	// TimelineBucket overrides the 10 µs stats bucket; 0 keeps it.
-	TimelineBucket sim.Duration
-
-	// Ablation knobs (not part of any paper figure; used by the
-	// design-choice sweeps in ablation.go).
-	DDIOWays         int          // 0 keeps the default 2
-	PrefetchDepth    int          // 0 keeps the default 32
-	DescWBDelay      sim.Duration // <0 means zero delay; 0 keeps default
-	AdaptivePrefetch bool         // enable the CPU-following throttle
-	MSHRs            int          // memory-level parallelism; 0 keeps 1
-	// ReplPolicy selects cache replacement (LRU default; SRRIP models
-	// the RRIP family real LLCs approximate). Pointer so the LRU zero
-	// value stays the default.
-	ReplPolicy *cache.Policy
-	// TraceCapacity enables per-packet stage tracing on every core.
-	TraceCapacity int
-	// RetainLLCOnHit selects NINE inclusion semantics for the LLC
-	// (see hier.Config.RetainLLCOnHit).
-	RetainLLCOnHit bool
-
-	// Faults enables the deterministic fault-injection layer for
-	// degradation experiments (nil = fault-free).
-	Faults *fault.Config
-	// Watchdog arms the simulator's no-progress/event-storm detector.
-	Watchdog *sim.WatchdogConfig
+	MLCSize  int
+	LLCSize  int
 }
 
-// DefaultSpec is the common Sec. VI gem5 scenario: two TouchDrop NFs,
-// 1024-entry rings, 1514-byte packets, 3 MB LLC.
-func DefaultSpec(policy idiocore.Policy) Spec {
-	return Spec{
-		Policy:        policy,
-		App:           TouchDrop,
-		NumNFs:        2,
-		RingSize:      1024,
-		FrameLen:      1514,
-		AntagonistBuf: 2 << 20,
+// gem5Host is the DUT every experiment starts from: the Table I host
+// with cores cores under pol, the LLC scaled to the gem5 setup's 3 MB
+// (Sec. III / Fig. 5), and g applied.
+func gem5Host(pol idiocore.Policy, cores int, g Geometry) idio.Config {
+	cfg := idio.DefaultConfig(cores)
+	cfg.Policy = pol
+	cfg.Hier.LLCSize = 3 << 20
+	g.apply(&cfg)
+	return cfg
+}
+
+// apply sets g's non-zero sizes on cfg.
+func (g Geometry) apply(cfg *idio.Config) {
+	if g.RingSize > 0 {
+		cfg.NIC.RingSize = g.RingSize
+	}
+	if g.MLCSize > 0 {
+		cfg.Hier.MLCSize = g.MLCSize
+	}
+	if g.LLCSize > 0 {
+		cfg.Hier.LLCSize = g.LLCSize
 	}
 }
 
-// Built is a wired system plus the experiment-level handles.
-type Built struct {
-	Sys        *idio.System
-	Flows      []traffic.Flow
-	Antagonist *apps.LLCAntagonist
+// link100G is the 100 GbE, 2 µs fabric link of idio.DefaultClusterConfig.
+var link100G = fnet.LinkConfig{RateBps: 100e9, Delay: 2 * sim.Microsecond}
+
+// echoCluster describes the fabric experiments' run: gem5Host behind a
+// switch with clients client slots on link (client and server side
+// alike), an L2Fwd NF echoing requests on every core. It has no
+// clients yet.
+func echoCluster(pol idiocore.Policy, cores int, g Geometry, clients int, link fnet.LinkConfig) scenario.Desc {
+	d := scenario.Desc{
+		Host:   gem5Host(pol, cores, g),
+		Fabric: &scenario.Fabric{Clients: clients, ClientLink: link, ServerLink: link},
+	}
+	for core := 0; core < cores; core++ {
+		d.NFs = append(d.NFs, scenario.NFDesc{Core: core, App: "L2Fwd"})
+	}
+	return d
 }
 
-// Build wires the scenario.
-func Build(spec Spec) *Built {
-	cores := spec.NumNFs
-	if spec.Antagonist {
+// gem5NFs describes the Sec. VI gem5 run: two TouchDrop NFs on
+// 1514-byte frames, plus, with antagonist, the LLC antagonist on a
+// third core with a 256 KB MLC and a 2 MB buffer. It has no traffic
+// yet (see burst and steady).
+func gem5NFs(pol idiocore.Policy, g Geometry, antagonist bool) scenario.Desc {
+	cores := 2
+	if antagonist {
 		cores++
 	}
-	cfg := idio.DefaultConfig(cores)
-	cfg.Hier.LLCSize = 3 << 20 // scaled gem5 LLC (Sec. III / Fig. 5)
-	if spec.LLCSize > 0 {
-		cfg.Hier.LLCSize = spec.LLCSize
+	d := scenario.Desc{Host: gem5Host(pol, cores, g)}
+	for core := 0; core < 2; core++ {
+		d.NFs = append(d.NFs, scenario.NFDesc{Core: core, App: "TouchDrop", FrameLen: 1514})
 	}
-	if spec.MLCSize > 0 {
-		cfg.Hier.MLCSize = spec.MLCSize
+	if antagonist {
+		d.Antagonist = &scenario.Antagonist{Core: 2, BufKB: 2 << 10, MLCKB: 256}
 	}
-	if spec.AppWayMask != 0 {
-		cfg.Hier.AppWayMask = spec.AppWayMask
-	}
-	if spec.MLCTHR > 0 {
-		cfg.Controller.MLCTHR = spec.MLCTHR
-	}
-	if spec.TimelineBucket > 0 {
-		cfg.Hier.TimelineBucket = spec.TimelineBucket
-	}
-	if spec.Antagonist {
-		// The antagonist core gets a 256 KB MLC (Sec. VI).
-		sizes := make([]int, cores)
-		sizes[cores-1] = 256 << 10
-		cfg.Hier.MLCSizePerCore = sizes
-	}
-	cfg.NIC.RingSize = spec.RingSize
-	cfg.Policy = spec.Policy
-	if spec.ClassOne {
-		cfg.Classifier.ClassOneDSCPs = []uint8{46}
-	}
-	if spec.DDIOWays > 0 {
-		cfg.Hier.DDIOWays = spec.DDIOWays
-	}
-	if spec.PrefetchDepth > 0 {
-		cfg.Prefetcher.QueueDepth = spec.PrefetchDepth
-	}
-	if spec.DescWBDelay < 0 {
-		cfg.NIC.DescWBDelay = 0
-	} else if spec.DescWBDelay > 0 {
-		cfg.NIC.DescWBDelay = spec.DescWBDelay
-	}
-	cfg.Prefetcher.Adaptive = spec.AdaptivePrefetch
-	if spec.MSHRs > 0 {
-		cfg.CPU.MSHRs = spec.MSHRs
-	}
-	if spec.ReplPolicy != nil {
-		cfg.Hier.Policy = *spec.ReplPolicy
-	}
-	cfg.CPU.TraceCapacity = spec.TraceCapacity
-	cfg.Hier.RetainLLCOnHit = spec.RetainLLCOnHit
-	cfg.Faults = spec.Faults
-	cfg.Watchdog = spec.Watchdog
-	sys := idio.NewSystem(cfg)
-
-	b := &Built{Sys: sys}
-	for i := 0; i < spec.NumNFs; i++ {
-		flow := sys.DefaultFlow(i)
-		flow.FrameLen = spec.FrameLen
-		if spec.ClassOne {
-			flow.DSCP = 46
-		}
-		sys.AddNF(i, spec.App.app(), flow)
-		b.Flows = append(b.Flows, flow)
-	}
-	if spec.Antagonist {
-		buf := sys.AllocRegion(spec.AntagonistBuf)
-		b.Antagonist = apps.NewLLCAntagonist(cores-1, buf, cfg.Hier.Clock, sys.Hier, 1)
-	}
-	return b
+	return d
 }
 
-// InstallBurst schedules one synchronized burst per NF at the given
-// per-NF rate (Sec. VI's construction: exactly ring-size packets per
-// burst).
-func (b *Built) InstallBurst(gbps float64, ringSize, numBursts int) {
-	for _, flow := range b.Flows {
-		traffic.Bursty{
-			Flow:            flow,
+// burst gives every NF n synchronized bursts at gbps, 10 ms apart, of
+// exactly ring-size packets each (Sec. VI's construction).
+func burst(d *scenario.Desc, gbps float64, n int) {
+	for i := range d.NFs {
+		d.NFs[i].Bursty = &traffic.Bursty{
 			BurstRateBps:    traffic.Gbps(gbps),
 			Period:          10 * sim.Millisecond,
-			PacketsPerBurst: ringSize,
-			NumBursts:       numBursts,
-		}.Install(b.Sys.Sim, b.Sys.NIC)
+			PacketsPerBurst: d.Host.NIC.RingSize,
+			NumBursts:       n,
+		}
 	}
 }
 
-// InstallSteady schedules steady per-NF traffic.
-func (b *Built) InstallSteady(gbps float64, count uint64) {
-	for _, flow := range b.Flows {
-		traffic.Steady{
-			Flow:    flow,
-			RateBps: traffic.Gbps(gbps),
-			Count:   count,
-		}.Install(b.Sys.Sim, b.Sys.NIC)
+// steady gives every NF count packets at a steady gbps.
+func steady(d *scenario.Desc, gbps float64, count uint64) {
+	for i := range d.NFs {
+		d.NFs[i].Steady = &traffic.Steady{RateBps: traffic.Gbps(gbps), Count: count}
 	}
 }
 
-// Start launches cores, controller and (if present) the antagonist.
-func (b *Built) Start() {
-	b.Sys.Start()
-	if b.Antagonist != nil {
-		b.Antagonist.Start(b.Sys.Sim)
-	}
+// armWatchdog arms the simulator's no-progress/event-storm detector, so
+// a livelock surfaces as a structured abort instead of a hang.
+func armWatchdog(cfg *idio.Config) {
+	wd := sim.DefaultWatchdogConfig()
+	cfg.Watchdog = &wd
 }
 
-// RunBurstToCompletion runs until the rings drain (bounded by
-// horizon) and returns results.
-func (b *Built) RunBurstToCompletion(horizon sim.Duration) idio.Results {
-	b.Start()
-	return b.Sys.RunUntilIdle(horizon)
+// build wires d; a description an experiment wrote is a program bug
+// if it does not build.
+func build(d scenario.Desc) *scenario.Rig {
+	r, err := scenario.Build(d)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // Series is a named timeline in the units the paper plots (MTPS per

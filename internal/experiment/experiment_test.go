@@ -16,12 +16,10 @@ import (
 
 func TestFig9SmallShapes(t *testing.T) {
 	opts := Fig9Opts{
-		RingSize: quickRing,
+		Geometry: quickGeometry,
 		Rates:    []float64{100, 25},
 		Policies: []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyIDIO},
 		Horizon:  9 * sim.Millisecond,
-		MLCSize:  quickMLC,
-		LLCSize:  quickLLC,
 	}
 	cells := Fig9(opts)
 	if len(cells) != 6 {
@@ -66,7 +64,7 @@ func TestFig9SmallShapes(t *testing.T) {
 }
 
 func TestFig10SmallNormalization(t *testing.T) {
-	opts := Fig10Opts{RingSize: quickRing, Rates: []float64{25}, Horizon: 9 * sim.Millisecond, CoRun: false, MLCSize: quickMLC, LLCSize: quickLLC}
+	opts := Fig10Opts{Geometry: quickGeometry, Rates: []float64{25}, Horizon: 9 * sim.Millisecond, CoRun: false}
 	rows := Fig10(opts)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
@@ -82,7 +80,7 @@ func TestFig10SmallNormalization(t *testing.T) {
 }
 
 func TestFig11SmallShapes(t *testing.T) {
-	opts := Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
+	opts := Fig11Opts{Geometry: Geometry{RingSize: quickRing}, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
 	res := Fig11(opts)
 	// Shallow NF: DDIO leaves the payload in LLC; IDIO cuts LLC WBs.
 	if res.IDIO.Summary.LLCWB >= res.DDIO.Summary.LLCWB && res.DDIO.Summary.LLCWB > 0 {
@@ -106,7 +104,7 @@ func TestFig11SmallShapes(t *testing.T) {
 }
 
 func TestFig12SmallShapes(t *testing.T) {
-	opts := Fig12Opts{RingSize: quickRing, Rates: []float64{25}, Horizon: 9 * sim.Millisecond}
+	opts := Fig12Opts{Geometry: Geometry{RingSize: quickRing}, Rates: []float64{25}, Horizon: 9 * sim.Millisecond}
 	rows := Fig12(opts)
 	// 1 rate x (solo DDIO ref, solo IDIO, corun DDIO, corun IDIO).
 	if len(rows) != 4 {
@@ -130,7 +128,7 @@ func TestFig12SmallShapes(t *testing.T) {
 }
 
 func TestFig13SmallShapes(t *testing.T) {
-	opts := Fig13Opts{RingSize: quickRing, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond, MLCSize: quickMLC, LLCSize: quickLLC}
+	opts := Fig13Opts{Geometry: quickGeometry, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond}
 	res := Fig13(opts)
 	if res.DDIO.Summary.Processed == 0 || res.IDIO.Summary.Processed == 0 {
 		t.Fatal("steady run processed nothing")
@@ -147,7 +145,7 @@ func TestFig13SmallShapes(t *testing.T) {
 }
 
 func TestFig14SmallSweep(t *testing.T) {
-	opts := Fig14Opts{RingSize: quickRing, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: 9 * sim.Millisecond, MLCSize: quickMLC, LLCSize: quickLLC}
+	opts := Fig14Opts{Geometry: quickGeometry, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: 9 * sim.Millisecond}
 	rows := Fig14(opts)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
@@ -169,8 +167,7 @@ func TestFig4SmallSweep(t *testing.T) {
 		Loads:       map[string]float64{"med": 2, "high": 8},
 		RingCycles:  5,
 		OneWayRings: []int{512},
-		MLCSize:     quickMLC,
-		LLCSize:     quickLLC,
+		Geometry:    Geometry{MLCSize: quickMLC, LLCSize: quickLLC},
 	}
 	rows := Fig4(opts)
 	if len(rows) != 5 {
@@ -207,7 +204,7 @@ func TestFig4SmallSweep(t *testing.T) {
 }
 
 func TestFig5SmallTimeline(t *testing.T) {
-	opts := Fig5Opts{RingSize: quickRing, NumBursts: 2, BurstGbps: 25, Horizon: 25 * sim.Millisecond, MLCSize: quickMLC, LLCSize: quickLLC}
+	opts := Fig5Opts{Geometry: quickGeometry, NumBursts: 2, BurstGbps: 25, Horizon: 25 * sim.Millisecond}
 	res := Fig5(opts)
 	if res.Processed == 0 {
 		t.Fatal("nothing processed")

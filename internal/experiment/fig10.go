@@ -26,14 +26,11 @@ type Fig10Row struct {
 
 // Fig10Opts parameterises the normalized comparison.
 type Fig10Opts struct {
-	RingSize int
-	Rates    []float64
-	Horizon  sim.Duration
+	Geometry
+	Rates   []float64
+	Horizon sim.Duration
 	// CoRun enables the TouchDrop.IDIO + LLCAntagonist rows.
 	CoRun bool
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
 	// Parallelism bounds the worker pool running independent cells
 	// (0 = GOMAXPROCS, 1 = serial). Results are independent of the
 	// setting.
@@ -44,7 +41,7 @@ type Fig10Opts struct {
 // dynamic IDIO, plus the co-run scenario.
 func DefaultFig10Opts() Fig10Opts {
 	return Fig10Opts{
-		RingSize: 1024,
+		Geometry: Geometry{RingSize: 1024},
 		Rates:    []float64{100, 25, 10},
 		Horizon:  9 * sim.Millisecond,
 		CoRun:    true,
@@ -56,14 +53,6 @@ func DefaultFig10Opts() Fig10Opts {
 // independent cell, so the whole grid fans out at once; normalization
 // happens afterwards over the index-addressed results.
 func Fig10(opts Fig10Opts) []Fig10Row {
-	spec := func(pol idiocore.Policy, antagonist bool) Spec {
-		sp := DefaultSpec(pol)
-		sp.RingSize = opts.RingSize
-		sp.MLCSize = opts.MLCSize
-		sp.LLCSize = opts.LLCSize
-		sp.Antagonist = antagonist
-		return sp
-	}
 	type cell struct {
 		rate       float64
 		pol        idiocore.Policy
@@ -86,7 +75,7 @@ func Fig10(opts Fig10Opts) []Fig10Row {
 		}
 	}
 	sums := RunCells(opts.Parallelism, cells, func(c cell) BurstSummary {
-		return runBurstCell(spec(c.pol, c.antagonist), c.rate, opts.Horizon).Summary
+		return runBurstCell(gem5NFs(c.pol, opts.Geometry, c.antagonist), c.rate, opts.Horizon).Summary
 	})
 	var rows []Fig10Row
 	for ri, rate := range opts.Rates {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	idiocore "idio/internal/core"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 	"idio/internal/stats"
 )
@@ -25,7 +26,8 @@ type Fig11Result struct {
 
 // Fig11Opts parameterises the shallow-NF comparison.
 type Fig11Opts struct {
-	RingSize  int
+	// Geometry scales the DUT; -quick sets only the ring.
+	Geometry
 	FrameLen  int
 	BurstGbps float64
 	Horizon   sim.Duration
@@ -37,41 +39,29 @@ type Fig11Opts struct {
 // DefaultFig11Opts mirrors Fig. 11: 1024-entry rings, 1024-byte
 // packets.
 func DefaultFig11Opts() Fig11Opts {
-	return Fig11Opts{RingSize: 1024, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
+	return Fig11Opts{Geometry: Geometry{RingSize: 1024}, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
 }
 
 // Fig11 runs the three configurations.
 func Fig11(opts Fig11Opts) Fig11Result {
-	spec := func(pol idiocore.Policy) Spec {
-		sp := DefaultSpec(pol)
-		sp.RingSize = opts.RingSize
-		sp.App = L2Fwd
-		sp.FrameLen = opts.FrameLen
-		return sp
+	desc := func(pol idiocore.Policy, app string, dscp uint8) scenario.Desc {
+		d := gem5NFs(pol, opts.Geometry, false)
+		for i := range d.NFs {
+			d.NFs[i].App, d.NFs[i].FrameLen, d.NFs[i].DSCP = app, opts.FrameLen, dscp
+		}
+		return d
 	}
 	var out Fig11Result
 	RunTasks(opts.Parallelism,
-		func() { out.DDIO = runBurstCell(spec(idiocore.PolicyDDIO), opts.BurstGbps, opts.Horizon) },
-		func() { out.IDIO = runBurstCell(spec(idiocore.PolicyIDIO), opts.BurstGbps, opts.Horizon) },
+		func() { out.DDIO = runBurstCell(desc(idiocore.PolicyDDIO, "L2Fwd", 0), opts.BurstGbps, opts.Horizon) },
+		func() { out.IDIO = runBurstCell(desc(idiocore.PolicyIDIO, "L2Fwd", 0), opts.BurstGbps, opts.Horizon) },
 		func() {
-			// Direct-DRAM variant: class-1 flows + payload-dropping app.
-			ddSpec := DefaultSpec(idiocore.PolicyIDIO)
-			ddSpec.RingSize = opts.RingSize
-			ddSpec.App = L2FwdDropPayload
-			ddSpec.FrameLen = opts.FrameLen
-			ddSpec.ClassOne = true
-			b := Build(ddSpec)
-			b.InstallBurst(opts.BurstGbps, opts.RingSize, 1)
-			res := b.RunBurstToCompletion(opts.Horizon)
-			out.DirectDRAM.Summary = BurstSummary{
-				MLCWB:      res.Hier.MLCWriteback,
-				LLCWB:      res.Hier.LLCWriteback,
-				DRAMReads:  res.DRAMReads,
-				DRAMWrites: res.DRAMWrites,
-				ExeTimeUS:  res.ExeTime.Microseconds(),
-				Processed:  res.TotalProcessed(),
-				Drops:      res.NIC.RxDrops,
-			}
+			// Direct-DRAM variant: class-1 (DSCP 46) flows + payload-
+			// dropping app.
+			d := desc(idiocore.PolicyIDIO, "L2FwdDropPayload", 46)
+			d.Host.Classifier.ClassOneDSCPs = []uint8{46}
+			_, res := runBurst(d, opts.BurstGbps, opts.Horizon)
+			out.DirectDRAM.Summary = summaryOf(res)
 			span := res.Now.Sub(0)
 			out.DirectDRAM.RxGbps = stats.Gbps(res.NIC.RxBytes, span)
 			out.DirectDRAM.DRAMWriteGbps = stats.Gbps(res.DRAMWrites*64, span)

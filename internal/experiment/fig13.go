@@ -23,13 +23,10 @@ type Fig13Run struct {
 
 // Fig13Opts parameterises the steady-traffic run.
 type Fig13Opts struct {
-	RingSize int
-	Gbps     float64 // per NF
-	Packets  uint64  // per NF
-	Horizon  sim.Duration
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
+	Geometry
+	Gbps    float64 // per NF
+	Packets uint64  // per NF
+	Horizon sim.Duration
 	// Parallelism bounds the worker pool running the two policies
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -39,33 +36,20 @@ type Fig13Opts struct {
 // notes drops appear above ~12 Gbps per core, so 10 Gbps is just
 // below saturation.
 func DefaultFig13Opts() Fig13Opts {
-	return Fig13Opts{RingSize: 1024, Gbps: 10, Packets: 8192, Horizon: 40 * sim.Millisecond}
+	return Fig13Opts{Geometry: Geometry{RingSize: 1024}, Gbps: 10, Packets: 8192, Horizon: 40 * sim.Millisecond}
 }
 
 // Fig13 runs both policies concurrently.
 func Fig13(opts Fig13Opts) Fig13Result {
 	run := func(pol idiocore.Policy) Fig13Run {
-		spec := DefaultSpec(pol)
-		spec.RingSize = opts.RingSize
-		spec.MLCSize = opts.MLCSize
-		spec.LLCSize = opts.LLCSize
-		b := Build(spec)
-		b.InstallSteady(opts.Gbps, opts.Packets)
-		b.Start()
-		res := b.Sys.RunUntilIdle(opts.Horizon)
+		d := gem5NFs(pol, opts.Geometry, false)
+		steady(&d, opts.Gbps, opts.Packets)
+		d.Horizon, d.UntilIdle = opts.Horizon, true
+		res := build(d).Run()
 		return Fig13Run{
-			MLCWB: seriesOf("mlcWB", res.MLCWBTL),
-			LLCWB: seriesOf("llcWB", res.LLCWBTL),
-			Summary: BurstSummary{
-				MLCWB:      res.Hier.MLCWriteback,
-				LLCWB:      res.Hier.LLCWriteback,
-				DRAMReads:  res.DRAMReads,
-				DRAMWrites: res.DRAMWrites,
-				P50US:      res.P50Across().Microseconds(),
-				P99US:      res.P99Across().Microseconds(),
-				Processed:  res.TotalProcessed(),
-				Drops:      res.NIC.RxDrops,
-			},
+			MLCWB:     seriesOf("mlcWB", res.MLCWBTL),
+			LLCWB:     seriesOf("llcWB", res.LLCWBTL),
+			Summary:   summaryOf(res),
 			RxPackets: res.NIC.RxPackets,
 		}
 	}

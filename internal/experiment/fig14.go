@@ -20,14 +20,11 @@ type Fig14Row struct {
 
 // Fig14Opts parameterises the sensitivity sweep.
 type Fig14Opts struct {
-	RingSize int
+	Geometry
 	RateGbps float64
 	// THRs are mlcTHR values in MTPS (writebacks per µs).
 	THRs    []uint64
 	Horizon sim.Duration
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
 	// Parallelism bounds the worker pool running independent sweep
 	// points (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -38,7 +35,7 @@ type Fig14Opts struct {
 // rates are insensitive).
 func DefaultFig14Opts() Fig14Opts {
 	return Fig14Opts{
-		RingSize: 1024,
+		Geometry: Geometry{RingSize: 1024},
 		RateGbps: 100,
 		THRs:     []uint64{10, 25, 50, 75, 100},
 		Horizon:  9 * sim.Millisecond,
@@ -47,14 +44,6 @@ func DefaultFig14Opts() Fig14Opts {
 
 // Fig14 runs the sweep.
 func Fig14(opts Fig14Opts) []Fig14Row {
-	spec := func(pol idiocore.Policy, thr uint64) Spec {
-		sp := DefaultSpec(pol)
-		sp.RingSize = opts.RingSize
-		sp.MLCSize = opts.MLCSize
-		sp.LLCSize = opts.LLCSize
-		sp.MLCTHR = thr
-		return sp
-	}
 	// Cell 0 is the DDIO baseline; cells 1..n are the IDIO sweep
 	// points. All fan out together; normalization follows.
 	type cell struct {
@@ -67,7 +56,11 @@ func Fig14(opts Fig14Opts) []Fig14Row {
 		cells = append(cells, cell{pol: idiocore.PolicyIDIO, thr: thr})
 	}
 	sums := RunCells(opts.Parallelism, cells, func(c cell) BurstSummary {
-		return runBurstCell(spec(c.pol, c.thr), opts.RateGbps, opts.Horizon).Summary
+		d := gem5NFs(c.pol, opts.Geometry, false)
+		if c.thr > 0 {
+			d.Host.Controller.MLCTHR = c.thr
+		}
+		return runBurstCell(d, opts.RateGbps, opts.Horizon).Summary
 	})
 	base := sums[0]
 	var rows []Fig14Row

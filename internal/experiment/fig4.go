@@ -41,9 +41,9 @@ type Fig4Opts struct {
 	// OneWayRings lists ring sizes additionally run with the
 	// single-way LLC partition ("_1way" in Fig. 4 right).
 	OneWayRings []int
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
+	// Geometry scales the caches for reduced-size runs (Rings sets
+	// the ring).
+	Geometry
 	// Parallelism bounds the worker pool running independent sweep
 	// cells (0 = GOMAXPROCS, 1 = serial). Results are independent of
 	// the setting.
@@ -96,24 +96,21 @@ func Fig4(opts Fig4Opts) []Fig4Row {
 }
 
 func fig4Point(opts Fig4Opts, ring int, load string, gbps float64, oneWay bool) Fig4Row {
-	spec := DefaultSpec(idiocore.PolicyDDIO)
-	spec.RingSize = ring
-	spec.MLCSize = opts.MLCSize
-	spec.LLCSize = opts.LLCSize
+	g := opts.Geometry
+	g.RingSize = ring
+	d := gem5NFs(idiocore.PolicyDDIO, g, false)
 	if oneWay {
 		// Confine the application's LLC fills to a single non-DDIO way
 		// (way 2), leaving the 2 DDIO ways untouched.
-		spec.AppWayMask = cache.WayMask(1 << 2)
+		d.Host.Hier.AppWayMask = cache.WayMask(1 << 2)
 	}
-	b := Build(spec)
 	count := uint64(opts.RingCycles * ring)
-	b.InstallSteady(gbps, count)
-	b.Start()
-
+	steady(&d, gbps, count)
 	// Horizon: stream duration plus generous drain time.
-	gap := traffic.InterArrival(traffic.Gbps(gbps), spec.FrameLen)
-	horizon := sim.Duration(int64(gap)*int64(count)) + 50*sim.Millisecond
-	res := b.Sys.RunUntilIdle(horizon)
+	gap := traffic.InterArrival(traffic.Gbps(gbps), d.NFs[0].FrameLen)
+	d.Horizon = sim.Duration(int64(gap)*int64(count)) + 50*sim.Millisecond
+	d.UntilIdle = true
+	res := build(d).Run()
 
 	rxBytes := float64(res.NIC.RxBytes)
 	wbBytes := float64(res.Hier.MLCWriteback * 64)

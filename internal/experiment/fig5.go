@@ -21,33 +21,26 @@ type Fig5Result struct {
 
 // Fig5Opts parameterises the timeline run.
 type Fig5Opts struct {
-	RingSize  int
+	Geometry
 	NumBursts int
 	// BurstGbps is the per-NF burst rate; the figure's 30 ms window
 	// shows multiple bursts at a rate that stresses the DDIO ways.
 	BurstGbps float64
 	Horizon   sim.Duration
-	// MLCSize/LLCSize scale the caches for reduced-size runs.
-	MLCSize int
-	LLCSize int
 }
 
 // DefaultFig5Opts mirrors Fig. 5: 1024-entry rings, 1514-byte packets,
 // three bursts over a 30 ms timeline.
 func DefaultFig5Opts() Fig5Opts {
-	return Fig5Opts{RingSize: 1024, NumBursts: 3, BurstGbps: 25, Horizon: 30 * sim.Millisecond}
+	return Fig5Opts{Geometry: Geometry{RingSize: 1024}, NumBursts: 3, BurstGbps: 25, Horizon: 30 * sim.Millisecond}
 }
 
 // Fig5 runs the burst timeline under baseline DDIO.
 func Fig5(opts Fig5Opts) Fig5Result {
-	spec := DefaultSpec(idiocore.PolicyDDIO)
-	spec.RingSize = opts.RingSize
-	spec.MLCSize = opts.MLCSize
-	spec.LLCSize = opts.LLCSize
-	b := Build(spec)
-	b.InstallBurst(opts.BurstGbps, opts.RingSize, opts.NumBursts)
-	b.Start()
-	res := b.Sys.Run(opts.Horizon)
+	d := gem5NFs(idiocore.PolicyDDIO, opts.Geometry, false)
+	burst(&d, opts.BurstGbps, opts.NumBursts)
+	d.Horizon = opts.Horizon
+	res := build(d).Run()
 	return Fig5Result{
 		MLCWB:      seriesOf("mlcWB", res.MLCWBTL),
 		LLCWB:      seriesOf("llcWB", res.LLCWBTL),

@@ -3,7 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"idio"
 	idiocore "idio/internal/core"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 )
 
@@ -37,14 +39,10 @@ type BurstSummary struct {
 
 // Fig9Opts parameterises the per-mechanism burst comparison.
 type Fig9Opts struct {
-	RingSize int
+	Geometry
 	Rates    []float64 // per-NF burst rates in Gbps
 	Policies []idiocore.Policy
 	Horizon  sim.Duration
-	// MLCSize/LLCSize scale the caches for reduced-size runs (0 keeps
-	// the paper's geometry).
-	MLCSize int
-	LLCSize int
 	// Parallelism bounds the worker pool running independent grid
 	// cells (0 = GOMAXPROCS, 1 = serial). Results are independent of
 	// the setting.
@@ -55,7 +53,7 @@ type Fig9Opts struct {
 // Static, IDIO} at 100 and 25 Gbps, 1024-entry rings, 1514 B packets.
 func DefaultFig9Opts() Fig9Opts {
 	return Fig9Opts{
-		RingSize: 1024,
+		Geometry: Geometry{RingSize: 1024},
 		Rates:    []float64{100, 25},
 		Policies: []idiocore.Policy{
 			idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyPrefetch,
@@ -79,38 +77,29 @@ func Fig9(opts Fig9Opts) []Fig9Cell {
 		}
 	}
 	return RunCells(opts.Parallelism, grid, func(p point) Fig9Cell {
-		spec := DefaultSpec(p.pol)
-		spec.RingSize = opts.RingSize
-		spec.MLCSize = opts.MLCSize
-		spec.LLCSize = opts.LLCSize
-		return runBurstCell(spec, p.rate, opts.Horizon)
+		return runBurstCell(gem5NFs(p.pol, opts.Geometry, false), p.rate, opts.Horizon)
 	})
 }
 
-// runBurstCell runs one burst to completion for one scenario. It is
+// runBurst gives d's NFs one burst at rate and runs it to completion.
+func runBurst(d scenario.Desc, rate float64, horizon sim.Duration) (*scenario.Rig, idio.Results) {
+	burst(&d, rate, 1)
+	d.Horizon, d.UntilIdle = horizon, true
+	r := build(d)
+	return r, r.Run()
+}
+
+// runBurstCell runs one burst to completion and summarises it. It is
 // shared by Fig. 10, 11, 12 and 14, which aggregate the same run.
-func runBurstCell(spec Spec, rate float64, horizon sim.Duration) Fig9Cell {
-	b := Build(spec)
-	b.InstallBurst(rate, spec.RingSize, 1)
-	res := b.RunBurstToCompletion(horizon)
-	pol := spec.Policy
+func runBurstCell(d scenario.Desc, rate float64, horizon sim.Duration) Fig9Cell {
+	b, res := runBurst(d, rate, horizon)
 	cell := Fig9Cell{
-		Policy:   pol,
+		Policy:   d.Host.Policy,
 		RateGbps: rate,
 		MLCWB:    seriesOf("mlcWB", res.MLCWBTL),
 		LLCWB:    seriesOf("llcWB", res.LLCWBTL),
 		DMA:      seriesOf("dma", res.DMATL),
-		Summary: BurstSummary{
-			MLCWB:      res.Hier.MLCWriteback,
-			LLCWB:      res.Hier.LLCWriteback,
-			DRAMReads:  res.DRAMReads,
-			DRAMWrites: res.DRAMWrites,
-			ExeTimeUS:  res.ExeTime.Microseconds(),
-			P50US:      res.P50Across().Microseconds(),
-			P99US:      res.P99Across().Microseconds(),
-			Processed:  res.TotalProcessed(),
-			Drops:      res.NIC.RxDrops,
-		},
+		Summary:  summaryOf(res),
 	}
 	if b.Antagonist != nil {
 		// Measure the antagonist only while the burst was in flight
@@ -130,6 +119,21 @@ func runBurstCell(spec Spec, rate float64, horizon sim.Duration) Fig9Cell {
 		}
 	}
 	return cell
+}
+
+// summaryOf aggregates one run's outcome.
+func summaryOf(res idio.Results) BurstSummary {
+	return BurstSummary{
+		MLCWB:      res.Hier.MLCWriteback,
+		LLCWB:      res.Hier.LLCWriteback,
+		DRAMReads:  res.DRAMReads,
+		DRAMWrites: res.DRAMWrites,
+		ExeTimeUS:  res.ExeTime.Microseconds(),
+		P50US:      res.P50Across().Microseconds(),
+		P99US:      res.P99Across().Microseconds(),
+		Processed:  res.TotalProcessed(),
+		Drops:      res.NIC.RxDrops,
+	}
 }
 
 // Fig9Header describes the summary table columns.

@@ -3,11 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"idio"
-	"idio/internal/apps"
 	idiocore "idio/internal/core"
 	fnet "idio/internal/net"
 	"idio/internal/qos"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 	"idio/internal/stats"
 	"idio/internal/traffic"
@@ -66,10 +65,7 @@ type QoSOpts struct {
 	FrameLen int
 	Timeout  sim.Duration
 	Horizon  sim.Duration
-	// RingSize/MLCSize/LLCSize scale the DUT (0 = gem5-scale defaults).
-	RingSize int
-	MLCSize  int
-	LLCSize  int
+	Geometry
 	// Parallelism bounds the worker pool over independent cells.
 	Parallelism int
 }
@@ -91,7 +87,7 @@ func DefaultQoSOpts() QoSOpts {
 		Link:        fnet.LinkConfig{RateBps: 10e9, Delay: 2 * sim.Microsecond},
 		FrameLen:    1514,
 		Horizon:     10 * sim.Millisecond,
-		RingSize:    1024,
+		Geometry:    Geometry{RingSize: 1024},
 	}
 }
 
@@ -117,19 +113,20 @@ func qosSetups() []qosSetup {
 type qosClientPlan struct {
 	class qos.Class
 	dscp  uint8
+	gbps  float64 // open-loop load; 0 for the closed-loop EF clients
 }
 
 func (o QoSOpts) plan() []qosClientPlan {
 	var plan []qosClientPlan
-	add := func(n int, class qos.Class, dscp uint8) {
+	add := func(n int, class qos.Class, dscp uint8, gbps float64) {
 		for i := 0; i < n; i++ {
-			plan = append(plan, qosClientPlan{class: class, dscp: dscp})
+			plan = append(plan, qosClientPlan{class: class, dscp: dscp, gbps: gbps})
 		}
 	}
-	add(o.EFClients, qos.ClassEF, 46)
-	add(o.AF41Clients, qos.ClassAF41, 34)
-	add(o.AF21Clients, qos.ClassAF21, 18)
-	add(o.CS1Clients, qos.ClassCS1, 8)
+	add(o.EFClients, qos.ClassEF, 46, 0)
+	add(o.AF41Clients, qos.ClassAF41, 34, o.AF41Gbps)
+	add(o.AF21Clients, qos.ClassAF21, 18, o.AF21Gbps)
+	add(o.CS1Clients, qos.ClassCS1, 8, o.CS1Gbps)
 	return plan
 }
 
@@ -137,31 +134,10 @@ func (o QoSOpts) plan() []qosClientPlan {
 // horizon, and summarises per class.
 func runQoSCell(opts QoSOpts, setup qosSetup) []QoSRow {
 	plan := opts.plan()
-	ccfg := idio.DefaultClusterConfig(opts.Cores, len(plan))
-	ccfg.ClientLink = opts.Link
-	ccfg.ServerLink = opts.Link
-	ccfg.Host.Policy = setup.pol
-	ccfg.Host.Hier.LLCSize = 3 << 20 // gem5 scale, as the burst figures use
-	if opts.RingSize > 0 {
-		ccfg.Host.NIC.RingSize = opts.RingSize
-	}
-	if opts.MLCSize > 0 {
-		ccfg.Host.Hier.MLCSize = opts.MLCSize
-	}
-	if opts.LLCSize > 0 {
-		ccfg.Host.Hier.LLCSize = opts.LLCSize
-	}
-	wd := sim.DefaultWatchdogConfig()
-	ccfg.Host.Watchdog = &wd
+	d := echoCluster(setup.pol, opts.Cores, opts.Geometry, len(plan), opts.Link)
+	armWatchdog(&d.Host)
 	if setup.armed {
-		ccfg.QoS = qos.DefaultConfig()
-	}
-	cl, err := idio.NewCluster(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	for core := 0; core < opts.Cores; core++ {
-		cl.DUT.AddNF(core, apps.L2Fwd{}, cl.DUT.DefaultFlow(core))
+		d.Host.QoS = qos.DefaultConfig()
 	}
 	// Open-loop budgets: enough to keep offering for the whole horizon
 	// (the run is horizon-bounded; leftover budget just never sends).
@@ -170,40 +146,23 @@ func runQoSCell(opts QoSOpts, setup qosSetup) []QoSRow {
 		return uint64(gbps*1e9*opts.Horizon.Seconds()/frameBits) + 64
 	}
 	bulk := 0
-	for i, p := range plan {
+	for _, p := range plan {
 		core := 0
 		if opts.Cores > 1 && p.class != qos.ClassEF {
 			core = 1 + bulk%(opts.Cores-1)
 			bulk++
 		}
-		cc := fnet.ClientConfig{Timeout: opts.Timeout}
-		switch p.class {
-		case qos.ClassEF:
-			cc.Mode = fnet.ModeClosed
-			cc.Outstanding = opts.EFWindow
-			cc.Requests = opts.EFRequests
-		default:
-			cc.Mode = fnet.ModeOpen
-			var gbps float64
-			switch p.class {
-			case qos.ClassAF41:
-				gbps = opts.AF41Gbps
-			case qos.ClassAF21:
-				gbps = opts.AF21Gbps
-			case qos.ClassCS1:
-				gbps = opts.CS1Gbps
-			}
-			cc.RateBps = traffic.Gbps(gbps)
-			cc.Requests = bulkBudget(gbps)
+		cc := fnet.ClientConfig{Timeout: opts.Timeout, Flow: traffic.Flow{FrameLen: opts.FrameLen, DSCP: p.dscp}}
+		if p.class == qos.ClassEF {
+			cc.Mode, cc.Outstanding, cc.Requests = fnet.ModeClosed, opts.EFWindow, opts.EFRequests
+		} else {
+			cc.Mode, cc.RateBps, cc.Requests = fnet.ModeOpen, traffic.Gbps(p.gbps), bulkBudget(p.gbps)
 		}
-		cc.Flow = cl.ClientFlow(i, core)
-		if opts.FrameLen > 0 {
-			cc.Flow.FrameLen = opts.FrameLen
-		}
-		cc.Flow.DSCP = p.dscp
-		cl.AddRPCClient(i, core, cc)
+		d.RPC = append(d.RPC, scenario.RPCClient{Core: core, ClientConfig: cc})
 	}
-	res, _ := cl.Run(idio.RunOpts{Horizon: opts.Horizon, UntilIdle: true})
+	d.Horizon, d.UntilIdle = opts.Horizon, true
+	r := build(d)
+	res := r.Run()
 
 	// Aggregate fabric drops for the unscheduled setups; the armed
 	// setup reads the server downlink's per-class split instead.
@@ -228,7 +187,7 @@ func runQoSCell(opts QoSOpts, setup qosSetup) []QoSRow {
 		h := stats.NewHistogram(5)
 		var rxBytes uint64
 		var first, last sim.Time
-		for j, c := range cl.Clients {
+		for j, c := range r.Cluster.Clients {
 			if plan[j].class != qos.Class(class) {
 				continue
 			}

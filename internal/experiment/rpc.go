@@ -2,11 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"idio"
-	"idio/internal/apps"
 	idiocore "idio/internal/core"
 	fnet "idio/internal/net"
+	"idio/internal/scenario"
 	"idio/internal/sim"
 	"idio/internal/traffic"
 )
@@ -56,14 +57,15 @@ type RPCOpts struct {
 	// Timeout bounds the per-request response wait (0 = default).
 	Timeout sim.Duration
 	Horizon sim.Duration
-	// RingSize/MLCSize/LLCSize scale the DUT for reduced-size runs
-	// (0 keeps the gem5-scale defaults).
-	RingSize int
-	MLCSize  int
-	LLCSize  int
+	Geometry
 	// Parallelism bounds the worker pool running independent cells
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
+
+	// base, when set, is the run every cell starts from instead of
+	// Cores through Horizon: a compiled scenario (Env.Base). Geometry
+	// still applies to its host.
+	base *scenario.Desc
 }
 
 // DefaultRPCOpts sweeps open-loop loads up to and past the two-core
@@ -73,69 +75,51 @@ func DefaultRPCOpts() RPCOpts {
 	return RPCOpts{
 		Cores:     2,
 		Clients:   4,
-		Link:      fnet.LinkConfig{RateBps: 100e9, Delay: 2 * sim.Microsecond},
+		Link:      link100G,
 		FrameLen:  1514,
 		Requests:  4096,
 		LoadsGbps: []float64{5, 10, 20, 30, 40, 50},
 		Windows:   []int{1, 4, 16, 64},
 		Horizon:   80 * sim.Millisecond,
-		RingSize:  1024,
+		Geometry:  Geometry{RingSize: 1024},
 	}
 }
 
-// rpcCluster wires the sweep topology: a gem5-scale DUT running one
-// L2Fwd NF per core, opts.Clients client hosts, and the fabric
-// between them.
-func rpcCluster(opts RPCOpts, pol idiocore.Policy) *idio.Cluster {
-	ccfg := idio.DefaultClusterConfig(opts.Cores, opts.Clients)
-	ccfg.ClientLink = opts.Link
-	ccfg.ServerLink = opts.Link
-	ccfg.Host.Policy = pol
-	ccfg.Host.Hier.LLCSize = 3 << 20 // gem5 scale, as the burst figures use
-	if opts.RingSize > 0 {
-		ccfg.Host.NIC.RingSize = opts.RingSize
+// baseDesc is the run every cell edits: opts.base, or the sweep
+// topology (one L2Fwd NF per core, opts.Clients RPC clients).
+func (opts RPCOpts) baseDesc() scenario.Desc {
+	if opts.base != nil {
+		return *opts.base
 	}
-	if opts.MLCSize > 0 {
-		ccfg.Host.Hier.MLCSize = opts.MLCSize
-	}
-	if opts.LLCSize > 0 {
-		ccfg.Host.Hier.LLCSize = opts.LLCSize
-	}
-	wd := sim.DefaultWatchdogConfig()
-	ccfg.Host.Watchdog = &wd
-	cl, err := idio.NewCluster(ccfg)
-	if err != nil {
-		panic(err)
-	}
-	for core := 0; core < opts.Cores; core++ {
-		cl.DUT.AddNF(core, apps.L2Fwd{}, cl.DUT.DefaultFlow(core))
-	}
-	return cl
-}
-
-// runRPCCell runs one sweep point to completion and summarises it.
-func runRPCCell(opts RPCOpts, pol idiocore.Policy, mode fnet.Mode, loadGbps float64, window int) RPCRow {
-	cl := rpcCluster(opts, pol)
+	d := echoCluster(idiocore.PolicyDDIO, opts.Cores, opts.Geometry, opts.Clients, opts.Link)
 	for i := 0; i < opts.Clients; i++ {
-		core := i % opts.Cores
-		ccfg := fnet.ClientConfig{
-			Mode:     mode,
+		d.RPC = append(d.RPC, scenario.RPCClient{Core: i % opts.Cores, ClientConfig: fnet.ClientConfig{
 			Requests: opts.Requests,
 			Timeout:  opts.Timeout,
-		}
-		ccfg.Flow = cl.ClientFlow(i, core)
-		if opts.FrameLen > 0 {
-			ccfg.Flow.FrameLen = opts.FrameLen
-		}
-		switch mode {
-		case fnet.ModeOpen:
-			ccfg.RateBps = traffic.Gbps(loadGbps) / int64(opts.Clients)
-		case fnet.ModeClosed:
-			ccfg.Outstanding = window
-		}
-		cl.AddRPCClient(i, core, ccfg)
+			Flow:     traffic.Flow{FrameLen: opts.FrameLen},
+		}})
 	}
-	res, _ := cl.Run(idio.RunOpts{Horizon: opts.Horizon, UntilIdle: true})
+	d.Horizon, d.UntilIdle = opts.Horizon, true
+	return d
+}
+
+// runRPCCell runs one sweep point of base to completion and summarises
+// it: every client switches to mode at the aggregate open-loop load or
+// the per-client window.
+func runRPCCell(base scenario.Desc, g Geometry, pol idiocore.Policy, mode fnet.Mode, loadGbps float64, window int) RPCRow {
+	d := base
+	d.Host.Policy = pol
+	g.apply(&d.Host)
+	armWatchdog(&d.Host)
+	d.RPC = slices.Clone(d.RPC)
+	for i := range d.RPC {
+		c := &d.RPC[i].ClientConfig
+		c.Mode, c.RateBps, c.RampToBps, c.Outstanding = mode, 0, 0, window
+		if mode == fnet.ModeOpen {
+			c.RateBps = traffic.Gbps(loadGbps) / int64(len(d.RPC))
+		}
+	}
+	res := build(d).Run()
 
 	row := RPCRow{
 		Policy:      pol,
@@ -166,8 +150,24 @@ func runRPCCell(opts RPCOpts, pol idiocore.Policy, mode fnet.Mode, loadGbps floa
 // open-loop load point and every closed-loop window, each an
 // independent cluster, fanned out over the worker pool. Row order is
 // fixed (policies × loads, then policies × windows) regardless of
-// parallelism.
+// parallelism. A base scenario's own operating point (its first
+// client's window, or its aggregate rate to the Mbps) joins the axis.
 func RPC(opts RPCOpts) []RPCRow {
+	base := opts.baseDesc()
+	loads, windows := slices.Clip(opts.LoadsGbps), slices.Clip(opts.Windows)
+	if opts.base != nil && len(base.RPC) > 0 {
+		switch c := base.RPC[0]; c.Mode {
+		case fnet.ModeClosed:
+			if !slices.Contains(windows, c.Outstanding) {
+				windows = append(windows, c.Outstanding)
+			}
+		default:
+			g := math.Round(float64(c.RateBps)*float64(len(base.RPC))/1e6) / 1e3
+			if !slices.Contains(loads, g) {
+				loads = append(loads, g)
+			}
+		}
+	}
 	type cell struct {
 		pol    idiocore.Policy
 		mode   fnet.Mode
@@ -176,15 +176,15 @@ func RPC(opts RPCOpts) []RPCRow {
 	}
 	var cells []cell
 	for _, pol := range []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO} {
-		for _, load := range opts.LoadsGbps {
+		for _, load := range loads {
 			cells = append(cells, cell{pol: pol, mode: fnet.ModeOpen, load: load})
 		}
-		for _, w := range opts.Windows {
+		for _, w := range windows {
 			cells = append(cells, cell{pol: pol, mode: fnet.ModeClosed, window: w})
 		}
 	}
 	return RunCells(opts.Parallelism, cells, func(c cell) RPCRow {
-		return runRPCCell(opts, c.pol, c.mode, c.load, c.window)
+		return runRPCCell(base, opts.Geometry, c.pol, c.mode, c.load, c.window)
 	})
 }
 

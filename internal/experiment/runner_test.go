@@ -69,14 +69,12 @@ func TestRunTasksRunsAll(t *testing.T) {
 // and byte-identical rendered output — at Parallelism 1 and 8.
 func TestFig9ParallelDeterminism(t *testing.T) {
 	opts := Fig9Opts{
-		RingSize: 128,
+		Geometry: Geometry{RingSize: 128, MLCSize: 128 << 10, LLCSize: 384 << 10},
 		Rates:    []float64{25},
 		Policies: []idiocore.Policy{
 			idiocore.PolicyDDIO, idiocore.PolicyStatic, idiocore.PolicyIDIO,
 		},
 		Horizon: 2 * sim.Millisecond,
-		MLCSize: 128 << 10,
-		LLCSize: 384 << 10,
 	}
 	serial := opts
 	serial.Parallelism = 1

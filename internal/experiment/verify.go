@@ -29,12 +29,12 @@ func Verify(w io.Writer) int {
 
 	// Claims from Fig. 9/10 at 100 and 25 Gbps.
 	cells := Fig9(Fig9Opts{
-		RingSize: quickRing, Rates: []float64{100, 25},
+		Geometry: quickGeometry, Rates: []float64{100, 25},
 		Policies: []idiocore.Policy{
 			idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyPrefetch,
 			idiocore.PolicyStatic, idiocore.PolicyIDIO,
 		},
-		Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC,
+		Horizon: horizon,
 	})
 	get := func(rate float64, pol idiocore.Policy) BurstSummary {
 		for _, c := range cells {
@@ -77,7 +77,7 @@ func Verify(w io.Writer) int {
 	// Fig. 4 regimes.
 	f4 := Fig4(Fig4Opts{
 		Rings: []int{64, quickRing}, Loads: map[string]float64{"high": 8},
-		RingCycles: 5, OneWayRings: []int{quickRing}, MLCSize: quickMLC, LLCSize: quickLLC,
+		RingCycles: 5, OneWayRings: []int{quickRing}, Geometry: Geometry{MLCSize: quickMLC, LLCSize: quickLLC},
 	})
 	var small, large, oneWay Fig4Row
 	for _, r := range f4 {
@@ -101,7 +101,7 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(%.2f vs %.2f Gbps)", oneWay.DRAMWriteGbps, large.DRAMWriteGbps))
 
 	// Fig. 11: shallow NF and direct DRAM.
-	f11 := Fig11(Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
+	f11 := Fig11(Fig11Opts{Geometry: Geometry{RingSize: quickRing}, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
 	check("IDIO cuts L2Fwd LLC writebacks (Fig. 11)",
 		f11.IDIO.Summary.LLCWB < f11.DDIO.Summary.LLCWB,
 		fmt.Sprintf("(%d vs %d)", f11.IDIO.Summary.LLCWB, f11.DDIO.Summary.LLCWB))
@@ -110,14 +110,14 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(%.1f vs RX %.1f Gbps)", f11.DirectDRAM.DRAMWriteGbps, f11.DirectDRAM.RxGbps))
 
 	// Fig. 13: steady traffic.
-	f13 := Fig13(Fig13Opts{RingSize: quickRing, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond, MLCSize: quickMLC, LLCSize: quickLLC})
+	f13 := Fig13(Fig13Opts{Geometry: quickGeometry, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond})
 	check("steady-traffic MLC WB removed by IDIO (Fig. 13)",
 		f13.IDIO.Summary.MLCWB*10 <= f13.DDIO.Summary.MLCWB,
 		fmt.Sprintf("(%d vs %d)", f13.IDIO.Summary.MLCWB, f13.DDIO.Summary.MLCWB))
 
 	// Shortcoming S1: an IAT-style dynamic DDIO-way baseline reduces
 	// LLC leaks but cannot touch the MLC writeback problem.
-	baseRows := Baselines(AblationOpts{RingSize: quickRing, RateGbps: 100, Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC})
+	baseRows := Baselines(AblationOpts{Geometry: quickGeometry, RateGbps: 100, Horizon: horizon})
 	sDDIO, sDyn, sIDIO := baseRows[0], baseRows[1], baseRows[2]
 	check("dynamic DDIO ways reduce LLC leaks (prior work)",
 		sDyn.LLCWB < sDDIO.LLCWB,
@@ -130,7 +130,7 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(mlc %d<%d, llc %d<%d)", sIDIO.MLCWB, sDyn.MLCWB, sIDIO.LLCWB, sDyn.LLCWB))
 
 	// Fig. 14: threshold insensitivity.
-	f14 := Fig14(Fig14Opts{RingSize: quickRing, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: horizon, MLCSize: quickMLC, LLCSize: quickLLC})
+	f14 := Fig14(Fig14Opts{Geometry: quickGeometry, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: horizon})
 	insensitive := true
 	for _, r := range f14 {
 		if r.NormMLCWB >= 1 || r.NormExeTime >= 1.05 {

@@ -20,6 +20,16 @@ const removedKeysJSON = `{
   "chaos": [{"layer": "fabric", "kind": "down", "startMS": 0.1, "durationMS": 0.1, "domain": "switch"}]
 }`
 
+// negativeDelayJSON sets a negative link propagation delay, which
+// Load must reject before a link schedules a delivery in the past.
+const negativeDelayJSON = `{
+  "name": "negative-delay", "policy": "IDIO", "cores": 2, "horizonMS": 1,
+  "nfs": [{"core": 0, "app": "L2Fwd", "traffic": {}}],
+  "topology": {"clients": 1, "clientLink": {"gbps": 100, "delayUS": -5},
+    "serverLink": {"gbps": 100, "delayUS": 2},
+    "rpc": {"mode": "closed", "outstanding": 4, "requests": 64}}
+}`
+
 // fuzzHorizonMS clamps every fuzzed run, and fuzzWatchdog bounds the
 // events one 100 µs checkpoint slice may execute: together they turn
 // any input that would hang into a finished run or a watchdog abort.
@@ -32,9 +42,10 @@ var fuzzWatchdog = sim.WatchdogConfig{
 }
 
 // FuzzScenario feeds arbitrary documents through Load (which decodes
-// and runs Validate) and runs each accepted one with its horizon
-// clamped to fuzzHorizonMS and the watchdog armed. Every input must end
-// in an error or a finished run; a panic or a hang fails.
+// and runs Validate), then compiles, builds and runs each accepted one
+// with its horizon clamped to fuzzHorizonMS and the watchdog armed.
+// Every input must end in an error or a finished run; a panic or a
+// hang fails.
 func FuzzScenario(f *testing.F) {
 	paths, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil || len(paths) == 0 {
@@ -48,19 +59,24 @@ func FuzzScenario(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(removedKeysJSON))
+	f.Add([]byte(negativeDelayJSON))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		sc.HorizonMS = min(sc.HorizonMS, fuzzHorizonMS)
-		cfg, err := sc.hostConfig()
+		d, err := sc.Compile()
 		if err != nil {
 			return
 		}
 		wd := fuzzWatchdog
-		cfg.Watchdog = &wd
-		_, _, _, _ = sc.run(cfg, nil)
+		d.Host.Watchdog = &wd
+		r, err := Build(d)
+		if err != nil {
+			return
+		}
+		r.Run()
 	})
 }
 

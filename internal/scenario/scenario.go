@@ -1,8 +1,14 @@
-// Package scenario loads declarative simulation scenarios from JSON,
-// so users can describe custom systems and workloads without writing
-// Go. The schema covers the knobs the paper's evaluation varies:
-// policy, cache geometry, ring size, thresholds, workloads per core,
-// traffic shapes, and the optional LLC antagonist.
+// Package scenario builds every simulation run. Desc describes one run
+// (host, optional fabric, NFs and traffic, clients, antagonist,
+// horizon) and Build wires it; the experiments write their Descs
+// directly.
+//
+// The package also loads declarative scenarios from JSON, so users can
+// describe custom systems and workloads without writing Go, and
+// Scenario.Compile turns a document into its Desc. The schema covers
+// the knobs the paper's evaluation varies: policy, cache geometry,
+// ring size, thresholds, workloads per core, traffic shapes, and the
+// optional LLC antagonist.
 //
 // Example:
 //
@@ -26,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"idio"
 	"idio/internal/apps"
@@ -88,10 +95,10 @@ type TopoLink struct {
 func (l TopoLink) LinkConfig() fnet.LinkConfig {
 	return fnet.LinkConfig{
 		RateBps:     traffic.Gbps(l.Gbps),
-		Delay:       sim.Duration(l.DelayUS * float64(sim.Microsecond)),
+		Delay:       us(l.DelayUS),
 		QueueDepth:  l.Queue,
-		AQMTarget:   sim.Duration(l.AQMTargetUS * float64(sim.Microsecond)),
-		AQMInterval: sim.Duration(l.AQMIntervalUS * float64(sim.Microsecond)),
+		AQMTarget:   us(l.AQMTargetUS),
+		AQMInterval: us(l.AQMIntervalUS),
 	}
 }
 
@@ -134,11 +141,11 @@ type RetrySpec struct {
 func (r *RetrySpec) config(i int) *fnet.RetryConfig {
 	return &fnet.RetryConfig{
 		MaxRetries: r.MaxRetries,
-		Backoff:    sim.Duration(r.BackoffUS * float64(sim.Microsecond)),
-		MaxBackoff: sim.Duration(r.MaxBackoffUS * float64(sim.Microsecond)),
+		Backoff:    us(r.BackoffUS),
+		MaxBackoff: us(r.MaxBackoffUS),
 		JitterFrac: r.JitterFrac,
 		Seed:       r.Seed + int64(i),
-		Hedge:      sim.Duration(r.HedgeUS * float64(sim.Microsecond)),
+		Hedge:      us(r.HedgeUS),
 	}
 }
 
@@ -199,9 +206,9 @@ func (c *ChurnSpec) config(i, nClients int) fnet.ChurnConfig {
 	return fnet.ChurnConfig{
 		Flows:      int(share(uint64(c.Flows))),
 		Requests:   share(c.Requests),
-		Timeout:    sim.Duration(c.TimeoutUS * float64(sim.Microsecond)),
-		Think:      sim.Duration(c.ThinkUS * float64(sim.Microsecond)),
-		ArrivalGap: sim.Duration(c.ArrivalGapUS * float64(sim.Microsecond)),
+		Timeout:    us(c.TimeoutUS),
+		Think:      us(c.ThinkUS),
+		ArrivalGap: us(c.ArrivalGapUS),
 		SizeZipfS:  c.SizeZipfS,
 		MiceFrac:   c.MiceFrac,
 		MiceMax:    c.MiceMax,
@@ -210,7 +217,7 @@ func (c *ChurnSpec) config(i, nClients int) fnet.ChurnConfig {
 		SrcPorts:   c.SrcPorts,
 		DstPorts:   c.DstPorts,
 		Seed:       c.Seed + int64(i),
-		WheelGran:  sim.Duration(c.WheelGranUS * float64(sim.Microsecond)),
+		WheelGran:  us(c.WheelGranUS),
 		WheelSlots: c.WheelSlots,
 	}
 }
@@ -373,8 +380,8 @@ func (sc Scenario) chaosTimeline() []fault.Phase {
 		tl[i] = fault.Phase{
 			Layer:     p.Layer,
 			Kind:      p.Kind,
-			Start:     sim.Time(p.StartMS * float64(sim.Millisecond)),
-			Duration:  sim.Duration(p.DurationMS * float64(sim.Millisecond)),
+			Start:     sim.Time(ms(p.StartMS)),
+			Duration:  ms(p.DurationMS),
 			Magnitude: p.Magnitude,
 			Target:    p.Target,
 		}
@@ -408,9 +415,10 @@ func (sc Scenario) Validate() error {
 	if sc.Cores <= 0 {
 		return fmt.Errorf("scenario %q: cores must be positive", sc.Name)
 	}
-	for _, l := range sc.costLimits() {
-		if l.val > l.max {
-			return fmt.Errorf("scenario %q: %s %d exceeds the supported maximum %d", sc.Name, l.key, l.val, l.max)
+	for _, l := range sc.ranges() {
+		if l.val < 0 || l.val > l.max {
+			return fmt.Errorf("scenario %q: %s %s outside [0, %s]", sc.Name, l.key,
+				strconv.FormatFloat(l.val, 'f', -1, 64), strconv.FormatFloat(l.max, 'f', -1, 64))
 		}
 	}
 	if err := sc.checkFrames(); err != nil {
@@ -563,7 +571,7 @@ func (sc Scenario) Validate() error {
 // jumbo frame.
 const maxFrameLen = 9216
 
-// checkFrames rejects a set frame length outside [pkt.HeadersLen,
+// checkFrames rejects a set (non-zero) frame length outside [pkt.HeadersLen,
 // maxFrameLen] and a DSCP above 63 (the field has 6 bits).
 func (sc Scenario) checkFrames() error {
 	lens := []int{}
@@ -581,7 +589,7 @@ func (sc Scenario) checkFrames() error {
 		dscps = append(dscps, sc.QoS.ClientDSCPs...)
 	}
 	for _, n := range lens {
-		if n > 0 && (n < pkt.HeadersLen || n > maxFrameLen) {
+		if n != 0 && (n < pkt.HeadersLen || n > maxFrameLen) {
 			return fmt.Errorf("frameLen %d outside [%d,%d]", n, pkt.HeadersLen, maxFrameLen)
 		}
 	}
@@ -593,39 +601,42 @@ func (sc Scenario) checkFrames() error {
 	return nil
 }
 
-// knobLimit is one knob's value and its supported maximum.
-type knobLimit struct {
+// knobRange is one numeric knob's value and its supported maximum.
+type knobRange struct {
 	key      string
-	val, max int
+	val, max float64
 }
 
-// costLimits bounds the knobs whose memory or set-up work is paid up
-// front, before the watchdog sees an event. The bounds lie far above
-// any real device, and turn a typo into an error instead of an
-// out-of-memory kill.
-func (sc Scenario) costLimits() []knobLimit {
-	ls := []knobLimit{
-		{"ringSize", sc.RingSize, 1 << 15},
-		{"llcSizeKB", sc.LLCSizeKB, 1 << 18},
-		{"mlcSizeKB", sc.MLCSizeKB, 1 << 14},
-		{"tracePackets", sc.TracePackets, 1 << 16},
+// ranges bounds the numeric knobs to [0, max]. A zero selects the
+// default, so a negative value is a typo, not a request. The maxima
+// bound the knobs whose memory or set-up work is paid up front, before
+// the watchdog sees an event: they lie far above any real device, and
+// turn a typo into an error instead of an out-of-memory kill.
+func (sc Scenario) ranges() []knobRange {
+	ls := []knobRange{
+		{"ringSize", float64(sc.RingSize), 1 << 15},
+		{"llcSizeKB", float64(sc.LLCSizeKB), 1 << 18},
+		{"mlcSizeKB", float64(sc.MLCSizeKB), 1 << 14},
+		{"ddioWays", float64(sc.DDIOWays), 64},
+		{"tracePackets", float64(sc.TracePackets), 1 << 16},
 	}
 	if a := sc.Antagonist; a != nil {
-		ls = append(ls, knobLimit{"antagonist bufKB", a.BufKB, 1 << 18}, knobLimit{"antagonist mlcKB", a.MLCKB, 1 << 14})
+		ls = append(ls, knobRange{"antagonist bufKB", float64(a.BufKB), 1 << 18}, knobRange{"antagonist mlcKB", float64(a.MLCKB), 1 << 14})
 	}
 	if t := sc.Topology; t != nil {
-		ls = append(ls, knobLimit{"topology clients", t.Clients, 256},
-			knobLimit{"clientLink queue", t.ClientLink.Queue, 4096}, knobLimit{"serverLink queue", t.ServerLink.Queue, 4096})
+		ls = append(ls, knobRange{"topology clients", float64(t.Clients), 256},
+			knobRange{"clientLink queue", float64(t.ClientLink.Queue), 4096}, knobRange{"serverLink queue", float64(t.ServerLink.Queue), 4096},
+			knobRange{"clientLink delayUS", t.ClientLink.DelayUS, 1e6}, knobRange{"serverLink delayUS", t.ServerLink.DelayUS, 1e6})
 		if t.RPC != nil {
-			ls = append(ls, knobLimit{"rpc outstanding", t.RPC.Outstanding, 4096})
+			ls = append(ls, knobRange{"rpc outstanding", float64(t.RPC.Outstanding), 4096}, knobRange{"rpc timeoutUS", t.RPC.TimeoutUS, 1e7})
 		}
 		if t.Churn != nil {
-			ls = append(ls, knobLimit{"churn flows", t.Churn.Flows, 1 << 21})
+			ls = append(ls, knobRange{"churn flows", float64(t.Churn.Flows), 1 << 21})
 		}
 	}
 	if q := sc.QoS; q != nil {
 		for _, c := range q.Classes {
-			ls = append(ls, knobLimit{"qos class queue", c.Queue, 4096})
+			ls = append(ls, knobRange{"qos class queue", float64(c.Queue), 4096})
 		}
 	}
 	return ls
@@ -706,14 +717,28 @@ func RunSystem(sc Scenario) (*idio.System, idio.Results, float64, error) {
 // RunSystemOpts is RunSystem with observability options layered on
 // top of the scenario document.
 func RunSystemOpts(sc Scenario, opts RunOpts) (*idio.System, idio.Results, float64, error) {
-	cfg, err := sc.hostConfig()
+	d, err := sc.Compile()
 	if err != nil {
 		return nil, idio.Results{}, 0, err
 	}
-	cfg.Obs.TraceSampleN = opts.TraceSampleN
-	cfg.Obs.MetricsInterval = opts.MetricsInterval
-	return sc.run(cfg, opts.TraceSink)
+	d.Host.Obs.TraceSampleN = opts.TraceSampleN
+	d.Host.Obs.MetricsInterval = opts.MetricsInterval
+	r, err := Build(d)
+	if err != nil {
+		return nil, idio.Results{}, 0, err
+	}
+	r.Sys.Observe().SetSink(opts.TraceSink)
+	res := r.Run()
+	cpi := 0.0
+	if r.Antagonist != nil {
+		cpi = r.Antagonist.CPI()
+	}
+	return r.Sys, res, cpi, nil
 }
+
+// us and ms convert the document's microsecond and millisecond knobs.
+func us(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
+func ms(v float64) sim.Duration { return sim.Duration(v * float64(sim.Millisecond)) }
 
 // hostConfig maps the document's host knobs onto the default
 // configuration: the DUT's, when the scenario has a topology.
@@ -748,11 +773,6 @@ func (sc Scenario) hostConfig() (idio.Config, error) {
 	if sc.TracePackets > 0 {
 		cfg.CPU.TraceCapacity = sc.TracePackets
 	}
-	if sc.Antagonist != nil && sc.Antagonist.MLCKB > 0 {
-		sizes := make([]int, sc.Cores)
-		sizes[sc.Antagonist.Core] = sc.Antagonist.MLCKB << 10
-		cfg.Hier.MLCSizePerCore = sizes
-	}
 	if sc.AdmissionWatermark > 0 {
 		cfg.NIC.AdmissionWatermark = sc.AdmissionWatermark
 	}
@@ -770,39 +790,173 @@ func (sc Scenario) hostConfig() (idio.Config, error) {
 	return cfg, nil
 }
 
-// run builds the scenario's system on cfg, executes and summarises
-// it; a non-nil sink receives the trace.
-func (sc Scenario) run(cfg idio.Config, sink obs.Sink) (*idio.System, idio.Results, float64, error) {
-	// A topology section switches the run from a bare System to a
-	// Cluster: same DUT, but traffic reaches it over the fabric.
-	var (
-		sys *idio.System
-		cl  *idio.Cluster
-		err error
-	)
-	if topo := sc.Topology; topo != nil {
-		cl, err = idio.NewCluster(idio.ClusterConfig{
-			Host:       cfg,
-			Clients:    topo.Clients,
-			ClientLink: topo.ClientLink.LinkConfig(),
-			ServerLink: topo.ServerLink.LinkConfig(),
-			QoS:        cfg.QoS,
-		})
-		if err != nil {
-			return nil, idio.Results{}, 0, err
-		}
-		sys = cl.DUT
-	} else if sys, err = idio.NewSystemE(cfg); err != nil {
-		return nil, idio.Results{}, 0, err
+// Compile turns the document into its run description: the host
+// configuration, the NFs and their generators, one client per
+// topology slot, the antagonist and the horizon. It is the one place
+// where the document's units and defaults become the simulator's.
+func (sc Scenario) Compile() (Desc, error) {
+	cfg, err := sc.hostConfig()
+	if err != nil {
+		return Desc{}, err
 	}
-	if sink != nil {
-		sys.Observe().SetSink(sink)
-	}
+	d := Desc{Host: cfg, Antagonist: sc.Antagonist, Horizon: ms(sc.HorizonMS), UntilIdle: true}
 	var nfCores []int
-	for i, nf := range sc.NFs {
+	for _, nf := range sc.NFs {
+		n := NFDesc{Core: nf.Core, App: nf.App, FrameLen: nf.FrameLen, DSCP: nf.DSCP}
+		switch t := nf.Traffic; t.Kind {
+		case "steady":
+			n.Steady = &traffic.Steady{RateBps: traffic.Gbps(t.Gbps), Count: t.Count}
+		case "bursty":
+			period := t.PeriodMS
+			if period == 0 {
+				period = 10
+			}
+			n.Bursty = &traffic.Bursty{BurstRateBps: traffic.Gbps(t.Gbps), Period: ms(period),
+				PacketsPerBurst: t.PacketsPerBurst, NumBursts: t.NumBursts}
+		}
+		d.NFs = append(d.NFs, n)
+		nfCores = append(nfCores, nf.Core)
+	}
+	topo := sc.Topology
+	if topo == nil {
+		return d, nil
+	}
+	d.Fabric = &Fabric{Clients: topo.Clients, ClientLink: topo.ClientLink.LinkConfig(), ServerLink: topo.ServerLink.LinkConfig()}
+	if rpc := topo.RPC; rpc != nil {
+		// Clients round-robin over the NF cores; aggregate open-loop
+		// rates split evenly across them, and the qos section's
+		// clientDSCPs round-robin over them.
+		modes := map[string]fnet.Mode{"open": fnet.ModeOpen, "closed": fnet.ModeClosed, "ramp": fnet.ModeRamp}
+		for i := 0; i < topo.Clients; i++ {
+			cc := fnet.ClientConfig{
+				Mode:        modes[rpc.Mode],
+				RateBps:     traffic.Gbps(rpc.Gbps) / int64(topo.Clients),
+				RampToBps:   traffic.Gbps(rpc.RampToGbps) / int64(topo.Clients),
+				Outstanding: rpc.Outstanding,
+				Requests:    rpc.Requests,
+				Timeout:     us(rpc.TimeoutUS),
+				Flow:        traffic.Flow{FrameLen: rpc.FrameLen},
+			}
+			if rpc.Retry != nil {
+				cc.Retry = rpc.Retry.config(i)
+			}
+			if q := sc.QoS; q != nil && len(q.ClientDSCPs) > 0 {
+				cc.Flow.DSCP = q.ClientDSCPs[i%len(q.ClientDSCPs)]
+			}
+			d.RPC = append(d.RPC, RPCClient{Core: nfCores[i%len(nfCores)], ClientConfig: cc})
+		}
+	}
+	for i := 0; topo.Churn != nil && i < topo.Clients; i++ {
+		cc := topo.Churn.config(i, topo.Clients)
+		cc.Flow.FrameLen = topo.Churn.FrameLen
+		d.Churn = append(d.Churn, cc)
+	}
+	return d, nil
+}
+
+// Desc describes one run: the host, the optional fabric around it, and
+// the load on both. Scenario.Compile produces one from a JSON
+// document; experiments write theirs directly. Build wires it.
+type Desc struct {
+	// Host configures the DUT. Its QoS, when set, also schedules the
+	// fabric's switch egress ports.
+	Host idio.Config
+	// Fabric, when non-nil, puts the host behind a switch with client
+	// hosts; nil runs a bare host.
+	Fabric *Fabric
+	// NFs bind apps and their generator traffic to DUT cores. With a
+	// fabric, NF i's generator feeds client slot i mod Clients's
+	// uplink instead of the NIC.
+	NFs []NFDesc
+	// RPC and Churn hold one client per slot: element i runs on client
+	// slot i. A run uses one kind or the other.
+	RPC   []RPCClient
+	Churn []fnet.ChurnConfig
+	// Antagonist, when non-nil, runs the LLC antagonist on its core; a
+	// positive MLCKB sizes that core's MLC.
+	Antagonist *Antagonist
+	// Horizon bounds the run; UntilIdle ends it at the first 100 µs
+	// checkpoint where rings, links and clients have all drained.
+	Horizon   sim.Duration
+	UntilIdle bool
+}
+
+// Fabric is the cluster around the host (see idio.ClusterConfig).
+type Fabric struct {
+	Clients    int
+	ClientLink fnet.LinkConfig
+	ServerLink fnet.LinkConfig
+}
+
+// NFDesc binds an app, named as in the document, to a core. Its flow
+// is the core's default flow with FrameLen (0 = MTU) and DSCP applied.
+// Steady or Bursty, when non-nil, is its generator; Build installs a
+// copy carrying the flow.
+type NFDesc struct {
+	Core     int
+	App      string
+	FrameLen int
+	DSCP     uint8
+	Steady   *traffic.Steady
+	Bursty   *traffic.Bursty
+}
+
+// RPCClient is one slot's RPC client, served by the NF on Core. A Flow
+// without addresses is completed from the slot's canonical flow
+// (idio.Cluster.ClientFlow), keeping its FrameLen (0 = MTU) and DSCP;
+// churn clients' flows are completed the same way, on core 0.
+type RPCClient struct {
+	Core int
+	fnet.ClientConfig
+}
+
+// Rig is a built run that has not started: a caller may schedule its
+// own events or register metrics on it before Run.
+type Rig struct {
+	// Sys is the DUT; Cluster is nil for a bare host.
+	Sys        *idio.System
+	Cluster    *idio.Cluster
+	Antagonist *apps.LLCAntagonist
+
+	horizon   sim.Duration
+	untilIdle bool
+}
+
+// Build wires d: the host or cluster, the NFs and their generators, the
+// clients and the antagonist.
+func Build(d Desc) (*Rig, error) {
+	if len(d.RPC) > 0 && len(d.Churn) > 0 {
+		return nil, errors.New("scenario: rpc and churn clients are mutually exclusive")
+	}
+	if n := max(len(d.RPC), len(d.Churn)); n > 0 && (d.Fabric == nil || n > d.Fabric.Clients) {
+		return nil, fmt.Errorf("scenario: %d clients need a fabric with as many slots", n)
+	}
+	cfg := d.Host
+	if a := d.Antagonist; a != nil && a.MLCKB > 0 {
+		sizes := make([]int, cfg.NumCores())
+		sizes[a.Core] = a.MLCKB << 10
+		cfg.Hier.MLCSizePerCore = sizes
+	}
+	r := &Rig{horizon: d.Horizon, untilIdle: d.UntilIdle}
+	var err error
+	if f := d.Fabric; f != nil {
+		r.Cluster, err = idio.NewCluster(idio.ClusterConfig{
+			Host: cfg, Clients: f.Clients, ClientLink: f.ClientLink, ServerLink: f.ServerLink, QoS: cfg.QoS,
+		})
+		if err == nil {
+			r.Sys = r.Cluster.DUT
+		}
+	} else {
+		r.Sys, err = idio.NewSystemE(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sys := r.Sys
+	for i, nf := range d.NFs {
 		app, err := appFor(nf.App, sys)
 		if err != nil {
-			return nil, idio.Results{}, 0, err
+			return nil, err
 		}
 		flow := sys.DefaultFlow(nf.Core)
 		if nf.FrameLen > 0 {
@@ -816,126 +970,69 @@ func (sc Scenario) run(cfg idio.Config, sink obs.Sink) (*idio.System, idio.Resul
 			}
 		}
 		sys.AddNF(nf.Core, app, flow)
-		nfCores = append(nfCores, nf.Core)
-		// With a topology, generator traffic enters through a client
-		// host's uplink and crosses the switch; single-host scenarios
-		// keep the historical direct injection into the NIC.
 		var target traffic.Receiver = sys.NIC
-		if cl != nil {
-			target = cl.ClientIngress(i % sc.Topology.Clients)
+		if r.Cluster != nil {
+			target = r.Cluster.ClientIngress(i % d.Fabric.Clients)
 		}
-		switch nf.Traffic.Kind {
-		case "steady":
-			traffic.Steady{
-				Flow: flow, RateBps: traffic.Gbps(nf.Traffic.Gbps), Count: nf.Traffic.Count,
-			}.Install(sys.Sim, target)
-		case "bursty":
-			period := nf.Traffic.PeriodMS
-			if period == 0 {
-				period = 10
-			}
-			traffic.Bursty{
-				Flow:            flow,
-				BurstRateBps:    traffic.Gbps(nf.Traffic.Gbps),
-				Period:          sim.Duration(period * float64(sim.Millisecond)),
-				PacketsPerBurst: nf.Traffic.PacketsPerBurst,
-				NumBursts:       nf.Traffic.NumBursts,
-			}.Install(sys.Sim, target)
+		if g := nf.Steady; g != nil {
+			gen := *g
+			gen.Flow = flow
+			gen.Install(sys.Sim, target)
+		}
+		if g := nf.Bursty; g != nil {
+			gen := *g
+			gen.Flow = flow
+			gen.Install(sys.Sim, target)
 		}
 	}
-	if cl != nil && sc.Topology.RPC != nil {
-		if err := installRPCClients(cl, sc.Topology, sc.QoS, nfCores); err != nil {
-			return nil, idio.Results{}, 0, err
-		}
+	for i, c := range d.RPC {
+		c.Flow = r.slotFlow(i, c.Core, c.Flow)
+		r.Cluster.AddRPCClient(i, c.Core, c.ClientConfig)
 	}
-	if cl != nil && sc.Topology.Churn != nil {
-		installChurnClients(cl, sc.Topology)
+	for i, c := range d.Churn {
+		c.Flow = r.slotFlow(i, 0, c.Flow)
+		r.Cluster.AddChurnClient(i, c)
 	}
-	var ant *apps.LLCAntagonist
-	if sc.Antagonist != nil {
-		buf := sys.AllocRegion(uint64(sc.Antagonist.BufKB) << 10)
-		ant = apps.NewLLCAntagonist(sc.Antagonist.Core, buf, cfg.Hier.Clock, sys.Hier, 1)
+	if a := d.Antagonist; a != nil {
+		buf := sys.AllocRegion(uint64(a.BufKB) << 10)
+		r.Antagonist = apps.NewLLCAntagonist(a.Core, buf, cfg.Hier.Clock, sys.Hier, 1)
 	}
-	if cl != nil {
-		cl.Start()
-	} else {
-		sys.Start()
-	}
-	if ant != nil {
-		ant.Start(sys.Sim)
-	}
-	horizon := sim.Duration(sc.HorizonMS * float64(sim.Millisecond))
-	var res idio.Results
-	if cl != nil {
-		var rerr error
-		res, rerr = cl.Run(idio.RunOpts{Horizon: horizon, UntilIdle: true})
-		// Watchdog trips stay in Results.Aborted (degradation scenarios
-		// report them as data); configuration errors fail the run.
-		var wd *sim.WatchdogError
-		if rerr != nil && !errors.As(rerr, &wd) {
-			return nil, idio.Results{}, 0, rerr
-		}
-	} else {
-		res = sys.RunUntilIdle(horizon)
-	}
-	cpi := 0.0
-	if ant != nil {
-		cpi = ant.CPI()
-	}
-	return sys, res, cpi, nil
+	return r, nil
 }
 
-// installChurnClients attaches one flow-churn client per client host,
-// splitting the aggregate population and request budget evenly.
-func installChurnClients(cl *idio.Cluster, topo *Topology) {
-	for i := 0; i < topo.Clients; i++ {
-		ccfg := topo.Churn.config(i, topo.Clients)
-		ccfg.Flow = cl.ClientFlow(i, 0)
-		if topo.Churn.FrameLen > 0 {
-			ccfg.Flow.FrameLen = topo.Churn.FrameLen
-		}
-		cl.AddChurnClient(i, ccfg)
+// slotFlow completes a client flow that carries no addresses from slot
+// i's canonical flow to core.
+func (r *Rig) slotFlow(i, core int, f traffic.Flow) traffic.Flow {
+	if f.Src != (pkt.IPv4{}) {
+		return f
 	}
+	flow := r.Cluster.ClientFlow(i, core)
+	if f.FrameLen > 0 {
+		flow.FrameLen = f.FrameLen
+	}
+	flow.DSCP = f.DSCP
+	return flow
 }
 
-// installRPCClients attaches one RPC client per client host, round-
-// robining over the NF cores; aggregate open-loop rates split evenly
-// across clients. A qos section's clientDSCPs round-robin over the
-// clients, marking each request flow's service class.
-func installRPCClients(cl *idio.Cluster, topo *Topology, qspec *QoSSpec, nfCores []int) error {
-	rpc := topo.RPC
-	var mode fnet.Mode
-	switch rpc.Mode {
-	case "open":
-		mode = fnet.ModeOpen
-	case "closed":
-		mode = fnet.ModeClosed
-	case "ramp":
-		mode = fnet.ModeRamp
+// Run starts the host, its clients and the antagonist, and runs to the
+// horizon (or to idle). A watchdog trip ends the run early; it is
+// reported in Results.Aborted, as data.
+func (r *Rig) Run() idio.Results {
+	if r.Cluster != nil {
+		r.Cluster.Start()
+	} else {
+		r.Sys.Start()
+	}
+	if r.Antagonist != nil {
+		r.Antagonist.Start(r.Sys.Sim)
+	}
+	switch {
+	case r.Cluster != nil:
+		res, _ := r.Cluster.Run(idio.RunOpts{Horizon: r.horizon, UntilIdle: r.untilIdle})
+		return res
+	case r.untilIdle:
+		return r.Sys.RunUntilIdle(r.horizon)
 	default:
-		return fmt.Errorf("scenario: unknown rpc mode %q", rpc.Mode)
+		return r.Sys.Run(r.horizon)
 	}
-	for i := 0; i < topo.Clients; i++ {
-		core := nfCores[i%len(nfCores)]
-		ccfg := fnet.ClientConfig{
-			Mode:        mode,
-			RateBps:     traffic.Gbps(rpc.Gbps) / int64(topo.Clients),
-			RampToBps:   traffic.Gbps(rpc.RampToGbps) / int64(topo.Clients),
-			Outstanding: rpc.Outstanding,
-			Requests:    rpc.Requests,
-			Timeout:     sim.Duration(rpc.TimeoutUS * float64(sim.Microsecond)),
-		}
-		if rpc.Retry != nil {
-			ccfg.Retry = rpc.Retry.config(i)
-		}
-		ccfg.Flow = cl.ClientFlow(i, core)
-		if rpc.FrameLen > 0 {
-			ccfg.Flow.FrameLen = rpc.FrameLen
-		}
-		if qspec != nil && len(qspec.ClientDSCPs) > 0 {
-			ccfg.Flow.DSCP = qspec.ClientDSCPs[i%len(qspec.ClientDSCPs)]
-		}
-		cl.AddRPCClient(i, core, ccfg)
-	}
-	return nil
 }

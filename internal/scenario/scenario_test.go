@@ -4,6 +4,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"idio"
+	fnet "idio/internal/net"
 )
 
 const validJSON = `{
@@ -106,6 +109,35 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+	// A negative numeric knob is an error naming the key, not a silent
+	// fallback to the default.
+	nf := `"nfs":[{"core":0,"app":"L2Fwd","traffic":{}}]`
+	topo := func(link, rpc string) string {
+		return `,"topology":{"clients":1,"clientLink":{"gbps":100` + link + `},"serverLink":{"gbps":100},` +
+			`"rpc":{"mode":"closed","outstanding":1,"requests":8` + rpc + `}}`
+	}
+	negatives := map[string]string{
+		"ringSize":           `"ringSize":-5,` + nf + topo("", ""),
+		"llcSizeKB":          `"llcSizeKB":-5,` + nf + topo("", ""),
+		"mlcSizeKB":          `"mlcSizeKB":-5,` + nf + topo("", ""),
+		"ddioWays":           `"ddioWays":-5,` + nf + topo("", ""),
+		"tracePackets":       `"tracePackets":-5,` + nf + topo("", ""),
+		"clientLink queue":   nf + topo(`,"queue":-5`, ""),
+		"clientLink delayUS": nf + topo(`,"delayUS":-5`, ""),
+		"rpc timeoutUS":      nf + topo("", `,"timeoutUS":-5`),
+		"frameLen":           `"nfs":[{"core":0,"app":"L2Fwd","frameLen":-5,"traffic":{}}]` + topo("", ""),
+		"antagonist mlcKB":   `"cores":2,"antagonist":{"core":1,"bufKB":64,"mlcKB":-5},` + nf + topo("", ""),
+	}
+	for key, body := range negatives {
+		doc := `{"name":"x","cores":1,"horizonMS":1,` + body + `}`
+		if strings.Contains(body, `"cores":2`) {
+			doc = `{"name":"x","horizonMS":1,` + body + `}`
+		}
+		_, err := Load(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), key+" -5") {
+			t.Errorf("negative %s: got %v, want an error naming it", key, err)
 		}
 	}
 }
@@ -292,6 +324,7 @@ func TestTopologyValidation(t *testing.T) {
 		"open no gbps":      `{"name":"x","cores":1,"horizonMS":1,"nfs":[{"core":0,"app":"L2Fwd","traffic":{}}],"topology":{"clients":1,"clientLink":{"gbps":100},"serverLink":{"gbps":100},"rpc":{"mode":"open","requests":1}}}`,
 		"closed no window":  `{"name":"x","cores":1,"horizonMS":1,"nfs":[{"core":0,"app":"L2Fwd","traffic":{}}],"topology":{"clients":1,"clientLink":{"gbps":100},"serverLink":{"gbps":100},"rpc":{"mode":"closed","requests":1}}}`,
 		"no traffic no rpc": `{"name":"x","cores":1,"horizonMS":1,"nfs":[{"core":0,"app":"L2Fwd","traffic":{}}],"topology":{"clients":1,"clientLink":{"gbps":100},"serverLink":{"gbps":100}}}`,
+		"negative delay":    negativeDelayJSON,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
@@ -515,5 +548,20 @@ func TestShippedChaosScenarioRuns(t *testing.T) {
 	}
 	if res.RPC == nil || res.RPC.Responses == 0 || res.RPC.Retries == 0 {
 		t.Fatalf("shipped chaos run degenerate: %+v", res.RPC)
+	}
+}
+
+// TestBuildRejectsClientsWithoutSlots: Build refuses clients that have
+// no fabric slot to run on, and a mix of RPC and churn clients.
+func TestBuildRejectsClientsWithoutSlots(t *testing.T) {
+	fabric := &Fabric{Clients: 1, ClientLink: fnet.LinkConfig{RateBps: 1e9}, ServerLink: fnet.LinkConfig{RateBps: 1e9}}
+	for name, d := range map[string]Desc{
+		"no fabric":      {Host: idio.DefaultConfig(1), RPC: []RPCClient{{}}},
+		"too few slots":  {Host: idio.DefaultConfig(1), Fabric: fabric, RPC: []RPCClient{{}, {}}},
+		"rpc with churn": {Host: idio.DefaultConfig(1), Fabric: fabric, RPC: []RPCClient{{}}, Churn: []fnet.ChurnConfig{{}}},
+	} {
+		if _, err := Build(d); err == nil {
+			t.Errorf("%s: built", name)
+		}
 	}
 }

@@ -7,6 +7,13 @@ set -eux
 cd "$(dirname "$0")/.."
 # Formatting gate: gofmt must have nothing to rewrite.
 test -z "$(gofmt -l .)"
+# One run builder: the experiments and the CLI describe their runs and
+# let scenario.Build wire them; neither constructs a host or a cluster.
+if grep -rnE 'idio\.(NewSystem|NewSystemE|NewCluster)\(' --include='*.go' \
+    --exclude='*_test.go' internal/experiment cmd/idiosim; then
+    echo "check: build runs with scenario.Build, not idio.NewSystem/NewCluster" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

@@ -260,12 +260,20 @@ func TestClusterShardedPendingIdle(t *testing.T) {
 	}
 }
 
-// TestClusterShardValidation covers the configuration guard rail.
+// TestClusterShardValidation covers the configuration guard rails: a
+// negative shard count, and a negative link delay, which would
+// schedule deliveries in the past.
 func TestClusterShardValidation(t *testing.T) {
-	cfg := DefaultClusterConfig(2, 2)
-	cfg.Shards = -1
-	if _, err := NewCluster(cfg); err == nil {
-		t.Error("negative shard count accepted")
+	for name, mut := range map[string]func(*ClusterConfig){
+		"negative shard count":  func(c *ClusterConfig) { c.Shards = -1 },
+		"negative client delay": func(c *ClusterConfig) { c.ClientLink.Delay = -5 * sim.Microsecond },
+		"negative server delay": func(c *ClusterConfig) { c.ServerLink.Delay = -1 },
+	} {
+		cfg := DefaultClusterConfig(2, 2)
+		mut(&cfg)
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
