@@ -35,7 +35,8 @@ func BenchmarkFig4(b *testing.B) {
 			Loads:       map[string]float64{"med": 2, "high": 8},
 			RingCycles:  5,
 			OneWayRings: []int{benchRing},
-			Geometry:    experiment.Geometry{MLCSize: benchMLC, LLCSize: benchLLC},
+			MLCSize:     benchMLC,
+			LLCSize:     benchLLC,
 		}
 		rows := experiment.Fig4(opts)
 		if i == b.N-1 {
@@ -128,7 +129,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiment.Fig11(experiment.Fig11Opts{
-			Geometry: experiment.Geometry{RingSize: benchRing}, FrameLen: 1024, BurstGbps: 25,
+			RingSize: benchRing, FrameLen: 1024, BurstGbps: 25,
 			Horizon: 9 * sim.Millisecond,
 		})
 		if i == b.N-1 {
@@ -143,7 +144,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiment.Fig12(experiment.Fig12Opts{
-			Geometry: experiment.Geometry{RingSize: benchRing}, Rates: []float64{100, 25, 10},
+			RingSize: benchRing, Rates: []float64{100, 25, 10},
 			Horizon: 9 * sim.Millisecond,
 		})
 		if i == b.N-1 {

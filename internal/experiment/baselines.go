@@ -15,11 +15,8 @@ import (
 
 // BaselineRow is one policy's outcome.
 type BaselineRow struct {
-	Name      string
-	MLCWB     uint64
-	LLCWB     uint64
-	ExeTimeUS float64
-	P99US     float64
+	Name string
+	BurstSummary
 	// PeakWays is the largest DDIO way allocation the dynamic
 	// baseline reached during the run (the tuner shrinks back once the
 	// burst drains, so the end-of-run value is uninformative).
@@ -46,14 +43,7 @@ func Baselines(opts AblationOpts) []BaselineRow {
 		d := opts.desc(pol)
 		d.Host.DynamicDDIOWays = tuner
 		b, res := runBurst(d, opts.RateGbps, opts.Horizon)
-		row := BaselineRow{
-			Name:      name,
-			MLCWB:     res.Hier.MLCWriteback,
-			LLCWB:     res.Hier.LLCWriteback,
-			ExeTimeUS: res.ExeTime.Microseconds(),
-			P99US:     res.P99Across().Microseconds(),
-			PeakWays:  b.Sys.Hier.DDIOWays(),
-		}
+		row := BaselineRow{Name: name, BurstSummary: summaryOf(res), PeakWays: b.Sys.Hier.DDIOWays()}
 		if b.Sys.WayTuner != nil {
 			row.PeakWays = b.Sys.WayTuner.PeakWays
 		}

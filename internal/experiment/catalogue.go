@@ -96,6 +96,15 @@ func (env Env) scale(par *int, g *Geometry) {
 	}
 }
 
+// scaleRing is scale for the entries that keep the default caches even
+// under -quick: only the ring shrinks.
+func (env Env) scaleRing(par, ring *int) {
+	*par = env.Parallelism
+	if env.Quick {
+		*ring = quickRing
+	}
+}
+
 // entry assembles a catalogue entry from its typed parts: opts builds
 // the options under env (defaults, parallelism, -quick overrides), and
 // render runs them and writes the text output.
@@ -113,7 +122,7 @@ var Catalogue = []Experiment{
 		o.Parallelism = env.Parallelism
 		if env.Quick {
 			o.Rings, o.OneWayRings = []int{64, quickRing}, []int{quickRing}
-			o.Geometry = Geometry{MLCSize: quickMLC, LLCSize: quickLLC}
+			o.MLCSize, o.LLCSize = quickMLC, quickLLC
 			o.Loads["low"] = 0.5
 		}
 		return o
@@ -160,10 +169,7 @@ var Catalogue = []Experiment{
 
 	entry("fig11", func(env Env) Fig11Opts {
 		o := DefaultFig11Opts()
-		o.Parallelism = env.Parallelism
-		if env.Quick {
-			o.RingSize = quickRing // the default caches even under -quick
-		}
+		env.scaleRing(&o.Parallelism, &o.RingSize)
 		return o
 	}, func(w io.Writer, o Fig11Opts) ([]SeriesFile, error) {
 		res := Fig11(o)
@@ -183,10 +189,7 @@ var Catalogue = []Experiment{
 
 	entry("fig12", func(env Env) Fig12Opts {
 		o := DefaultFig12Opts()
-		o.Parallelism = env.Parallelism
-		if env.Quick {
-			o.RingSize = quickRing // the default caches even under -quick
-		}
+		env.scaleRing(&o.Parallelism, &o.RingSize)
 		return o
 	}, func(w io.Writer, o Fig12Opts) ([]SeriesFile, error) {
 		return nil, WriteTable(w, "Fig 12: p50/p99 latency normalized to DDIO solo",

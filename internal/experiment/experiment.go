@@ -55,7 +55,7 @@ func (g Geometry) apply(cfg *idio.Config) {
 }
 
 // link100G is the 100 GbE, 2 µs fabric link of idio.DefaultClusterConfig.
-var link100G = fnet.LinkConfig{RateBps: 100e9, Delay: 2 * sim.Microsecond}
+var link100G = idio.DefaultClusterConfig(1, 1).ClientLink
 
 // echoCluster describes the fabric experiments' run: gem5Host behind a
 // switch with clients client slots on link (client and server side

@@ -80,7 +80,7 @@ func TestFig10SmallNormalization(t *testing.T) {
 }
 
 func TestFig11SmallShapes(t *testing.T) {
-	opts := Fig11Opts{Geometry: Geometry{RingSize: quickRing}, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
+	opts := Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
 	res := Fig11(opts)
 	// Shallow NF: DDIO leaves the payload in LLC; IDIO cuts LLC WBs.
 	if res.IDIO.Summary.LLCWB >= res.DDIO.Summary.LLCWB && res.DDIO.Summary.LLCWB > 0 {
@@ -104,7 +104,7 @@ func TestFig11SmallShapes(t *testing.T) {
 }
 
 func TestFig12SmallShapes(t *testing.T) {
-	opts := Fig12Opts{Geometry: Geometry{RingSize: quickRing}, Rates: []float64{25}, Horizon: 9 * sim.Millisecond}
+	opts := Fig12Opts{RingSize: quickRing, Rates: []float64{25}, Horizon: 9 * sim.Millisecond}
 	rows := Fig12(opts)
 	// 1 rate x (solo DDIO ref, solo IDIO, corun DDIO, corun IDIO).
 	if len(rows) != 4 {
@@ -167,7 +167,8 @@ func TestFig4SmallSweep(t *testing.T) {
 		Loads:       map[string]float64{"med": 2, "high": 8},
 		RingCycles:  5,
 		OneWayRings: []int{512},
-		Geometry:    Geometry{MLCSize: quickMLC, LLCSize: quickLLC},
+		MLCSize:     quickMLC,
+		LLCSize:     quickLLC,
 	}
 	rows := Fig4(opts)
 	if len(rows) != 5 {

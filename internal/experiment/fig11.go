@@ -26,8 +26,7 @@ type Fig11Result struct {
 
 // Fig11Opts parameterises the shallow-NF comparison.
 type Fig11Opts struct {
-	// Geometry scales the DUT; -quick sets only the ring.
-	Geometry
+	RingSize  int
 	FrameLen  int
 	BurstGbps float64
 	Horizon   sim.Duration
@@ -39,13 +38,13 @@ type Fig11Opts struct {
 // DefaultFig11Opts mirrors Fig. 11: 1024-entry rings, 1024-byte
 // packets.
 func DefaultFig11Opts() Fig11Opts {
-	return Fig11Opts{Geometry: Geometry{RingSize: 1024}, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
+	return Fig11Opts{RingSize: 1024, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
 }
 
 // Fig11 runs the three configurations.
 func Fig11(opts Fig11Opts) Fig11Result {
 	desc := func(pol idiocore.Policy, app string, dscp uint8) scenario.Desc {
-		d := gem5NFs(pol, opts.Geometry, false)
+		d := gem5NFs(pol, Geometry{RingSize: opts.RingSize}, false)
 		for i := range d.NFs {
 			d.NFs[i].App, d.NFs[i].FrameLen, d.NFs[i].DSCP = app, opts.FrameLen, dscp
 		}

@@ -22,10 +22,9 @@ type Fig12Row struct {
 
 // Fig12Opts parameterises the latency study.
 type Fig12Opts struct {
-	// Geometry scales the DUT; -quick sets only the ring.
-	Geometry
-	Rates   []float64
-	Horizon sim.Duration
+	RingSize int
+	Rates    []float64
+	Horizon  sim.Duration
 	// Parallelism bounds the worker pool running independent cells
 	// (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -34,7 +33,7 @@ type Fig12Opts struct {
 // DefaultFig12Opts mirrors Fig. 12: 1514-byte packets, 1024-entry
 // rings, 100/25/10 Gbps, solo and co-run with the LLC antagonist.
 func DefaultFig12Opts() Fig12Opts {
-	return Fig12Opts{Geometry: Geometry{RingSize: 1024}, Rates: []float64{100, 25, 10}, Horizon: 9 * sim.Millisecond}
+	return Fig12Opts{RingSize: 1024, Rates: []float64{100, 25, 10}, Horizon: 9 * sim.Millisecond}
 }
 
 // Fig12 runs the latency comparison. The four raw runs per rate
@@ -56,7 +55,7 @@ func Fig12(opts Fig12Opts) []Fig12Row {
 		}
 	}
 	sums := RunCells(opts.Parallelism, cells, func(c cell) BurstSummary {
-		return runBurstCell(gem5NFs(c.pol, opts.Geometry, c.coRun), c.rate, opts.Horizon).Summary
+		return runBurstCell(gem5NFs(c.pol, Geometry{RingSize: opts.RingSize}, c.coRun), c.rate, opts.Horizon).Summary
 	})
 	var rows []Fig12Row
 	for ri, rate := range opts.Rates {

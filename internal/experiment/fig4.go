@@ -41,9 +41,9 @@ type Fig4Opts struct {
 	// OneWayRings lists ring sizes additionally run with the
 	// single-way LLC partition ("_1way" in Fig. 4 right).
 	OneWayRings []int
-	// Geometry scales the caches for reduced-size runs (Rings sets
-	// the ring).
-	Geometry
+	// MLCSize/LLCSize scale the caches for reduced-size runs.
+	MLCSize int
+	LLCSize int
 	// Parallelism bounds the worker pool running independent sweep
 	// cells (0 = GOMAXPROCS, 1 = serial). Results are independent of
 	// the setting.
@@ -96,9 +96,7 @@ func Fig4(opts Fig4Opts) []Fig4Row {
 }
 
 func fig4Point(opts Fig4Opts, ring int, load string, gbps float64, oneWay bool) Fig4Row {
-	g := opts.Geometry
-	g.RingSize = ring
-	d := gem5NFs(idiocore.PolicyDDIO, g, false)
+	d := gem5NFs(idiocore.PolicyDDIO, Geometry{RingSize: ring, MLCSize: opts.MLCSize, LLCSize: opts.LLCSize}, false)
 	if oneWay {
 		// Confine the application's LLC fills to a single non-DDIO way
 		// (way 2), leaving the 2 DDIO ways untouched.

@@ -77,7 +77,7 @@ func Verify(w io.Writer) int {
 	// Fig. 4 regimes.
 	f4 := Fig4(Fig4Opts{
 		Rings: []int{64, quickRing}, Loads: map[string]float64{"high": 8},
-		RingCycles: 5, OneWayRings: []int{quickRing}, Geometry: Geometry{MLCSize: quickMLC, LLCSize: quickLLC},
+		RingCycles: 5, OneWayRings: []int{quickRing}, MLCSize: quickMLC, LLCSize: quickLLC,
 	})
 	var small, large, oneWay Fig4Row
 	for _, r := range f4 {
@@ -101,7 +101,7 @@ func Verify(w io.Writer) int {
 		fmt.Sprintf("(%.2f vs %.2f Gbps)", oneWay.DRAMWriteGbps, large.DRAMWriteGbps))
 
 	// Fig. 11: shallow NF and direct DRAM.
-	f11 := Fig11(Fig11Opts{Geometry: Geometry{RingSize: quickRing}, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
+	f11 := Fig11(Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
 	check("IDIO cuts L2Fwd LLC writebacks (Fig. 11)",
 		f11.IDIO.Summary.LLCWB < f11.DDIO.Summary.LLCWB,
 		fmt.Sprintf("(%d vs %d)", f11.IDIO.Summary.LLCWB, f11.DDIO.Summary.LLCWB))

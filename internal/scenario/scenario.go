@@ -826,10 +826,13 @@ func (sc Scenario) Compile() (Desc, error) {
 		// Clients round-robin over the NF cores; aggregate open-loop
 		// rates split evenly across them, and the qos section's
 		// clientDSCPs round-robin over them.
-		modes := map[string]fnet.Mode{"open": fnet.ModeOpen, "closed": fnet.ModeClosed, "ramp": fnet.ModeRamp}
+		mode, ok := map[string]fnet.Mode{"open": fnet.ModeOpen, "closed": fnet.ModeClosed, "ramp": fnet.ModeRamp}[rpc.Mode]
+		if !ok {
+			return Desc{}, fmt.Errorf("scenario: unknown rpc mode %q", rpc.Mode)
+		}
 		for i := 0; i < topo.Clients; i++ {
 			cc := fnet.ClientConfig{
-				Mode:        modes[rpc.Mode],
+				Mode:        mode,
 				RateBps:     traffic.Gbps(rpc.Gbps) / int64(topo.Clients),
 				RampToBps:   traffic.Gbps(rpc.RampToGbps) / int64(topo.Clients),
 				Outstanding: rpc.Outstanding,
@@ -901,10 +904,10 @@ type NFDesc struct {
 	Bursty   *traffic.Bursty
 }
 
-// RPCClient is one slot's RPC client, served by the NF on Core. A Flow
-// without addresses is completed from the slot's canonical flow
-// (idio.Cluster.ClientFlow), keeping its FrameLen (0 = MTU) and DSCP;
-// churn clients' flows are completed the same way, on core 0.
+// RPCClient is one slot's RPC client, served by the NF on Core. Build
+// gives it the slot's canonical flow (idio.Cluster.ClientFlow),
+// keeping Flow's FrameLen (0 = MTU) and DSCP; churn clients' flows are
+// built the same way, on core 0.
 type RPCClient struct {
 	Core int
 	fnet.ClientConfig
@@ -1000,12 +1003,9 @@ func Build(d Desc) (*Rig, error) {
 	return r, nil
 }
 
-// slotFlow completes a client flow that carries no addresses from slot
-// i's canonical flow to core.
+// slotFlow is slot i's canonical flow to core, keeping f's frame
+// length (when set) and DSCP.
 func (r *Rig) slotFlow(i, core int, f traffic.Flow) traffic.Flow {
-	if f.Src != (pkt.IPv4{}) {
-		return f
-	}
 	flow := r.Cluster.ClientFlow(i, core)
 	if f.FrameLen > 0 {
 		flow.FrameLen = f.FrameLen

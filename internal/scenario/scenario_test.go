@@ -391,6 +391,31 @@ func TestShippedRPCScenarioRuns(t *testing.T) {
 	}
 }
 
+// A Scenario built in Go skips Load's Validate; Compile must still
+// refuse an rpc mode it cannot map rather than run it open-loop.
+func TestCompileRejectsUnknownRPCMode(t *testing.T) {
+	f, err := os.Open("../../scenarios/rpc_closed_loop.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := *sc.Topology.RPC
+	rpc.Mode = "Closed"
+	topo := *sc.Topology
+	topo.RPC = &rpc
+	sc.Topology = &topo
+	if _, err := sc.Compile(); err == nil || !strings.Contains(err.Error(), `unknown rpc mode "Closed"`) {
+		t.Fatalf("Compile with mode Closed: err = %v", err)
+	}
+	if _, _, err := Run(sc); err == nil {
+		t.Fatal("Run with mode Closed must fail")
+	}
+}
+
 // chaosJSON is the resilience kitchen sink: AQM on every hop, retrying
 // clients, DUT admission control, and a two-phase fault timeline.
 const chaosJSON = `{

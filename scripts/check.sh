@@ -9,9 +9,9 @@ cd "$(dirname "$0")/.."
 test -z "$(gofmt -l .)"
 # One run builder: the experiments and the CLI describe their runs and
 # let scenario.Build wire them; neither constructs a host or a cluster.
-if grep -rnE 'idio\.(NewSystem|NewSystemE|NewCluster)\(' --include='*.go' \
+if grep -rnE 'idio\.(NewSystem|NewSystemE|NewHostE|NewCluster)\(' --include='*.go' \
     --exclude='*_test.go' internal/experiment cmd/idiosim; then
-    echo "check: build runs with scenario.Build, not idio.NewSystem/NewCluster" >&2
+    echo "check: build runs with scenario.Build, not idio.NewSystem/NewHostE/NewCluster" >&2
     exit 1
 fi
 go vet ./...
