@@ -276,7 +276,7 @@ func TestClusterAllocsPerRequestQoS(t *testing.T) {
 	ccfg.Host.Policy = idiocore.PolicyIDIO
 	ccfg.Host.Hier.TimelineBucket = 0
 	ccfg.ServerLink.AQMTarget = 50 * sim.Microsecond
-	ccfg.QoS = qos.DefaultConfig()
+	ccfg.Host.QoS = qos.DefaultConfig()
 	cl, err := idio.NewCluster(ccfg)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)

@@ -62,9 +62,9 @@ type Cluster struct {
 	cfg     ClusterConfig
 	started bool
 
-	// qosMap is the cluster-wide DSCP→class map when ClusterConfig.QoS
-	// is set (nil otherwise); clientClass records each RPC client's
-	// service class (parallel to Clients) for per-class Collect.
+	// qosMap is the cluster-wide DSCP→class map when Host.QoS is set
+	// (nil otherwise); clientClass records each RPC client's service
+	// class (parallel to Clients) for per-class Collect.
 	qosMap      *qos.Map
 	clientClass []qos.Class
 
@@ -99,11 +99,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// A cluster-level QoS policy flows down into the host (NIC filter
-	// table, placement policy) unless the host already carries its own.
-	if cfg.QoS != nil && cfg.Host.QoS == nil {
-		cfg.Host.QoS = cfg.QoS
-	}
 	sm := sim.New()
 	dut, err := NewHostE(sm, cfg.Host)
 	if err != nil {
@@ -115,8 +110,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Switch: fnet.NewSwitch("sw0"),
 		cfg:    cfg,
 	}
-	if cfg.QoS != nil {
-		qm, err := cfg.QoS.BuildMap()
+	if q := cfg.Host.QoS; q != nil {
+		qm, err := q.BuildMap()
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +119,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Arm before any port attaches: every switch egress — the server
 		// downlink now, client downlinks as AddRPCClient creates them —
 		// replaces its FIFO with the scheduled per-class queues.
-		cl.Switch.ArmQoS(cfg.QoS, qm)
+		cl.Switch.ArmQoS(q, qm)
 	}
 	o := dut.Observe()
 	cl.Switch.SetObserver(o)
@@ -140,7 +135,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// registration below — arm here so the per-class keys land in the
 	// registry alongside the link's own.
 	if cl.qosMap != nil {
-		cl.ServerDown.ArmQoS(cfg.QoS, cl.qosMap)
+		cl.ServerDown.ArmQoS(cfg.Host.QoS, cl.qosMap)
 	}
 	cl.ServerDown.RegisterMetrics(reg, "fabric.srv.down.")
 	cl.Switch.Route(ServerIP, cl.Switch.AddPort(cl.ServerDown))
@@ -221,29 +216,12 @@ func (cl *Cluster) ClientFlow(i, core int) traffic.Flow {
 // to ClientFlow(i, core). Every client records latency into its own
 // histogram, and Collect merges them into the aggregate.
 func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Client {
-	if cl.ClientDown[i] != nil {
-		panic(fmt.Sprintf("idio: client slot %d already has an RPC client", i))
-	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, core)
 	}
 	c := fnet.NewClient(ccfg, cl.ClientUp[i])
-	o := cl.DUT.Observe()
-	reg := o.Registry()
-
-	lc := cl.cfg.ClientLink
-	lc.Name = fmt.Sprintf("c%d.down", i)
-	cl.ClientDown[i] = fnet.NewLink(lc, c)
-	cl.ClientDown[i].SetObserver(o)
-	if cl.qosMap != nil {
-		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
-	}
-	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
-	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
-	if cl.DUT.Faults != nil {
-		cl.DUT.Faults.AttachLink(cl.ClientDown[i])
-	}
-
+	cl.wireSlot(i, ccfg.Flow.Src, c)
+	reg := cl.DUT.Observe().Registry()
 	cl.DUT.FlowDir.AddEPRule(ccfg.Flow.Tuple(), core)
 	if len(cl.Clients) == 0 {
 		cl.registerRPCMetrics(reg)
@@ -260,6 +238,30 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 	return c
 }
 
+// wireSlot builds slot i's downlink to the client endpoint c, arms it
+// for QoS, registers its metrics, routes the client's address src to
+// it and makes it a fault target. It panics if the slot already has a
+// client.
+func (cl *Cluster) wireSlot(i int, src pkt.IPv4, c fnet.Endpoint) {
+	if cl.ClientDown[i] != nil {
+		panic(fmt.Sprintf("idio: client slot %d already has a client", i))
+	}
+	o := cl.DUT.Observe()
+	lc := cl.cfg.ClientLink
+	lc.Name = fmt.Sprintf("c%d.down", i)
+	down := fnet.NewLink(lc, c)
+	cl.ClientDown[i] = down
+	down.SetObserver(o)
+	if cl.qosMap != nil {
+		down.ArmQoS(cl.cfg.Host.QoS, cl.qosMap)
+	}
+	down.RegisterMetrics(o.Registry(), fmt.Sprintf("fabric.c%d.down.", i))
+	cl.Switch.Route(src, cl.Switch.AddPort(down))
+	if cl.DUT.Faults != nil {
+		cl.DUT.Faults.AttachLink(down)
+	}
+}
+
 // AddChurnClient installs a flow-churn client on slot i: it builds
 // the slot's downlink and routes the client's address to it, exactly
 // like AddRPCClient — but installs NO Flow Director rule. A churn
@@ -271,29 +273,12 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 // at a million flows the refusal counter exposes the hardware bound).
 // A zero ccfg.Flow defaults to ClientFlow(i, 0).
 func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClient {
-	if cl.ClientDown[i] != nil {
-		panic(fmt.Sprintf("idio: client slot %d already has a client", i))
-	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, 0)
 	}
 	c := fnet.NewChurnClient(cl.Sim, ccfg, cl.ClientUp[i])
-	o := cl.DUT.Observe()
-	reg := o.Registry()
-
-	lc := cl.cfg.ClientLink
-	lc.Name = fmt.Sprintf("c%d.down", i)
-	cl.ClientDown[i] = fnet.NewLink(lc, c)
-	cl.ClientDown[i].SetObserver(o)
-	if cl.qosMap != nil {
-		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
-	}
-	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
-	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
-	if cl.DUT.Faults != nil {
-		cl.DUT.Faults.AttachLink(cl.ClientDown[i])
-	}
-
+	cl.wireSlot(i, ccfg.Flow.Src, c)
+	reg := cl.DUT.Observe().Registry()
 	if !cl.DUT.FlowDir.FlowStatsEnabled() {
 		fd := cl.DUT.FlowDir
 		fd.EnableFlowStats(nic.DefaultFlowStatsEntries)

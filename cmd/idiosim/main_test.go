@@ -12,50 +12,59 @@ import (
 
 // TestRPCScenarioSweep runs `-exp rpc -quick -scenario <file>` through
 // main's path. The scenario's topology must shape every cell (clients x
-// per-client requests issued) and its closed-loop window must be on
-// the swept axis — for the shipped file, whose window the quick sweep
-// already has, and for a copy whose window it lacks.
+// per-client requests issued) and its operating point must be on the
+// swept axis, labelled as the file gives it: the shipped file's
+// closed-loop window, which the quick sweep already has; a copy's
+// window it lacks; and a copy's fractional open-loop rate.
 func TestRPCScenarioSweep(t *testing.T) {
 	const shipped = "../../scenarios/rpc_closed_loop.json"
 	raw, err := os.ReadFile(shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w7 := strings.Replace(string(raw), `"outstanding": 16`, `"outstanding": 7`, 1)
-	if w7 == string(raw) {
-		t.Fatalf("%s no longer sets outstanding 16", shipped)
+	variant := func(name, old, new string) string {
+		t.Helper()
+		doc := strings.Replace(string(raw), old, new, 1)
+		if doc == string(raw) {
+			t.Fatalf("%s no longer sets %s", shipped, old)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	odd := filepath.Join(t.TempDir(), "rpc_w7.json")
-	if err := os.WriteFile(odd, []byte(w7), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct{ path, mode, offered string }{
+		{shipped, "closed", "w=16"},
+		{variant("rpc_w7.json", `"outstanding": 16`, `"outstanding": 7`), "closed", "w=7"},
+		{variant("rpc_open.json", `"mode": "closed"`, `"mode": "open", "gbps": 12.5`), "open", "12.5G"},
 	}
-	for _, path := range []string{shipped, odd} {
-		sc, err := loadScenario(path)
+	for _, c := range cases {
+		sc, err := loadScenario(c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := runExperiments("rpc", path, experiment.Env{Quick: true, Parallelism: 2})
+		outs, err := runExperiments("rpc", c.path, experiment.Env{Quick: true, Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if outs[0].Err != nil {
-			t.Fatalf("%s: %v", path, outs[0].Err)
+			t.Fatalf("%s: %v", c.path, outs[0].Err)
 		}
 		issued := strconv.FormatUint(uint64(sc.Topology.Clients)*sc.Topology.RPC.Requests, 10)
-		window := "w=" + strconv.Itoa(sc.Topology.RPC.Outstanding)
 		hits := 0
 		// Skip the title, header and rule lines.
 		for _, line := range strings.Split(strings.TrimSpace(outs[0].Text.String()), "\n")[3:] {
 			f := strings.Fields(line)
 			if f[3] != issued {
-				t.Fatalf("%s: row %q issued %s, want %s", path, line, f[3], issued)
+				t.Fatalf("%s: row %q issued %s, want %s", c.path, line, f[3], issued)
 			}
-			if f[1] == "closed" && f[2] == window {
+			if f[1] == c.mode && f[2] == c.offered {
 				hits++
 			}
 		}
 		if hits != 2 {
-			t.Fatalf("%s: window %s in %d rows, want one per policy:\n%s", path, window, hits, outs[0].Text.String())
+			t.Fatalf("%s: %s %s in %d rows, want one per policy:\n%s", c.path, c.mode, c.offered, hits, outs[0].Text.String())
 		}
 	}
 }

@@ -60,10 +60,6 @@ type Config struct {
 	// EnableIOMMU validates every DMA target against the mapped ring
 	// and buffer regions; unmapped accesses fault and are dropped.
 	EnableIOMMU bool
-	// OccupancySampling, when > 0, records LLC total and I/O-classified
-	// occupancy (and per-core MLC occupancy) at this period — the
-	// direct visualization of DMA bloating.
-	OccupancySampling sim.Duration
 	// Faults, when non-nil and enabled, wires the deterministic
 	// fault-injection layer (internal/fault) through the PCIe path and
 	// attaches its periodic injectors to the NIC ports, DRAM,
@@ -80,9 +76,13 @@ type Config struct {
 	// host: the DSCP→class map is installed in every NIC port's filter
 	// table, each class's LLC way quota / prefetch aggressiveness /
 	// direct-to-DRAM policy applies at DMA placement time, and
-	// per-class RX counters appear in the obs registry. Nil (the
-	// default) leaves every packet class 0 and the data plane
-	// byte-identical to pre-QoS builds.
+	// per-class RX counters appear in the obs registry. On a Cluster's
+	// DUT it also arms the fabric: every switch egress port replaces its
+	// single FIFO with per-class queues under a strict-priority +
+	// weighted-round-robin scheduler, and Collect reports per-class RPC
+	// latency, goodput and drop breakdowns. Nil (the default) leaves
+	// every packet class 0 and the data plane byte-identical to pre-QoS
+	// builds.
 	QoS *qos.Config
 	// Obs configures the observability layer: Obs.TraceSampleN > 0
 	// enables the structured packet-journey tracer (attach a sink via
@@ -133,14 +133,6 @@ type ClusterConfig struct {
 	// ServerLink is the server-side link template ("srv.down" into the
 	// DUT NIC, "srv.up" for responses).
 	ServerLink fnet.LinkConfig
-	// QoS, when non-nil, arms the full class pipeline across the
-	// cluster: the Host config inherits it (unless Host.QoS is already
-	// set), and every switch egress port replaces its single FIFO with
-	// per-class queues under a strict-priority + weighted-round-robin
-	// scheduler. Collect then reports per-class RPC latency, goodput,
-	// and drop breakdowns. Nil keeps the single-class fabric and the
-	// exact historical outputs.
-	QoS *qos.Config
 	// Shards is accepted for compatibility and has no effect on
 	// results or on how the cluster runs: every host of a cluster
 	// shares one simulator (DESIGN.md "One event queue"). It must be
@@ -183,11 +175,6 @@ func (c ClusterConfig) Validate() error {
 	}
 	if c.Shards < 0 {
 		errs = append(errs, fmt.Errorf("idio: cluster shards %d must be >= 0", c.Shards))
-	}
-	if c.QoS != nil {
-		if err := c.QoS.Validate(); err != nil {
-			errs = append(errs, err)
-		}
 	}
 	return errors.Join(errs...)
 }

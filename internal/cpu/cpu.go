@@ -66,34 +66,7 @@ type Config struct {
 	// line when SelfInvalidate is on — the mechanism is cheap but not
 	// free.
 	InvalCyclesPerLine int64
-	// TraceCapacity enables per-packet stage tracing when > 0,
-	// retaining up to that many records (oldest first).
-	TraceCapacity int
 }
-
-// TraceRecord captures one packet's life-cycle timestamps, letting
-// experiments split end-to-end latency into notification delay
-// (descriptor coalescing), queueing delay (waiting behind the
-// backlog), and service time (driver + NF processing).
-type TraceRecord struct {
-	Seq     uint64
-	Arrival sim.Time // frame fully received at the NIC
-	Ready   sim.Time // descriptor write-back visible to the driver
-	Start   sim.Time // processing began on the core
-	Done    sim.Time // NF finished with the packet
-}
-
-// NotifyDelay is the descriptor-visibility lag.
-func (r TraceRecord) NotifyDelay() sim.Duration { return r.Ready.Sub(r.Arrival) }
-
-// QueueDelay is time spent waiting for the core.
-func (r TraceRecord) QueueDelay() sim.Duration { return r.Start.Sub(r.Ready) }
-
-// ServiceTime is the processing time proper.
-func (r TraceRecord) ServiceTime() sim.Duration { return r.Done.Sub(r.Start) }
-
-// Total is the end-to-end latency.
-func (r TraceRecord) Total() sim.Duration { return r.Done.Sub(r.Arrival) }
 
 // DefaultConfig reflects the DPDK setup of Sec. VI on the Table I
 // core: 32-packet bursts and a per-packet cost calibrated so a single
@@ -305,8 +278,6 @@ type Core struct {
 	LastDoneAt    sim.Time
 	// Interrupts counts wake-ups taken in interrupt mode.
 	Interrupts uint64
-	// Trace holds per-packet stage records when tracing is enabled.
-	Trace []TraceRecord
 
 	// StallsTaken counts injected stalls the polling loop honoured;
 	// StallTime accumulates the injected delay actually served.
@@ -385,9 +356,6 @@ func (c *Core) Start(s *sim.Simulator) {
 	c.pollFn = c.poll
 	c.batch = make([]*nic.Slot, 0, c.cfg.BatchSize)
 	c.releasable = make([]*nic.Slot, 0, c.cfg.BatchSize)
-	if c.cfg.TraceCapacity > 0 {
-		c.Trace = make([]TraceRecord, 0, c.cfg.TraceCapacity)
-	}
 	switch c.cfg.Driver {
 	case DriverInterrupt:
 		for _, p := range c.env.Ports {
@@ -523,21 +491,12 @@ func (c *Core) processNext(s *sim.Simulator, i int) bool {
 }
 
 // retire books the in-flight packet's completion at s.Now() (its done
-// instant): counters, latency histogram, trace, observability.
+// instant): counters, latency histogram and the EvDone trace event.
 func (c *Core) retire(s *sim.Simulator) {
 	c.Processed++
 	c.BusyTime += c.curLat
 	c.LastDoneAt = s.Now()
 	c.Latencies.Record(s.Now().Sub(c.curArrival))
-	if c.cfg.TraceCapacity > 0 && len(c.Trace) < c.cfg.TraceCapacity {
-		c.Trace = append(c.Trace, TraceRecord{
-			Seq:     c.curSeq,
-			Arrival: c.curArrival,
-			Ready:   c.curSlot.ReadyAt,
-			Start:   c.curStart,
-			Done:    s.Now(),
-		})
-	}
 	if c.env.Obs.TracingPacket(c.curSeq) {
 		c.env.Obs.Emit(obs.Event{
 			Kind: obs.EvDone, Seq: c.curSeq, Core: c.id, At: s.Now(),

@@ -8,6 +8,7 @@ import (
 	"idio/internal/hier"
 	"idio/internal/mem"
 	"idio/internal/nic"
+	"idio/internal/obs"
 	"idio/internal/pcie"
 	"idio/internal/pkt"
 	"idio/internal/sim"
@@ -296,54 +297,45 @@ func TestInterruptAddsWakeupLatencyVsPolling(t *testing.T) {
 	}
 }
 
+// doneLog keeps the EvDone events a traced run emits.
+type doneLog struct{ done []obs.Event }
+
+func (l *doneLog) Emit(e obs.Event) {
+	if e.Kind == obs.EvDone {
+		l.done = append(l.done, e)
+	}
+}
+func (l *doneLog) Close() error { return nil }
+
 func TestTraceRecordsStages(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TraceCapacity = 16
-	r := newRig(t, cfg, 64)
+	r := newRig(t, DefaultConfig(), 64)
+	o := obs.New(obs.Config{TraceSampleN: 1})
+	var log doneLog
+	o.SetSink(&log)
+	r.core.Env().Obs = o
 	for i := 0; i < 4; i++ {
 		r.inject(t, sim.Time(int64(i)*1000), 1514, uint16(i+1))
 	}
 	r.core.Start(r.s)
 	r.s.RunUntil(sim.Time(5 * sim.Millisecond))
-	if len(r.core.Trace) != 4 {
-		t.Fatalf("trace records %d, want 4", len(r.core.Trace))
+	if len(log.done) != 4 {
+		t.Fatalf("traced %d EvDone events, want 4", len(log.done))
 	}
-	for i, rec := range r.core.Trace {
-		if !(rec.Arrival <= rec.Ready && rec.Ready <= rec.Start && rec.Start < rec.Done) {
-			t.Fatalf("record %d stages out of order: %+v", i, rec)
+	for i, e := range log.done {
+		if !(e.Arrival <= e.Ready && e.Ready <= e.Start && e.Start < e.At) {
+			t.Fatalf("event %d stages out of order: %+v", i, e)
 		}
-		if rec.Total() != rec.NotifyDelay()+rec.QueueDelay()+rec.ServiceTime() {
-			t.Fatalf("record %d breakdown does not sum: %+v", i, rec)
+		notify, queue, service := e.Ready.Sub(e.Arrival), e.Start.Sub(e.Ready), e.At.Sub(e.Start)
+		if e.At.Sub(e.Arrival) != notify+queue+service {
+			t.Fatalf("event %d breakdown does not sum: %+v", i, e)
 		}
-		if rec.ServiceTime() <= 0 {
-			t.Fatalf("record %d zero service time", i)
+		if service <= 0 {
+			t.Fatalf("event %d zero service time", i)
 		}
 		// Descriptor coalescing contributes the configured 100ns floor.
-		if rec.NotifyDelay() < 100*sim.Nanosecond {
-			t.Fatalf("record %d notify delay %v below coalescing floor", i, rec.NotifyDelay())
+		if notify < 100*sim.Nanosecond {
+			t.Fatalf("event %d notify delay %v below coalescing floor", i, notify)
 		}
-	}
-}
-
-func TestTraceCapacityBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TraceCapacity = 2
-	r := newRig(t, cfg, 64)
-	for i := 0; i < 8; i++ {
-		r.inject(t, sim.Time(int64(i)*1000), 200, uint16(i+1))
-	}
-	r.core.Start(r.s)
-	r.s.RunUntil(sim.Time(5 * sim.Millisecond))
-	if len(r.core.Trace) != 2 {
-		t.Fatalf("trace must cap at 2, got %d", len(r.core.Trace))
-	}
-	// Disabled tracing allocates nothing.
-	r2 := newRig(t, DefaultConfig(), 64)
-	r2.inject(t, 0, 200, 1)
-	r2.core.Start(r2.s)
-	r2.s.RunUntil(sim.Time(5 * sim.Millisecond))
-	if r2.core.Trace != nil {
-		t.Fatal("tracing disabled must record nothing")
 	}
 }
 

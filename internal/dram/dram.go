@@ -82,14 +82,10 @@ type DRAM struct {
 	writes    stats.Counter
 	rowHits   stats.Counter
 	rowMisses stats.Counter
-	// Timelines sample read/write transaction rates for figure output.
-	ReadTL  *stats.Timeline
-	WriteTL *stats.Timeline
 }
 
-// New builds a DRAM model. Timelines use the given bucket (pass 0 to
-// disable timeline collection).
-func New(cfg Config, timelineBucket sim.Duration) *DRAM {
+// New builds a DRAM model.
+func New(cfg Config) *DRAM {
 	if cfg.BytesPerSecond <= 0 {
 		panic("dram: non-positive bandwidth")
 	}
@@ -105,10 +101,6 @@ func New(cfg Config, timelineBucket sim.Duration) *DRAM {
 		for i := range d.openRow {
 			d.openRow[i] = -1
 		}
-	}
-	if timelineBucket > 0 {
-		d.ReadTL = stats.NewTimeline(timelineBucket)
-		d.WriteTL = stats.NewTimeline(timelineBucket)
 	}
 	return d
 }
@@ -162,9 +154,6 @@ func (d *DRAM) access(now sim.Time, lineAddr uint64) sim.Duration {
 // Read performs a cacheline read at time now and returns its latency.
 func (d *DRAM) Read(now sim.Time, lineAddr uint64) sim.Duration {
 	d.reads.Inc()
-	if d.ReadTL != nil {
-		d.ReadTL.Record(now, 1)
-	}
 	return d.access(now, lineAddr)
 }
 
@@ -173,9 +162,6 @@ func (d *DRAM) Read(now sim.Time, lineAddr uint64) sim.Duration {
 // lets a caller model write-queue back-pressure if it wants to.
 func (d *DRAM) Write(now sim.Time, lineAddr uint64) sim.Duration {
 	d.writes.Inc()
-	if d.WriteTL != nil {
-		d.WriteTL.Record(now, 1)
-	}
 	return d.access(now, lineAddr)
 }
 

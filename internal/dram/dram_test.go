@@ -7,7 +7,7 @@ import (
 )
 
 func TestUnloadedLatency(t *testing.T) {
-	d := New(FlatConfig(), 0)
+	d := New(FlatConfig())
 	lat := d.Read(0, 0)
 	// 64B at 25.6GB/s = 2.5ns transfer + 80ns access.
 	want := 80*sim.Nanosecond + 2500*sim.Picosecond
@@ -17,7 +17,7 @@ func TestUnloadedLatency(t *testing.T) {
 }
 
 func TestBandwidthSerialisation(t *testing.T) {
-	d := New(Config{AccessLatency: 0, BytesPerSecond: 6_400_000_000}, 0) // 10ns per line
+	d := New(Config{AccessLatency: 0, BytesPerSecond: 6_400_000_000}) // 10ns per line
 	l1 := d.Read(0, 0)
 	l2 := d.Read(0, 0)
 	l3 := d.Read(0, 0)
@@ -32,7 +32,7 @@ func TestBandwidthSerialisation(t *testing.T) {
 }
 
 func TestReadWriteShareBus(t *testing.T) {
-	d := New(Config{AccessLatency: 0, BytesPerSecond: 6_400_000_000}, 0)
+	d := New(Config{AccessLatency: 0, BytesPerSecond: 6_400_000_000})
 	d.Write(0, 0)
 	lat := d.Read(0, 0)
 	if lat != 20*sim.Nanosecond {
@@ -41,7 +41,7 @@ func TestReadWriteShareBus(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	d := New(FlatConfig(), 0)
+	d := New(FlatConfig())
 	for i := 0; i < 3; i++ {
 		d.Read(0, 0)
 	}
@@ -54,27 +54,13 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestTimelines(t *testing.T) {
-	d := New(FlatConfig(), 10*sim.Microsecond)
-	d.Read(sim.Time(5*sim.Microsecond), 0)
-	d.Write(sim.Time(15*sim.Microsecond), 0)
-	if d.ReadTL.Count(0) != 1 || d.WriteTL.Count(1) != 1 {
-		t.Fatal("timeline buckets not recorded")
-	}
-	dNo := New(FlatConfig(), 0)
-	if dNo.ReadTL != nil || dNo.WriteTL != nil {
-		t.Fatal("timelines must be nil when disabled")
-	}
-	dNo.Read(0, 0) // must not panic
-}
-
 func TestZeroBandwidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{AccessLatency: 1, BytesPerSecond: 0}, 0)
+	New(Config{AccessLatency: 1, BytesPerSecond: 0})
 }
 
 func TestRowBufferHitsAndMisses(t *testing.T) {
@@ -83,7 +69,7 @@ func TestRowBufferHitsAndMisses(t *testing.T) {
 		Banks:          4, RowBytes: 4096,
 		RowHitLatency: 40 * sim.Nanosecond, RowMissLatency: 100 * sim.Nanosecond,
 	}
-	d := New(cfg, 0)
+	d := New(cfg)
 	// First access to a row: miss; subsequent lines of the same row: hits.
 	// 4096B row = 64 lines.
 	lat0 := d.Read(0, 0)
@@ -107,7 +93,7 @@ func TestRowBufferHitsAndMisses(t *testing.T) {
 }
 
 func TestSequentialStreamMostlyRowHits(t *testing.T) {
-	d := New(DefaultConfig(), 0)
+	d := New(DefaultConfig())
 	for l := uint64(0); l < 1024; l++ {
 		d.Read(sim.Time(int64(l)*int64(sim.Microsecond)), l)
 	}
@@ -118,7 +104,7 @@ func TestSequentialStreamMostlyRowHits(t *testing.T) {
 }
 
 func TestRandomStreamMostlyRowMisses(t *testing.T) {
-	d := New(DefaultConfig(), 0)
+	d := New(DefaultConfig())
 	// Stride far beyond the row size: every access opens a new row.
 	for i := uint64(0); i < 256; i++ {
 		d.Read(sim.Time(int64(i)*int64(sim.Microsecond)), i*1024*1024)
@@ -134,5 +120,5 @@ func TestBankedValidation(t *testing.T) {
 			t.Fatal("expected panic for tiny rows")
 		}
 	}()
-	New(Config{BytesPerSecond: 1, Banks: 2, RowBytes: 32}, 0)
+	New(Config{BytesPerSecond: 1, Banks: 2, RowBytes: 32})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	idiocore "idio/internal/core"
+	"idio/internal/obs"
 	"idio/internal/sim"
 	"idio/internal/stats"
 )
@@ -56,34 +57,41 @@ func DefaultBreakdownOpts() BreakdownOpts {
 	return BreakdownOpts{Geometry: Geometry{RingSize: 1024}, RateGbps: 25, Horizon: 9 * sim.Millisecond}
 }
 
-// Breakdown runs both policies with tracing enabled.
+// stageSink records each traced packet's stages from its EvDone event.
+type stageSink struct{ notify, queue, serv, total *stats.LatencyDist }
+
+func (s *stageSink) Emit(e obs.Event) {
+	if e.Kind != obs.EvDone {
+		return
+	}
+	s.notify.Record(e.Ready.Sub(e.Arrival))
+	s.queue.Record(e.Start.Sub(e.Ready))
+	s.serv.Record(e.At.Sub(e.Start))
+	s.total.Record(e.At.Sub(e.Arrival))
+}
+
+func (s *stageSink) Close() error { return nil }
+
+// Breakdown runs both policies with every packet traced.
 func Breakdown(opts BreakdownOpts) []BreakdownRow {
 	pols := []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO}
 	return RunCells(opts.Parallelism, pols, func(pol idiocore.Policy) BreakdownRow {
 		d := gem5NFs(pol, opts.Geometry, false)
-		d.Host.CPU.TraceCapacity = d.Host.NIC.RingSize * len(d.NFs)
-		b, _ := runBurst(d, opts.RateGbps, opts.Horizon)
-
-		notify, queue, serv, total := stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist()
-		for _, c := range b.Sys.Cores {
-			if c == nil {
-				continue
-			}
-			for _, rec := range c.Trace {
-				notify.Record(rec.NotifyDelay())
-				queue.Record(rec.QueueDelay())
-				serv.Record(rec.ServiceTime())
-				total.Record(rec.Total())
-			}
-		}
+		d.Host.Obs.TraceSampleN = 1
+		burst(&d, opts.RateGbps, 1)
+		d.Horizon, d.UntilIdle = opts.Horizon, true
+		r := build(d)
+		s := &stageSink{stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist(), stats.NewLatencyDist()}
+		r.Sys.Observe().SetSink(s)
+		r.Run()
 		return BreakdownRow{
 			Policy:      pol.Name(),
-			NotifyP50US: notify.P50().Microseconds(),
-			QueueP50US:  queue.P50().Microseconds(),
-			ServP50US:   serv.P50().Microseconds(),
-			QueueP99US:  queue.P99().Microseconds(),
-			ServP99US:   serv.P99().Microseconds(),
-			TotalP99US:  total.P99().Microseconds(),
+			NotifyP50US: s.notify.P50().Microseconds(),
+			QueueP50US:  s.queue.P50().Microseconds(),
+			ServP50US:   s.serv.P50().Microseconds(),
+			QueueP99US:  s.queue.P99().Microseconds(),
+			ServP99US:   s.serv.P99().Microseconds(),
+			TotalP99US:  s.total.P99().Microseconds(),
 		}
 	})
 }

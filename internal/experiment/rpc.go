@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	idiocore "idio/internal/core"
 	fnet "idio/internal/net"
@@ -196,7 +197,7 @@ func RPCHeader() []string {
 // Row renders one sweep cell. The offered column carries the swept
 // axis: aggregate Gbps for open loops, window size for closed loops.
 func (r RPCRow) Row() []string {
-	offered := fmt.Sprintf("%.0fG", r.OfferedGbps)
+	offered := strconv.FormatFloat(r.OfferedGbps, 'f', -1, 64) + "G"
 	if r.Mode == fnet.ModeClosed {
 		offered = fmt.Sprintf("w=%d", r.Window)
 	}

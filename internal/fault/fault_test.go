@@ -212,7 +212,7 @@ func TestInterposerDeterminism(t *testing.T) {
 // latency-spike windows through the event queue.
 func TestDRAMSpikeInjector(t *testing.T) {
 	s := sim.New()
-	d := dram.New(dram.FlatConfig(), 0)
+	d := dram.New(dram.FlatConfig())
 	in := New(Config{Seed: 5, DRAMSpike: &DRAMSpikeConfig{
 		Period: 100 * sim.Microsecond,
 		Extra:  50 * sim.Nanosecond,

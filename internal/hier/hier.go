@@ -197,7 +197,6 @@ type Hierarchy struct {
 	// Timelines for the paper's rate figures; nil when disabled.
 	MLCWBTL  *stats.Timeline
 	LLCWBTL  *stats.Timeline
-	MLCInvTL *stats.Timeline
 	DMAReqTL *stats.Timeline
 
 	invalidatable mem.RegionSet // lines registered as Invalidatable (Sec. V-D), whole
@@ -226,7 +225,7 @@ func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:         cfg,
 		llc:         cache.New(cache.Config{Name: "llc", SizeBytes: cfg.LLCSize, Assoc: cfg.LLCAssoc, Policy: cfg.Policy}),
-		dram:        dram.New(cfg.DRAM, cfg.TimelineBucket),
+		dram:        dram.New(cfg.DRAM),
 		ddioMask:    cache.FirstN(cfg.DDIOWays),
 		appMask:     cfg.AppWayMask,
 		mlcWBByCore: make([]uint64, cfg.NumCores),
@@ -251,7 +250,6 @@ func New(cfg Config) *Hierarchy {
 	if cfg.TimelineBucket > 0 {
 		h.MLCWBTL = stats.NewTimeline(cfg.TimelineBucket)
 		h.LLCWBTL = stats.NewTimeline(cfg.TimelineBucket)
-		h.MLCInvTL = stats.NewTimeline(cfg.TimelineBucket)
 		h.DMAReqTL = stats.NewTimeline(cfg.TimelineBucket)
 	}
 	return h
@@ -542,9 +540,6 @@ func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) {
 	if present, _ := h.mlc[owner].Invalidate(la); present {
 		h.l1[owner].Invalidate(la) // L1 ⊆ MLC: only an MLC hit can hit here
 		h.stats.MLCInval++
-		if h.MLCInvTL != nil {
-			h.MLCInvTL.Record(now, 1)
-		}
 		if h.obs.Tracing() {
 			h.obs.LineEvent(obs.EvInval, now, la, owner, "dma-snoop", 0)
 		}

@@ -4,21 +4,31 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"idio/internal/sim"
 )
 
-// removedKeysJSON uses the topology "shards" and chaos "domain" keys,
-// which the loader no longer knows: it must reject them with an error.
-const removedKeysJSON = `{
-  "name": "removed-keys", "policy": "IDIO", "cores": 2, "horizonMS": 1,
+// removedKeysDoc is a valid document; removedKeysJSON holds one copy
+// of it per key the loader no longer knows (topology "shards", chaos
+// "domain", "tracePackets"), each of which Load must reject.
+func removedKeysDoc(top, topo, chaos string) string {
+	return `{
+  "name": "removed-keys", "policy": "IDIO", "cores": 2, "horizonMS": 1,` + top + `
   "nfs": [{"core": 0, "app": "L2Fwd", "traffic": {}}],
   "topology": {"clients": 1, "clientLink": {"gbps": 100, "delayUS": 2},
     "serverLink": {"gbps": 100, "delayUS": 2},
-    "rpc": {"mode": "closed", "outstanding": 4, "requests": 64}, "shards": 4},
-  "chaos": [{"layer": "fabric", "kind": "down", "startMS": 0.1, "durationMS": 0.1, "domain": "switch"}]
+    "rpc": {"mode": "closed", "outstanding": 4, "requests": 64}` + topo + `},
+  "chaos": [{"layer": "fabric", "kind": "down", "startMS": 0.1, "durationMS": 0.1` + chaos + `}]
 }`
+}
+
+var removedKeysJSON = []struct{ key, doc string }{
+	{"shards", removedKeysDoc("", `, "shards": 4`, "")},
+	{"domain", removedKeysDoc("", "", `, "domain": "switch"`)},
+	{"tracePackets", removedKeysDoc(` "tracePackets": 64,`, "", "")},
+}
 
 // negativeDelayJSON sets a negative link propagation delay, which
 // Load must reject before a link schedules a delivery in the past.
@@ -58,7 +68,9 @@ func FuzzScenario(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(removedKeysJSON))
+	for _, rk := range removedKeysJSON {
+		f.Add([]byte(rk.doc))
+	}
 	f.Add([]byte(negativeDelayJSON))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Load(bytes.NewReader(data))
@@ -80,10 +92,17 @@ func FuzzScenario(f *testing.F) {
 	})
 }
 
-// TestRemovedKeysRejected: documents that still carry the removed
-// "shards" or chaos "domain" keys fail to load with an error.
+// TestRemovedKeysRejected: a document that still carries a removed
+// key fails to load with an error naming it, while the same document
+// without it loads.
 func TestRemovedKeysRejected(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte(removedKeysJSON))); err == nil {
-		t.Fatal("Load accepted the removed shards/domain keys")
+	if _, err := Load(strings.NewReader(removedKeysDoc("", "", ""))); err != nil {
+		t.Fatalf("base document: %v", err)
+	}
+	for _, rk := range removedKeysJSON {
+		_, err := Load(strings.NewReader(rk.doc))
+		if err == nil || !strings.Contains(err.Error(), rk.key) {
+			t.Errorf("%s: got %v, want an error naming the key", rk.key, err)
+		}
 	}
 }

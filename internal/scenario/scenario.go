@@ -251,9 +251,6 @@ type Scenario struct {
 	HorizonMS float64 `json:"horizonMS"`
 	// ClassOneDSCPs marks application-class-1 code points.
 	ClassOneDSCPs []uint8 `json:"classOneDSCPs,omitempty"`
-	// TracePackets enables per-packet stage tracing, retaining up to
-	// this many records per core.
-	TracePackets int `json:"tracePackets,omitempty"`
 
 	NFs        []NF        `json:"nfs"`
 	Antagonist *Antagonist `json:"antagonist,omitempty"`
@@ -618,7 +615,6 @@ func (sc Scenario) ranges() []knobRange {
 		{"llcSizeKB", float64(sc.LLCSizeKB), 1 << 18},
 		{"mlcSizeKB", float64(sc.MLCSizeKB), 1 << 14},
 		{"ddioWays", float64(sc.DDIOWays), 64},
-		{"tracePackets", float64(sc.TracePackets), 1 << 16},
 	}
 	if a := sc.Antagonist; a != nil {
 		ls = append(ls, knobRange{"antagonist bufKB", float64(a.BufKB), 1 << 18}, knobRange{"antagonist mlcKB", float64(a.MLCKB), 1 << 14})
@@ -709,7 +705,7 @@ func Run(sc Scenario) (idio.Results, float64, error) {
 }
 
 // RunSystem is Run but additionally returns the live system so callers
-// can inspect post-run state (per-packet traces, cache occupancies).
+// can inspect post-run state (cache occupancies, per-core counters).
 func RunSystem(sc Scenario) (*idio.System, idio.Results, float64, error) {
 	return RunSystemOpts(sc, RunOpts{})
 }
@@ -769,9 +765,6 @@ func (sc Scenario) hostConfig() (idio.Config, error) {
 	}
 	if sc.Driver == "interrupt" {
 		cfg.CPU.Driver = cpu.DriverInterrupt
-	}
-	if sc.TracePackets > 0 {
-		cfg.CPU.TraceCapacity = sc.TracePackets
 	}
 	if sc.AdmissionWatermark > 0 {
 		cfg.NIC.AdmissionWatermark = sc.AdmissionWatermark
@@ -944,7 +937,7 @@ func Build(d Desc) (*Rig, error) {
 	var err error
 	if f := d.Fabric; f != nil {
 		r.Cluster, err = idio.NewCluster(idio.ClusterConfig{
-			Host: cfg, Clients: f.Clients, ClientLink: f.ClientLink, ServerLink: f.ServerLink, QoS: cfg.QoS,
+			Host: cfg, Clients: f.Clients, ClientLink: f.ClientLink, ServerLink: f.ServerLink,
 		})
 		if err == nil {
 			r.Sys = r.Cluster.DUT

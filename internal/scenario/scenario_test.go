@@ -123,7 +123,6 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 		"llcSizeKB":          `"llcSizeKB":-5,` + nf + topo("", ""),
 		"mlcSizeKB":          `"mlcSizeKB":-5,` + nf + topo("", ""),
 		"ddioWays":           `"ddioWays":-5,` + nf + topo("", ""),
-		"tracePackets":       `"tracePackets":-5,` + nf + topo("", ""),
 		"clientLink queue":   nf + topo(`,"queue":-5`, ""),
 		"clientLink delayUS": nf + topo(`,"delayUS":-5`, ""),
 		"rpc timeoutUS":      nf + topo("", `,"timeoutUS":-5`),

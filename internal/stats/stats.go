@@ -133,51 +133,6 @@ func (tl *Timeline) PeakMTPS() float64 {
 	return peak
 }
 
-// LevelPoint is one sample of a level (gauge) series.
-type LevelPoint struct {
-	TimeUS float64
-	Value  float64
-}
-
-// LevelSeries records point-in-time samples of a level quantity —
-// occupancies, queue depths — as opposed to Timeline's event rates.
-type LevelSeries struct {
-	points []LevelPoint
-}
-
-// NewLevelSeries returns an empty gauge series.
-func NewLevelSeries() *LevelSeries { return &LevelSeries{} }
-
-// Record appends one sample taken at time t.
-func (ls *LevelSeries) Record(t sim.Time, v float64) {
-	ls.points = append(ls.points, LevelPoint{TimeUS: t.Microseconds(), Value: v})
-}
-
-// Points returns the recorded samples in order.
-func (ls *LevelSeries) Points() []LevelPoint { return ls.points }
-
-// Len returns the sample count.
-func (ls *LevelSeries) Len() int { return len(ls.points) }
-
-// Max returns the largest recorded value (0 when empty).
-func (ls *LevelSeries) Max() float64 {
-	var m float64
-	for _, p := range ls.points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// Last returns the most recent value (0 when empty).
-func (ls *LevelSeries) Last() float64 {
-	if len(ls.points) == 0 {
-		return 0
-	}
-	return ls.points[len(ls.points)-1].Value
-}
-
 // LatencyDist collects per-packet latencies and answers percentile
 // queries. Samples are stored raw (the experiments collect at most a
 // few hundred thousand packets) so percentiles are exact.

@@ -238,23 +238,3 @@ func TestQuickTimelineTotal(t *testing.T) {
 		}
 	}
 }
-
-func TestLevelSeriesGauge(t *testing.T) {
-	ls := NewLevelSeries()
-	if ls.Len() != 0 || ls.Max() != 0 || ls.Last() != 0 {
-		t.Fatal("empty gauge must report zeros")
-	}
-	ls.Record(sim.Time(10*sim.Microsecond), 5)
-	ls.Record(sim.Time(20*sim.Microsecond), 12)
-	ls.Record(sim.Time(30*sim.Microsecond), 3)
-	if ls.Len() != 3 {
-		t.Fatalf("len %d", ls.Len())
-	}
-	if ls.Max() != 12 || ls.Last() != 3 {
-		t.Fatalf("max %v last %v", ls.Max(), ls.Last())
-	}
-	pts := ls.Points()
-	if pts[0].TimeUS != 10 || pts[2].Value != 3 {
-		t.Fatalf("points %v", pts)
-	}
-}

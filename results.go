@@ -181,14 +181,12 @@ type Results struct {
 	// last packet completion across cores (Fig. 10's Exe Time).
 	ExeTime sim.Duration
 
-	// Timelines (nil when disabled in config): MLC writebacks, LLC
-	// writebacks, MLC invalidations, DMA requests, DRAM reads/writes.
-	MLCWBTL  *stats.Timeline
-	LLCWBTL  *stats.Timeline
-	MLCInvTL *stats.Timeline
-	DMATL    *stats.Timeline
-	DRAMRdTL *stats.Timeline
-	DRAMWrTL *stats.Timeline
+	// Timelines the rate figures plot (Fig. 5/9/13; nil when
+	// Hier.TimelineBucket is 0): MLC writebacks, LLC writebacks, DMA
+	// requests.
+	MLCWBTL *stats.Timeline
+	LLCWBTL *stats.Timeline
+	DMATL   *stats.Timeline
 
 	// Metrics is the observability registry's snapshot at Collect time,
 	// in registration order. WriteStats and WriteJSON both render this
@@ -213,10 +211,7 @@ func (s *System) Collect() Results {
 		CtrlMisSteers: s.Controller.MisSteers,
 		MLCWBTL:       s.Hier.MLCWBTL,
 		LLCWBTL:       s.Hier.LLCWBTL,
-		MLCInvTL:      s.Hier.MLCInvTL,
 		DMATL:         s.Hier.DMAReqTL,
-		DRAMRdTL:      s.Hier.DRAM().ReadTL,
-		DRAMWrTL:      s.Hier.DRAM().WriteTL,
 	}
 	if s.IOMMU != nil {
 		r.IOMMUReadFaults = s.IOMMU.ReadFaults

@@ -53,6 +53,13 @@ trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
     -trace "$obsdir/trace.csv" -trace-sample 16 > /dev/null
 test "$(head -n 1 "$obsdir/trace.csv")" = "core,seq,arrival_us,ready_us,start_us,done_us,notify_us,queue_us,service_us,total_us"
+# The CSV sink is the per-packet stage record: traced at -trace-sample
+# 1, every processed packet is exactly one data row.
+go run ./cmd/idiosim -scenario scenarios/mixed_nfs.json \
+    -trace "$obsdir/all.csv" -trace-sample 1 > "$obsdir/all.out"
+rows=$(($(wc -l < "$obsdir/all.csv") - 1))
+processed=$(sed -n 's/.* processed=\([0-9]*\) .*/\1/p' "$obsdir/all.out")
+test "$rows" = "$processed"
 # Fabric smokes: the closed-loop RPC and mixed-class QoS scenarios must
 # run to completion. (TestClusterShardedRandomWorkloads in tier-1 pins
 # that Shards leaves full Results unchanged.)

@@ -93,7 +93,7 @@ func TestClusterShardedByteIdentical(t *testing.T) {
 func TestClusterShardedQoSByteIdentical(t *testing.T) {
 	dscps := []uint8{46, 34, 8} // ef, af41, cs1
 	requireShardEquivalence(t, []int{2, 3, 5},
-		func(cfg *ClusterConfig) { cfg.QoS = qos.DefaultConfig() },
+		func(cfg *ClusterConfig) { cfg.Host.QoS = qos.DefaultConfig() },
 		func(cl *Cluster) {
 			for c := 0; c < 2; c++ {
 				cl.DUT.AddNF(c, apps.L2Fwd{}, cl.DUT.DefaultFlow(c))

@@ -14,7 +14,6 @@ import (
 	"idio/internal/pkt"
 	"idio/internal/qos"
 	"idio/internal/sim"
-	"idio/internal/stats"
 	"idio/internal/traffic"
 )
 
@@ -138,11 +137,6 @@ type System struct {
 	// packets from it too. One pool per host gives one accounting
 	// point: after a drained run, Outstanding() must be zero.
 	PktPool *pkt.Pool
-
-	// Occupancy gauges, populated when Config.OccupancySampling > 0.
-	LLCOcc   *stats.LevelSeries
-	LLCIOOcc *stats.LevelSeries
-	MLCOcc   []*stats.LevelSeries
 
 	rc      *rootComplex
 	layout  *mem.Layout
@@ -543,21 +537,6 @@ func (s *System) Start() {
 	if iv := s.obs.MetricsInterval(); iv > 0 {
 		s.Sim.Every(0, iv, func(sm *sim.Simulator) {
 			s.obs.SampleMetrics(sm.Now())
-		})
-	}
-	if p := s.Cfg.OccupancySampling; p > 0 {
-		s.LLCOcc = stats.NewLevelSeries()
-		s.LLCIOOcc = stats.NewLevelSeries()
-		s.MLCOcc = make([]*stats.LevelSeries, s.Cfg.Hier.NumCores)
-		for i := range s.MLCOcc {
-			s.MLCOcc[i] = stats.NewLevelSeries()
-		}
-		s.Sim.Every(0, p, func(sm *sim.Simulator) {
-			s.LLCOcc.Record(sm.Now(), float64(s.Hier.LLCOccupancy()))
-			s.LLCIOOcc.Record(sm.Now(), float64(s.Hier.LLCOccupancyIO()))
-			for i := range s.MLCOcc {
-				s.MLCOcc[i].Record(sm.Now(), float64(s.Hier.MLCOccupancy(i)))
-			}
 		})
 	}
 }

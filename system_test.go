@@ -1,11 +1,13 @@
 package idio
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"idio/internal/apps"
 	idiocore "idio/internal/core"
+	"idio/internal/obs"
 	"idio/internal/pcie"
 	"idio/internal/sim"
 	"idio/internal/traffic"
@@ -229,9 +231,25 @@ func TestPerCoreDemandBreakdown(t *testing.T) {
 	}
 }
 
+// seriesMax is the largest value the named metric took across a run's
+// periodic registry snapshots.
+func seriesMax(t *testing.T, s *obs.Series, name string) float64 {
+	t.Helper()
+	col := slices.Index(s.Names(), name)
+	if col < 0 {
+		t.Fatalf("metric series has no %s column", name)
+	}
+	var m float64
+	for i := 0; i < s.Len(); i++ {
+		_, row := s.Row(i)
+		m = max(m, row[col])
+	}
+	return m
+}
+
 func TestOccupancySamplingShowsBloat(t *testing.T) {
 	cfg := smallCfg(1, idiocore.PolicyDDIO)
-	cfg.OccupancySampling = 10 * sim.Microsecond
+	cfg.Obs.MetricsInterval = 10 * sim.Microsecond
 	sys := NewSystem(cfg)
 	flow := sys.DefaultFlow(0)
 	sys.AddNF(0, apps.TouchDrop{}, flow)
@@ -239,28 +257,28 @@ func TestOccupancySamplingShowsBloat(t *testing.T) {
 		Flow: flow, BurstRateBps: traffic.Gbps(25),
 		Period: 10 * sim.Millisecond, PacketsPerBurst: 256, NumBursts: 1,
 	}.Install(sys.Sim, sys.NIC)
-	sys.RunUntilIdle(9 * sim.Millisecond)
+	res := sys.RunUntilIdle(9 * sim.Millisecond)
 
-	if sys.LLCOcc.Len() == 0 || sys.MLCOcc[0].Len() == 0 {
+	if res.MetricSeries.Len() == 0 {
 		t.Fatal("occupancy gauges empty")
 	}
+	llc := seriesMax(t, res.MetricSeries, "hier.llc_occupancy")
 	// During the burst the LLC holds IO-classified lines...
-	if sys.LLCIOOcc.Max() == 0 {
+	if seriesMax(t, res.MetricSeries, "hier.llc_occupancy_io") == 0 {
 		t.Fatal("IO occupancy never rose during the burst")
 	}
 	// ...and the total LLC occupancy exceeds the DDIO ways' capacity:
 	// MLC victims bloat into non-DDIO ways (Observation 3).
 	ddioCap := float64(cfg.Hier.LLCSize / 64 / cfg.Hier.LLCAssoc * cfg.Hier.DDIOWays)
-	if sys.LLCOcc.Max() <= ddioCap {
-		t.Fatalf("LLC occupancy peaked at %.0f, within DDIO capacity %.0f — no bloat",
-			sys.LLCOcc.Max(), ddioCap)
+	if llc <= ddioCap {
+		t.Fatalf("LLC occupancy peaked at %.0f, within DDIO capacity %.0f — no bloat", llc, ddioCap)
 	}
 	// The MLC gauge saw the execution phase.
-	if sys.MLCOcc[0].Max() == 0 {
+	if seriesMax(t, res.MetricSeries, "hier.mlc0_occupancy") == 0 {
 		t.Fatal("MLC occupancy never rose")
 	}
 	// Gauges are levels, not rates: values are bounded by capacity.
-	if sys.LLCOcc.Max() > float64(cfg.Hier.LLCSize/64) {
+	if llc > float64(cfg.Hier.LLCSize/64) {
 		t.Fatal("occupancy exceeds capacity")
 	}
 }
@@ -333,8 +351,10 @@ func TestIOMMURejectsStrayDMA(t *testing.T) {
 // that the default configuration reproduces that gap.
 func TestDescriptorLagMatchesPaper(t *testing.T) {
 	cfg := smallCfg(1, idiocore.PolicyDDIO)
-	cfg.CPU.TraceCapacity = 8
+	cfg.Obs.TraceSampleN = 1
 	sys := NewSystem(cfg)
+	var log eventLog
+	sys.Observe().SetSink(&log)
 	flow := sys.DefaultFlow(0)
 	sys.AddNF(0, apps.TouchDrop{}, flow)
 	traffic.Steady{Flow: flow, RateBps: traffic.Gbps(10), Count: 4}.Install(sys.Sim, sys.NIC)
@@ -344,11 +364,11 @@ func TestDescriptorLagMatchesPaper(t *testing.T) {
 	if !ok {
 		t.Fatal("no DMA observed")
 	}
-	core := sys.Cores[0]
-	if len(core.Trace) == 0 {
-		t.Fatal("no trace")
+	i := slices.IndexFunc(log.events, func(e obs.Event) bool { return e.Kind == obs.EvDone })
+	if i < 0 {
+		t.Fatal("no EvDone traced")
 	}
-	lag := core.Trace[0].Start.Sub(first)
+	lag := log.events[i].Start.Sub(first)
 	// Wire time for 26 lines + the 1.9 us coalescing window + one poll
 	// interval of driver reaction: the observable lag must be within
 	// ~[1.9, 2.4] us.

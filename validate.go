@@ -151,9 +151,6 @@ func (c Config) Validate() error {
 	if c.NumPorts < 0 {
 		bad("NumPorts", "must be >= 0, got %d", c.NumPorts)
 	}
-	if c.OccupancySampling < 0 {
-		bad("OccupancySampling", "must be >= 0, got %v", c.OccupancySampling)
-	}
 
 	if w := c.Watchdog; w != nil {
 		if w.MaxPendingEvents < 0 {
