@@ -147,6 +147,7 @@ type Cache struct {
 	useClock uint64
 	occ      int // valid-line count, maintained incrementally
 	stats    Stats
+	probes   uint64 // tag searches (calls to find)
 }
 
 // New builds a cache from the configuration. SizeBytes must be a
@@ -199,6 +200,11 @@ func (c *Cache) SizeBytes() int { return c.cfg.SizeBytes }
 // Stats returns a copy of the aggregate counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// Probes returns how many tag searches the cache has made: one per
+// Lookup, Take, Contains, Insert, Invalidate and SetDirty. Fill makes
+// none. It is a host-cost count, kept apart from Stats.
+func (c *Cache) Probes() uint64 { return c.probes }
+
 func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(lineAddr & uint64(c.sets-1))
 }
@@ -206,6 +212,7 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 // find probes lineAddr's set once, returning the set index and the
 // way holding the line (-1 on a miss).
 func (c *Cache) find(lineAddr uint64) (si, way int) {
+	c.probes++
 	si = c.setIndex(lineAddr)
 	base := si * c.cfg.Assoc
 	tags := c.tags[base : base+c.cfg.Assoc]
