@@ -15,6 +15,9 @@
 package dram
 
 import (
+	"fmt"
+	"math/bits"
+
 	"idio/internal/obs"
 	"idio/internal/sim"
 	"idio/internal/stats"
@@ -29,9 +32,11 @@ type Config struct {
 	// BytesPerSecond is the peak sustained bandwidth across channels.
 	BytesPerSecond int64
 
-	// Banks enables the row-buffer model when > 0.
+	// Banks enables the row-buffer model when > 0. It must be a power
+	// of two.
 	Banks int
-	// RowBytes is the DRAM row (page) size per bank.
+	// RowBytes is the DRAM row (page) size per bank: a power of two of
+	// at least 64.
 	RowBytes int
 	// RowHitLatency is the open-row access cost.
 	RowHitLatency sim.Duration
@@ -70,6 +75,12 @@ type DRAM struct {
 	// busFree is the earliest instant the data bus can begin the next
 	// 64-byte transfer.
 	busFree sim.Time
+	// xfer is how long one 64-byte burst occupies the bus.
+	xfer sim.Duration
+	// rowShift and bankMask map a byte address to its row (addr >>
+	// rowShift) and the row to its bank (row & bankMask).
+	rowShift uint
+	bankMask int64
 	// openRow[b] is bank b's open row (-1 when none).
 	openRow []int64
 
@@ -92,11 +103,16 @@ func New(cfg Config) *DRAM {
 	if cfg.Banks > 0 && cfg.RowBytes < 64 {
 		panic("dram: banked model needs RowBytes >= 64")
 	}
+	if cfg.Banks > 0 && (!powerOfTwo(cfg.Banks) || !powerOfTwo(cfg.RowBytes)) {
+		panic(fmt.Sprintf("dram: banked model needs power-of-two Banks and RowBytes, got %d and %d", cfg.Banks, cfg.RowBytes))
+	}
 	if cfg.RowMissLatency == 0 {
 		cfg.RowMissLatency = cfg.AccessLatency
 	}
-	d := &DRAM{cfg: cfg}
+	d := &DRAM{cfg: cfg, xfer: sim.Duration(64 * int64(sim.Second) / cfg.BytesPerSecond)}
 	if cfg.Banks > 0 {
+		d.rowShift = uint(bits.TrailingZeros(uint(cfg.RowBytes)))
+		d.bankMask = int64(cfg.Banks - 1)
 		d.openRow = make([]int64, cfg.Banks)
 		for i := range d.openRow {
 			d.openRow[i] = -1
@@ -105,9 +121,13 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// lineTransferTime is how long one 64-byte burst occupies the bus.
-func (d *DRAM) lineTransferTime() sim.Duration {
-	return sim.Duration(64 * int64(sim.Second) / d.cfg.BytesPerSecond)
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// rowOf returns the row holding lineAddr and the bank that row maps
+// to (banked model only).
+func (d *DRAM) rowOf(lineAddr uint64) (row int64, bank int) {
+	row = int64((lineAddr * 64) >> d.rowShift)
+	return row, int(row & d.bankMask)
 }
 
 // SetExtraLatency adds a transient per-access latency penalty — the
@@ -128,8 +148,7 @@ func (d *DRAM) PenalizedAccesses() uint64 { return d.penalized.Value() }
 func (d *DRAM) access(now sim.Time, lineAddr uint64) sim.Duration {
 	lat := d.cfg.AccessLatency
 	if d.cfg.Banks > 0 {
-		row := int64(lineAddr * 64 / uint64(d.cfg.RowBytes))
-		bank := int(row % int64(d.cfg.Banks))
+		row, bank := d.rowOf(lineAddr)
 		if d.openRow[bank] == row {
 			d.rowHits.Inc()
 			lat = d.cfg.RowHitLatency
@@ -147,7 +166,7 @@ func (d *DRAM) access(now sim.Time, lineAddr uint64) sim.Duration {
 	if d.busFree > start {
 		start = d.busFree
 	}
-	d.busFree = start.Add(d.lineTransferTime())
+	d.busFree = start.Add(d.xfer)
 	return d.busFree.Sub(now) + lat
 }
 

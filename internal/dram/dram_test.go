@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 
 	"idio/internal/sim"
@@ -115,10 +116,37 @@ func TestRandomStreamMostlyRowMisses(t *testing.T) {
 }
 
 func TestBankedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for tiny rows")
+	for _, cfg := range []Config{
+		{BytesPerSecond: 1, Banks: 2, RowBytes: 32},
+		{BytesPerSecond: 1, Banks: 6, RowBytes: 4096},
+		{BytesPerSecond: 1, Banks: 8, RowBytes: 3000},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for banks %d, row bytes %d", cfg.Banks, cfg.RowBytes)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// The row and bank come from a shift and a mask; they must be the
+// quotient and remainder the row-buffer model is defined by.
+func TestRowOfMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, banks := range []int{1, 2, 8, 16} {
+		for _, rowBytes := range []int{64, 4096, 8 << 10} {
+			d := New(Config{BytesPerSecond: 1, Banks: banks, RowBytes: rowBytes})
+			for i := 0; i < 1000; i++ {
+				line := rng.Uint64() >> uint(rng.Intn(64))
+				wantRow := int64(line * 64 / uint64(rowBytes))
+				wantBank := int(wantRow % int64(banks))
+				if row, bank := d.rowOf(line); row != wantRow || bank != wantBank {
+					t.Fatalf("banks %d, rows %d B, line %d: row %d bank %d, want %d %d", banks, rowBytes, line, row, bank, wantRow, wantBank)
+				}
+			}
 		}
-	}()
-	New(Config{BytesPerSecond: 1, Banks: 2, RowBytes: 32})
+	}
 }

@@ -78,8 +78,15 @@ func (c Config) Validate() error {
 	if h.DRAM.BytesPerSecond <= 0 {
 		bad("Hier.DRAM.BytesPerSecond", "bandwidth must be positive, got %d", h.DRAM.BytesPerSecond)
 	}
-	if h.DRAM.Banks > 0 && h.DRAM.RowBytes < 64 {
-		bad("Hier.DRAM.RowBytes", "banked model needs RowBytes >= 64, got %d", h.DRAM.RowBytes)
+	if h.DRAM.Banks > 0 {
+		if h.DRAM.Banks&(h.DRAM.Banks-1) != 0 {
+			bad("Hier.DRAM.Banks", "banked model needs a power-of-two bank count, got %d", h.DRAM.Banks)
+		}
+		if h.DRAM.RowBytes < 64 {
+			bad("Hier.DRAM.RowBytes", "banked model needs RowBytes >= 64, got %d", h.DRAM.RowBytes)
+		} else if h.DRAM.RowBytes&(h.DRAM.RowBytes-1) != 0 {
+			bad("Hier.DRAM.RowBytes", "banked model needs power-of-two RowBytes, got %d", h.DRAM.RowBytes)
+		}
 	}
 	if h.TimelineBucket < 0 {
 		bad("Hier.TimelineBucket", "must be >= 0, got %v", h.TimelineBucket)

@@ -47,6 +47,8 @@ func TestValidateRejects(t *testing.T) {
 		{"dir entries", func(c *Config) { c.Hier.DirEntriesPerCore = 0 }, "Hier.DirEntriesPerCore"},
 		{"dram bandwidth", func(c *Config) { c.Hier.DRAM.BytesPerSecond = 0 }, "Hier.DRAM.BytesPerSecond"},
 		{"dram row bytes", func(c *Config) { c.Hier.DRAM.RowBytes = 32 }, "Hier.DRAM.RowBytes"},
+		{"dram row bytes not pow2", func(c *Config) { c.Hier.DRAM.RowBytes = 3000 }, "Hier.DRAM.RowBytes"},
+		{"dram banks not pow2", func(c *Config) { c.Hier.DRAM.Banks = 6 }, "Hier.DRAM.Banks"},
 		{"nic queues", func(c *Config) { c.NIC.NumQueues = 0 }, "NIC.NumQueues"},
 		{"nic ring size", func(c *Config) { c.NIC.RingSize = 0 }, "NIC.RingSize"},
 		{"nic line rate", func(c *Config) { c.NIC.LineRateBps = 0 }, "NIC.LineRateBps"},
