@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,8 +17,10 @@ import (
 // The golden corpus pins what the simulator prints: the stdout, the
 // -stats dump and the -json metrics document of every scenarios/*.json
 // run, the -quick output of every experiment.Catalogue entry (checked
-// once per entry serially and once through `-exp all -j 2`), and the
-// stdout of every examples/* program. A change that moves any of them
+// once per entry serially and once through `-exp all -j 2`), the
+// full-scale output of every entry (through `-exp all -j 2`), a sha256
+// of every CSV side file at both scales, the `-exp verify` claims, and
+// the stdout of every examples/* program. A change that moves any of them
 // on purpose regenerates the corpus with
 //
 //	go test ./cmd/idiosim -run TestGolden -update
@@ -108,13 +112,40 @@ func TestGolden(t *testing.T) {
 		}
 		checkGolden(t, "rpc_scenario_quick.txt", outs[0].Text.Bytes())
 	})
-	// -exp all -quick -j 2: the entries fan out over the pool, and so
-	// do their grids.
+	// -exp all -j 2 at both scales: every entry's text (<name>.txt at
+	// full scale), and one digest per CSV side file in csv.sha256.
 	t.Run("all-j2", func(t *testing.T) {
-		if *update {
-			t.Skip("the serial pass writes the corpus")
+		var sums bytes.Buffer
+		for _, quick := range []bool{true, false} {
+			outs, err := runExperiments("all", "", experiment.Env{Quick: quick, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale, suffix := "full", ".txt"
+			if quick {
+				scale, suffix = "quick", "_quick.txt"
+			}
+			for _, o := range outs {
+				if o.Err != nil {
+					t.Fatalf("%s: %v", o.Name, o.Err)
+				}
+				checkGolden(t, o.Name+suffix, o.Text.Bytes())
+				for _, f := range o.Files {
+					var csv bytes.Buffer
+					if err := experiment.WriteSeriesCSV(&csv, f.Series...); err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&sums, "%x  %s/%s\n", sha256.Sum256(csv.Bytes()), scale, f.Name)
+				}
+			}
 		}
-		checkQuick(t, runGolden(t, "all", 2)...)
+		checkGolden(t, "csv.sha256", sums.Bytes())
+	})
+	// -exp verify: the claims at their own reduced-scale parameters.
+	t.Run("verify", func(t *testing.T) {
+		var out bytes.Buffer
+		experiment.Verify(&out)
+		checkGolden(t, "verify.txt", out.Bytes())
 	})
 	checkExamples(t)
 }
