@@ -767,15 +767,18 @@ func (h *Hierarchy) tracePrefetch(now sim.Time, la uint64, core int, outcome str
 // real MLC-resident lines exactly as organic pressure would
 // (Skylake-SP's directory side channel works the same way). It
 // returns how many synthetic insertions displaced an existing entry.
-// The lines must be addresses no access uses (the fault injector draws
-// them from 1<<40 up): an entry for a real MLC-resident line would be
-// renamed to owner without the line moving.
+// The fault injector draws the lines from 1<<40 up, where no access
+// goes. A line whose entry names another core holding it in its MLC is
+// skipped: renaming that entry would leave the real copy unnamed.
 func (h *Hierarchy) InjectSnoopPressure(now sim.Time, owner int, lines []uint64) int {
 	if owner < 0 || owner >= h.cfg.NumCores {
 		owner = 0
 	}
 	evicted := 0
 	for _, la := range lines {
+		if o, ok := h.dir.owner(la); ok && o != owner && h.mlc[o].Contains(la) {
+			continue
+		}
 		if vd, evd := h.dir.insert(la, owner); evd {
 			h.backInvalidate(now, vd.owner, vd.line)
 			evicted++

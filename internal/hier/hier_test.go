@@ -569,7 +569,8 @@ func TestL1SubsetInvariant(t *testing.T) {
 			realLine := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(lines)) }
 			for op := 0; op < 20000; op++ {
 				now := sim.Time(op) * sim.Time(sim.Nanosecond)
-				randomOp(h, rng, now, lines, realLine)
+				what, _ := randomOp(h, rng, now, lines, realLine)
+				checkCoherence(t, h, fmt.Sprintf("op %d (%s)", op, what))
 				for c := 0; c < 2; c++ {
 					h.l1[c].ForEach(func(ln cache.Line) {
 						if !h.mlc[c].Contains(ln.Addr) {
