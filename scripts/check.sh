@@ -1,8 +1,11 @@
 #!/bin/sh
-# Pre-merge gate: gofmt, vet, build, full tests, the race detector over the
-# internal packages, a forced-parallel race pass over the experiment
-# worker pool, and a one-iteration compile-and-run smoke over every
-# benchmark. Mirrors `make check` for environments without make.
+# Pre-merge gate, the one definition of it (`make check` runs this
+# script): gofmt, vet, build, full tests, the race detector over the
+# internal packages (with forced-parallel passes over the experiment
+# worker pool, the fabric, the fault layer, the run loop and the
+# cluster tests), scenario fuzzing, a one-iteration smoke over every
+# benchmark, the allocation gates, and the observability, fabric,
+# chaos and churn smokes.
 set -eux
 cd "$(dirname "$0")/.."
 # Formatting gate: gofmt must have nothing to rewrite.
