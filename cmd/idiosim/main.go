@@ -4,7 +4,7 @@
 //
 //	idiosim -exp fig10                    # one experiment, table to stdout
 //	idiosim -exp all -csv out/            # everything, timelines as CSV
-//	idiosim -exp all -j 8                 # fan the grids out over 8 workers
+//	idiosim -exp all -j 8                 # run the cells on 8 workers
 //	idiosim -exp fig9 -quick              # reduced-size run (CI-friendly)
 //	idiosim -exp verify                   # PASS/FAIL reproduction claims
 //	idiosim -report report.md             # full markdown report
@@ -49,7 +49,7 @@ func main() {
 	exp := flag.String("exp", "fig10", "experiment to run: "+expChoices())
 	csvDir := flag.String("csv", "", "directory to write timeline CSVs into (optional)")
 	quick := flag.Bool("quick", false, "run reduced-size variants (256-entry rings, scaled caches)")
-	par := flag.Int("j", 1, "worker-pool size for experiment grids (0 = GOMAXPROCS, 1 = serial)")
+	par := flag.Int("j", 1, "worker-pool size for experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	scenarioPath := flag.String("scenario", "", "run a JSON scenario file instead of a named experiment")
@@ -118,6 +118,7 @@ func main() {
 			fatal(err)
 		}
 	}
+	start := time.Now()
 	outs, err := runExperiments(*exp, *scenarioPath, env)
 	if err != nil {
 		fatal(err)
@@ -134,12 +135,13 @@ func main() {
 				fatal(err)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", o.Name, o.Elapsed.Round(time.Millisecond))
 	}
+	fmt.Fprintf(os.Stderr, "[%s done in %v]\n", *exp, time.Since(start).Round(time.Millisecond))
 }
 
 // runExperiments renders -exp name — one catalogue entry, or "all" for
-// the whole catalogue, fanned out over env.Parallelism workers. A
+// the whole catalogue, every cell in one pool of env.Parallelism
+// workers. A
 // non-empty scenarioPath compiles the scenario into the run the rpc
 // sweep starts from (experiment.Env.Base).
 func runExperiments(name, scenarioPath string, env experiment.Env) ([]*experiment.Output, error) {
@@ -149,7 +151,7 @@ func runExperiments(name, scenarioPath string, env experiment.Env) ([]*experimen
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, expChoices())
 		}
-		targets = []experiment.Experiment{e}
+		targets = []experiment.Sweep{e}
 	}
 	if scenarioPath != "" {
 		sc, err := loadScenario(scenarioPath)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,18 +16,27 @@ import (
 // per-client requests issued) and its operating point must be on the
 // swept axis, labelled as the file gives it: the shipped file's
 // closed-loop window, which the quick sweep already has; a copy's
-// window it lacks; and a copy's fractional open-loop rate.
+// window it lacks; a copy's fractional open-loop rate; and a copy
+// whose 10 Gbps server link sheds through CoDel-style AQM, where the
+// IDIO cell is the file's own run and its drops column must count the
+// file's sheds.
 func TestRPCScenarioSweep(t *testing.T) {
 	const shipped = "../../scenarios/rpc_closed_loop.json"
 	raw, err := os.ReadFile(shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant := func(name, old, new string) string {
+	// variant writes a copy of the shipped file with each old/new pair
+	// of edits replaced.
+	variant := func(name string, edits ...string) string {
 		t.Helper()
-		doc := strings.Replace(string(raw), old, new, 1)
-		if doc == string(raw) {
-			t.Fatalf("%s no longer sets %s", shipped, old)
+		doc := string(raw)
+		for i := 0; i < len(edits); i += 2 {
+			next := strings.Replace(doc, edits[i], edits[i+1], 1)
+			if next == doc {
+				t.Fatalf("%s no longer sets %s", shipped, edits[i])
+			}
+			doc = next
 		}
 		path := filepath.Join(t.TempDir(), name)
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
@@ -34,10 +44,23 @@ func TestRPCScenarioSweep(t *testing.T) {
 		}
 		return path
 	}
+	aqm := variant("rpc_aqm.json",
+		`"serverLink": {"gbps": 100, "delayUS": 2}`, `"serverLink": {"gbps": 10, "delayUS": 2, "aqmTargetUS": 5}`,
+		`"outstanding": 16`, `"outstanding": 64`)
 	cases := []struct{ path, mode, offered string }{
 		{shipped, "closed", "w=16"},
 		{variant("rpc_w7.json", `"outstanding": 16`, `"outstanding": 7`), "closed", "w=7"},
 		{variant("rpc_open.json", `"mode": "closed"`, `"mode": "open", "gbps": 12.5`), "open", "12.5G"},
+		{aqm, "closed", "w=64"},
+	}
+	// The AQM copy's own run sheds requests and drops nothing else.
+	var single strings.Builder
+	if err := runScenario(aqm, scenarioOpts{}, &single); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`fabric: .* tailDrops=0 downDrops=0\n  fabric aqm: sheds=([1-9][0-9]*)\n`).FindStringSubmatch(single.String())
+	if m == nil {
+		t.Fatalf("%s: want AQM sheds and no other fabric drops:\n%s", aqm, single.String())
 	}
 	for _, c := range cases {
 		sc, err := loadScenario(c.path)
@@ -61,6 +84,9 @@ func TestRPCScenarioSweep(t *testing.T) {
 			}
 			if f[1] == c.mode && f[2] == c.offered {
 				hits++
+				if c.path == aqm && f[0] == "IDIO" && f[6] != m[1] {
+					t.Errorf("%s: row %q drops %s, want the run's %s AQM sheds", c.path, line, f[6], m[1])
+				}
 			}
 		}
 		if hits != 2 {

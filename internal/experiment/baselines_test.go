@@ -8,30 +8,27 @@ import (
 )
 
 func TestBaselinesReproduceS1(t *testing.T) {
-	opts := smallAblationOpts(100)
-	rows := Baselines(opts)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	ddio, dyn, idioRow := rows[0], rows[1], rows[2]
+	ddio := quickRun(t, "ablations", "DDIO(static 2-way)")
+	dyn := quickRun(t, "ablations", "DynamicWays(2..4)")
+	idioRun := quickRun(t, "ablations", "IDIO")
 
 	// The dynamic baseline grows its allocation under leak pressure...
-	if dyn.PeakWays <= 2 {
-		t.Errorf("dynamic baseline never grew: peak %d ways", dyn.PeakWays)
+	if peakWays(dyn) <= 2 {
+		t.Errorf("dynamic baseline never grew: peak %.0f ways", peakWays(dyn))
 	}
 	// ...and thereby reduces LLC writebacks relative to static DDIO...
-	if dyn.LLCWB >= ddio.LLCWB {
-		t.Errorf("dynamic ways LLC WB %d !< static %d", dyn.LLCWB, ddio.LLCWB)
+	if llcWB(dyn) >= llcWB(ddio) {
+		t.Errorf("dynamic ways LLC WB %.0f !< static %.0f", llcWB(dyn), llcWB(ddio))
 	}
 	// ...but S1: it cannot touch the MLC writeback problem (all data
 	// still lands in the LLC, dead buffers still evict from the MLC).
-	if dyn.MLCWB < ddio.MLCWB*9/10 {
-		t.Errorf("dynamic ways should not materially change MLC WB: %d vs %d", dyn.MLCWB, ddio.MLCWB)
+	if mlcWB(dyn) < mlcWB(ddio)*9/10 {
+		t.Errorf("dynamic ways should not materially change MLC WB: %.0f vs %.0f", mlcWB(dyn), mlcWB(ddio))
 	}
 	// IDIO beats both on MLC writebacks.
-	if idioRow.MLCWB >= dyn.MLCWB || idioRow.MLCWB >= ddio.MLCWB {
-		t.Errorf("IDIO MLC WB %d must undercut both baselines (%d, %d)",
-			idioRow.MLCWB, ddio.MLCWB, dyn.MLCWB)
+	if mlcWB(idioRun) >= mlcWB(dyn) || mlcWB(idioRun) >= mlcWB(ddio) {
+		t.Errorf("IDIO MLC WB %.0f must undercut both baselines (%.0f, %.0f)",
+			mlcWB(idioRun), mlcWB(ddio), mlcWB(dyn))
 	}
 }
 

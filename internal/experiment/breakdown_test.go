@@ -1,47 +1,44 @@
 package experiment
 
-import (
-	"testing"
-
-	"idio/internal/sim"
-)
+import "testing"
 
 func TestBreakdownStages(t *testing.T) {
-	opts := BreakdownOpts{
-		Geometry: quickGeometry, RateGbps: 25, Horizon: 9 * sim.Millisecond,
+	runs := quickRuns(t, "breakdown")
+	if len(runs) != 2 || runs[0].labels[0] != "DDIO" || runs[1].labels[0] != "IDIO" {
+		t.Fatalf("rows: %d", len(runs))
 	}
-	rows := Breakdown(opts)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	ddio, idio := runs[0].probe.(*stageSink), runs[1].probe.(*stageSink)
+	us := func(s *stageSink) (notify50, queue50, serv50, queue99, serv99, total99 float64) {
+		return s.notify.P50().Microseconds(), s.queue.P50().Microseconds(), s.serv.P50().Microseconds(),
+			s.queue.P99().Microseconds(), s.serv.P99().Microseconds(), s.total.P99().Microseconds()
 	}
-	ddio, idio := rows[0], rows[1]
-	if ddio.Policy != "DDIO" || idio.Policy != "IDIO" {
-		t.Fatalf("row order: %s, %s", ddio.Policy, idio.Policy)
-	}
+	dN, _, dS, dQ99, _, dT99 := us(ddio)
+	iN, _, iS, iQ99, _, iT99 := us(idio)
 	// The notification stage is policy-independent (descriptor
 	// coalescing happens on the NIC).
-	if diff := ddio.NotifyP50US - idio.NotifyP50US; diff > 0.5 || diff < -0.5 {
-		t.Errorf("notify p50 should match: %.2f vs %.2f", ddio.NotifyP50US, idio.NotifyP50US)
+	if diff := dN - iN; diff > 0.5 || diff < -0.5 {
+		t.Errorf("notify p50 should match: %.2f vs %.2f", dN, iN)
 	}
 	// IDIO's service time shrinks (MLC hits) ...
-	if idio.ServP50US >= ddio.ServP50US {
-		t.Errorf("IDIO service p50 %.2f !< DDIO %.2f", idio.ServP50US, ddio.ServP50US)
+	if iS >= dS {
+		t.Errorf("IDIO service p50 %.2f !< DDIO %.2f", iS, dS)
 	}
 	// ... and that collapses the queueing tail.
-	if idio.QueueP99US >= ddio.QueueP99US {
-		t.Errorf("IDIO queue p99 %.2f !< DDIO %.2f", idio.QueueP99US, ddio.QueueP99US)
+	if iQ99 >= dQ99 {
+		t.Errorf("IDIO queue p99 %.2f !< DDIO %.2f", iQ99, dQ99)
 	}
-	if idio.TotalP99US >= ddio.TotalP99US {
-		t.Errorf("IDIO total p99 %.2f !< DDIO %.2f", idio.TotalP99US, ddio.TotalP99US)
+	if iT99 >= dT99 {
+		t.Errorf("IDIO total p99 %.2f !< DDIO %.2f", iT99, dT99)
 	}
 	// Sanity: stages are positive and queueing dominates the total p99
 	// in the backlogged regime.
-	for _, r := range rows {
-		if r.ServP50US <= 0 || r.NotifyP50US <= 0 {
-			t.Errorf("%s: non-positive stage: %+v", r.Policy, r)
+	for _, r := range runs {
+		n, _, s, q99, _, t99 := us(r.probe.(*stageSink))
+		if s <= 0 || n <= 0 {
+			t.Errorf("%s: non-positive stage: notify %.2f, service %.2f", r.labels[0], n, s)
 		}
-		if r.QueueP99US > r.TotalP99US {
-			t.Errorf("%s: queue p99 exceeds total", r.Policy)
+		if q99 > t99 {
+			t.Errorf("%s: queue p99 exceeds total", r.labels[0])
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"idio"
-	idiocore "idio/internal/core"
 	"idio/internal/fault"
 	fnet "idio/internal/net"
 	"idio/internal/scenario"
@@ -15,112 +14,112 @@ import (
 	"idio/internal/traffic"
 )
 
-// ChaosRow is one phase of the chaos-and-recovery run for one policy:
-// the RPC workload's behaviour while a scheduled fault was (or was
-// not) active, measured at the clients. The final "recover" row
-// carries the time-to-recover: how long after the last fault cleared
-// the windowed p99 first returned within epsilon of the pre-fault
-// baseline.
-type ChaosRow struct {
-	Policy idiocore.Policy
-	// Phase labels the timeline segment: "pre", the active fault's
-	// layer/kind, "calm" between faults, or "recover".
-	Phase   string
-	StartMS float64
-	DurMS   float64
+// The chaos entry scripts four transient faults against a two-core
+// DUT under steady closed-loop load, with AQM, admission control and
+// client backoff all engaged, and reports, per policy, the RPC
+// workload's behaviour in every timeline segment plus the
+// time-to-recover: how long after the last fault cleared the windowed
+// p99 first returned within chaosEpsilon of the pre-fault baseline.
 
-	Responses   uint64
-	GoodputGbps float64
-	P99US       float64
-	P999US      float64
-	// Retries counts backoff retransmissions issued during the phase;
-	// Sheds counts load intentionally dropped by the AQM and the DUT
-	// admission watermark.
-	Retries uint64
-	Sheds   uint64
-	// TTRUS is set on the "recover" row only: microseconds from the
-	// last fault clearing to the end of the first recovered window
-	// (-1 elsewhere, and when recovery was never observed).
-	TTRUS float64
+// chaosTimeline leaves an unfaulted warmup before its first phase:
+// that span is the recovery baseline.
+var chaosTimeline = []fault.Phase{
+	{Layer: "fabric", Kind: "degrade", Start: sim.Time(1 * sim.Millisecond), Duration: 1 * sim.Millisecond, Magnitude: 0.02, Target: 0},
+	{Layer: "nic", Kind: "dma-stall", Start: sim.Time(3 * sim.Millisecond), Duration: 300 * sim.Microsecond, Target: 0},
+	{Layer: "dram", Kind: "spike", Start: sim.Time(4 * sim.Millisecond), Duration: 500 * sim.Microsecond, Magnitude: 2000},
+	{Layer: "core", Kind: "stall", Start: sim.Time(5 * sim.Millisecond), Duration: 300 * sim.Microsecond, Target: 0},
 }
 
-// ChaosOpts parameterises the chaos experiment.
-type ChaosOpts struct {
-	// Cores is the DUT core count (one echoing L2Fwd NF per core);
-	// Clients closed-loop RPC clients round-robin over them.
-	Cores   int
-	Clients int
-	// Link is the per-hop fabric link template; AQMTarget/AQMInterval
-	// within it enable CoDel-style shedding on every hop.
-	Link     fnet.LinkConfig
-	FrameLen int
-	// Requests is the per-client budget; Window the per-client
-	// closed-loop outstanding count.
-	Requests uint64
-	Window   int
-	// Timeout bounds the per-attempt response wait.
-	Timeout sim.Duration
-	// Retry is the clients' backoff discipline; client i is seeded
-	// Retry.Seed+i so retries do not phase-lock.
-	Retry fnet.RetryConfig
-	// AdmissionWatermark enables DUT load-shedding at this RX-ring
-	// occupancy (0 disables).
-	AdmissionWatermark int
-	// Timeline is the scripted fault schedule. It should leave an
-	// unfaulted warmup before the first phase: that span is the
-	// recovery baseline.
-	Timeline []fault.Phase
-	// RecoverWindow is the width of the post-fault measurement windows;
-	// recovery is declared at the first window whose p99 is within
-	// Epsilon (relative) of the pre-fault baseline p99, checking at
-	// most MaxRecoverWindows windows.
-	RecoverWindow     sim.Duration
-	MaxRecoverWindows int
-	Epsilon           float64
-	Horizon           sim.Duration
-	Geometry
-	// Parallelism bounds the worker pool (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-}
+// Recovery is declared at the first post-fault window of
+// chaosRecoverWindow whose p99 is within chaosEpsilon (relative) of the
+// pre-fault p99, checking at most chaosMaxWindows windows.
+const (
+	chaosRecoverWindow = 250 * sim.Microsecond
+	chaosMaxWindows    = 40
+	chaosEpsilon       = 0.5
+)
 
-// DefaultChaosOpts scripts three transient faults against a two-core
-// DUT under steady closed-loop load: a 4x bandwidth degradation of the
-// server downlink, a NIC DMA stall, and a DRAM latency spike, with
-// AQM, admission control, and client backoff all engaged.
-func DefaultChaosOpts() ChaosOpts {
-	return ChaosOpts{
-		Cores:   2,
-		Clients: 2,
-		Link: fnet.LinkConfig{
-			RateBps:     100e9,
-			Delay:       2 * sim.Microsecond,
-			AQMTarget:   20 * sim.Microsecond,
-			AQMInterval: 100 * sim.Microsecond,
-		},
-		FrameLen: 1514,
-		Requests: 20000,
-		Window:   32,
-		Timeout:  200 * sim.Microsecond,
-		Retry: fnet.RetryConfig{
-			MaxRetries: 3,
-			Backoff:    50 * sim.Microsecond,
-			MaxBackoff: 400 * sim.Microsecond,
-			JitterFrac: 0.25,
-			Seed:       42,
-		},
-		AdmissionWatermark: 48,
-		Timeline: []fault.Phase{
-			{Layer: "fabric", Kind: "degrade", Start: sim.Time(1 * sim.Millisecond), Duration: 1 * sim.Millisecond, Magnitude: 0.02, Target: 0},
-			{Layer: "nic", Kind: "dma-stall", Start: sim.Time(3 * sim.Millisecond), Duration: 300 * sim.Microsecond, Target: 0},
-			{Layer: "dram", Kind: "spike", Start: sim.Time(4 * sim.Millisecond), Duration: 500 * sim.Microsecond, Magnitude: 2000},
-			{Layer: "core", Kind: "stall", Start: sim.Time(5 * sim.Millisecond), Duration: 300 * sim.Microsecond, Target: 0},
-		},
-		RecoverWindow:     250 * sim.Microsecond,
-		MaxRecoverWindows: 40,
-		Epsilon:           0.5,
-		Horizon:           40 * sim.Millisecond,
-		Geometry:          Geometry{RingSize: 1024},
+// chaosCells run the timeline under DDIO and IDIO: two closed-loop
+// clients (window 32, per-client budget requests, 200 µs attempt
+// timeout, jittered exponential backoff seeded 42+i) on 100 GbE links
+// with CoDel-style AQM, and a DUT shedding at 48 ring entries.
+func chaosCells(g geometry, requests uint64, horizon sim.Duration) []*cell {
+	link := fnet.LinkConfig{
+		RateBps:     100e9,
+		Delay:       2 * sim.Microsecond,
+		AQMTarget:   20 * sim.Microsecond,
+		AQMInterval: 100 * sim.Microsecond,
 	}
+	var cells []*cell
+	for _, pol := range both {
+		d := echoCluster(pol, 2, g, 2, link)
+		d.Host.NIC.AdmissionWatermark = 48
+		d.Host.Faults = &fault.Config{Timeline: chaosTimeline}
+		armWatchdog(&d.Host)
+		// Every client records into the probe's one histogram, which
+		// each cut resets.
+		hist := stats.NewHistogram(5)
+		for i := 0; i < 2; i++ {
+			retry := fnet.RetryConfig{
+				MaxRetries: 3,
+				Backoff:    50 * sim.Microsecond,
+				MaxBackoff: 400 * sim.Microsecond,
+				JitterFrac: 0.25,
+				Seed:       42 + int64(i),
+			}
+			d.RPC = append(d.RPC, scenario.RPCClient{Core: i, ClientConfig: fnet.ClientConfig{
+				Mode:        fnet.ModeClosed,
+				Outstanding: 32,
+				Requests:    requests,
+				Timeout:     200 * sim.Microsecond,
+				Hist:        hist,
+				Retry:       &retry,
+				Flow:        traffic.Flow{FrameLen: 1514},
+			}})
+		}
+		d.Horizon, d.UntilIdle = horizon, true
+		cells = append(cells, &cell{labels: []string{pol.Name()}, desc: d, arm: func(r *scenario.Rig) any {
+			return armChaos(r.Cluster, hist)
+		}})
+	}
+	return cells
+}
+
+// chaosTable prints one row per timeline segment and the recover row.
+var chaosTable = table{
+	title: "Chaos: scripted fault timeline, per-phase behaviour and time-to-recover (DDIO vs IDIO)",
+	head:  []string{"policy"},
+	parts: func(r *run) []any { return r.probe.(*chaosProbe).phases() },
+	cols: []col{
+		{"phase", func(r *run) string { return r.part.(chaosPhase).label }},
+		phaseCol("startms", "%.2f", func(p chaosPhase) float64 { return float64(p.prev.at) / float64(sim.Millisecond) }),
+		phaseCol("durms", "%.2f", func(p chaosPhase) float64 { return float64(p.cur.at.Sub(p.prev.at)) / float64(sim.Millisecond) }),
+		phaseCol("resp", "%.0f", func(p chaosPhase) float64 { return float64(p.cur.resp - p.prev.resp) }),
+		phaseCol("goodputGbps", "%.2f", func(p chaosPhase) float64 {
+			if span := p.cur.at.Sub(p.prev.at); span > 0 {
+				return float64(p.cur.rxBytes-p.prev.rxBytes) * 8 * float64(sim.Second) / float64(span) / 1e9
+			}
+			return 0
+		}),
+		phaseCol("p99us", "%.2f", func(p chaosPhase) float64 { return p.cur.p99.Microseconds() }),
+		phaseCol("p999us", "%.2f", func(p chaosPhase) float64 { return p.cur.p999.Microseconds() }),
+		phaseCol("retries", "%.0f", func(p chaosPhase) float64 { return float64(p.cur.retries - p.prev.retries) }),
+		phaseCol("sheds", "%.0f", func(p chaosPhase) float64 { return float64(p.cur.sheds - p.prev.sheds) }),
+		{"ttrus", func(r *run) string {
+			switch p := r.part.(chaosPhase); {
+			case p.label != "recover":
+				return "-"
+			case p.ttrUS >= 0:
+				return fmt.Sprintf("%.1f", p.ttrUS)
+			default:
+				return "inf"
+			}
+		}},
+	},
+}
+
+func phaseCol(head, format string, m func(chaosPhase) float64) col {
+	return num(head, format, func(r *run) float64 { return m(r.part.(chaosPhase)) })
 }
 
 // chaosSegment is one statically-known timeline span.
@@ -182,6 +181,60 @@ type chaosSnap struct {
 type chaosProbe struct {
 	cl   *idio.Cluster
 	hist *stats.Histogram
+	segs []chaosSegment
+	// cuts end the timeline segments; windows are the recovery
+	// windows after the last fault, the last of them the recovered one
+	// when recoveredAt >= 0.
+	cuts, windows []chaosSnap
+	faultEnd      sim.Time
+	recoveredAt   sim.Time
+}
+
+// chaosPhase is one row: the span from prev to cur. ttrUS is the
+// recover row's time-to-recover, -1 elsewhere or when recovery was
+// never observed.
+type chaosPhase struct {
+	label     string
+	prev, cur chaosSnap
+	ttrUS     float64
+}
+
+// armChaos schedules the probe's cuts on cl: one at the end of every
+// timeline segment, then, from the last fault clearing, one every
+// chaosRecoverWindow until the windowed p99 returns within
+// chaosEpsilon of the pre-fault baseline (cuts[0], the "pre" segment).
+func armChaos(cl *idio.Cluster, hist *stats.Histogram) *chaosProbe {
+	pr := &chaosProbe{cl: cl, hist: hist, segs: chaosSegments(chaosTimeline), recoveredAt: -1}
+	for _, seg := range pr.segs {
+		cl.Sim.AtNamed(seg.end, "chaos-cut", func(sm *sim.Simulator) {
+			pr.cuts = append(pr.cuts, pr.snap(sm.Now()))
+			pr.hist.Reset()
+		})
+	}
+	pr.faultEnd = pr.segs[len(pr.segs)-1].end
+	var recoverEv func(sm *sim.Simulator)
+	recoverEv = func(sm *sim.Simulator) {
+		w := pr.snap(sm.Now())
+		pr.windows = append(pr.windows, w)
+		pr.hist.Reset()
+		base := pr.cuts[0].p99
+		limit := base + sim.Duration(float64(base)*chaosEpsilon)
+		if w.count > 0 && base > 0 && w.p99 <= limit {
+			pr.recoveredAt = sm.Now()
+			return
+		}
+		if len(pr.windows) >= chaosMaxWindows {
+			return
+		}
+		for _, c := range cl.Clients {
+			if c.Done() {
+				return
+			}
+		}
+		sm.After(chaosRecoverWindow, recoverEv)
+	}
+	cl.Sim.AtNamed(pr.faultEnd.Add(chaosRecoverWindow), "chaos-recover", recoverEv)
+	return pr
 }
 
 func (pr *chaosProbe) snap(at sim.Time) chaosSnap {
@@ -212,180 +265,25 @@ func (pr *chaosProbe) snap(at sim.Time) chaosSnap {
 	return s
 }
 
-// cut snapshots the current span and starts the next one.
-func (pr *chaosProbe) cut(at sim.Time, out *[]chaosSnap) {
-	*out = append(*out, pr.snap(at))
-	pr.hist.Reset()
-}
-
-// row derives the phase row spanning prev → cur.
-func chaosRowFrom(pol idiocore.Policy, label string, prev, cur chaosSnap) ChaosRow {
-	row := ChaosRow{
-		Policy:    pol,
-		Phase:     label,
-		StartMS:   float64(prev.at) / float64(sim.Millisecond),
-		DurMS:     float64(cur.at.Sub(sim.Time(prev.at))) / float64(sim.Millisecond),
-		Responses: cur.resp - prev.resp,
-		Retries:   cur.retries - prev.retries,
-		Sheds:     cur.sheds - prev.sheds,
-		P99US:     cur.p99.Microseconds(),
-		P999US:    cur.p999.Microseconds(),
-		TTRUS:     -1,
-	}
-	if span := cur.at.Sub(prev.at); span > 0 {
-		row.GoodputGbps = float64(cur.rxBytes-prev.rxBytes) * 8 * float64(sim.Second) / float64(span) / 1e9
-	}
-	return row
-}
-
-// runChaosCell runs the scripted timeline against one policy and
-// reports one row per timeline segment plus the recovery row.
-func runChaosCell(opts ChaosOpts, pol idiocore.Policy) []ChaosRow {
-	d := echoCluster(pol, opts.Cores, opts.Geometry, opts.Clients, opts.Link)
-	d.Host.NIC.AdmissionWatermark = opts.AdmissionWatermark
-	d.Host.Faults = &fault.Config{Timeline: opts.Timeline}
-	armWatchdog(&d.Host)
-	// Every client records into the probe's one histogram, which each
-	// cut resets.
-	hist := stats.NewHistogram(5)
-	for i := 0; i < opts.Clients; i++ {
-		retry := opts.Retry
-		retry.Seed += int64(i)
-		d.RPC = append(d.RPC, scenario.RPCClient{Core: i % opts.Cores, ClientConfig: fnet.ClientConfig{
-			Mode:        fnet.ModeClosed,
-			Outstanding: opts.Window,
-			Requests:    opts.Requests,
-			Timeout:     opts.Timeout,
-			Hist:        hist,
-			Retry:       &retry,
-			Flow:        traffic.Flow{FrameLen: opts.FrameLen},
-		}})
-	}
-	d.Horizon, d.UntilIdle = opts.Horizon, true
-	r := build(d)
-	cl := r.Cluster
-	probe := &chaosProbe{cl: cl, hist: hist}
-
-	// Phase-boundary cuts end each timeline segment; the series of
-	// snapshots turns into per-phase rows after the run.
-	segs := chaosSegments(opts.Timeline)
-	var cuts []chaosSnap
-	for _, seg := range segs {
-		end := seg.end
-		cl.Sim.AtNamed(end, "chaos-cut", func(sm *sim.Simulator) {
-			probe.cut(sm.Now(), &cuts)
-		})
-	}
-
-	// Recovery windows: after the last fault clears, keep cutting every
-	// RecoverWindow until the windowed p99 returns within epsilon of
-	// the pre-fault baseline (cuts[0], the "pre" segment).
-	faultEnd := segs[len(segs)-1].end
-	var windows []chaosSnap
-	recoveredAt := sim.Time(-1)
-	var recoverEv func(sm *sim.Simulator)
-	recoverEv = func(sm *sim.Simulator) {
-		w := probe.snap(sm.Now())
-		windows = append(windows, w)
-		probe.hist.Reset()
-		base := cuts[0].p99
-		limit := base + sim.Duration(float64(base)*opts.Epsilon)
-		if w.count > 0 && base > 0 && w.p99 <= limit {
-			recoveredAt = sm.Now()
-			return
-		}
-		if len(windows) >= opts.MaxRecoverWindows {
-			return
-		}
-		for _, c := range cl.Clients {
-			if c.Done() {
-				return
-			}
-		}
-		sm.After(opts.RecoverWindow, recoverEv)
-	}
-	cl.Sim.AtNamed(faultEnd.Add(opts.RecoverWindow), "chaos-recover", recoverEv)
-
-	// Mirror the recovery verdict into the obs registry so metric CSV /
-	// JSON outputs of chaos runs carry it alongside the shed and retry
-	// counters the components register themselves.
-	reg := cl.DUT.Observe().Registry()
-	reg.GaugeFunc("chaos.ttr_us", func() float64 {
-		if recoveredAt < 0 {
-			return -1
-		}
-		return sim.Duration(recoveredAt.Sub(faultEnd)).Microseconds()
-	})
-	reg.GaugeFunc("chaos.timeline_segments", func() float64 { return float64(len(segs)) })
-
-	r.Run()
-
-	rows := make([]ChaosRow, 0, len(segs)+1)
+// phases are the finished run's rows: one per cut segment, then the
+// recover row, spanning from the last fault clearing to the last
+// recovery window (the recovered one, or the last observed).
+func (pr *chaosProbe) phases() []any {
+	var rows []any
 	prev := chaosSnap{}
-	for i, seg := range segs {
-		if i >= len(cuts) {
+	for i, seg := range pr.segs {
+		if i >= len(pr.cuts) {
 			break
 		}
-		rows = append(rows, chaosRowFrom(pol, seg.label, prev, cuts[i]))
-		prev = cuts[i]
+		rows = append(rows, chaosPhase{seg.label, prev, pr.cuts[i], -1})
+		prev = pr.cuts[i]
 	}
-	// The recover row spans from the last fault clearing to the first
-	// recovered window (percentiles are that window's); TTR is its
-	// duration. Unrecovered runs report the full observed span, TTR -1.
-	if len(windows) > 0 {
-		last := windows[len(windows)-1]
-		row := chaosRowFrom(pol, "recover", prev, last)
-		row.P99US = last.p99.Microseconds()
-		row.P999US = last.p999.Microseconds()
-		if recoveredAt >= 0 {
-			row.TTRUS = sim.Duration(recoveredAt.Sub(faultEnd)).Microseconds()
+	if len(pr.windows) > 0 {
+		row := chaosPhase{"recover", prev, pr.windows[len(pr.windows)-1], -1}
+		if pr.recoveredAt >= 0 {
+			row.ttrUS = sim.Duration(pr.recoveredAt.Sub(pr.faultEnd)).Microseconds()
 		}
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// Chaos runs the scripted fault timeline for DDIO and IDIO, each an
-// independent cluster, fanned out over the worker pool. Row order is
-// fixed (policy-major, timeline order) regardless of parallelism.
-func Chaos(opts ChaosOpts) []ChaosRow {
-	policies := []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyIDIO}
-	per := RunCells(opts.Parallelism, policies, func(pol idiocore.Policy) []ChaosRow {
-		return runChaosCell(opts, pol)
-	})
-	var rows []ChaosRow
-	for _, rs := range per {
-		rows = append(rows, rs...)
-	}
-	return rows
-}
-
-// ChaosHeader describes the table columns.
-func ChaosHeader() []string {
-	return []string{"policy", "phase", "startms", "durms", "resp", "goodputGbps", "p99us", "p999us", "retries", "sheds", "ttrus"}
-}
-
-// Row renders one phase row.
-func (r ChaosRow) Row() []string {
-	ttr := "-"
-	if r.Phase == "recover" {
-		if r.TTRUS >= 0 {
-			ttr = fmt.Sprintf("%.1f", r.TTRUS)
-		} else {
-			ttr = "inf"
-		}
-	}
-	return []string{
-		r.Policy.Name(),
-		r.Phase,
-		fmt.Sprintf("%.2f", r.StartMS),
-		fmt.Sprintf("%.2f", r.DurMS),
-		fmt.Sprintf("%d", r.Responses),
-		fmt.Sprintf("%.2f", r.GoodputGbps),
-		fmt.Sprintf("%.2f", r.P99US),
-		fmt.Sprintf("%.2f", r.P999US),
-		fmt.Sprintf("%d", r.Retries),
-		fmt.Sprintf("%d", r.Sheds),
-		ttr,
-	}
 }

@@ -1,70 +1,50 @@
 package experiment
 
 import (
-	"bytes"
 	"testing"
 
 	"idio/internal/sim"
 )
-
-// quickChaosOpts shrinks the chaos run to CI size while keeping every
-// mechanism engaged: all four fault layers, AQM, admission control,
-// and retrying clients.
-func quickChaosOpts() ChaosOpts {
-	opts := DefaultChaosOpts()
-	opts.RingSize = quickRing
-	opts.MLCSize = quickMLC
-	opts.LLCSize = quickLLC
-	opts.Requests = 10000
-	opts.Horizon = 25 * sim.Millisecond
-	return opts
-}
-
-// renderChaos runs the timeline at the given parallelism and renders
-// the table exactly as idiosim prints it.
-func renderChaos(t *testing.T, parallelism int) []byte {
-	t.Helper()
-	opts := quickChaosOpts()
-	opts.Parallelism = parallelism
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, "chaos", ChaosHeader(), Rows(Chaos(opts))); err != nil {
-		t.Fatalf("WriteTable: %v", err)
-	}
-	return buf.Bytes()
-}
 
 // TestChaosRun checks the experiment's shape and the headline claims:
 // one row per timeline segment plus a recovery row per policy, fault
 // phases that visibly perturb (retries fire), graceful degradation
 // (sheds counted, nothing aborted), and a finite time-to-recover.
 func TestChaosRun(t *testing.T) {
-	opts := quickChaosOpts()
-	rows := Chaos(opts)
-	segs := chaosSegments(opts.Timeline)
-	if want := 2 * (len(segs) + 1); len(rows) != want {
-		t.Fatalf("%d rows, want %d (2 policies x %d segments + recover)", len(rows), want, len(segs))
+	runs := quickRuns(t, "chaos")
+	segs := chaosSegments(chaosTimeline)
+	if len(runs) != 2 {
+		t.Fatalf("%d runs, want one per policy", len(runs))
 	}
-	perPolicy := map[string][]ChaosRow{}
-	for _, r := range rows {
-		perPolicy[r.Policy.Name()] = append(perPolicy[r.Policy.Name()], r)
-	}
-	for pol, rs := range perPolicy {
-		if rs[0].Phase != "pre" {
-			t.Errorf("%s: first row is %q, want pre", pol, rs[0].Phase)
+	for _, r := range runs {
+		pol := r.labels[0]
+		if r.res.Aborted != nil {
+			t.Errorf("%s aborted: %v", pol, r.res.Aborted)
+		}
+		parts := chaosTable.parts(r)
+		if len(parts) != len(segs)+1 {
+			t.Fatalf("%s: %d rows, want %d segments + recover", pol, len(parts), len(segs))
+		}
+		rs := make([]chaosPhase, len(parts))
+		for i, p := range parts {
+			rs[i] = p.(chaosPhase)
+		}
+		if rs[0].label != "pre" {
+			t.Errorf("%s: first row is %q, want pre", pol, rs[0].label)
 		}
 		last := rs[len(rs)-1]
-		if last.Phase != "recover" {
-			t.Errorf("%s: last row is %q, want recover", pol, last.Phase)
+		if last.label != "recover" {
+			t.Errorf("%s: last row is %q, want recover", pol, last.label)
 		}
-		if last.TTRUS < 0 {
-			t.Errorf("%s: never recovered (TTR %v) after transient faults", pol, last.TTRUS)
+		if last.ttrUS < 0 {
+			t.Errorf("%s: never recovered (TTR %v) after transient faults", pol, last.ttrUS)
 		}
 		var retries, sheds uint64
-		for _, r := range rs {
-			retries += r.Retries
-			sheds += r.Sheds
-			if r.Phase != "recover" && r.TTRUS != -1 {
-				t.Errorf("%s %s: TTR %v set outside the recover row", pol, r.Phase, r.TTRUS)
+		for _, p := range rs {
+			retries += p.cur.retries - p.prev.retries
+			sheds += p.cur.sheds - p.prev.sheds
+			if p.label != "recover" && p.ttrUS != -1 {
+				t.Errorf("%s %s: TTR %v set outside the recover row", pol, p.label, p.ttrUS)
 			}
 		}
 		if retries == 0 {
@@ -75,8 +55,8 @@ func TestChaosRun(t *testing.T) {
 		}
 		// The pre-fault baseline must be calm: no retries before the
 		// first phase.
-		if rs[0].Retries != 0 {
-			t.Errorf("%s: %d retries in the pre-fault baseline", pol, rs[0].Retries)
+		if rs[0].cur.retries != 0 {
+			t.Errorf("%s: %d retries in the pre-fault baseline", pol, rs[0].cur.retries)
 		}
 	}
 }
@@ -84,20 +64,13 @@ func TestChaosRun(t *testing.T) {
 // TestChaosParallelismInvariance: the rendered chaos table is
 // byte-identical whether the two policy cells run serially or fanned
 // out — the -j1 vs -j8 determinism gate.
-func TestChaosParallelismInvariance(t *testing.T) {
-	serial := renderChaos(t, 1)
-	fanned := renderChaos(t, 8)
-	if !bytes.Equal(serial, fanned) {
-		t.Fatalf("-j1 and -j8 chaos tables differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, fanned)
-	}
-}
+func TestChaosParallelismInvariance(t *testing.T) { checkParallelism(t, "chaos") }
 
 // TestChaosSegmentLabels pins the segment-slicing logic: boundaries at
 // every phase edge, "pre" before the first fault, "calm" gaps, and
 // overlapping phases joined with "+".
 func TestChaosSegmentLabels(t *testing.T) {
-	tl := DefaultChaosOpts().Timeline
-	segs := chaosSegments(tl)
+	segs := chaosSegments(chaosTimeline)
 	labels := make([]string, len(segs))
 	for i, s := range segs {
 		labels[i] = s.label

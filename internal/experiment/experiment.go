@@ -1,13 +1,17 @@
 // Package experiment regenerates every quantitative figure of the
-// paper's analysis (Fig. 4, 5) and evaluation (Fig. 9-14). Each FigN
-// function describes the runs the paper describes (scenario.Desc),
-// builds and runs them with scenario.Build, and returns structured
-// rows/series mirroring what the figure reports; render.go formats
-// them as ASCII tables and CSV for inspection.
+// paper's analysis (Fig. 4, 5) and evaluation (Fig. 9-14), plus the
+// ablations, baselines and fabric studies around them.
 //
-// The experiments are parameterised by an options struct whose
-// Default* constructor reproduces the paper's setup; tests shrink the
-// parameters to keep runtimes small without changing the physics.
+// Each catalogue entry is a Sweep: data, not code. A sweep lists its
+// cells, each a set of table labels and a complete scenario.Desc built
+// from gem5NFs or echoCluster and edited per axis value, with the
+// full-scale and -quick values side by side. A cell may name a
+// reference cell (the DDIO baseline normalized columns divide by) and
+// an arm hook that schedules probes on the built rig. The sweep's
+// columns project each finished run, alone or against its reference,
+// into table cells; a few entries print summary lines instead. One
+// engine builds, arms and runs every cell of every selected entry in
+// one worker pool, and renders the text and CSV side files.
 package experiment
 
 import (
@@ -20,38 +24,47 @@ import (
 	"idio/internal/traffic"
 )
 
-// Geometry scales the DUT for reduced-size runs: ring entries and
+// geometry scales the DUT for reduced-size runs: ring entries and
 // cache bytes, 0 keeping the gem5-scale default. Scaled-down runs
 // shrink MLC and LLC together with the ring so capacity ratios (ring
 // footprint vs. MLC, DDIO ways vs. burst) match the full-size run.
-type Geometry struct {
-	RingSize int
-	MLCSize  int
-	LLCSize  int
+type geometry struct{ ring, mlc, llc int }
+
+// The -quick geometry: 256-entry rings with the caches scaled 4x down.
+// Every entry's -quick cells and Verify's reduced-scale claims use it.
+const (
+	quickRing = 256
+	quickMLC  = 256 << 10
+	quickLLC  = 768 << 10
+)
+
+var (
+	fullGeometry  = geometry{ring: 1024}
+	quickGeometry = geometry{quickRing, quickMLC, quickLLC}
+)
+
+// apply sets g's non-zero sizes on cfg.
+func (g geometry) apply(cfg *idio.Config) {
+	if g.ring > 0 {
+		cfg.NIC.RingSize = g.ring
+	}
+	if g.mlc > 0 {
+		cfg.Hier.MLCSize = g.mlc
+	}
+	if g.llc > 0 {
+		cfg.Hier.LLCSize = g.llc
+	}
 }
 
 // gem5Host is the DUT every experiment starts from: the Table I host
 // with cores cores under pol, the LLC scaled to the gem5 setup's 3 MB
 // (Sec. III / Fig. 5), and g applied.
-func gem5Host(pol idiocore.Policy, cores int, g Geometry) idio.Config {
+func gem5Host(pol idiocore.Policy, cores int, g geometry) idio.Config {
 	cfg := idio.DefaultConfig(cores)
 	cfg.Policy = pol
 	cfg.Hier.LLCSize = 3 << 20
 	g.apply(&cfg)
 	return cfg
-}
-
-// apply sets g's non-zero sizes on cfg.
-func (g Geometry) apply(cfg *idio.Config) {
-	if g.RingSize > 0 {
-		cfg.NIC.RingSize = g.RingSize
-	}
-	if g.MLCSize > 0 {
-		cfg.Hier.MLCSize = g.MLCSize
-	}
-	if g.LLCSize > 0 {
-		cfg.Hier.LLCSize = g.LLCSize
-	}
 }
 
 // link100G is the 100 GbE, 2 µs fabric link of idio.DefaultClusterConfig.
@@ -61,7 +74,7 @@ var link100G = idio.DefaultClusterConfig(1, 1).ClientLink
 // switch with clients client slots on link (client and server side
 // alike), an L2Fwd NF echoing requests on every core. It has no
 // clients yet.
-func echoCluster(pol idiocore.Policy, cores int, g Geometry, clients int, link fnet.LinkConfig) scenario.Desc {
+func echoCluster(pol idiocore.Policy, cores int, g geometry, clients int, link fnet.LinkConfig) scenario.Desc {
 	d := scenario.Desc{
 		Host:   gem5Host(pol, cores, g),
 		Fabric: &scenario.Fabric{Clients: clients, ClientLink: link, ServerLink: link},
@@ -76,7 +89,7 @@ func echoCluster(pol idiocore.Policy, cores int, g Geometry, clients int, link f
 // 1514-byte frames, plus, with antagonist, the LLC antagonist on a
 // third core with a 256 KB MLC and a 2 MB buffer. It has no traffic
 // yet (see burst and steady).
-func gem5NFs(pol idiocore.Policy, g Geometry, antagonist bool) scenario.Desc {
+func gem5NFs(pol idiocore.Policy, g geometry, antagonist bool) scenario.Desc {
 	cores := 2
 	if antagonist {
 		cores++
@@ -104,6 +117,15 @@ func burst(d *scenario.Desc, gbps float64, n int) {
 	}
 }
 
+// oneBurst is the Fig. 9 run of d: one burst at gbps, run until idle
+// within 9 ms. Figs. 10-12 and 14, the ablations, the baselines, the
+// breakdown and the host degradation cells all run it.
+func oneBurst(d scenario.Desc, gbps float64) scenario.Desc {
+	burst(&d, gbps, 1)
+	d.Horizon, d.UntilIdle = 9*sim.Millisecond, true
+	return d
+}
+
 // steady gives every NF count packets at a steady gbps.
 func steady(d *scenario.Desc, gbps float64, count uint64) {
 	for i := range d.NFs {
@@ -116,16 +138,6 @@ func steady(d *scenario.Desc, gbps float64, count uint64) {
 func armWatchdog(cfg *idio.Config) {
 	wd := sim.DefaultWatchdogConfig()
 	cfg.Watchdog = &wd
-}
-
-// build wires d; a description an experiment wrote is a program bug
-// if it does not build.
-func build(d scenario.Desc) *scenario.Rig {
-	r, err := scenario.Build(d)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Series is a named timeline in the units the paper plots (MTPS per
@@ -141,6 +153,16 @@ func seriesOf(name string, tl *stats.Timeline) Series {
 		return Series{Name: name}
 	}
 	return Series{Name: name, Points: tl.Series()}
+}
+
+// timelines are a run's MLC and LLC writeback timelines, plus, with
+// dma, its DMA request rate.
+func timelines(r *run, dma bool) []Series {
+	s := []Series{seriesOf("mlcWB", r.res.MLCWBTL), seriesOf("llcWB", r.res.LLCWBTL)}
+	if dma {
+		s = append(s, seriesOf("dma", r.res.DMATL))
+	}
+	return s
 }
 
 // ratio returns a/b guarding against a zero baseline.

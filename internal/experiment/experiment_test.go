@@ -2,220 +2,252 @@ package experiment
 
 import (
 	"bytes"
-	"strconv"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	idiocore "idio/internal/core"
-	"idio/internal/sim"
 	"idio/internal/stats"
 )
 
-// Small-scale variants of each figure keep test runtime low while
-// preserving the physics (capacity ratios are scaled together).
+// The tests read the catalogue's -quick cells by label. Each entry
+// runs once per test binary (quickRuns); tests that compare
+// parallelism levels run it again.
+
+var quickCache sync.Map // entry name -> func() []*run
+
+// quickRuns returns the runs of the named entry's -quick cells, in
+// cell order.
+func quickRuns(t *testing.T, name string) []*run {
+	t.Helper()
+	s, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no catalogue entry %q", name)
+	}
+	f, _ := quickCache.LoadOrStore(name, sync.OnceValue(func() []*run {
+		cells, err := s.cells(Env{Quick: true})
+		if err != nil {
+			panic(err)
+		}
+		return execute(0, cells)
+	}))
+	return f.(func() []*run)()
+}
+
+// quickRun returns the named entry's -quick run with the given labels.
+func quickRun(t *testing.T, name string, labels ...string) *run {
+	t.Helper()
+	r := labelled(quickRuns(t, name))[strings.Join(labels, " ")]
+	if r == nil {
+		t.Fatalf("%s has no cell %q", name, labels)
+	}
+	return r
+}
+
+// rendered is the entry's text for runs followed by its CSV side
+// files, as idiosim writes them.
+func rendered(t *testing.T, name string, runs []*run) []byte {
+	t.Helper()
+	s, _ := Lookup(name)
+	var buf bytes.Buffer
+	files, err := s.render(&buf, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		fmt.Fprintf(&buf, "-- %s --\n", f.Name)
+		if err := WriteSeriesCSV(&buf, f.Series...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// checkParallelism renders the named entry's -quick cells run at
+// parallelism 1 and 8 and fails unless both match the cached runs'
+// rendering byte for byte.
+func checkParallelism(t *testing.T, name string) {
+	t.Helper()
+	s, _ := Lookup(name)
+	want := rendered(t, name, quickRuns(t, name))
+	for _, par := range []int{1, 8} {
+		cells, err := s.cells(Env{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rendered(t, name, execute(par, cells)); !bytes.Equal(got, want) {
+			t.Fatalf("%s at parallelism %d differs:\n--- got ---\n%s\n--- want ---\n%s", name, par, got, want)
+		}
+	}
+}
 
 func TestFig9SmallShapes(t *testing.T) {
-	opts := Fig9Opts{
-		Geometry: quickGeometry,
-		Rates:    []float64{100, 25},
-		Policies: []idiocore.Policy{idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyIDIO},
-		Horizon:  9 * sim.Millisecond,
+	runs := quickRuns(t, "fig9")
+	if len(runs) != 10 {
+		t.Fatalf("cells = %d", len(runs))
 	}
-	cells := Fig9(opts)
-	if len(cells) != 6 {
-		t.Fatalf("cells = %d", len(cells))
-	}
-	byKey := map[string]Fig9Cell{}
-	for _, c := range cells {
-		byKey[c.Policy.Name()+"@"+itoa(int(c.RateGbps))] = c
-		if c.Summary.Processed == 0 {
-			t.Fatalf("%s@%v processed nothing", c.Policy.Name(), c.RateGbps)
+	for _, r := range runs {
+		if processed(r) == 0 {
+			t.Fatalf("%v processed nothing", r.labels)
 		}
-		if c.Summary.Drops != 0 {
-			t.Fatalf("burst sized to ring must not drop: %s@%v dropped %d",
-				c.Policy.Name(), c.RateGbps, c.Summary.Drops)
+		if rxDrops(r) != 0 {
+			t.Fatalf("burst sized to ring must not drop: %v dropped %.0f", r.labels, rxDrops(r))
 		}
 	}
 	// Headline claims at each rate: IDIO reduces MLC and LLC
 	// writebacks relative to DDIO.
-	for _, rate := range []int{100, 25} {
-		ddio := byKey["DDIO@"+itoa(rate)].Summary
-		idio := byKey["IDIO@"+itoa(rate)].Summary
-		if idio.MLCWB >= ddio.MLCWB {
-			t.Errorf("@%dG: IDIO MLC WB %d !< DDIO %d", rate, idio.MLCWB, ddio.MLCWB)
+	for _, rate := range []string{"100G", "25G"} {
+		ddio := quickRun(t, "fig9", rate, "DDIO")
+		idio := quickRun(t, "fig9", rate, "IDIO")
+		if mlcWB(idio) >= mlcWB(ddio) {
+			t.Errorf("@%s: IDIO MLC WB %.0f !< DDIO %.0f", rate, mlcWB(idio), mlcWB(ddio))
 		}
-		if idio.LLCWB >= ddio.LLCWB {
-			t.Errorf("@%dG: IDIO LLC WB %d !< DDIO %d", rate, idio.LLCWB, ddio.LLCWB)
+		if llcWB(idio) >= llcWB(ddio) {
+			t.Errorf("@%s: IDIO LLC WB %.0f !< DDIO %.0f", rate, llcWB(idio), llcWB(ddio))
 		}
-		if idio.ExeTimeUS > ddio.ExeTimeUS {
-			t.Errorf("@%dG: IDIO exe %v > DDIO %v", rate, idio.ExeTimeUS, ddio.ExeTimeUS)
+		if exeUS(idio) > exeUS(ddio) {
+			t.Errorf("@%s: IDIO exe %v > DDIO %v", rate, exeUS(idio), exeUS(ddio))
 		}
 		// Invalidate alone eliminates (almost all) MLC writebacks but
 		// not the DMA-phase LLC leaks at 100G (Fig. 9c).
-		inv := byKey["Invalidate@"+itoa(rate)].Summary
-		if inv.MLCWB*10 > ddio.MLCWB {
-			t.Errorf("@%dG: Invalidate MLC WB %d not <<%d", rate, inv.MLCWB, ddio.MLCWB)
+		if inv := quickRun(t, "fig9", rate, "Invalidate"); mlcWB(inv)*10 > mlcWB(ddio) {
+			t.Errorf("@%s: Invalidate MLC WB %.0f not <<%.0f", rate, mlcWB(inv), mlcWB(ddio))
 		}
 	}
 	// Timelines recorded.
-	if byKey["DDIO@100"].MLCWB.Points == nil {
+	if timelines(quickRun(t, "fig9", "100G", "DDIO"), true)[0].Points == nil {
 		t.Error("timeline series missing")
 	}
 }
 
 func TestFig10SmallNormalization(t *testing.T) {
-	opts := Fig10Opts{Geometry: quickGeometry, Rates: []float64{25}, Horizon: 9 * sim.Millisecond, CoRun: false}
-	rows := Fig10(opts)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if n := len(quickRuns(t, "fig10")); n != 9 {
+		t.Fatalf("rows = %d, want Static, IDIO and IDIO+Antagonist at 3 rates", n)
 	}
-	for _, r := range rows {
-		if r.NormMLCWB > 1 {
-			t.Errorf("%s: normalized MLC WB %.2f > 1", r.Config, r.NormMLCWB)
+	for _, config := range []string{"Static", "IDIO"} {
+		r := quickRun(t, "fig10", "25G", config)
+		if r.ref == nil || r.ref.desc.Host.Policy != idiocore.PolicyDDIO || r.ref.rig.Antagonist != nil {
+			t.Fatalf("%s: reference is not the solo DDIO run", config)
 		}
-		if r.NormExeTime > 1.001 {
-			t.Errorf("%s: normalized exe %.2f > 1", r.Config, r.NormExeTime)
+		if v := norm(mlcWB)(r); v > 1 {
+			t.Errorf("%s: normalized MLC WB %.2f > 1", config, v)
 		}
+		if v := norm(exeUS)(r); v > 1.001 {
+			t.Errorf("%s: normalized exe %.2f > 1", config, v)
+		}
+	}
+	if co := quickRun(t, "fig10", "25G", "IDIO+Antagonist"); co.ref.rig.Antagonist == nil || antCPI(co.ref) <= 0 || antCPI(co) <= 0 {
+		t.Error("the co-run row must compare two antagonist runs")
 	}
 }
 
 func TestFig11SmallShapes(t *testing.T) {
-	opts := Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: 9 * sim.Millisecond}
-	res := Fig11(opts)
+	ddio, idio := quickRun(t, "fig11", "DDIO"), quickRun(t, "fig11", "IDIO")
 	// Shallow NF: DDIO leaves the payload in LLC; IDIO cuts LLC WBs.
-	if res.IDIO.Summary.LLCWB >= res.DDIO.Summary.LLCWB && res.DDIO.Summary.LLCWB > 0 {
-		t.Errorf("IDIO LLC WB %d !< DDIO %d", res.IDIO.Summary.LLCWB, res.DDIO.Summary.LLCWB)
+	if llcWB(idio) >= llcWB(ddio) && llcWB(ddio) > 0 {
+		t.Errorf("IDIO LLC WB %.0f !< DDIO %.0f", llcWB(idio), llcWB(ddio))
 	}
-	if res.DDIO.Summary.Processed == 0 || res.IDIO.Summary.Processed == 0 {
+	if processed(ddio) == 0 || processed(idio) == 0 {
 		t.Fatal("L2Fwd processed nothing")
 	}
 	// Direct-DRAM variant: payload goes to DRAM, so DRAM write
 	// bandwidth approaches RX bandwidth (headers still go on-chip).
-	dd := res.DirectDRAM
-	if dd.Summary.Processed == 0 {
+	dd := quickRun(t, "fig11", "direct-DRAM")
+	if processed(dd) == 0 {
 		t.Fatal("direct-DRAM variant processed nothing")
 	}
-	if dd.DRAMWriteGbps < dd.RxGbps*0.7 {
-		t.Errorf("direct-DRAM write BW %.2f not ~ RX %.2f", dd.DRAMWriteGbps, dd.RxGbps)
+	if dramWrGbps(dd) < rxGbps(dd)*0.7 {
+		t.Errorf("direct-DRAM write BW %.2f not ~ RX %.2f", dramWrGbps(dd), rxGbps(dd))
 	}
-	if dd.Summary.DRAMWrites == 0 {
+	if dramWr(dd) == 0 {
 		t.Error("class-1 payload must be written to DRAM")
 	}
 }
 
 func TestFig12SmallShapes(t *testing.T) {
-	opts := Fig12Opts{RingSize: quickRing, Rates: []float64{25}, Horizon: 9 * sim.Millisecond}
-	rows := Fig12(opts)
-	// 1 rate x (solo DDIO ref, solo IDIO, corun DDIO, corun IDIO).
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	// 3 rates x (solo DDIO ref, solo IDIO, corun DDIO, corun IDIO).
+	if n := len(quickRuns(t, "fig12")); n != 12 {
+		t.Fatalf("rows = %d", n)
 	}
-	var soloDDIO, soloIDIO Fig12Row
-	for _, r := range rows {
-		if !r.CoRun && r.Policy == "DDIO" {
-			soloDDIO = r
-		}
-		if !r.CoRun && r.Policy == "IDIO" {
-			soloIDIO = r
-		}
+	soloDDIO := quickRun(t, "fig12", "25G", "DDIO", "false")
+	if soloDDIO.ref != soloDDIO || norm(p99US)(soloDDIO) != 1 {
+		t.Fatalf("reference row p99 = %v", norm(p99US)(soloDDIO))
 	}
-	if soloDDIO.NormP99 != 1 {
-		t.Fatalf("reference row p99 = %v", soloDDIO.NormP99)
-	}
-	if soloIDIO.NormP99 >= 1 {
-		t.Errorf("IDIO p99 %.3f !< 1", soloIDIO.NormP99)
+	if v := norm(p99US)(quickRun(t, "fig12", "25G", "IDIO", "false")); v >= 1 {
+		t.Errorf("IDIO p99 %.3f !< 1", v)
 	}
 }
 
 func TestFig13SmallShapes(t *testing.T) {
-	opts := Fig13Opts{Geometry: quickGeometry, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond}
-	res := Fig13(opts)
-	if res.DDIO.Summary.Processed == 0 || res.IDIO.Summary.Processed == 0 {
+	ddio, idio := quickRun(t, "fig13", "DDIO"), quickRun(t, "fig13", "IDIO")
+	if processed(ddio) == 0 || processed(idio) == 0 {
 		t.Fatal("steady run processed nothing")
 	}
 	// Steady traffic: DDIO shows consistent MLC writebacks; IDIO
 	// removes (nearly all of) them (Fig. 13).
-	if res.DDIO.Summary.MLCWB == 0 {
+	if mlcWB(ddio) == 0 {
 		t.Fatal("DDIO steady run must produce MLC writebacks")
 	}
-	if res.IDIO.Summary.MLCWB*10 > res.DDIO.Summary.MLCWB {
-		t.Errorf("IDIO steady MLC WB %d not << DDIO %d",
-			res.IDIO.Summary.MLCWB, res.DDIO.Summary.MLCWB)
+	if mlcWB(idio)*10 > mlcWB(ddio) {
+		t.Errorf("IDIO steady MLC WB %.0f not << DDIO %.0f", mlcWB(idio), mlcWB(ddio))
 	}
 }
 
 func TestFig14SmallSweep(t *testing.T) {
-	opts := Fig14Opts{Geometry: quickGeometry, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: 9 * sim.Millisecond}
-	rows := Fig14(opts)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	runs := quickRuns(t, "fig14")
+	if len(runs) != 5 {
+		t.Fatalf("rows = %d", len(runs))
 	}
 	// Insensitivity claim: every threshold value improves on DDIO.
-	for _, r := range rows {
-		if r.NormMLCWB >= 1 {
-			t.Errorf("thr %d: normalized MLC WB %.2f >= 1", r.THRMTPS, r.NormMLCWB)
+	for _, r := range runs {
+		if r.ref == nil || r.ref.desc.Host.Policy != idiocore.PolicyDDIO {
+			t.Fatalf("thr %s: reference is not DDIO", r.labels[0])
 		}
-		if r.NormExeTime >= 1.05 {
-			t.Errorf("thr %d: normalized exe %.2f", r.THRMTPS, r.NormExeTime)
+		if v := norm(mlcWB)(r); v >= 1 {
+			t.Errorf("thr %s: normalized MLC WB %.2f >= 1", r.labels[0], v)
+		}
+		if v := norm(exeUS)(r); v >= 1.05 {
+			t.Errorf("thr %s: normalized exe %.2f", r.labels[0], v)
 		}
 	}
 }
 
 func TestFig4SmallSweep(t *testing.T) {
-	opts := Fig4Opts{
-		Rings:       []int{64, 512},
-		Loads:       map[string]float64{"med": 2, "high": 8},
-		RingCycles:  5,
-		OneWayRings: []int{512},
-		MLCSize:     quickMLC,
-		LLCSize:     quickLLC,
-	}
-	rows := Fig4(opts)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(ring int, load string, oneWay bool) Fig4Row {
-		for _, r := range rows {
-			if r.Ring == ring && r.Load == load && r.OneWay == oneWay {
-				return r
-			}
-		}
-		t.Fatalf("row %d/%s/%v missing", ring, load, oneWay)
-		return Fig4Row{}
+	if n := len(quickRuns(t, "fig4")); n != 7 {
+		t.Fatalf("rows = %d", n)
 	}
 	// Observation 2: small rings are invalidation-dominated; large
 	// rings writeback-dominated.
-	small := get(64, "high", false)
-	large := get(512, "high", false)
-	if small.NormMLCWB > 0.4 {
-		t.Errorf("ring 64 MLC WB/RX = %.2f, want low", small.NormMLCWB)
+	small := quickRun(t, "fig4", "64", "high", "false")
+	large := quickRun(t, "fig4", "256", "high", "false")
+	if v := mlcWBPerRX(small); v > 0.4 {
+		t.Errorf("ring 64 MLC WB/RX = %.2f, want low", v)
 	}
-	if small.NormMLCInval < 0.6 {
-		t.Errorf("ring 64 inval/RX = %.2f, want high", small.NormMLCInval)
+	if v := mlcInvalPerRX(small); v < 0.6 {
+		t.Errorf("ring 64 inval/RX = %.2f, want high", v)
 	}
-	if large.NormMLCWB < 0.65 {
-		t.Errorf("ring 512 MLC WB/RX = %.2f, want ~1", large.NormMLCWB)
+	if v := mlcWBPerRX(large); v < 0.65 {
+		t.Errorf("ring 256 MLC WB/RX = %.2f, want ~1", v)
 	}
 	// Observation 3 (DMA bloating): way-partitioning forces DRAM
 	// writes that the unpartitioned LLC absorbed.
-	oneWay := get(512, "high", true)
-	if oneWay.DRAMWriteGbps <= large.DRAMWriteGbps {
-		t.Errorf("_1way DRAM wr %.2f !> full %.2f", oneWay.DRAMWriteGbps, large.DRAMWriteGbps)
+	if oneWay := quickRun(t, "fig4", "256", "high", "true"); dramWrGbps(oneWay) <= dramWrGbps(large) {
+		t.Errorf("_1way DRAM wr %.2f !> full %.2f", dramWrGbps(oneWay), dramWrGbps(large))
 	}
 }
 
 func TestFig5SmallTimeline(t *testing.T) {
-	opts := Fig5Opts{Geometry: quickGeometry, NumBursts: 2, BurstGbps: 25, Horizon: 25 * sim.Millisecond}
-	res := Fig5(opts)
-	if res.Processed == 0 {
+	r := quickRuns(t, "fig5")[0]
+	if processed(r) == 0 {
 		t.Fatal("nothing processed")
 	}
-	if res.TotalMLCWB == 0 || res.TotalLLCWB == 0 {
-		t.Fatalf("burst run must produce writebacks: mlc=%d llc=%d", res.TotalMLCWB, res.TotalLLCWB)
+	if mlcWB(r) == 0 || llcWB(r) == 0 {
+		t.Fatalf("burst run must produce writebacks: mlc=%.0f llc=%.0f", mlcWB(r), llcWB(r))
 	}
 	// The second burst (at 10 ms) must show activity in the timeline.
 	foundLate := false
-	for _, p := range res.MLCWB.Points {
+	for _, p := range timelines(r, false)[0].Points {
 		if p.TimeUS > 10000 && p.MTPS > 0 {
 			foundLate = true
 			break
@@ -227,14 +259,13 @@ func TestFig5SmallTimeline(t *testing.T) {
 }
 
 func TestRenderTable(t *testing.T) {
-	rows := []TableRow{Fig14Row{THRMTPS: 50, NormMLCWB: 0.5, NormLLCWB: 0.4, NormDRAMRd: 0.3, NormDRAMWr: 0.2, NormExeTime: 0.9}}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, "fig14", Fig14Header(), rows); err != nil {
+	if err := writeTable(&buf, "fig14", [][]string{{"mlcTHR", "MLCWB"}, {"50", "0.50"}}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "fig14") || !strings.Contains(out, "0.50") {
-		t.Fatalf("table output:\n%s", out)
+	want := "== fig14 ==\nmlcTHR  MLCWB\n-------------\n50      0.50\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("table output:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -253,5 +284,3 @@ func TestRenderSeriesCSV(t *testing.T) {
 		t.Fatalf("header %q", lines[0])
 	}
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }

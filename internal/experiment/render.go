@@ -6,20 +6,11 @@ import (
 	"strings"
 )
 
-// TableRow is anything that renders itself as table cells.
-type TableRow interface {
-	Row() []string
-}
-
-// WriteTable renders an aligned ASCII table.
-func WriteTable(w io.Writer, title string, header []string, rows []TableRow) error {
-	cells := make([][]string, 0, len(rows)+1)
-	cells = append(cells, header)
-	for _, r := range rows {
-		cells = append(cells, r.Row())
-	}
-	widths := make([]int, len(header))
-	for _, row := range cells {
+// writeTable renders rows, the first of them the header, as an
+// aligned ASCII table under title.
+func writeTable(w io.Writer, title string, rows [][]string) error {
+	widths := make([]int, len(rows[0]))
+	for _, row := range rows {
 		for i, c := range row {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -29,7 +20,7 @@ func WriteTable(w io.Writer, title string, header []string, rows []TableRow) err
 	if _, err := fmt.Fprintf(w, "== %s ==\n", title); err != nil {
 		return err
 	}
-	for ri, row := range cells {
+	for ri, row := range rows {
 		var b strings.Builder
 		for i, c := range row {
 			if i > 0 {
@@ -109,13 +100,4 @@ func WriteSeriesCSV(w io.Writer, series ...Series) error {
 		}
 	}
 	return nil
-}
-
-// Rows adapts concrete row slices to []TableRow.
-func Rows[T TableRow](in []T) []TableRow {
-	out := make([]TableRow, len(in))
-	for i, r := range in {
-		out[i] = r
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	idiocore "idio/internal/core"
 	"idio/internal/sim"
@@ -12,7 +14,9 @@ import (
 // paper's headline experiments and checks the qualitative claims hold,
 // printing one PASS/FAIL line per claim. It returns the number of failed claims.
 // This is the same set of assertions the test suite enforces, exposed
-// as a user-facing reproduction check (`idiosim -exp verify`).
+// as a user-facing reproduction check (`idiosim -exp verify`). Its
+// runs are the catalogue's cells at Verify's own parameter values, all
+// in one worker pool.
 func Verify(w io.Writer) int {
 	failed, total := 0, 0
 	check := func(name string, ok bool, detail string) {
@@ -25,121 +29,116 @@ func Verify(w io.Writer) int {
 		fmt.Fprintf(w, "%-4s  %-58s %s\n", status, name, detail)
 	}
 
-	horizon := 9 * sim.Millisecond
+	groups := [][]*cell{
+		fig9Cells(quickGeometry),
+		fig4Cells(quickGeometry, []int{64, quickRing}, []load{{"high", 8}}, 5, []int{quickRing}),
+		fig11Cells(quickRing),
+		fig13Cells(quickGeometry, 1024, 10*sim.Millisecond),
+		baselineCells(quickGeometry),
+		fig14Cells(quickGeometry, []uint64{10, 50, 100}),
+	}
+	runs := execute(0, slices.Concat(groups...))
+	at := make([]map[string]*run, len(groups))
+	for i, g := range groups {
+		at[i] = labelled(runs[:len(g)])
+		runs = runs[len(g):]
+	}
+	f9, f4, f11, f13, s1 := at[0], at[1], at[2], at[3], at[4]
 
 	// Claims from Fig. 9/10 at 100 and 25 Gbps.
-	cells := Fig9(Fig9Opts{
-		Geometry: quickGeometry, Rates: []float64{100, 25},
-		Policies: []idiocore.Policy{
-			idiocore.PolicyDDIO, idiocore.PolicyInvalidate, idiocore.PolicyPrefetch,
-			idiocore.PolicyStatic, idiocore.PolicyIDIO,
-		},
-		Horizon: horizon,
-	})
-	get := func(rate float64, pol idiocore.Policy) BurstSummary {
-		for _, c := range cells {
-			if c.RateGbps == rate && c.Policy == pol {
-				return c.Summary
-			}
-		}
-		panic("verify: missing cell")
-	}
+	get := func(rate float64, pol idiocore.Policy) *run { return f9[gbpsLabel(rate)+" "+pol.Name()] }
 	for _, rate := range []float64{100, 25} {
 		ddio := get(rate, idiocore.PolicyDDIO)
 		idio := get(rate, idiocore.PolicyIDIO)
 		inv := get(rate, idiocore.PolicyInvalidate)
 		pf := get(rate, idiocore.PolicyPrefetch)
 		check(fmt.Sprintf("IDIO reduces MLC writebacks @%vG", rate),
-			idio.MLCWB < ddio.MLCWB,
-			fmt.Sprintf("(%d vs %d)", idio.MLCWB, ddio.MLCWB))
+			mlcWB(idio) < mlcWB(ddio),
+			fmt.Sprintf("(%.0f vs %.0f)", mlcWB(idio), mlcWB(ddio)))
 		check(fmt.Sprintf("IDIO reduces LLC writebacks @%vG", rate),
-			idio.LLCWB < ddio.LLCWB,
-			fmt.Sprintf("(%d vs %d)", idio.LLCWB, ddio.LLCWB))
+			llcWB(idio) < llcWB(ddio),
+			fmt.Sprintf("(%.0f vs %.0f)", llcWB(idio), llcWB(ddio)))
 		check(fmt.Sprintf("IDIO shortens burst processing @%vG", rate),
-			idio.ExeTimeUS <= ddio.ExeTimeUS,
-			fmt.Sprintf("(%.0fus vs %.0fus)", idio.ExeTimeUS, ddio.ExeTimeUS))
+			exeUS(idio) <= exeUS(ddio),
+			fmt.Sprintf("(%.0fus vs %.0fus)", exeUS(idio), exeUS(ddio)))
 		check(fmt.Sprintf("IDIO improves p99 @%vG", rate),
-			idio.P99US < ddio.P99US,
-			fmt.Sprintf("(%.1fus vs %.1fus)", idio.P99US, ddio.P99US))
+			p99US(idio) < p99US(ddio),
+			fmt.Sprintf("(%.1fus vs %.1fus)", p99US(idio), p99US(ddio)))
 		check(fmt.Sprintf("Invalidate alone kills MLC WB @%vG", rate),
-			inv.MLCWB*10 <= ddio.MLCWB,
-			fmt.Sprintf("(%d vs %d)", inv.MLCWB, ddio.MLCWB))
+			mlcWB(inv)*10 <= mlcWB(ddio),
+			fmt.Sprintf("(%.0f vs %.0f)", mlcWB(inv), mlcWB(ddio)))
 		check(fmt.Sprintf("Prefetch alone raises MLC WB @%vG", rate),
-			pf.MLCWB > ddio.MLCWB,
-			fmt.Sprintf("(%d vs %d)", pf.MLCWB, ddio.MLCWB))
+			mlcWB(pf) > mlcWB(ddio),
+			fmt.Sprintf("(%.0f vs %.0f)", mlcWB(pf), mlcWB(ddio)))
 	}
 	// FSM regulation: dynamic IDIO keeps MLC pressure below Static at
 	// the saturating rate (Fig. 9g vs 9i).
-	check("dynamic FSM regulates MLC WB below Static @100G",
-		get(100, idiocore.PolicyIDIO).MLCWB < get(100, idiocore.PolicyStatic).MLCWB,
-		fmt.Sprintf("(%d vs %d)", get(100, idiocore.PolicyIDIO).MLCWB, get(100, idiocore.PolicyStatic).MLCWB))
+	fsm, static := mlcWB(get(100, idiocore.PolicyIDIO)), mlcWB(get(100, idiocore.PolicyStatic))
+	check("dynamic FSM regulates MLC WB below Static @100G", fsm < static,
+		fmt.Sprintf("(%.0f vs %.0f)", fsm, static))
 
 	// Fig. 4 regimes.
-	f4 := Fig4(Fig4Opts{
-		Rings: []int{64, quickRing}, Loads: map[string]float64{"high": 8},
-		RingCycles: 5, OneWayRings: []int{quickRing}, MLCSize: quickMLC, LLCSize: quickLLC,
-	})
-	var small, large, oneWay Fig4Row
-	for _, r := range f4 {
-		switch {
-		case r.Ring == 64 && !r.OneWay:
-			small = r
-		case r.Ring == quickRing && !r.OneWay:
-			large = r
-		case r.OneWay:
-			oneWay = r
-		}
-	}
+	small, large, oneWay := f4["64 high false"], f4[fmt.Sprintf("%d high false", quickRing)], f4[fmt.Sprintf("%d high true", quickRing)]
 	check("small rings are invalidation-dominated (Fig. 4)",
-		small.NormMLCInval > small.NormMLCWB,
-		fmt.Sprintf("(inval %.2f vs wb %.2f)", small.NormMLCInval, small.NormMLCWB))
+		mlcInvalPerRX(small) > mlcWBPerRX(small),
+		fmt.Sprintf("(inval %.2f vs wb %.2f)", mlcInvalPerRX(small), mlcWBPerRX(small)))
 	check("large rings are writeback-dominated (Fig. 4)",
-		large.NormMLCWB > 0.5,
-		fmt.Sprintf("(wb/rx %.2f)", large.NormMLCWB))
+		mlcWBPerRX(large) > 0.5,
+		fmt.Sprintf("(wb/rx %.2f)", mlcWBPerRX(large)))
 	check("way partitioning exposes DMA bloating (Fig. 4 _1way)",
-		oneWay.DRAMWriteGbps > large.DRAMWriteGbps,
-		fmt.Sprintf("(%.2f vs %.2f Gbps)", oneWay.DRAMWriteGbps, large.DRAMWriteGbps))
+		dramWrGbps(oneWay) > dramWrGbps(large),
+		fmt.Sprintf("(%.2f vs %.2f Gbps)", dramWrGbps(oneWay), dramWrGbps(large)))
 
 	// Fig. 11: shallow NF and direct DRAM.
-	f11 := Fig11(Fig11Opts{RingSize: quickRing, FrameLen: 1024, BurstGbps: 25, Horizon: horizon})
+	direct := f11["direct-DRAM"]
 	check("IDIO cuts L2Fwd LLC writebacks (Fig. 11)",
-		f11.IDIO.Summary.LLCWB < f11.DDIO.Summary.LLCWB,
-		fmt.Sprintf("(%d vs %d)", f11.IDIO.Summary.LLCWB, f11.DDIO.Summary.LLCWB))
+		llcWB(f11["IDIO"]) < llcWB(f11["DDIO"]),
+		fmt.Sprintf("(%.0f vs %.0f)", llcWB(f11["IDIO"]), llcWB(f11["DDIO"])))
 	check("class-1 payload goes direct to DRAM (Fig. 11)",
-		f11.DirectDRAM.DRAMWriteGbps > f11.DirectDRAM.RxGbps*0.7,
-		fmt.Sprintf("(%.1f vs RX %.1f Gbps)", f11.DirectDRAM.DRAMWriteGbps, f11.DirectDRAM.RxGbps))
+		dramWrGbps(direct) > rxGbps(direct)*0.7,
+		fmt.Sprintf("(%.1f vs RX %.1f Gbps)", dramWrGbps(direct), rxGbps(direct)))
 
 	// Fig. 13: steady traffic.
-	f13 := Fig13(Fig13Opts{Geometry: quickGeometry, Gbps: 10, Packets: 1024, Horizon: 10 * sim.Millisecond})
 	check("steady-traffic MLC WB removed by IDIO (Fig. 13)",
-		f13.IDIO.Summary.MLCWB*10 <= f13.DDIO.Summary.MLCWB,
-		fmt.Sprintf("(%d vs %d)", f13.IDIO.Summary.MLCWB, f13.DDIO.Summary.MLCWB))
+		mlcWB(f13["IDIO"])*10 <= mlcWB(f13["DDIO"]),
+		fmt.Sprintf("(%.0f vs %.0f)", mlcWB(f13["IDIO"]), mlcWB(f13["DDIO"])))
 
 	// Shortcoming S1: an IAT-style dynamic DDIO-way baseline reduces
 	// LLC leaks but cannot touch the MLC writeback problem.
-	baseRows := Baselines(AblationOpts{Geometry: quickGeometry, RateGbps: 100, Horizon: horizon})
-	sDDIO, sDyn, sIDIO := baseRows[0], baseRows[1], baseRows[2]
+	sDDIO, sDyn, sIDIO := s1["DDIO(static 2-way)"], s1["DynamicWays(2..4)"], s1["IDIO"]
 	check("dynamic DDIO ways reduce LLC leaks (prior work)",
-		sDyn.LLCWB < sDDIO.LLCWB,
-		fmt.Sprintf("(%d vs %d)", sDyn.LLCWB, sDDIO.LLCWB))
+		llcWB(sDyn) < llcWB(sDDIO),
+		fmt.Sprintf("(%.0f vs %.0f)", llcWB(sDyn), llcWB(sDDIO)))
 	check("dynamic DDIO ways cannot reduce MLC WB (S1)",
-		sDyn.MLCWB >= sDDIO.MLCWB*9/10,
-		fmt.Sprintf("(%d vs %d)", sDyn.MLCWB, sDDIO.MLCWB))
+		uint64(mlcWB(sDyn)) >= uint64(mlcWB(sDDIO))*9/10,
+		fmt.Sprintf("(%.0f vs %.0f)", mlcWB(sDyn), mlcWB(sDDIO)))
 	check("IDIO beats the dynamic-ways baseline on both",
-		sIDIO.MLCWB < sDyn.MLCWB && sIDIO.LLCWB < sDyn.LLCWB,
-		fmt.Sprintf("(mlc %d<%d, llc %d<%d)", sIDIO.MLCWB, sDyn.MLCWB, sIDIO.LLCWB, sDyn.LLCWB))
+		mlcWB(sIDIO) < mlcWB(sDyn) && llcWB(sIDIO) < llcWB(sDyn),
+		fmt.Sprintf("(mlc %.0f<%.0f, llc %.0f<%.0f)", mlcWB(sIDIO), mlcWB(sDyn), llcWB(sIDIO), llcWB(sDyn)))
 
 	// Fig. 14: threshold insensitivity.
-	f14 := Fig14(Fig14Opts{Geometry: quickGeometry, RateGbps: 100, THRs: []uint64{10, 50, 100}, Horizon: horizon})
 	insensitive := true
-	for _, r := range f14 {
-		if r.NormMLCWB >= 1 || r.NormExeTime >= 1.05 {
+	for _, r := range at[5] {
+		if norm(mlcWB)(r) >= 1 || norm(exeUS)(r) >= 1.05 {
 			insensitive = false
 		}
 	}
 	check("IDIO improves for every mlcTHR (Fig. 14)", insensitive,
-		fmt.Sprintf("(%d thresholds)", len(f14)))
+		fmt.Sprintf("(%d thresholds)", len(at[5])))
 
 	fmt.Fprintf(w, "\n%d claims checked, %d failed\n", total, failed)
 	return failed
+}
+
+// labelled indexes runs by their labels joined with spaces; the first
+// of several runs with the same labels wins.
+func labelled(runs []*run) map[string]*run {
+	m := make(map[string]*run, len(runs))
+	for _, r := range runs {
+		k := strings.Join(r.labels, " ")
+		if _, dup := m[k]; !dup {
+			m[k] = r
+		}
+	}
+	return m
 }
