@@ -35,10 +35,10 @@ func placeP3(h *Hierarchy, l mem.LineAddr) {
 	for i := mem.LineAddr(1); i <= 4; i++ {
 		h.CoreRead(0, 0, l+i*16)
 	}
-	if h.mlc[0].Contains(uint64(l)) {
+	if h.mlc[0].Find(uint64(l)) >= 0 {
 		panic("P3 setup: line still in MLC")
 	}
-	if !h.llc.Contains(uint64(l)) {
+	if h.llc.Find(uint64(l)) < 0 {
 		panic("P3 setup: line not in LLC")
 	}
 }
@@ -114,10 +114,10 @@ func TestFig1EgressP1WritebackToLLCThenServe(t *testing.T) {
 	dramReadsAfterSetup := h.DRAM().Reads() // setup cold-missed once
 	lat := h.PCIeRead(0, 7)
 	// P1-1: dirty MLC line written back to LLC, served from there.
-	if h.mlc[0].Contains(7) {
+	if h.mlc[0].Find(7) >= 0 {
 		t.Fatal("egress must remove the MLC copy")
 	}
-	if !h.llc.Contains(7) {
+	if h.llc.Find(7) < 0 {
 		t.Fatal("egress must leave the line in LLC")
 	}
 	if h.Stats().MLCWriteback != 1 {
@@ -147,7 +147,7 @@ func TestFig1EgressP3P4ServedFromLLC(t *testing.T) {
 			t.Fatalf("%s egress must not read DRAM", place.name)
 		}
 		// Egress reads do not deallocate the LLC copy.
-		if !h.llc.Contains(7) {
+		if h.llc.Find(7) < 0 {
 			t.Fatalf("%s egress removed the LLC copy", place.name)
 		}
 	}

@@ -104,6 +104,17 @@ func (s *RegionSet) Add(r Region) {
 		return
 	}
 	lo, hi := r.Base, r.End()
+	// A region at or past the last one's start, the usual case when a
+	// ring registers its buffers in address order, extends or follows
+	// it.
+	if n := len(s.regions); n > 0 && lo >= s.regions[n-1].Base {
+		if last := &s.regions[n-1]; lo <= last.End() {
+			last.Size = uint64(max(hi, last.End()) - last.Base)
+		} else {
+			s.regions = append(s.regions, r)
+		}
+		return
+	}
 	// Regions from i on are the ones r can overlap or abut: the last
 	// region starting at or before lo, if it reaches lo, and every
 	// later region starting at or before hi.
