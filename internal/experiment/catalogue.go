@@ -113,7 +113,7 @@ var Catalogue = []Sweep{
 	}},
 
 	{Name: "fig12", cells: func(env Env) ([]*cell, error) {
-		return fig12Cells(pick(env, 1024, quickRing)), nil
+		return fig12Cells(pick(env, fullGeometry, quickGeometry)), nil
 	}, tables: []table{{
 		title: "Fig 12: p50/p99 latency normalized to DDIO solo",
 		head:  []string{"rate", "policy", "corun"},
@@ -347,14 +347,14 @@ func fig11Cells(ring int) []*cell {
 // fig12Cells runs DDIO and IDIO solo and co-run with the LLC
 // antagonist at each rate, each against the DDIO solo run, which is
 // also the rate's first row.
-func fig12Cells(ring int) []*cell {
+func fig12Cells(g geometry) []*cell {
 	var cells []*cell
 	for _, rate := range []float64{100, 25, 10} {
 		var solo *cell
 		for _, coRun := range []bool{false, true} {
 			for _, pol := range both {
 				c := &cell{labels: []string{gbpsLabel(rate), pol.Name(), strconv.FormatBool(coRun)},
-					desc: oneBurst(gem5NFs(pol, geometry{ring: ring}, coRun), rate)}
+					desc: oneBurst(gem5NFs(pol, g, coRun), rate)}
 				if solo == nil {
 					solo = c
 				}

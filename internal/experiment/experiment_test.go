@@ -177,6 +177,11 @@ func TestFig12SmallShapes(t *testing.T) {
 	if v := norm(p99US)(quickRun(t, "fig12", "25G", "IDIO", "false")); v >= 1 {
 		t.Errorf("IDIO p99 %.3f !< 1", v)
 	}
+	// The quick cells scale the caches with the ring, so the LLC
+	// antagonist contends with DDIO's I/O data and raises its tail.
+	if solo, co := p99US(soloDDIO), p99US(quickRun(t, "fig12", "25G", "DDIO", "true")); co <= solo {
+		t.Errorf("DDIO co-run p99 %.2f us !> solo %.2f us", co, solo)
+	}
 }
 
 func TestFig13SmallShapes(t *testing.T) {
