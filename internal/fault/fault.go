@@ -1,9 +1,9 @@
 // Package fault is the deterministic fault-injection layer: seedable
 // injectors that perturb every level of the simulated system — PCIe
-// (corrupted metadata bits, poisoned write TLPs), NIC (link flaps,
-// paced-DMA stalls, mbuf-pool exhaustion), memory (transient DRAM
-// latency spikes, snoop-filter pressure), and CPU (slow-core stalls
-// that starve polling loops).
+// (corrupted metadata bits, poisoned write TLPs), the NIC (scheduled
+// paced-DMA stalls), memory (transient DRAM latency spikes), the CPU
+// (slow-core stalls that starve polling loops) and the fabric (link
+// flaps and rate degradation).
 //
 // Two properties make the layer a measurement instrument rather than
 // a chaos monkey:
@@ -20,8 +20,8 @@
 //
 // Wiring: idio.Config.Faults enables the layer; idio.NewSystem builds
 // the Injector, interposes it on the NIC→root-complex PCIe path
-// (WrapSink), attaches ports/DRAM/hierarchy/cores/pools, and starts
-// the periodic injectors alongside the cores.
+// (WrapSink), attaches the NIC, DRAM and cores, and starts the
+// periodic injectors and the timeline alongside the cores.
 package fault
 
 import (
@@ -29,10 +29,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"idio/internal/cpu"
 	"idio/internal/dram"
-	"idio/internal/hier"
-	"idio/internal/mem"
 	fnet "idio/internal/net"
 	"idio/internal/nic"
 	"idio/internal/pcie"
@@ -54,32 +51,6 @@ type PCIeConfig struct {
 	PoisonProb float64
 }
 
-// LinkFlapConfig schedules NIC link flaps: roughly every Period the
-// link of one attached port drops for Down. Packets arriving while
-// down are lost at the MAC.
-type LinkFlapConfig struct {
-	Period sim.Duration
-	Down   sim.Duration
-}
-
-// DMAStallConfig schedules paced-DMA stalls: roughly every Period one
-// attached port's DMA engine is held for Stall (credit exhaustion,
-// link retraining), backing descriptor work up into the ring.
-type DMAStallConfig struct {
-	Period sim.Duration
-	Stall  sim.Duration
-}
-
-// MbufLeakConfig schedules transient mbuf-pool exhaustion: roughly
-// every Period, up to Count buffers are taken from one attached pool
-// and returned after Hold — a leaky application or a slow deferred
-// consumer. While held, rings backed by the pool take PoolDrops.
-type MbufLeakConfig struct {
-	Period sim.Duration
-	Count  int
-	Hold   sim.Duration
-}
-
 // DRAMSpikeConfig schedules transient memory-latency spikes: roughly
 // every Period, each access pays Extra additional latency for Length
 // (refresh storms, thermal throttling, channel contention).
@@ -87,15 +58,6 @@ type DRAMSpikeConfig struct {
 	Period sim.Duration
 	Extra  sim.Duration
 	Length sim.Duration
-}
-
-// SnoopThrashConfig schedules snoop-filter pressure: roughly every
-// Period, Lines synthetic directory entries are force-inserted,
-// back-invalidating victims' MLC-resident lines as a coherent
-// co-runner would.
-type SnoopThrashConfig struct {
-	Period sim.Duration
-	Lines  int
 }
 
 // FabricFlapConfig schedules fabric link flaps: roughly every Period
@@ -138,7 +100,7 @@ type Phase struct {
 	//
 	//	fabric / down      — attached fabric link Target held down
 	//	fabric / degrade   — link Target's rate scaled to Magnitude (0,1)
-	//	nic    / dma-stall — port Target's DMA engine held for Duration
+	//	nic    / dma-stall — the NIC's DMA engine held for Duration
 	//	dram   / spike     — Magnitude ns of extra latency per access
 	//	core   / stall     — core Target's driver loop frozen for Duration
 	Layer string
@@ -151,8 +113,9 @@ type Phase struct {
 	// dram/spike. Unused (and ignored) by the other kinds.
 	Magnitude float64
 	// Target selects the victim by attach order: links for fabric
-	// phases, ports for nic, cores for core. Ignored for dram. A
-	// target index with no attached victim skips the phase.
+	// phases, cores for core; the one NIC port is target 0. Ignored
+	// for dram. A target index with no attached victim skips the
+	// phase.
 	Target int
 }
 
@@ -182,11 +145,7 @@ type Config struct {
 	Seed int64
 
 	PCIe          *PCIeConfig
-	LinkFlap      *LinkFlapConfig
-	DMAStall      *DMAStallConfig
-	MbufLeak      *MbufLeakConfig
 	DRAMSpike     *DRAMSpikeConfig
-	SnoopThrash   *SnoopThrashConfig
 	CoreStall     *CoreStallConfig
 	FabricFlap    *FabricFlapConfig
 	FabricDegrade *FabricDegradeConfig
@@ -198,8 +157,7 @@ type Config struct {
 
 // Enabled reports whether any injector is configured.
 func (c *Config) Enabled() bool {
-	return c != nil && (c.PCIe != nil || c.LinkFlap != nil || c.DMAStall != nil ||
-		c.MbufLeak != nil || c.DRAMSpike != nil || c.SnoopThrash != nil || c.CoreStall != nil ||
+	return c != nil && (c.PCIe != nil || c.DRAMSpike != nil || c.CoreStall != nil ||
 		c.FabricFlap != nil || c.FabricDegrade != nil || len(c.Timeline) > 0)
 }
 
@@ -221,33 +179,6 @@ func (c *Config) Validate() error {
 			bad("PCIe.PoisonProb %v outside [0,1]", p.PoisonProb)
 		}
 	}
-	if f := c.LinkFlap; f != nil {
-		if f.Period <= 0 {
-			bad("LinkFlap.Period %v must be positive", f.Period)
-		}
-		if f.Down <= 0 {
-			bad("LinkFlap.Down %v must be positive", f.Down)
-		}
-	}
-	if d := c.DMAStall; d != nil {
-		if d.Period <= 0 {
-			bad("DMAStall.Period %v must be positive", d.Period)
-		}
-		if d.Stall <= 0 {
-			bad("DMAStall.Stall %v must be positive", d.Stall)
-		}
-	}
-	if m := c.MbufLeak; m != nil {
-		if m.Period <= 0 {
-			bad("MbufLeak.Period %v must be positive", m.Period)
-		}
-		if m.Count <= 0 {
-			bad("MbufLeak.Count %d must be positive", m.Count)
-		}
-		if m.Hold <= 0 {
-			bad("MbufLeak.Hold %v must be positive", m.Hold)
-		}
-	}
 	if d := c.DRAMSpike; d != nil {
 		if d.Period <= 0 {
 			bad("DRAMSpike.Period %v must be positive", d.Period)
@@ -257,14 +188,6 @@ func (c *Config) Validate() error {
 		}
 		if d.Length <= 0 {
 			bad("DRAMSpike.Length %v must be positive", d.Length)
-		}
-	}
-	if s := c.SnoopThrash; s != nil {
-		if s.Period <= 0 {
-			bad("SnoopThrash.Period %v must be positive", s.Period)
-		}
-		if s.Lines <= 0 {
-			bad("SnoopThrash.Lines %d must be positive", s.Lines)
 		}
 	}
 	if cs := c.CoreStall; cs != nil {
@@ -347,12 +270,8 @@ func (c *Config) Validate() error {
 type Stats struct {
 	TLPsCorrupted  uint64 // metadata bit flips delivered
 	TLPsPoisoned   uint64 // write TLPs discarded at the root complex
-	LinkFlaps      uint64 // link-down windows opened
 	DMAStalls      uint64 // DMA-engine holds issued
-	MbufsLeaked    uint64 // buffers transiently stolen from pools
 	DRAMSpikes     uint64 // latency-spike windows opened
-	SnoopThrashes  uint64 // directory-pressure rounds
-	DirEvictions   uint64 // entries displaced by injected pressure
 	CoreStalls     uint64 // slow-core stalls issued
 	FabricFlaps    uint64 // fabric link-down windows opened
 	FabricDegrades uint64 // fabric link-rate degradation windows opened
@@ -364,9 +283,8 @@ type Stats struct {
 
 // Total sums every perturbation count (spike/flap windows count once).
 func (s Stats) Total() uint64 {
-	return s.TLPsCorrupted + s.TLPsPoisoned + s.LinkFlaps + s.DMAStalls +
-		s.MbufsLeaked + s.DRAMSpikes + s.SnoopThrashes + s.CoreStalls +
-		s.FabricFlaps + s.FabricDegrades
+	return s.TLPsCorrupted + s.TLPsPoisoned + s.DMAStalls + s.DRAMSpikes +
+		s.CoreStalls + s.FabricFlaps + s.FabricDegrades
 }
 
 // Injector owns the seeded generator and the component handles, and
@@ -375,21 +293,15 @@ type Injector struct {
 	cfg Config
 	rng *rand.Rand
 
-	ports []*nic.NIC
-	pools []*nic.MbufPool
+	port  *nic.NIC
 	mem   *dram.DRAM
-	hier  *hier.Hierarchy
-	cores []*cpu.Core
+	cores []Staller
 	links []*fnet.Link
 
 	tlpsCorrupted  stats.Counter
 	tlpsPoisoned   stats.Counter
-	linkFlaps      stats.Counter
 	dmaStalls      stats.Counter
-	mbufsLeaked    stats.Counter
 	dramSpikes     stats.Counter
-	snoopThrashes  stats.Counter
-	dirEvictions   stats.Counter
 	coreStalls     stats.Counter
 	fabricFlaps    stats.Counter
 	fabricDegrades stats.Counter
@@ -404,20 +316,21 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// AttachPort registers a NIC port as a link-flap / DMA-stall target.
-func (in *Injector) AttachPort(n *nic.NIC) { in.ports = append(in.ports, n) }
-
-// AttachPool registers an mbuf pool as an exhaustion target.
-func (in *Injector) AttachPool(p *nic.MbufPool) { in.pools = append(in.pools, p) }
+// AttachPort registers the host's NIC port, the target of nic
+// timeline phases.
+func (in *Injector) AttachPort(n *nic.NIC) { in.port = n }
 
 // AttachDRAM registers the memory device for latency spikes.
 func (in *Injector) AttachDRAM(d *dram.DRAM) { in.mem = d }
 
-// AttachHier registers the hierarchy for snoop-filter pressure.
-func (in *Injector) AttachHier(h *hier.Hierarchy) { in.hier = h }
+// Staller is a core whose driver loop a slow-core stall can freeze
+// (cpu.Core).
+type Staller interface {
+	InjectStall(now sim.Time, d sim.Duration)
+}
 
 // AttachCore registers a core as a slow-core stall target.
-func (in *Injector) AttachCore(c *cpu.Core) { in.cores = append(in.cores, c) }
+func (in *Injector) AttachCore(c Staller) { in.cores = append(in.cores, c) }
 
 // AttachLink registers a fabric link as a flap / rate-degradation
 // target. Attach before Start, in deterministic order (the rng picks
@@ -429,12 +342,8 @@ func (in *Injector) Stats() Stats {
 	return Stats{
 		TLPsCorrupted:  in.tlpsCorrupted.Value(),
 		TLPsPoisoned:   in.tlpsPoisoned.Value(),
-		LinkFlaps:      in.linkFlaps.Value(),
 		DMAStalls:      in.dmaStalls.Value(),
-		MbufsLeaked:    in.mbufsLeaked.Value(),
 		DRAMSpikes:     in.dramSpikes.Value(),
-		SnoopThrashes:  in.snoopThrashes.Value(),
-		DirEvictions:   in.dirEvictions.Value(),
 		CoreStalls:     in.coreStalls.Value(),
 		FabricFlaps:    in.fabricFlaps.Value(),
 		FabricDegrades: in.fabricDegrades.Value(),
@@ -517,44 +426,6 @@ func (in *Injector) Start(s *sim.Simulator) {
 		return
 	}
 	in.started = true
-	if f := in.cfg.LinkFlap; f != nil && len(in.ports) > 0 {
-		in.chain(s, f.Period, func(sm *sim.Simulator) {
-			port := in.ports[in.rng.Intn(len(in.ports))]
-			if !port.LinkUp() {
-				return // already down from an overlapping flap
-			}
-			port.SetLinkState(false)
-			in.linkFlaps.Inc()
-			sm.After(f.Down, func(*sim.Simulator) { port.SetLinkState(true) })
-		})
-	}
-	if d := in.cfg.DMAStall; d != nil && len(in.ports) > 0 {
-		in.chain(s, d.Period, func(sm *sim.Simulator) {
-			port := in.ports[in.rng.Intn(len(in.ports))]
-			port.StallDMA(sm.Now(), d.Stall)
-			in.dmaStalls.Inc()
-		})
-	}
-	if m := in.cfg.MbufLeak; m != nil && len(in.pools) > 0 {
-		in.chain(s, m.Period, func(sm *sim.Simulator) {
-			pool := in.pools[in.rng.Intn(len(in.pools))]
-			var held []mem.Region
-			for i := 0; i < m.Count && pool.Available() > 0; i++ {
-				if b, ok := pool.Alloc(); ok {
-					held = append(held, b)
-					in.mbufsLeaked.Inc()
-				}
-			}
-			if len(held) == 0 {
-				return
-			}
-			sm.After(m.Hold, func(*sim.Simulator) {
-				for _, b := range held {
-					pool.Free(b)
-				}
-			})
-		})
-	}
 	if d := in.cfg.DRAMSpike; d != nil && in.mem != nil {
 		in.chain(s, d.Period, func(sm *sim.Simulator) {
 			if in.mem.ExtraLatency() > 0 {
@@ -563,20 +434,6 @@ func (in *Injector) Start(s *sim.Simulator) {
 			in.mem.SetExtraLatency(d.Extra)
 			in.dramSpikes.Inc()
 			sm.After(d.Length, func(*sim.Simulator) { in.mem.SetExtraLatency(0) })
-		})
-	}
-	if t := in.cfg.SnoopThrash; t != nil && in.hier != nil {
-		in.chain(s, t.Period, func(sm *sim.Simulator) {
-			lines := make([]uint64, t.Lines)
-			for i := range lines {
-				// Synthetic lines live in a high region no real
-				// allocation reaches, so only directory SETS collide
-				// with real traffic — which is the fault being modeled.
-				lines[i] = 1<<40 | uint64(in.rng.Int63n(1<<24))
-			}
-			ev := in.hier.InjectSnoopPressure(sm.Now(), in.rng.Intn(maxInt(len(in.cores), 1)), lines)
-			in.snoopThrashes.Inc()
-			in.dirEvictions.Add(uint64(ev))
 		})
 	}
 	if f := in.cfg.FabricFlap; f != nil && len(in.links) > 0 {
@@ -645,10 +502,10 @@ func (in *Injector) applyPhase(sm *sim.Simulator, ph Phase) {
 			return
 		}
 	case "nic":
-		if ph.Target >= len(in.ports) {
+		if ph.Target != 0 || in.port == nil {
 			return
 		}
-		in.ports[ph.Target].StallDMA(sm.Now(), ph.Duration)
+		in.port.StallDMA(sm.Now(), ph.Duration)
 		in.dmaStalls.Inc()
 	case "dram":
 		if in.mem == nil {
@@ -668,11 +525,4 @@ func (in *Injector) applyPhase(sm *sim.Simulator, ph Phase) {
 		return
 	}
 	in.timelinePhases.Inc()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

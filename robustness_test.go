@@ -15,20 +15,16 @@ import (
 	"idio/internal/traffic"
 )
 
-// TestRingOverflowUnderStalledDMA: periodic paced-DMA stalls under
-// bursty traffic back descriptors up into the ring until it overflows;
-// every lost packet must be accounted as a drop, and the system must
-// keep processing once the stalls clear.
+// TestRingOverflowUnderStalledDMA: a paced-DMA stall (a timeline
+// nic/dma-stall phase) under bursty traffic backs descriptors up into
+// the ring until it overflows; every lost packet must be accounted as
+// a drop, and the system must keep processing once the stall clears.
 func TestRingOverflowUnderStalledDMA(t *testing.T) {
 	cfg := smallCfg(1, idiocore.PolicyDDIO)
 	cfg.NIC.RingSize = 64
-	cfg.Faults = &fault.Config{
-		Seed: 11,
-		DMAStall: &fault.DMAStallConfig{
-			Period: 50 * sim.Microsecond,
-			Stall:  200 * sim.Microsecond,
-		},
-	}
+	cfg.Faults = &fault.Config{Timeline: []fault.Phase{
+		{Layer: "nic", Kind: "dma-stall", Duration: 2 * sim.Millisecond},
+	}}
 	sys := NewSystem(cfg)
 	flow := sys.DefaultFlow(0)
 	sys.AddNF(0, apps.TouchDrop{}, flow)
@@ -82,55 +78,27 @@ func TestMbufPoolExhaustionUnderBurst(t *testing.T) {
 	}
 }
 
-// TestMbufLeakInjector: the fault layer's transient leak steals
-// buffers and returns them; the pool must recover to full capacity.
-func TestMbufLeakInjector(t *testing.T) {
-	cfg := smallCfg(1, idiocore.PolicyDDIO)
-	cfg.Faults = &fault.Config{
-		Seed: 4,
-		MbufLeak: &fault.MbufLeakConfig{
-			Period: 100 * sim.Microsecond,
-			Count:  8,
-			Hold:   50 * sim.Microsecond,
-		},
-	}
-	sys := NewSystem(cfg)
-	flow := sys.DefaultFlow(0)
-	sys.AddNF(0, apps.TouchDrop{}, flow)
-	pool := sys.NewMbufPool(32)
-	sys.NIC.Ring(0).AttachPool(pool)
-	sys.Start()
-	sys.Sim.RunUntil(sim.Time(2 * sim.Millisecond))
-
-	leaked := sys.Faults.Stats().MbufsLeaked
-	if leaked == 0 {
-		t.Fatal("no mbufs leaked")
-	}
-	if leaked <= 8 {
-		t.Fatalf("only one leak round (%d buffers) in 2 ms of 100 us periods", leaked)
-	}
-	// Holds release after 50 us and windows never overlap, so at the
-	// cutoff at most one window's worth (Count=8) may be outstanding;
-	// anything more means buffers leaked permanently.
-	if pool.Available() < pool.Capacity()-8 {
-		t.Fatalf("pool leaked permanently: %d of %d available", pool.Available(), pool.Capacity())
-	}
-}
-
-// TestFaultInjectedDeterministicReplay: two runs with identical seeds
-// and every injector enabled must produce bit-identical statistics —
-// the tentpole property that makes fault scenarios debuggable.
+// TestFaultInjectedDeterministicReplay: two runs with identical seeds,
+// every host injector enabled and one timeline phase on each host
+// layer must produce bit-identical statistics — the tentpole property
+// that makes fault scenarios debuggable. (Fabric phases need a
+// cluster; TestChaosClusterDeterministicReplay replays them.)
 func TestFaultInjectedDeterministicReplay(t *testing.T) {
+	// The run drains in under 1 ms; the phases start 100 us apart
+	// inside it.
+	ms, step := sim.Millisecond, 100*sim.Microsecond
 	run := func() string {
 		cfg := smallCfg(2, idiocore.PolicyIDIO)
 		cfg.Faults = &fault.Config{
-			Seed:        1234,
-			PCIe:        &fault.PCIeConfig{CorruptProb: 0.02, PoisonProb: 0.01},
-			LinkFlap:    &fault.LinkFlapConfig{Period: 2 * sim.Millisecond, Down: 50 * sim.Microsecond},
-			DMAStall:    &fault.DMAStallConfig{Period: sim.Millisecond, Stall: 20 * sim.Microsecond},
-			DRAMSpike:   &fault.DRAMSpikeConfig{Period: sim.Millisecond, Extra: 100 * sim.Nanosecond, Length: 100 * sim.Microsecond},
-			SnoopThrash: &fault.SnoopThrashConfig{Period: sim.Millisecond, Lines: 64},
-			CoreStall:   &fault.CoreStallConfig{Period: sim.Millisecond, Stall: 30 * sim.Microsecond, Core: -1},
+			Seed:      1234,
+			PCIe:      &fault.PCIeConfig{CorruptProb: 0.02, PoisonProb: 0.01},
+			DRAMSpike: &fault.DRAMSpikeConfig{Period: ms, Extra: 100 * sim.Nanosecond, Length: 100 * sim.Microsecond},
+			CoreStall: &fault.CoreStallConfig{Period: ms, Stall: 30 * sim.Microsecond, Core: -1},
+			Timeline: []fault.Phase{
+				{Layer: "nic", Kind: "dma-stall", Start: sim.Time(step), Duration: 20 * sim.Microsecond},
+				{Layer: "dram", Kind: "spike", Start: sim.Time(2 * step), Duration: 100 * sim.Microsecond, Magnitude: 200},
+				{Layer: "core", Kind: "stall", Start: sim.Time(3 * step), Duration: 30 * sim.Microsecond, Target: 1},
+			},
 		}
 		wd := sim.DefaultWatchdogConfig()
 		cfg.Watchdog = &wd
@@ -143,6 +111,9 @@ func TestFaultInjectedDeterministicReplay(t *testing.T) {
 		res := sys.RunUntilIdle(20 * sim.Millisecond)
 		if res.Faults.Total() == 0 {
 			t.Fatal("no faults injected")
+		}
+		if res.Faults.TimelinePhases != 3 {
+			t.Fatalf("%d of 3 timeline phases applied", res.Faults.TimelinePhases)
 		}
 		var buf strings.Builder
 		if err := res.WriteStats(&buf); err != nil {
@@ -182,24 +153,31 @@ func TestCorruptedTLPsDegradeGracefully(t *testing.T) {
 }
 
 // TestLinkFlapDrops: link-down windows lose packets at the MAC, which
-// are counted separately from ring drops.
+// are counted separately from ring drops, and the link carries traffic
+// again once it comes back up.
 func TestLinkFlapDrops(t *testing.T) {
 	cfg := smallCfg(1, idiocore.PolicyDDIO)
-	cfg.Faults = &fault.Config{
-		Seed:     21,
-		LinkFlap: &fault.LinkFlapConfig{Period: 200 * sim.Microsecond, Down: 150 * sim.Microsecond},
-	}
 	sys := NewSystem(cfg)
 	flow := sys.DefaultFlow(0)
 	sys.AddNF(0, apps.TouchDrop{}, flow)
-	traffic.Steady{Flow: flow, RateBps: traffic.Gbps(5), Count: 2048}.Install(sys.Sim, sys.NIC)
-	res := sys.RunUntilIdle(20 * sim.Millisecond)
-
-	if res.Faults.LinkFlaps == 0 {
-		t.Fatal("no flaps injected")
+	const generated = 2048
+	traffic.Steady{Flow: flow, RateBps: traffic.Gbps(5), Count: generated}.Install(sys.Sim, sys.NIC)
+	// Three 150 us down windows, one every 200 us.
+	for i := 1; i <= 3; i++ {
+		down := sim.Time(i) * sim.Time(200*sim.Microsecond)
+		sys.Sim.At(down, func(*sim.Simulator) { sys.NIC.SetLinkState(false) })
+		sys.Sim.At(down.Add(150*sim.Microsecond), func(*sim.Simulator) { sys.NIC.SetLinkState(true) })
 	}
+	res := sys.Run(8 * sim.Millisecond)
+
 	if res.NIC.LinkDownDrops == 0 {
 		t.Fatal("flaps lost no packets at a rate that should straddle down windows")
+	}
+	if !sys.NIC.LinkUp() {
+		t.Fatal("link still down after the last window")
+	}
+	if got := res.TotalProcessed() + res.NIC.RxDrops + res.NIC.LinkDownDrops; got != generated {
+		t.Fatalf("conservation: processed+drops+linkDownDrops = %d, want %d", got, generated)
 	}
 	if res.TotalProcessed() == 0 {
 		t.Fatal("link never recovered")
