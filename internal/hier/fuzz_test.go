@@ -16,8 +16,7 @@ import (
 // the input drives randomOp's draws, one byte per draw, so the whole op
 // set is reachable: demand reads and writes, DMA writes (per class),
 // DMA reads, direct DRAM writes, prefetches, self-invalidations of
-// lines and regions, WarmWrite, and snoop pressure on both real and
-// synthetic lines.
+// lines and regions, and WarmWrite.
 //
 // Tier-1 runs the seeds; `go test -run '^$' -fuzz FuzzHierOps
 // -fuzztime 15s ./internal/hier` searches past them.
@@ -40,16 +39,10 @@ func FuzzHierOps(f *testing.F) {
 		ws, ps := &byteSource{in: in[1:]}, &byteSource{in: in[1:]}
 		rw, rp := rand.New(ws), rand.New(ps)
 		const lines = 96
-		pressureLine := func(rng *rand.Rand) uint64 {
-			if rng.Intn(2) == 0 {
-				return syntheticPressureLine(rng)
-			}
-			return uint64(rng.Intn(2 * lines))
-		}
 		for op := 0; op < maxFuzzOps && !ws.done(); op++ {
 			now := sim.Time(op) * sim.Time(sim.Nanosecond)
-			what, x := randomOp(walk, rw, now, lines, pressureLine)
-			_, y := randomOp(placed, rp, now, lines, pressureLine)
+			what, x := randomOp(walk, rw, now, lines)
+			_, y := randomOp(placed, rp, now, lines)
 			for _, h := range []*Hierarchy{walk, placed} {
 				if err := h.CheckCoherence(); err != nil {
 					t.Fatalf("%s, op %d (%s), records %v: %v", tc.name, op, what, h == placed, err)

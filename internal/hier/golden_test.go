@@ -38,7 +38,7 @@ func TestRandomOpsGolden(t *testing.T) {
 		results, residency := fnv.New64a(), fnv.New64a()
 		for op := 0; op < ops; op++ {
 			now := sim.Time(op) * sim.Time(sim.Nanosecond)
-			what, r := randomOp(h, rng, now, lines, syntheticPressureLine)
+			what, r := randomOp(h, rng, now, lines)
 			fmt.Fprintf(results, "%s=%d;", what, r)
 			writeResidency(residency, h, 2*lines+8)
 			if op%block == block-1 {

@@ -459,13 +459,13 @@ var invariantConfigs = []struct {
 	mk   func(*testing.T) *Hierarchy
 }{{"default", small}, {"nine", nine}, {"tiny-directory", tinyDir}}
 
-// randomOp applies one of the hierarchy's twelve operations, drawn
+// randomOp applies one of the hierarchy's eleven operations, drawn
 // from rng, over a working set of lines lines (and a second one above
 // it), and returns a name for the op and its result.
-func randomOp(h *Hierarchy, rng *rand.Rand, now sim.Time, lines int, pressureLine func(*rand.Rand) uint64) (string, int64) {
+func randomOp(h *Hierarchy, rng *rand.Rand, now sim.Time, lines int) (string, int64) {
 	l := mem.LineAddr(rng.Intn(lines))
 	core := rng.Intn(2)
-	switch rng.Intn(12) {
+	switch rng.Intn(11) {
 	case 0:
 		return fmt.Sprintf("read c%d l%d", core, l), int64(h.CoreRead(now, core, l))
 	case 1:
@@ -495,22 +495,11 @@ func randomOp(h *Hierarchy, rng *rand.Rand, now sim.Time, lines int, pressureLin
 	case 9:
 		h.WarmWrite(core, l)
 		return fmt.Sprintf("warm c%d l%d", core, l), 0
-	case 10:
-		pressure := make([]uint64, 1+rng.Intn(4))
-		for i := range pressure {
-			pressure[i] = pressureLine(rng)
-		}
-		return fmt.Sprintf("snoop-pressure c%d %v", core, pressure), int64(h.InjectSnoopPressure(now, core, pressure))
 	default:
 		l += mem.LineAddr(lines) // a second working set
 		return fmt.Sprintf("read c%d l%d", core, l), int64(h.CoreRead(now, core, l))
 	}
 }
-
-// syntheticPressureLine draws a snoop-pressure line the way the fault
-// injector does: far above any real line, so it only takes directory
-// space.
-func syntheticPressureLine(rng *rand.Rand) uint64 { return 1<<40 | uint64(rng.Intn(64)) }
 
 // checkCoherence fails the test with CheckCoherence's error.
 func checkCoherence(t *testing.T, h *Hierarchy, when string) {
@@ -529,7 +518,7 @@ func TestExclusivityInvariantUnderRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		for op := 0; op < 20000; op++ {
 			now := sim.Time(op) * sim.Time(sim.Nanosecond)
-			what, _ := randomOp(h, rng, now, 96, syntheticPressureLine)
+			what, _ := randomOp(h, rng, now, 96)
 			checkCoherence(t, h, fmt.Sprintf("op %d (%s)", op, what))
 		}
 	})
@@ -537,19 +526,17 @@ func TestExclusivityInvariantUnderRandomOps(t *testing.T) {
 
 // L1 must remain a subset of the MLC on every core, after every
 // hierarchy operation, under victim-cache and NINE semantics and with a
-// directory small enough that conflicts back-invalidate constantly,
-// while snoop pressure lands on real lines. The MLC-first probes
+// directory small enough that conflicts back-invalidate constantly.
+// The MLC-first probes
 // (invalidation, snoops, prefetch drops) skip the L1 whenever the MLC
 // misses, so they are exact only while this holds; CheckCoherence
 // checks it through the L1 and MLC back-pointers.
 func TestL1SubsetInvariant(t *testing.T) {
 	forEachInvariantConfig(t, func(t *testing.T, h *Hierarchy) {
 		rng := rand.New(rand.NewSource(43))
-		const lines = 96
-		realLine := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(lines)) }
 		for op := 0; op < 20000; op++ {
 			now := sim.Time(op) * sim.Time(sim.Nanosecond)
-			what, _ := randomOp(h, rng, now, lines, realLine)
+			what, _ := randomOp(h, rng, now, 96)
 			checkCoherence(t, h, fmt.Sprintf("op %d (%s)", op, what))
 		}
 		if h.cfg.DirEntriesPerCore == 8 && h.Stats().DirBackInval == 0 {
@@ -762,8 +749,8 @@ func TestDirectoryClockRenumberKeepsEvictions(t *testing.T) {
 			b.dir.clock = math.MaxUint32 - uint32(op%7)
 		}
 		now := sim.Time(op) * sim.Time(sim.Nanosecond)
-		wa, xa := randomOp(a, ra, now, 96, syntheticPressureLine)
-		wb, xb := randomOp(b, rb, now, 96, syntheticPressureLine)
+		wa, xa := randomOp(a, ra, now, 96)
+		wb, xb := randomOp(b, rb, now, 96)
 		if wa != wb || xa != xb || a.Stats() != b.Stats() {
 			t.Fatalf("op %d: %s=%d vs %s=%d, stats %+v vs %+v", op, wa, xa, wb, xb, a.Stats(), b.Stats())
 		}
@@ -779,26 +766,19 @@ func TestDirectoryClockRenumberKeepsEvictions(t *testing.T) {
 	}
 }
 
-// Placement records change no result: the same random ops, with snoop
-// pressure on real lines as well as synthetic ones, give the same
-// per-op results, Stats and residency with the working sets
+// Placement records change no result: the same random ops give the
+// same per-op results, Stats and residency with the working sets
 // registered (records) as without (searches), in every config.
 func TestPlacedMatchesWalk(t *testing.T) {
 	const lines = 96
-	pressureLine := func(rng *rand.Rand) uint64 {
-		if rng.Intn(2) == 0 {
-			return syntheticPressureLine(rng)
-		}
-		return uint64(rng.Intn(2 * lines))
-	}
 	for _, tc := range invariantConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			rw, rp := rand.New(rand.NewSource(46)), rand.New(rand.NewSource(46))
 			walk, placed := randomOpHierarchy(t, tc.mk, false), randomOpHierarchy(t, tc.mk, true)
 			for op := 0; op < 20000; op++ {
 				now := sim.Time(op) * sim.Time(sim.Nanosecond)
-				ww, xw := randomOp(walk, rw, now, lines, pressureLine)
-				wp, xp := randomOp(placed, rp, now, lines, pressureLine)
+				ww, xw := randomOp(walk, rw, now, lines)
+				wp, xp := randomOp(placed, rp, now, lines)
 				if ww != wp || xw != xp || walk.Stats() != placed.Stats() {
 					t.Fatalf("op %d: %s=%d without records, %s=%d with; stats %+v vs %+v", op, ww, xw, wp, xp, walk.Stats(), placed.Stats())
 				}
