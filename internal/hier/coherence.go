@@ -16,8 +16,7 @@ import (
 //     has a directory entry naming its core;
 //   - no line has two directory entries, so with the above no line is
 //     in two MLCs;
-//   - every directory entry names its line's way in its owner's MLC,
-//     or no way (snoop pressure), and the count of the latter is kept;
+//   - every directory entry names its line's way in its owner's MLC;
 //   - every L1 line's MLC pointer names its way in the core's MLC, and
 //     that MLC line's L1 pointer names it back (so L1 ⊆ MLC), and every
 //     MLC line's L1 pointer, if set, names an L1 way holding the line;
@@ -30,7 +29,6 @@ import (
 // hot path.
 func (h *Hierarchy) CheckCoherence() error {
 	d := h.dir
-	ghosts := 0
 	for e, line := range d.tags {
 		if line == dirInvalid {
 			continue
@@ -39,16 +37,9 @@ func (h *Hierarchy) CheckCoherence() error {
 			return fmt.Errorf("line %d has directory entries %d and %d", line, f, e)
 		}
 		ent := d.at(e)
-		if ent.way == noWay {
-			ghosts++
-			continue
-		}
 		if ent.owner >= len(h.mlc) || int(ent.way) >= h.mlc[ent.owner].Assoc() || h.mlc[ent.owner].LookupAt(line, int(ent.way), false) == nil {
 			return fmt.Errorf("directory entry %d names line %d at way %d of MLC %d, which does not hold it", e, line, ent.way, ent.owner)
 		}
-	}
-	if ghosts != d.ghosts {
-		return fmt.Errorf("directory counts %d entries without a line, holds %d", d.ghosts, ghosts)
 	}
 	for c := range h.mlc {
 		if err := h.checkCore(c); err != nil {

@@ -6,8 +6,7 @@ import (
 )
 
 // dirEntry is one directory entry: the tracked line, the core whose
-// MLC holds it and the MLC way holding it (noWay for an entry with no
-// line behind it).
+// MLC holds it and the MLC way holding it.
 type dirEntry struct {
 	line  uint64
 	owner int
@@ -20,9 +19,8 @@ type dirEntry struct {
 //
 // Entries are addressed by index (set*assoc + way). Each entry keeps
 // the MLC way of its line, so a directory hit leads to the MLC copy
-// without searching the MLC; every entry either names its line's exact
-// way in its owner's MLC or, for the entries snoop pressure inserts,
-// noWay (Hierarchy.CheckCoherence enforces both).
+// without searching the MLC; every entry names its line's exact way in
+// its owner's MLC (Hierarchy.CheckCoherence enforces it).
 type directory struct {
 	sets  int
 	assoc int
@@ -36,7 +34,6 @@ type directory struct {
 	ways   []uint8
 	use    []uint32
 	clock  uint32
-	ghosts int    // valid entries whose way is noWay
 	probes uint64 // tag searches (calls to find)
 }
 
@@ -94,12 +91,7 @@ func (d *directory) at(e int) dirEntry {
 func (d *directory) ownerAt(e int) int { return int(d.owners[e]) }
 
 // removeAt drops the entry at index e.
-func (d *directory) removeAt(e int) {
-	if d.ways[e] == noWay {
-		d.ghosts--
-	}
-	d.tags[e] = dirInvalid
-}
+func (d *directory) removeAt(e int) { d.tags[e] = dirInvalid }
 
 // take drops line's entry in the same search that finds it, returning
 // the entry it was.
@@ -116,12 +108,6 @@ func (d *directory) take(line uint64) (dirEntry, bool) {
 // update renames the valid entry at index e to owner and MLC way way
 // and marks it most recently used.
 func (d *directory) update(e, owner int, way uint8) {
-	if d.ways[e] == noWay {
-		d.ghosts--
-	}
-	if way == noWay {
-		d.ghosts++
-	}
 	d.owners[e], d.ways[e], d.use[e] = uint16(owner), way, d.tick()
 }
 
@@ -172,12 +158,6 @@ func (d *directory) place(line uint64, owner int, way uint8) (int, dirEntry, boo
 			}
 		}
 		v = d.at(e)
-		if v.way == noWay {
-			d.ghosts--
-		}
-	}
-	if way == noWay {
-		d.ghosts++
 	}
 	d.tags[e], d.owners[e], d.ways[e], d.use[e] = line, uint16(owner), way, stamp
 	return e, v, evicted
