@@ -93,7 +93,7 @@ func runUntilIdle(s *sim.Simulator, from sim.Time, horizon sim.Duration, idle fu
 // nClients client slots. Client slots start empty — attach an RPC
 // client with AddRPCClient, or feed a slot's uplink directly via
 // ClientIngress (generator traffic through the fabric; install on
-// Sim). The DUT's port-0 TX path is wired to echo processed
+// Sim). The DUT NIC's TX path is wired to echo processed
 // frames back through the switch.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -125,7 +125,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl.Switch.SetObserver(o)
 	reg := o.Registry()
 
-	// Server downlink: switch → DUT NIC (port 0 receives like a
+	// Server downlink: switch → DUT NIC (it receives like a
 	// generator would — *nic.NIC satisfies fnet.Endpoint).
 	down := cfg.ServerLink
 	down.Name = "srv.down"

@@ -52,11 +52,6 @@ type Config struct {
 	// the observed DMA-leak rate. Typically combined with PolicyDDIO
 	// to model prior work the paper compares against (Shortcoming S1).
 	DynamicDDIOWays *idiocore.WayTunerConfig
-	// NumPorts is how many independent NIC ports (each with its own
-	// DMA engine and per-core rings) the system has. 0 or 1 means a
-	// single port; the paper's physical setup has two 100 GbE ports.
-	// Cores service all ports' rings round-robin.
-	NumPorts int
 	// EnableIOMMU validates every DMA target against the mapped ring
 	// and buffer regions; unmapped accesses fault and are dropped.
 	EnableIOMMU bool

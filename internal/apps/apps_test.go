@@ -53,7 +53,7 @@ func (r *rig) startCore(t *testing.T, coreID int, app cpu.App, selfInval bool) *
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.SelfInvalidate = selfInval
-	c := cpu.NewCore(coreID, cfg, sim.NewClock(3e9), r.h, []*nic.NIC{r.n}, app)
+	c := cpu.NewCore(coreID, cfg, sim.NewClock(3e9), r.h, r.n, app)
 	c.Start(r.s)
 	return c
 }

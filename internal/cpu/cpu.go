@@ -101,11 +101,10 @@ type Env struct {
 	Sim    *sim.Simulator
 	CoreID int
 	Hier   *hier.Hierarchy
-	// Ports are the NICs this core receives from (one ring per port);
-	// single-port systems have exactly one entry.
-	Ports []*nic.NIC
-	// Rings are the core's RX rings, parallel to Ports.
-	Rings []*nic.Ring
+	// Port is the NIC this core receives from, and Ring the core's RX
+	// ring on it.
+	Port *nic.NIC
+	Ring *nic.Ring
 	// Obs receives packet-service and slot-free trace events for
 	// sampled packets; nil (the default) disables emission at the cost
 	// of one branch per packet.
@@ -286,7 +285,6 @@ type Core struct {
 
 	started    bool
 	irqArmed   bool
-	rrNext     int      // round-robin port cursor
 	stallUntil sim.Time // injected slow-core stall: no polling before this
 
 	// pollFn is c.poll bound once at Start, so re-poll scheduling does
@@ -307,10 +305,9 @@ type Core struct {
 	curSlot    *nic.Slot
 }
 
-// NewCore builds a core bound to its per-port rings and an app.
-// Single-port systems pass one NIC; multi-port systems pass all ports
-// and the polling loop services them round-robin.
-func NewCore(id int, cfg Config, clock sim.Clock, h *hier.Hierarchy, ports []*nic.NIC, app App) *Core {
+// NewCore builds a core bound to its ring on port and an app. A nil
+// port leaves the core without a ring; Start refuses such a core.
+func NewCore(id int, cfg Config, clock sim.Clock, h *hier.Hierarchy, port *nic.NIC, app App) *Core {
 	if cfg.BatchSize <= 0 {
 		panic("cpu: batch size must be positive")
 	}
@@ -320,14 +317,12 @@ func NewCore(id int, cfg Config, clock sim.Clock, h *hier.Hierarchy, ports []*ni
 	env := Env{
 		CoreID: id,
 		Hier:   h,
-		Ports:  ports,
+		Port:   port,
 		cfg:    cfg,
 		clock:  clock,
 	}
-	for _, p := range ports {
-		if p != nil {
-			env.Rings = append(env.Rings, p.Ring(id))
-		}
+	if port != nil {
+		env.Ring = port.Ring(id)
 	}
 	c := &Core{
 		id:        id,
@@ -350,17 +345,15 @@ func (c *Core) Start(s *sim.Simulator) {
 	}
 	c.started = true
 	c.env.Sim = s
-	if len(c.env.Rings) == 0 {
-		panic("cpu: core has no RX rings")
+	if c.env.Ring == nil {
+		panic("cpu: core has no RX ring")
 	}
 	c.pollFn = c.poll
 	c.batch = make([]*nic.Slot, 0, c.cfg.BatchSize)
 	c.releasable = make([]*nic.Slot, 0, c.cfg.BatchSize)
 	switch c.cfg.Driver {
 	case DriverInterrupt:
-		for _, p := range c.env.Ports {
-			p.OnCompletion(c.id, c.interrupt)
-		}
+		c.env.Port.OnCompletion(c.id, c.interrupt)
 		c.irqArmed = true
 	default:
 		s.At(s.Now(), c.pollFn)
@@ -404,21 +397,12 @@ func (c *Core) poll(s *sim.Simulator) {
 			return
 		}
 		c.batch = c.batch[:0]
-		// Service the ports round-robin, rotating the starting port each
-		// poll so no port starves another.
-		nRings := len(c.env.Rings)
-		start := c.rrNext
-		c.rrNext = (c.rrNext + 1) % nRings
-		empty := 0
-		for len(c.batch) < c.cfg.BatchSize && empty < nRings {
-			ring := c.env.Rings[start]
-			start = (start + 1) % nRings
+		ring := c.env.Ring
+		for len(c.batch) < c.cfg.BatchSize {
 			slot := ring.Poll(s.Now())
 			if slot == nil {
-				empty++
-				continue
+				break
 			}
-			empty = 0
 			ring.Consume()
 			c.batch = append(c.batch, slot)
 		}

@@ -60,7 +60,7 @@ func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
 	cls := idiocore.NewClassifier(idiocore.DefaultClassifierConfig(1))
 	n := nic.New(ncfg, mem.NewLayout(0x1000000), ddioSink{h}, cls, nic.NewFlowDirector(1))
 	s := sim.New()
-	c := NewCore(0, coreCfg, hcfg.Clock, h, []*nic.NIC{n}, touchAll{})
+	c := NewCore(0, coreCfg, hcfg.Clock, h, n, touchAll{})
 	return &rig{s: s, h: h, n: n, core: c}
 }
 

@@ -249,9 +249,7 @@ func (pr *chaosProbe) snap(at sim.Time) chaosSnap {
 		s.retries += st.Retries
 		s.rxBytes += c.RxBytes()
 	}
-	for _, port := range pr.cl.DUT.Ports() {
-		s.sheds += port.Stats().AdmissionDrops
-	}
+	s.sheds += pr.cl.DUT.NIC.Stats().AdmissionDrops
 	links := []*fnet.Link{pr.cl.ServerDown, pr.cl.ServerUp}
 	links = append(links, pr.cl.ClientUp...)
 	for _, l := range pr.cl.ClientDown {

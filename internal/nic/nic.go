@@ -5,8 +5,6 @@
 package nic
 
 import (
-	"fmt"
-
 	idiocore "idio/internal/core"
 	"idio/internal/mem"
 	"idio/internal/obs"
@@ -101,13 +99,9 @@ type NIC struct {
 	// plus any observers — fired in registration order.
 	completionHooks [][]func(*sim.Simulator)
 
-	// linkDown, when true, drops every arriving packet (an injected
-	// link flap). In-flight DMA is unaffected, as on real hardware.
+	// linkDown, when true, drops every arriving packet (a link flap).
+	// In-flight DMA is unaffected, as on real hardware.
 	linkDown bool
-
-	// invariantHooks are the OnInvariant registrations, fired in
-	// registration order on every invariant violation.
-	invariantHooks []func(error)
 
 	// obs receives the packet-journey trace events (rx, drop, dma)
 	// for sampled packets. A nil observer costs one branch per packet.
@@ -160,9 +154,7 @@ func New(cfg Config, ly *mem.Layout, sink Sink, classifier *idiocore.Classifier,
 
 // OnCompletion registers a handler fired after each descriptor
 // write-back on queue q, in registration order. Interrupt-mode
-// drivers register their interrupt line here; observers compose by
-// registering alongside it (use System.OnCompletion to register
-// across ports).
+// drivers register their interrupt line here.
 func (n *NIC) OnCompletion(q int, fn func(*sim.Simulator)) {
 	if fn == nil {
 		return
@@ -243,29 +235,6 @@ func (n *NIC) StallDMA(now sim.Time, d sim.Duration) sim.Time {
 	return n.engineFree
 }
 
-// OnInvariant registers an additional observer called on every
-// invariant violation (after the counter increments), in registration
-// order.
-func (n *NIC) OnInvariant(fn func(error)) {
-	if fn == nil {
-		return
-	}
-	n.invariantHooks = append(n.invariantHooks, fn)
-}
-
-// invariant records an internal error on a named path and drops the
-// offending work instead of crashing the process. A faulted DMA must
-// degrade the run, not kill it.
-func (n *NIC) invariant(path string, err error) {
-	if n.stats.InvariantViolations++; len(n.invariantHooks) == 0 {
-		return
-	}
-	werr := fmt.Errorf("nic: invariant violation on %s: %w", path, err)
-	for _, fn := range n.invariantHooks {
-		fn(werr)
-	}
-}
-
 // lineTime is the wire time of one 64-byte transfer at the DMA rate.
 func (n *NIC) lineTime() sim.Duration {
 	return sim.Duration(64 * 8 * int64(sim.Second) / n.cfg.LineRateBps)
@@ -306,7 +275,7 @@ func (n *NIC) Receive(s *sim.Simulator, p *pkt.Packet) {
 		// A rule steering to a non-existent queue (misprogrammed flow
 		// director) drops the packet rather than crashing the device.
 		n.stats.MisSteers++
-		n.invariant("rx-steer", fmt.Errorf("flow director steered to core %d with %d queues", coreID, n.cfg.NumQueues))
+		n.stats.InvariantViolations++
 		n.traceDrop(s, p, -1, "missteer")
 		p.Release()
 		return
@@ -425,11 +394,7 @@ func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
 		if err != nil {
 			// The line's DMA is skipped; the packet degrades rather
 			// than the process dying mid-run.
-			if idx < nLines {
-				n.invariant("dma-write", err)
-			} else {
-				n.invariant("desc-write", err)
-			}
+			n.stats.InvariantViolations++
 		} else {
 			n.stats.DMAWrites++
 			n.sink.DMAWrite(t, pcie.WriteTLP{LineAddr: lineAddr, DW0: dw})
@@ -523,17 +488,16 @@ func dmaReadBurstEv(sm *sim.Simulator, a sim.Arg) {
 }
 
 // RegisterMetrics registers the NIC counter set under prefix (e.g.
-// "nic.") into the observability registry, reading through statsFn so
-// multi-port systems can register one port-aggregated view.
-func RegisterMetrics(reg *obs.Registry, prefix string, statsFn func() Stats) {
-	reg.CounterFunc(prefix+"rx_packets", func() uint64 { return statsFn().RxPackets })
-	reg.CounterFunc(prefix+"rx_bytes", func() uint64 { return statsFn().RxBytes })
-	reg.CounterFunc(prefix+"rx_drops", func() uint64 { return statsFn().RxDrops })
-	reg.CounterFunc(prefix+"pool_drops", func() uint64 { return statsFn().PoolDrops })
-	reg.CounterFunc(prefix+"linkdown_drops", func() uint64 { return statsFn().LinkDownDrops })
-	reg.CounterFunc(prefix+"missteers", func() uint64 { return statsFn().MisSteers })
-	reg.CounterFunc(prefix+"invariant_violations", func() uint64 { return statsFn().InvariantViolations })
-	reg.CounterFunc(prefix+"tx_packets", func() uint64 { return statsFn().TxPackets })
-	reg.CounterFunc(prefix+"dma_writes", func() uint64 { return statsFn().DMAWrites })
-	reg.CounterFunc(prefix+"dma_reads", func() uint64 { return statsFn().DMAReads })
+// "nic.") into the observability registry.
+func (n *NIC) RegisterMetrics(reg *obs.Registry, prefix string) {
+	reg.CounterFunc(prefix+"rx_packets", func() uint64 { return n.Stats().RxPackets })
+	reg.CounterFunc(prefix+"rx_bytes", func() uint64 { return n.Stats().RxBytes })
+	reg.CounterFunc(prefix+"rx_drops", func() uint64 { return n.Stats().RxDrops })
+	reg.CounterFunc(prefix+"pool_drops", func() uint64 { return n.Stats().PoolDrops })
+	reg.CounterFunc(prefix+"linkdown_drops", func() uint64 { return n.Stats().LinkDownDrops })
+	reg.CounterFunc(prefix+"missteers", func() uint64 { return n.Stats().MisSteers })
+	reg.CounterFunc(prefix+"invariant_violations", func() uint64 { return n.Stats().InvariantViolations })
+	reg.CounterFunc(prefix+"tx_packets", func() uint64 { return n.Stats().TxPackets })
+	reg.CounterFunc(prefix+"dma_writes", func() uint64 { return n.Stats().DMAWrites })
+	reg.CounterFunc(prefix+"dma_reads", func() uint64 { return n.Stats().DMAReads })
 }

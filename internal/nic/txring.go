@@ -131,7 +131,7 @@ func (n *NIC) kickTX(s *sim.Simulator, q int, slot *TXSlot, payload mem.Region) 
 	if err != nil {
 		// The completion write is skipped but the ring still retires
 		// the slot so a faulted DMA cannot wedge the TX path.
-		n.invariant("tx-completion", err)
+		n.stats.InvariantViolations++
 		s.AtArgNamed(complAt, "tx-completion", txCompleteFaultedEv, sim.Arg{Obj: ring})
 	} else {
 		s.AtArgNamed(complAt, "tx-completion", txCompleteEv,

@@ -377,74 +377,6 @@ func TestDescriptorLagMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestMultiPortAggregation(t *testing.T) {
-	cfg := smallCfg(2, idiocore.PolicyIDIO)
-	cfg.NumPorts = 2
-	sys := NewSystem(cfg)
-	if len(sys.Ports()) != 2 || sys.Port(0) != sys.NIC || sys.Port(1) == sys.NIC {
-		t.Fatal("port wiring wrong")
-	}
-	// Each core receives one flow per port (the paper's 2x100GbE: two
-	// independent DMA engines feeding the same cores).
-	for c := 0; c < 2; c++ {
-		flow := sys.DefaultFlow(c)
-		sys.AddNF(c, apps.TouchDrop{}, flow)
-		for p := 0; p < 2; p++ {
-			pf := flow
-			pf.SrcPort = uint16(7000 + 10*c + p) // distinct flows per port
-			sys.FlowDir.AddEPRule(pf.Tuple(), c)
-			traffic.Bursty{
-				Flow: pf, BurstRateBps: traffic.Gbps(25),
-				Period: 10 * sim.Millisecond, PacketsPerBurst: 128, NumBursts: 1,
-			}.Install(sys.Sim, sys.Port(p))
-		}
-	}
-	res := sys.RunUntilIdle(9 * sim.Millisecond)
-	// 2 cores x 2 ports x 128 packets, all processed, none dropped.
-	if res.TotalProcessed() != 512 {
-		t.Fatalf("processed %d, want 512", res.TotalProcessed())
-	}
-	if d := sys.Port(0).Stats().RxDrops + sys.Port(1).Stats().RxDrops; d != 0 {
-		t.Fatalf("drops %d", d)
-	}
-	// Both ports actually carried traffic.
-	if sys.Port(0).Stats().RxPackets != 256 || sys.Port(1).Stats().RxPackets != 256 {
-		t.Fatalf("port split %d/%d", sys.Port(0).Stats().RxPackets, sys.Port(1).Stats().RxPackets)
-	}
-	// Ports have independent DMA engines: both delivered full bursts
-	// concurrently without serialising against each other (DMAWrites
-	// split evenly).
-	if sys.Port(0).Stats().DMAWrites != sys.Port(1).Stats().DMAWrites {
-		t.Fatalf("engine split %d/%d", sys.Port(0).Stats().DMAWrites, sys.Port(1).Stats().DMAWrites)
-	}
-}
-
-func TestMultiPortRoundRobinFairness(t *testing.T) {
-	// Saturate one port and trickle the other: the trickle must still
-	// be served promptly (round-robin polling prevents starvation).
-	cfg := smallCfg(1, idiocore.PolicyIDIO)
-	cfg.NumPorts = 2
-	sys := NewSystem(cfg)
-	flow := sys.DefaultFlow(0)
-	sys.AddNF(0, apps.TouchDrop{}, flow)
-	heavy := flow
-	heavy.SrcPort = 7100
-	sys.FlowDir.AddEPRule(heavy.Tuple(), 0)
-	light := flow
-	light.SrcPort = 7200
-	light.FrameLen = 200
-	sys.FlowDir.AddEPRule(light.Tuple(), 0)
-	traffic.Bursty{
-		Flow: heavy, BurstRateBps: traffic.Gbps(100),
-		Period: 10 * sim.Millisecond, PacketsPerBurst: 256, NumBursts: 1,
-	}.Install(sys.Sim, sys.Port(0))
-	traffic.Steady{Flow: light, RateBps: traffic.Gbps(1), Count: 16}.Install(sys.Sim, sys.Port(1))
-	res := sys.RunUntilIdle(9 * sim.Millisecond)
-	if res.TotalProcessed() != 272 {
-		t.Fatalf("processed %d, want 272", res.TotalProcessed())
-	}
-}
-
 func TestTableIDefaults(t *testing.T) {
 	cfg := DefaultConfig(2)
 	// Table I: 3 GHz, 32KB L1 2-way, 1MB MLC 8-way 12CC, 1.5MB x 12-way

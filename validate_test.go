@@ -68,7 +68,6 @@ func TestValidateRejects(t *testing.T) {
 		{"waytuner over assoc", func(c *Config) {
 			c.DynamicDDIOWays = &idiocore.WayTunerConfig{MinWays: 1, MaxWays: 99, SampleInterval: sim.Microsecond}
 		}, "DynamicDDIOWays.MaxWays"},
-		{"negative ports", func(c *Config) { c.NumPorts = -1 }, "NumPorts"},
 		{"fault prob", func(c *Config) {
 			c.Faults = &fault.Config{PCIe: &fault.PCIeConfig{CorruptProb: 2}}
 		}, "Faults"},
