@@ -532,6 +532,9 @@ func TestChaosValidation(t *testing.T) {
 		{"chaos core target out of range",
 			base(`"chaos":[{"layer":"core","kind":"stall","startMS":1,"durationMS":1,"target":5}],`) + `}}}`,
 			"core target 5 out of range"},
+		{"chaos nic target out of range",
+			base(`"chaos":[{"layer":"nic","kind":"dma-stall","startMS":1,"durationMS":1,"target":1}],`) + `}}}`,
+			"chaos[0] nic target 1 out of range"},
 		{"chaos fabric needs topology",
 			`{"name":"x","cores":1,"horizonMS":1,"chaos":[{"layer":"fabric","kind":"down","startMS":1,"durationMS":1}],"nfs":[{"core":0,"app":"TouchDrop","traffic":{"kind":"steady","gbps":1,"count":1}}]}`,
 			"no topology"},
