@@ -54,8 +54,10 @@ var fuzzWatchdog = sim.WatchdogConfig{
 // FuzzScenario feeds arbitrary documents through Load (which decodes
 // and runs Validate), then compiles, builds and runs each accepted one
 // with its horizon clamped to fuzzHorizonMS and the watchdog armed.
-// Every input must end in an error or a finished run; a panic or a
-// hang fails.
+// Every input must end in an error or a finished run whose hierarchy
+// passes CheckCoherence; a panic, a hang or a coherence error fails.
+// The seeds are every shipped scenario, so tier-1 checks coherence at
+// the end of each.
 func FuzzScenario(f *testing.F) {
 	paths, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil || len(paths) == 0 {
@@ -89,6 +91,9 @@ func FuzzScenario(f *testing.F) {
 			return
 		}
 		r.Run()
+		if err := r.Sys.Hier.CheckCoherence(); err != nil {
+			t.Fatalf("scenario %q: %v", sc.Name, err)
+		}
 	})
 }
 
