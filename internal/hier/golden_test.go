@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"idio/internal/cache"
-	"idio/internal/mem"
 	"idio/internal/sim"
 )
 
@@ -77,12 +76,21 @@ func TestRandomOpsGolden(t *testing.T) {
 	}
 }
 
-// writeResidency writes where each of the first n lines lives: per
-// core its L1 and MLC state, the LLC state (valid, dirty, I/O) and the
-// directory owner.
+// writeResidency writes where each of the first n lines lives
+// (lineResidency).
 func writeResidency(w io.Writer, h *Hierarchy, n int) {
-	state := func(c *cache.Cache, la uint64) byte {
-		ln := c.Lookup(la, false)
+	buf := make([]byte, 0, 2*len(h.mlc)+3)
+	for la := uint64(0); la < uint64(n); la++ {
+		w.Write(lineResidency(buf[:0], h.l1, h.mlc, h.llc, h.dirOwner, la))
+	}
+}
+
+// lineResidency appends where line la lives: per core its L1 and MLC
+// state, the LLC state (each '-' absent, else clean 'C', dirty 'D', I/O
+// 'I', dirty I/O 'X') and the directory owner, then ';'.
+func lineResidency(buf []byte, l1, mlc []*cache.Cache, llc *cache.Cache, owner func(uint64) (int, bool), la uint64) []byte {
+	st := func(c *cache.Cache) byte {
+		ln := c.LookupAt(la, c.Find(la), false)
 		switch {
 		case ln == nil:
 			return '-'
@@ -95,20 +103,14 @@ func writeResidency(w io.Writer, h *Hierarchy, n int) {
 		}
 		return 'C'
 	}
-	buf := make([]byte, 0, 2*len(h.mlc)+3)
-	for l := mem.LineAddr(0); l < mem.LineAddr(n); l++ {
-		la := uint64(l)
-		buf = buf[:0]
-		for c := range h.mlc {
-			buf = append(buf, state(h.l1[c], la), state(h.mlc[c], la))
-		}
-		buf = append(buf, state(h.llc, la))
-		if e := h.dir.scan(la); e >= 0 {
-			buf = append(buf, byte('0'+h.dir.ownerAt(e)))
-		} else {
-			buf = append(buf, '-')
-		}
-		buf = append(buf, ';')
-		w.Write(buf)
+	for c := range mlc {
+		buf = append(buf, st(l1[c]), st(mlc[c]))
 	}
+	buf = append(buf, st(llc))
+	if c, ok := owner(la); ok {
+		buf = append(buf, byte('0'+c))
+	} else {
+		buf = append(buf, '-')
+	}
+	return append(buf, ';')
 }
