@@ -165,13 +165,18 @@ func (s *RegionSet) upper(a Addr) int {
 // It is how the system places descriptor rings, mbuf pools and
 // application heaps without collisions.
 type Layout struct {
-	next Addr
+	base, next Addr
 }
 
 // NewLayout starts allocation at base (rounded up to a line boundary).
 func NewLayout(base Addr) *Layout {
-	return &Layout{next: alignUp(base, LineBytes)}
+	b := alignUp(base, LineBytes)
+	return &Layout{base: b, next: b}
 }
+
+// Span returns the region from the layout's base to the end of its
+// last allocation: every region it has handed out lies inside.
+func (ly *Layout) Span() Region { return Region{Base: ly.base, Size: uint64(ly.next - ly.base)} }
 
 // Alloc reserves size bytes aligned to align (power of two, >= 64) and
 // returns the region.

@@ -440,6 +440,8 @@ func (s *System) Start() {
 		return
 	}
 	s.started = true
+	// Every region a run touches is carved from the layout by now.
+	s.Hier.ReserveRecords(s.layout.Span())
 	for _, c := range s.Cores {
 		if c != nil {
 			c.Start(s.Sim)
