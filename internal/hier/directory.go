@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// dirEntry is one directory entry: the tracked line, the core whose
-// MLC holds it and the MLC way holding it.
+// dirEntry is one directory entry: its line, the core whose MLC holds
+// it and the MLC way holding it.
 type dirEntry struct {
 	line  uint64
 	owner int
@@ -14,7 +14,7 @@ type dirEntry struct {
 }
 
 // directory is a set-associative snoop filter. A conflict eviction
-// back-invalidates the tracked MLC line, as in Skylake-SP (and as
+// back-invalidates the MLC line its entry named, as in Skylake-SP (and as
 // exploited by the directory side-channel literature the paper cites).
 //
 // Entries are addressed by index (set*assoc + way). Each entry keeps
@@ -24,9 +24,8 @@ type dirEntry struct {
 type directory struct {
 	sets  int
 	assoc int
-	// tags holds one word per way — dirInvalid when the way is empty,
-	// the tracked line address otherwise — so the owner probe on every
-	// memory access scans a compact array. owners, ways and use are
+	// tags holds one word per way: dirInvalid when the way is empty,
+	// the entry's line address otherwise. owners, ways and use are
 	// parallel to it: each entry's owning core, its line's MLC way and
 	// its LRU stamp.
 	tags   []uint64
@@ -34,7 +33,6 @@ type directory struct {
 	ways   []uint8
 	use    []uint32
 	clock  uint32
-	probes uint64 // tag searches (calls to find)
 }
 
 // dirInvalid marks an empty way in directory.tags (line addresses are
@@ -64,13 +62,9 @@ func newDirectory(entries, assoc int) *directory {
 	return d
 }
 
-// find searches line's set and returns the index of its entry, or -1.
-func (d *directory) find(line uint64) int {
-	d.probes++
-	return d.scan(line)
-}
-
-// scan is find without counting a search.
+// scan searches line's set and returns the index of its entry, or -1.
+// Every entry is reached through a back-pointer; only CheckCoherence
+// and tests search.
 func (d *directory) scan(line uint64) int {
 	base := int(line&uint64(d.sets-1)) * d.assoc
 	tags := d.tags[base : base+d.assoc]
@@ -92,24 +86,6 @@ func (d *directory) ownerAt(e int) int { return int(d.owners[e]) }
 
 // removeAt drops the entry at index e.
 func (d *directory) removeAt(e int) { d.tags[e] = dirInvalid }
-
-// take drops line's entry in the same search that finds it, returning
-// the entry it was.
-func (d *directory) take(line uint64) (dirEntry, bool) {
-	e := d.find(line)
-	if e < 0 {
-		return dirEntry{}, false
-	}
-	ent := d.at(e)
-	d.removeAt(e)
-	return ent, true
-}
-
-// update renames the valid entry at index e to owner and MLC way way
-// and marks it most recently used.
-func (d *directory) update(e, owner int, way uint8) {
-	d.owners[e], d.ways[e], d.use[e] = uint16(owner), way, d.tick()
-}
 
 // tick advances the LRU clock and returns its new value. Before the
 // 32-bit clock would wrap, the stamps of the valid entries are

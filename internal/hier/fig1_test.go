@@ -84,7 +84,7 @@ func TestFig1IngressP3InPlaceUpdate(t *testing.T) {
 		t.Fatalf("in-place update must not allocate: %+v", st)
 	}
 	// The line is re-classified as I/O data.
-	if ln := h.llc.Lookup(5, false); ln == nil || !ln.IO || !ln.Dirty {
+	if ln := state(h.llc, 5); ln == nil || !ln.IO || !ln.Dirty {
 		t.Fatalf("updated line state wrong: %+v", ln)
 	}
 }

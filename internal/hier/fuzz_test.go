@@ -3,20 +3,17 @@ package hier
 import (
 	"math/rand"
 	"testing"
-
-	"idio/internal/sim"
 )
 
 // FuzzHierOps decodes a sequence of hierarchy operations from its
-// input and runs it on two hierarchies of one invariant config
-// (victim-cache, NINE, tiny directory; the first byte picks it): one
-// with the lines the ops touch registered, so they carry placement
-// records, and one without. After every op both must pass
-// CheckCoherence and agree on the op's result and on Stats. The rest of
-// the input drives randomOp's draws, one byte per draw, so the whole op
-// set is reachable: demand reads and writes, DMA writes (per class),
-// DMA reads, direct DRAM writes, prefetches, self-invalidations of
-// lines and regions, and WarmWrite.
+// input and runs it in lockstep on a hierarchy of one invariant config
+// (victim-cache, NINE, tiny directory; the first byte picks it) and on
+// the line-addressed spec of it (spec_test.go). After every op the
+// hierarchy must pass CheckCoherence and agree with the spec
+// (specStep). The rest of the input drives randomOp's draws, one byte
+// per draw, so the whole op set is reachable: demand reads and writes,
+// DMA writes (per class), DMA reads, direct DRAM writes, prefetches,
+// self-invalidations of lines and regions, and WarmWrite.
 //
 // Tier-1 runs the seeds; `go test -run '^$' -fuzz FuzzHierOps
 // -fuzztime 15s ./internal/hier` searches past them.
@@ -35,21 +32,16 @@ func FuzzHierOps(f *testing.F) {
 			return
 		}
 		tc := invariantConfigs[int(in[0])%len(invariantConfigs)]
-		walk, placed := randomOpHierarchy(t, tc.mk, false), randomOpHierarchy(t, tc.mk, true)
-		ws, ps := &byteSource{in: in[1:]}, &byteSource{in: in[1:]}
-		rw, rp := rand.New(ws), rand.New(ps)
-		const lines = 96
-		for op := 0; op < maxFuzzOps && !ws.done(); op++ {
-			now := sim.Time(op) * sim.Time(sim.Nanosecond)
-			what, x := randomOp(walk, rw, now, lines)
-			_, y := randomOp(placed, rp, now, lines)
-			for _, h := range []*Hierarchy{walk, placed} {
-				if err := h.CheckCoherence(); err != nil {
-					t.Fatalf("%s, op %d (%s), records %v: %v", tc.name, op, what, h == placed, err)
-				}
+		h := randomOpHierarchy(t, tc.mk)
+		s := specFor(h)
+		hs := &byteSource{in: in[1:]}
+		rh, rs := rand.New(hs), rand.New(&byteSource{in: in[1:]})
+		for op := 0; op < maxFuzzOps && !hs.done(); op++ {
+			if err := specStep(h, s, rh, rs, op, 96); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if x != y || walk.Stats() != placed.Stats() {
-				t.Fatalf("%s, op %d (%s): result %d without records, %d with; stats %+v vs %+v", tc.name, op, what, x, y, walk.Stats(), placed.Stats())
+			if err := h.CheckCoherence(); err != nil {
+				t.Fatalf("%s, op %d: %v", tc.name, op, err)
 			}
 		}
 	})
