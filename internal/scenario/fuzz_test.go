@@ -94,6 +94,21 @@ func FuzzScenario(f *testing.F) {
 		if err := r.Sys.Hier.CheckCoherence(); err != nil {
 			t.Fatalf("scenario %q: %v", sc.Name, err)
 		}
+		// Every accepted phase that starts before the run ends applies:
+		// none names a victim the fault layer lacks. One starting at the
+		// run's last instant may or may not have fired.
+		end, before, atEnd := r.Sys.Sim.Now(), uint64(0), uint64(0)
+		for _, p := range sc.chaosTimeline() {
+			switch {
+			case p.Start < end:
+				before++
+			case p.Start == end:
+				atEnd++
+			}
+		}
+		if got := r.Sys.Collect().Faults.TimelinePhases; got < before || got > before+atEnd {
+			t.Fatalf("scenario %q: %d chaos phases applied, %d declared before the run's end (+%d at it)", sc.Name, got, before, atEnd)
+		}
 	})
 }
 

@@ -367,6 +367,39 @@ type ChaosPhase struct {
 	Target int `json:"target,omitempty"`
 }
 
+// fabricLinks returns how many fabric links a cluster with clients
+// client slots attaches to the fault layer, slots of them running an
+// RPC or churn client. A fabric phase's Target indexes them in attach
+// order: the server's downlink and uplink, each client's uplink, then
+// the downlink of each slot running a client.
+func fabricLinks(clients, slots int) int { return 2 + clients + slots }
+
+// checkChaosTargets returns an error naming the first phase of tl whose
+// target the fault layer has no victim for, so that no accepted phase
+// is skipped: a fabric phase needs one of links attached links, a core
+// phase one of the nfs NF cores (attached in NF order), a nic phase the
+// host's one port. dram phases take no target. Validate and Build both
+// call it.
+func checkChaosTargets(tl []fault.Phase, links, nfs int) error {
+	for i, p := range tl {
+		var n int
+		switch p.Layer {
+		case "fabric":
+			n = links
+		case "core":
+			n = nfs
+		case "nic":
+			n = 1
+		default:
+			continue
+		}
+		if p.Target >= n {
+			return fmt.Errorf("chaos[%d] %s target %d out of range (%d attached)", i, p.Layer, p.Target, n)
+		}
+	}
+	return nil
+}
+
 // chaosTimeline converts the chaos section to fault phases.
 func (sc Scenario) chaosTimeline() []fault.Phase {
 	if len(sc.Chaos) == 0 {
@@ -541,16 +574,21 @@ func (sc Scenario) Validate() error {
 		if err := fc.Validate(); err != nil {
 			return fmt.Errorf("scenario %q: chaos: %w", sc.Name, err)
 		}
+		links := 0
 		for i, p := range sc.Chaos {
 			if p.Layer == "fabric" && sc.Topology == nil {
 				return fmt.Errorf("scenario %q: chaos[%d] targets the fabric but no topology is declared", sc.Name, i)
 			}
-			if p.Layer == "core" && p.Target >= sc.Cores {
-				return fmt.Errorf("scenario %q: chaos[%d] core target %d out of range", sc.Name, i, p.Target)
+		}
+		if t := sc.Topology; t != nil {
+			slots := 0
+			if t.RPC != nil || t.Churn != nil {
+				slots = t.Clients // Compile gives every slot a client
 			}
-			if p.Layer == "nic" && p.Target != 0 {
-				return fmt.Errorf("scenario %q: chaos[%d] nic target %d out of range (the host has one NIC port, target 0)", sc.Name, i, p.Target)
-			}
+			links = fabricLinks(t.Clients, slots)
+		}
+		if err := checkChaosTargets(fc.Timeline, links, len(sc.NFs)); err != nil {
+			return fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 	}
 	if sc.Antagonist != nil {
@@ -931,6 +969,15 @@ func Build(d Desc) (*Rig, error) {
 		return nil, fmt.Errorf("scenario: %d clients need a fabric with as many slots", n)
 	}
 	cfg := d.Host
+	if cfg.Faults != nil {
+		links := 0
+		if d.Fabric != nil {
+			links = fabricLinks(d.Fabric.Clients, len(d.RPC)+len(d.Churn))
+		}
+		if err := checkChaosTargets(cfg.Faults.Timeline, links, len(d.NFs)); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+	}
 	if a := d.Antagonist; a != nil && a.MLCKB > 0 {
 		sizes := make([]int, cfg.NumCores())
 		sizes[a.Core] = a.MLCKB << 10

@@ -539,6 +539,19 @@ func TestChaosValidation(t *testing.T) {
 			`{"name":"x","cores":1,"horizonMS":1,"chaos":[{"layer":"fabric","kind":"down","startMS":1,"durationMS":1}],"nfs":[{"core":0,"app":"TouchDrop","traffic":{"kind":"steady","gbps":1,"count":1}}]}`,
 			"no topology"},
 	}
+	shipped, err := os.ReadFile("../../scenarios/chaos_recovery.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retargeted := strings.Replace(string(shipped), `"magnitude": 0.02, "target": 0`, `"magnitude": 0.02, "target": 40`, 1)
+	if retargeted == string(shipped) {
+		t.Fatal("chaos_recovery.json has no fabric/degrade phase to retarget")
+	}
+	cases = append(cases, struct {
+		name   string
+		doc    string
+		substr string
+	}{"chaos fabric target past the attached links", retargeted, "chaos[0] fabric target 40 out of range"})
 	for _, tc := range cases {
 		_, err := Load(strings.NewReader(tc.doc))
 		if err == nil {
