@@ -57,9 +57,9 @@ type Config struct {
 	EnableIOMMU bool
 	// Faults, when non-nil and enabled, wires the deterministic
 	// fault-injection layer (internal/fault) through the PCIe path and
-	// attaches its periodic injectors to the NIC ports, DRAM,
-	// hierarchy, and cores. Same seed + same config = bit-identical
-	// runs, faults included.
+	// attaches its periodic injectors and timeline phases to the NIC,
+	// DRAM and cores (and, on a Cluster's DUT, the fabric links). Same
+	// seed + same config = bit-identical runs, faults included.
 	Faults *fault.Config
 	// Watchdog, when non-nil, arms the simulator's no-progress /
 	// event-storm detector with these thresholds (nil leaves the
@@ -68,8 +68,8 @@ type Config struct {
 	// System.Err and Results.Aborted.
 	Watchdog *sim.WatchdogConfig
 	// QoS, when non-nil, arms service-class-aware orchestration on the
-	// host: the DSCP→class map is installed in every NIC port's filter
-	// table, each class's LLC way quota / prefetch aggressiveness /
+	// host: the DSCP→class map is installed in the NIC's filter table,
+	// each class's LLC way quota / prefetch aggressiveness /
 	// direct-to-DRAM policy applies at DMA placement time, and
 	// per-class RX counters appear in the obs registry. On a Cluster's
 	// DUT it also arms the fabric: every switch egress port replaces its

@@ -17,6 +17,15 @@ if grep -rnE 'idio\.(NewSystem|NewSystemE|NewHostE|NewCluster)\(' --include='*.g
     echo "check: build runs with scenario.Build, not idio.NewSystem/NewHostE/NewCluster" >&2
     exit 1
 fi
+# One placement path: the hierarchy reaches every line through its
+# placement record or a back-pointer, so a line-addressed search
+# (cache Find, directory scan) in its non-test code may appear only in
+# Residency and CheckCoherence, which walk structures for tests.
+if awk '/^func /{fn=$0} !/^[[:space:]]*\/\// && /\.(Find|scan)\(/ && fn !~ /\) (Residency|CheckCoherence)\(/ {print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' \
+    $(ls internal/hier/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/hier searches for a line outside Residency and CheckCoherence" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
@@ -35,8 +44,10 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestCluster|TestLossyFabric' .
 # a finished, watchdog-bounded run.
 go test -run '^$' -fuzz FuzzScenario -fuzztime 15s -parallel 2 ./internal/scenario
 # Hierarchy fuzzing: random op sequences over every invariant config,
-# with CheckCoherence (coherence and back-pointer invariants) after
-# each op. An input runs up to 512 ops, so the default minimization
+# run in lockstep on the hierarchy and on its line-addressed spec
+# (internal/hier/spec_test.go), which must agree after each op, with
+# CheckCoherence (coherence, back-pointer and placement-record
+# invariants) after each op too. An input runs up to 512 ops, so the default minimization
 # (60 s per new input) would spend the whole budget on the first few
 # finds; 100 runs per input keeps the search going.
 go test -run '^$' -fuzz FuzzHierOps -fuzztime 15s -fuzzminimizetime 100x -parallel 2 ./internal/hier
