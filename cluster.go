@@ -482,7 +482,6 @@ func (cl *Cluster) rpcSummary(keep func(j int) bool) (RPCResults, int) {
 		r.Timeouts += st.Timeouts
 		r.Late += st.Late
 		r.Retries += st.Retries
-		r.Hedges += st.Hedges
 		r.Failed += st.Failed
 		a.add(c)
 	}
@@ -538,7 +537,6 @@ func (cl *Cluster) registerRPCMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rpc.timeouts", func() uint64 { return sum().Timeouts })
 	reg.CounterFunc("rpc.late", func() uint64 { return sum().Late })
 	reg.CounterFunc("rpc.retries", func() uint64 { return sum().Retries })
-	reg.CounterFunc("rpc.hedges", func() uint64 { return sum().Hedges })
 	reg.CounterFunc("rpc.failed", func() uint64 { return sum().Failed })
 	reg.GaugeFunc("rpc.goodput_gbps", func() float64 { return sum().GoodputBps / 1e9 })
 	reg.GaugeFunc("rpc.p50_us", func() float64 { return sum().P50.Microseconds() })

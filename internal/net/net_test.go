@@ -397,7 +397,6 @@ func TestRetryConfigValidate(t *testing.T) {
 		{"negative max backoff", RetryConfig{MaxBackoff: -1}, "MaxBackoff"},
 		{"jitter >= 1", RetryConfig{JitterFrac: 1}, "JitterFrac"},
 		{"negative jitter", RetryConfig{JitterFrac: -0.1}, "JitterFrac"},
-		{"negative hedge", RetryConfig{Hedge: -1}, "Hedge"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -482,63 +481,6 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	}
 	if got := up.Stats().DownDrops; got != 8 {
 		t.Fatalf("uplink swallowed %d attempts, want 8", got)
-	}
-}
-
-// dropFirst swallows the first request it sees and echoes the rest —
-// a server that loses exactly one request.
-type dropFirst struct {
-	reply   *Link
-	dropped bool
-}
-
-func (d *dropFirst) Receive(s *sim.Simulator, p *pkt.Packet) {
-	if !d.dropped {
-		d.dropped = true
-		p.Release()
-		return
-	}
-	d.reply.Receive(s, pkt.EchoResponse(p))
-}
-
-// TestClientHedge: a hedged client covers a lost request with the
-// speculative duplicate before the timeout fires, so the request
-// completes without a retry; requests answered before the hedge delay
-// send no duplicate.
-func TestClientHedge(t *testing.T) {
-	s := sim.New()
-	srv := &dropFirst{}
-	up := NewLink(LinkConfig{Name: "up", RateBps: 100e9, Delay: sim.Microsecond}, srv)
-	c := NewClient(ClientConfig{
-		Flow: testFlow(1514), Mode: ModeClosed, Outstanding: 1, Requests: 4,
-		Timeout: 20 * sim.Microsecond,
-		Retry: &RetryConfig{
-			MaxRetries: 3, Backoff: 50 * sim.Microsecond, Seed: 1,
-			Hedge: 5 * sim.Microsecond,
-		},
-	}, up)
-	srv.reply = NewLink(LinkConfig{Name: "down", RateBps: 100e9, Delay: sim.Microsecond}, c)
-	c.Start(s)
-	s.RunUntil(sim.Time(10 * sim.Millisecond))
-
-	st := c.Stats()
-	if !c.Done() {
-		t.Fatalf("client not done: %+v", st)
-	}
-	// Request 0's original was eaten; its hedge answered. Requests 1-3
-	// complete in ~4.5us RTT, under the 5us hedge delay, so no further
-	// duplicates go out.
-	if st.Hedges != 1 {
-		t.Fatalf("hedges=%d, want exactly 1 (the lost request's cover)", st.Hedges)
-	}
-	if st.Issued != 4 || st.Responses != 4 || st.Retries != 0 || st.Failed != 0 {
-		t.Fatalf("issued=%d resp=%d retries=%d failed=%d; want 4/4/0/0",
-			st.Issued, st.Responses, st.Retries, st.Failed)
-	}
-	// The eaten original still hit its timeout after the hedge had
-	// already answered; that must not double-account the request.
-	if st.Timeouts != 1 || st.Late != 0 {
-		t.Fatalf("timeouts=%d late=%d; want 1/0", st.Timeouts, st.Late)
 	}
 }
 
