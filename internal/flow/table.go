@@ -140,9 +140,6 @@ func (t *Table[V]) Len() int {
 	return t.n
 }
 
-// Cap returns the fixed capacity, or 0 for a growable table.
-func (t *Table[V]) Cap() int { return t.fixedCap }
-
 // LoadFactor returns entries per slot in [0,1].
 func (t *Table[V]) LoadFactor() float64 {
 	if t == nil || len(t.slots) == 0 {

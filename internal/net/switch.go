@@ -72,9 +72,6 @@ func (sw *Switch) Route(ip pkt.IPv4, port int) {
 	sw.routes[ip] = port
 }
 
-// Ports returns every attached output link (by port index).
-func (sw *Switch) Ports() []*Link { return sw.ports }
-
 // dstIPOff is the byte offset of the IPv4 destination address within
 // an Ethernet frame (14-byte Ethernet header + 16 bytes into IPv4).
 const dstIPOff = pkt.EthHeaderLen + 16

@@ -20,7 +20,7 @@ func refBursty(g Bursty, s *sim.Simulator, rx Receiver) uint64 {
 	if err != nil {
 		panic(err)
 	}
-	pool := poolFor(g.Pool, rx)
+	pool := poolFor(nil, rx)
 	emit := func(sm *sim.Simulator, a sim.Arg) {
 		p := pool.Get(tmpl.FrameLen())
 		tmpl.Stamp(p, a.U0)
@@ -41,7 +41,7 @@ func refBursty(g Bursty, s *sim.Simulator, rx Receiver) uint64 {
 
 // refTrace is the pre-scheduling Trace.Install, kept as a reference.
 func refTrace(g Trace, s *sim.Simulator, rx Receiver) uint64 {
-	pool := poolFor(g.Pool, rx)
+	pool := poolFor(nil, rx)
 	emit := func(sm *sim.Simulator, a sim.Arg) {
 		tmpl := a.Obj2.(*pkt.Template)
 		p := pool.Get(tmpl.FrameLen())

@@ -174,8 +174,6 @@ type Bursty struct {
 	PacketsPerBurst int
 	Start           sim.Time
 	NumBursts       int
-	// Pool overrides packet-pool discovery (see Steady.Pool).
-	Pool *pkt.Pool
 }
 
 // BurstLength returns the intra-burst duration from first to last
@@ -239,7 +237,7 @@ func (g Bursty) Install(s *sim.Simulator, rx Receiver) uint64 {
 	}
 	n := uint64(g.NumBursts) * uint64(g.PacketsPerBurst)
 	run := &burstRun{
-		g: g, tmpl: tmpl, pool: poolFor(g.Pool, rx), rx: rx,
+		g: g, tmpl: tmpl, pool: poolFor(nil, rx), rx: rx,
 		gap: InterArrival(g.BurstRateBps, g.Flow.FrameLen), n: n,
 	}
 	// Bursts never overlap (checked above), so packet order is arrival
@@ -260,8 +258,6 @@ type Poisson struct {
 	Start   sim.Time
 	Count   uint64
 	Seed    int64
-	// Pool overrides packet-pool discovery (see Steady.Pool).
-	Pool *pkt.Pool
 }
 
 // poissonRun mirrors steadyRun with an exponential gap draw per
@@ -301,7 +297,7 @@ func (g Poisson) Install(s *sim.Simulator, rx Receiver) uint64 {
 		panic(fmt.Sprintf("traffic: %v", err))
 	}
 	run := &poissonRun{
-		tmpl: tmpl, pool: poolFor(g.Pool, rx), rx: rx,
+		tmpl: tmpl, pool: poolFor(nil, rx), rx: rx,
 		rng:  rand.New(rand.NewSource(g.Seed)),
 		mean: float64(InterArrival(g.RateBps, g.Flow.FrameLen)),
 		n:    g.Count,
@@ -319,8 +315,6 @@ type Trace struct {
 	Flow     Flow
 	Times    []sim.Time
 	FrameLen []int // optional; parallel to Times
-	// Pool overrides packet-pool discovery (see Steady.Pool).
-	Pool *pkt.Pool
 }
 
 // traceRun is one trace replay's emission state. Entries fire in
@@ -384,7 +378,7 @@ func emitTracePkt(sm *sim.Simulator, a sim.Arg) {
 func (g Trace) Install(s *sim.Simulator, rx Receiver) uint64 {
 	run := &traceRun{
 		times: g.Times, flens: g.FrameLen, def: g.Flow.FrameLen,
-		pool: poolFor(g.Pool, rx), rx: rx,
+		pool: poolFor(nil, rx), rx: rx,
 		tmpls: make(map[int]*pkt.Template),
 	}
 	sorted := true
