@@ -227,25 +227,41 @@ func (e *Env) ReadRegion(r mem.Region) sim.Duration {
 }
 
 // FreeSlot returns a consumed slot to its ring, self-invalidating its
-// buffer and descriptor lines first when the policy says so. Slots
-// must be freed in ring order (the ring enforces it). The returned
-// duration is the instruction cost of the invalidations (zero when
-// self-invalidation is off); run-to-completion callers charge it to
-// the core before the next poll.
+// payload and descriptor lines first when the policy says so. A buffer
+// detached from the slot (re-allocate mode) is its new owner's to
+// invalidate, so only the descriptor goes. Slots must be freed in ring
+// order (the ring enforces it). The returned duration is the
+// instruction cost of the invalidations (zero when self-invalidation
+// is off); run-to-completion callers charge it to the core before the
+// next poll.
 func (e *Env) FreeSlot(slot *nic.Slot) sim.Duration {
 	// Capture identity before Free: the ring clears the tail slot's
 	// packet pointer as part of returning it.
 	if e.Obs.Tracing() && slot.Pkt != nil && e.Obs.TracingPacket(slot.Pkt.Seq) {
 		e.Obs.Emit(obs.Event{Kind: obs.EvFree, Seq: slot.Pkt.Seq, Core: e.CoreID, At: e.Sim.Now()})
 	}
+	var cost sim.Duration
+	if slot.Buf.Size == 0 {
+		cost = e.SelfInvalidate(slot.Desc)
+	} else {
+		cost = e.SelfInvalidate(slot.PayloadRegion(), slot.Desc)
+	}
+	slot.Ring().Free()
+	return cost
+}
+
+// SelfInvalidate invalidates the lines of regions without writeback
+// (Sec. V-D) when the core's policy self-invalidates, and returns the
+// instruction cost to charge: zero when self-invalidation is off.
+func (e *Env) SelfInvalidate(regions ...mem.Region) sim.Duration {
 	if !e.cfg.SelfInvalidate {
-		slot.Ring().Free()
 		return 0
 	}
-	lines := slot.PayloadRegion().NumLines() + slot.Desc.NumLines()
-	e.Hier.InvalidateRegionNoWB(e.Sim.Now(), e.CoreID, slot.PayloadRegion())
-	e.Hier.InvalidateRegionNoWB(e.Sim.Now(), e.CoreID, slot.Desc)
-	slot.Ring().Free()
+	lines := 0
+	for _, r := range regions {
+		lines += r.NumLines()
+		e.Hier.InvalidateRegionNoWB(e.Sim.Now(), e.CoreID, r)
+	}
 	return e.invalCost(lines)
 }
 
