@@ -59,6 +59,12 @@ func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
 	ncfg.DescWBDelay = 100 * sim.Nanosecond
 	cls := idiocore.NewClassifier(idiocore.DefaultClassifierConfig(1))
 	n := nic.New(ncfg, mem.NewLayout(0x1000000), ddioSink{h}, cls, nic.NewFlowDirector(1))
+	// Ring buffers and descriptors are Invalidatable, as System marks
+	// them (Sec. V-D).
+	for _, slot := range n.Ring(0).Slots() {
+		h.RegisterInvalidatable(slot.Buf)
+		h.RegisterInvalidatable(slot.Desc)
+	}
 	s := sim.New()
 	c := NewCore(0, coreCfg, hcfg.Clock, h, n, touchAll{})
 	return &rig{s: s, h: h, n: n, core: c}

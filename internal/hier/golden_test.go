@@ -31,8 +31,7 @@ func TestRandomOpsGolden(t *testing.T) {
 	var out strings.Builder
 	for _, tc := range invariantConfigs {
 		rng := rand.New(rand.NewSource(44))
-		h := tc.mk(t)
-		h.SetClassDDIOWays(1, 1)
+		h := randomOpHierarchy(t, tc.mk)
 		fmt.Fprintf(&out, "config %s\n", tc.name)
 		results, residency := fnv.New64a(), fnv.New64a()
 		for op := 0; op < ops; op++ {

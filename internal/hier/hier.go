@@ -214,7 +214,6 @@ type Hierarchy struct {
 	DMAReqTL *stats.Timeline
 
 	invalidatable mem.RegionSet // lines registered as Invalidatable (Sec. V-D), whole
-	invalCheck    bool
 	// placed holds every line's placement record (placement.go).
 	placed placement
 
@@ -735,10 +734,10 @@ func (h *Hierarchy) allocLLCVictimEgress(now sim.Time, core int, la uint64, dirt
 
 // RegisterInvalidatable marks a region's lines as safe to invalidate
 // without writeback, modeling the kernel-allocated Invalidatable buffer
-// of Sec. V-D. When enforcement is enabled (EnforceInvalidatable),
-// InvalidateNoWB panics on unregistered lines, catching the privacy bug
-// class the paper describes. Registration covers every line the
-// region touches; the registry keeps merged regions, not lines.
+// of Sec. V-D. InvalidateNoWB panics on unregistered lines, catching
+// the privacy bug class the paper describes. Registration covers every
+// line the region touches; the registry keeps merged regions, not
+// lines.
 func (h *Hierarchy) RegisterInvalidatable(r mem.Region) {
 	h.invalidatable.Add(r.LineSpan())
 }
@@ -748,12 +747,10 @@ func (h *Hierarchy) RegisterInvalidatable(r mem.Region) {
 // whole address layout when it starts.
 func (h *Hierarchy) ReserveRecords(r mem.Region) { h.placed.reserve(r) }
 
-// EnforceInvalidatable turns on PTE-bit checking for InvalidateNoWB.
-func (h *Hierarchy) EnforceInvalidatable(on bool) { h.invalCheck = on }
-
 // InvalidateNoWB drops one cacheline from the requesting core's L1 and
 // MLC and from the LLC without any writeback — the new cache
-// maintenance instruction of Sec. IV-A / V-D.
+// maintenance instruction of Sec. IV-A / V-D. The line must be
+// registered Invalidatable (RegisterInvalidatable).
 func (h *Hierarchy) InvalidateNoWB(now sim.Time, core int, line mem.LineAddr) {
 	h.invalidateLines(core, line, 1)
 }
@@ -767,13 +764,19 @@ func (h *Hierarchy) InvalidateRegionNoWB(now sim.Time, core int, r mem.Region) {
 // invalidateLines drops the n lines from first on, in address order,
 // where their records say: from this core's MLC (its L1 copy follows
 // from the MLC copy's pointer) and from the LLC. A copy in another
-// core's MLC is out of this core's reach.
+// core's MLC is out of this core's reach. It panics, before dropping
+// any line, when one of them is not registered Invalidatable: the
+// Sec. V-D page-table check, one registry lookup per call.
 func (h *Hierarchy) invalidateLines(core int, first mem.LineAddr, n int) {
+	if !h.invalidatable.Covers(mem.Region{Base: first.Addr(), Size: uint64(n) * mem.LineBytes}) {
+		line := first
+		for h.invalidatable.Contains(line.Addr()) {
+			line++
+		}
+		panic(fmt.Sprintf("hier: InvalidateNoWB on non-Invalidatable line %v", line))
+	}
 	for line := first; line < first+mem.LineAddr(n); line++ {
 		la := uint64(line)
-		if h.invalCheck && !h.invalidatable.Contains(line.Addr()) {
-			panic(fmt.Sprintf("hier: InvalidateNoWB on non-Invalidatable line %v", line))
-		}
 		p := h.locate(la)
 		dropped := p.llc >= 0
 		if p.mlc >= 0 && p.core == core {

@@ -242,6 +242,7 @@ func TestPCIeReadFromLLCAndDRAM(t *testing.T) {
 
 func TestInvalidateNoWBDropsEverywhereWithoutDRAMTraffic(t *testing.T) {
 	h := small(t)
+	h.RegisterInvalidatable(mem.Region{Size: 1000 * mem.LineBytes})
 	h.PCIeWrite(0, 11)
 	h.CoreRead(0, 0, 11) // dirty line in MLC
 	h.PCIeWrite(0, 12)   // dirty line in LLC
@@ -267,6 +268,7 @@ func TestInvalidateNoWBDropsEverywhereWithoutDRAMTraffic(t *testing.T) {
 func TestInvalidateRegionNoWB(t *testing.T) {
 	h := small(t)
 	r := mem.Region{Base: 0, Size: 2048}
+	h.RegisterInvalidatable(r)
 	for l := mem.LineAddr(0); l < 32; l++ {
 		h.PCIeWrite(0, l)
 		h.CoreRead(0, 0, l)
@@ -279,7 +281,6 @@ func TestInvalidateRegionNoWB(t *testing.T) {
 
 func TestInvalidatableEnforcement(t *testing.T) {
 	h := small(t)
-	h.EnforceInvalidatable(true)
 	h.RegisterInvalidatable(mem.Region{Base: 0, Size: 2048})
 	h.PCIeWrite(0, 1)
 	h.InvalidateNoWB(0, 0, 1) // registered: fine
@@ -561,12 +562,18 @@ func forEachInvariantConfig(t *testing.T, fn func(*testing.T, *Hierarchy)) {
 }
 
 // randomOpHierarchy builds a hierarchy for the random-op tests, with
-// one QoS class holding a one-way DDIO quota.
+// one QoS class holding a one-way DDIO quota and the lines randomOp
+// may invalidate registered Invalidatable.
 func randomOpHierarchy(t *testing.T, mk func(*testing.T) *Hierarchy) *Hierarchy {
 	h := mk(t)
 	h.SetClassDDIOWays(1, 1)
+	h.RegisterInvalidatable(mem.Region{Size: randomOpInvalidatable * mem.LineBytes})
 	return h
 }
+
+// randomOpInvalidatable bounds, in lines from 0, what randomOp
+// invalidates: below lines+7, and every caller passes 96 lines.
+const randomOpInvalidatable = 256
 
 func nine(t *testing.T) *Hierarchy {
 	t.Helper()
@@ -705,7 +712,6 @@ func TestInvalidatableRegistryMatchesPerLineSet(t *testing.T) {
 	}
 	for iter := 0; iter < 300; iter++ {
 		h := small(t)
-		h.EnforceInvalidatable(true)
 		ref := make(map[mem.LineAddr]bool)
 		prev := mem.Region{}
 		for i := rng.Intn(24); i > 0; i-- {

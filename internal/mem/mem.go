@@ -144,6 +144,17 @@ func (s *RegionSet) Contains(a Addr) bool {
 	return i > 0 && a < s.regions[i-1].End()
 }
 
+// Covers reports whether every address of r lies inside the set; an
+// empty region is covered. Regions are kept apart, so r is covered
+// only when one of them holds it whole.
+func (s *RegionSet) Covers(r Region) bool {
+	if r.Size == 0 {
+		return true
+	}
+	i := s.upper(r.Base)
+	return i > 0 && r.End() <= s.regions[i-1].End()
+}
+
 // Len returns the number of disjoint regions the set holds.
 func (s *RegionSet) Len() int { return len(s.regions) }
 

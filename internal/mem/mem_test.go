@@ -177,6 +177,18 @@ func TestRegionSetMatchesBruteForce(t *testing.T) {
 				t.Fatalf("iter %d: Contains(%v) = %v, want %v (regions %v)", iter, a, !want, want, rs)
 			}
 		}
+		// Covers agrees with Contains on every address of a random
+		// region, empty ones included.
+		for k := 0; k < 20; k++ {
+			r := Region{Base: Addr(rng.Intn(266 * LineBytes)), Size: uint64(rng.Intn(16 * LineBytes))}
+			want := true
+			for a := r.Base; a < r.End(); a++ {
+				want = want && s.Contains(a)
+			}
+			if s.Covers(r) != want {
+				t.Fatalf("iter %d: Covers(%v) = %v, want %v (regions %v)", iter, r, !want, want, rs)
+			}
+		}
 	}
 }
 
