@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"idio/internal/dram"
 	fnet "idio/internal/net"
@@ -80,13 +81,12 @@ type FabricDegradeConfig struct {
 }
 
 // CoreStallConfig schedules slow-core stalls: roughly every Period
-// one core's driver loop freezes for Stall while the NIC keeps
-// producing into its ring. Core pins the victim; -1 rotates over all
-// attached cores pseudo-randomly.
+// one core's driver loop, drawn pseudo-randomly from the attached
+// cores, freezes for Stall while the NIC keeps producing into its
+// ring.
 type CoreStallConfig struct {
 	Period sim.Duration
 	Stall  sim.Duration
-	Core   int
 }
 
 // Phase is one scheduled entry of a fault timeline: a perturbation of
@@ -112,10 +112,9 @@ type Phase struct {
 	// (0,1) for fabric/degrade, the extra latency in nanoseconds for
 	// dram/spike. Unused (and ignored) by the other kinds.
 	Magnitude float64
-	// Target selects the victim by attach order: links for fabric
-	// phases, cores for core; the one NIC port is target 0. Ignored
-	// for dram. A target index with no attached victim skips the
-	// phase.
+	// Target selects the victim: a fabric link by attach order, a
+	// core by its id; the one NIC port is target 0. Ignored for dram.
+	// A target with no attached victim skips the phase.
 	Target int
 }
 
@@ -196,9 +195,6 @@ func (c *Config) Validate() error {
 		}
 		if cs.Stall <= 0 {
 			bad("CoreStall.Stall %v must be positive", cs.Stall)
-		}
-		if cs.Core < -1 {
-			bad("CoreStall.Core %d must be -1 (rotate) or a core index", cs.Core)
 		}
 	}
 	if f := c.FabricFlap; f != nil {
@@ -293,10 +289,12 @@ type Injector struct {
 	cfg Config
 	rng *rand.Rand
 
-	port  *nic.NIC
-	mem   *dram.DRAM
-	cores []Staller
-	links []*fnet.Link
+	port *nic.NIC
+	mem  *dram.DRAM
+	// cores are the attached cores in attach order, coreIDs their ids.
+	cores   []Staller
+	coreIDs []int
+	links   []*fnet.Link
 
 	tlpsCorrupted  stats.Counter
 	tlpsPoisoned   stats.Counter
@@ -329,8 +327,13 @@ type Staller interface {
 	InjectStall(now sim.Time, d sim.Duration)
 }
 
-// AttachCore registers a core as a slow-core stall target.
-func (in *Injector) AttachCore(c Staller) { in.cores = append(in.cores, c) }
+// AttachCore registers core id as a slow-core stall target. Periodic
+// stalls draw their victim by attach order; a core phase names its
+// victim by id.
+func (in *Injector) AttachCore(id int, c Staller) {
+	in.cores = append(in.cores, c)
+	in.coreIDs = append(in.coreIDs, id)
+}
 
 // AttachLink registers a fabric link as a flap / rate-degradation
 // target. Attach before Start, in deterministic order (the rng picks
@@ -460,11 +463,7 @@ func (in *Injector) Start(s *sim.Simulator) {
 	}
 	if cs := in.cfg.CoreStall; cs != nil && len(in.cores) > 0 {
 		in.chain(s, cs.Period, func(sm *sim.Simulator) {
-			idx := cs.Core
-			if idx < 0 || idx >= len(in.cores) {
-				idx = in.rng.Intn(len(in.cores))
-			}
-			in.cores[idx].InjectStall(sm.Now(), cs.Stall)
+			in.cores[in.rng.Intn(len(in.cores))].InjectStall(sm.Now(), cs.Stall)
 			in.coreStalls.Inc()
 		})
 	}
@@ -516,10 +515,11 @@ func (in *Injector) applyPhase(sm *sim.Simulator, ph Phase) {
 		in.dramSpikes.Inc()
 		sm.After(ph.Duration, func(*sim.Simulator) { mem.SetExtraLatency(0) })
 	case "core":
-		if ph.Target >= len(in.cores) {
+		i := slices.Index(in.coreIDs, ph.Target)
+		if i < 0 {
 			return
 		}
-		in.cores[ph.Target].InjectStall(sm.Now(), ph.Duration)
+		in.cores[i].InjectStall(sm.Now(), ph.Duration)
 		in.coreStalls.Inc()
 	default:
 		return

@@ -19,7 +19,7 @@ func TestConfigValidate(t *testing.T) {
 	good := Config{
 		PCIe:      &PCIeConfig{CorruptProb: 0.01, PoisonProb: 0.5},
 		DRAMSpike: &DRAMSpikeConfig{Period: sim.Millisecond, Extra: sim.Nanosecond, Length: sim.Microsecond},
-		CoreStall: &CoreStallConfig{Period: sim.Millisecond, Stall: sim.Microsecond, Core: -1},
+		CoreStall: &CoreStallConfig{Period: sim.Millisecond, Stall: sim.Microsecond},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -32,13 +32,13 @@ func TestConfigValidate(t *testing.T) {
 		{"corrupt prob > 1", func(c *Config) { c.PCIe.CorruptProb = 1.5 }, "CorruptProb"},
 		{"poison prob < 0", func(c *Config) { c.PCIe.PoisonProb = -0.1 }, "PoisonProb"},
 		{"spike extra", func(c *Config) { c.DRAMSpike.Extra = 0 }, "DRAMSpike.Extra"},
-		{"core index", func(c *Config) { c.CoreStall.Core = -2 }, "CoreStall.Core"},
+		{"stall period", func(c *Config) { c.CoreStall.Period = 0 }, "CoreStall.Period"},
 	}
 	for _, tc := range cases {
 		c := good // sub-configs are shared pointers; rebuild per case
 		c.PCIe = &PCIeConfig{CorruptProb: 0.01, PoisonProb: 0.5}
 		c.DRAMSpike = &DRAMSpikeConfig{Period: sim.Millisecond, Extra: sim.Nanosecond, Length: sim.Microsecond}
-		c.CoreStall = &CoreStallConfig{Period: sim.Millisecond, Stall: sim.Microsecond, Core: -1}
+		c.CoreStall = &CoreStallConfig{Period: sim.Millisecond, Stall: sim.Microsecond}
 		tc.mut(&c)
 		err := c.Validate()
 		if err == nil {

@@ -93,7 +93,7 @@ func TestFaultInjectedDeterministicReplay(t *testing.T) {
 			Seed:      1234,
 			PCIe:      &fault.PCIeConfig{CorruptProb: 0.02, PoisonProb: 0.01},
 			DRAMSpike: &fault.DRAMSpikeConfig{Period: ms, Extra: 100 * sim.Nanosecond, Length: 100 * sim.Microsecond},
-			CoreStall: &fault.CoreStallConfig{Period: ms, Stall: 30 * sim.Microsecond, Core: -1},
+			CoreStall: &fault.CoreStallConfig{Period: ms, Stall: 30 * sim.Microsecond},
 			Timeline: []fault.Phase{
 				{Layer: "nic", Kind: "dma-stall", Start: sim.Time(step), Duration: 20 * sim.Microsecond},
 				{Layer: "dram", Kind: "spike", Start: sim.Time(2 * step), Duration: 100 * sim.Microsecond, Magnitude: 200},
@@ -125,6 +125,28 @@ func TestFaultInjectedDeterministicReplay(t *testing.T) {
 	b := run()
 	if a != b {
 		t.Fatalf("fault-injected runs diverged:\n--- run1 ---\n%s\n--- run2 ---\n%s", a, b)
+	}
+}
+
+// TestCoreStallPhaseTargetsCoreID: a core phase stalls the core its
+// Target names, whatever order the NFs were added in.
+func TestCoreStallPhaseTargetsCoreID(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Faults = &fault.Config{Timeline: []fault.Phase{
+		{Layer: "core", Kind: "stall", Start: sim.Time(100 * sim.Microsecond), Duration: 500 * sim.Microsecond, Target: 0},
+	}}
+	sys := NewSystem(cfg)
+	for _, c := range []int{1, 0} {
+		flow := sys.DefaultFlow(c)
+		sys.AddNF(c, apps.TouchDrop{}, flow)
+		traffic.Steady{Flow: flow, RateBps: traffic.Gbps(5), Count: 512}.Install(sys.Sim, sys.NIC)
+	}
+	res := sys.RunUntilIdle(5 * sim.Millisecond)
+	if res.Faults.TimelinePhases != 1 {
+		t.Fatalf("%d of 1 timeline phase applied", res.Faults.TimelinePhases)
+	}
+	if p0, p1 := res.Cores[0].P99, res.Cores[1].P99; p0 < 100*sim.Microsecond || p1 > 100*sim.Microsecond {
+		t.Fatalf("p99 core 0 %.2fus, core 1 %.2fus: want the stall on core 0 only", p0.Microseconds(), p1.Microseconds())
 	}
 }
 
