@@ -92,7 +92,7 @@ func TestLossyFabricNoPoolLeak(t *testing.T) {
 		if rpc.Issued != 2*4096 {
 			t.Fatalf("%s: issued %d, want the full 8192 budget", name, rpc.Issued)
 		}
-		// The gate: drops, retries, hedge-less late arrivals, AQM and
+		// The gate: drops, retries, late arrivals, AQM and
 		// admission sheds — and still not one packet unaccounted for.
 		if res.PktPool.Outstanding != 0 {
 			t.Fatalf("%s: pool leak on a lossy fabric: %+v", name, res.PktPool)
