@@ -64,7 +64,7 @@ type Traffic struct {
 // NF binds an application and its traffic to a core.
 type NF struct {
 	Core     int     `json:"core"`
-	App      string  `json:"app"` // TouchDrop | L2Fwd | L2FwdQueued | L2FwdDropPayload | NAT | ReallocNF
+	App      string  `json:"app"` // one of AppNames: TouchDrop | L2Fwd | L2FwdDropPayload | NAT | ReallocNF
 	FrameLen int     `json:"frameLen,omitempty"`
 	DSCP     uint8   `json:"dscp,omitempty"`
 	Traffic  Traffic `json:"traffic"`
@@ -697,26 +697,37 @@ func (sc Scenario) policy() (idiocore.Policy, error) {
 	}
 }
 
-func appFor(name string, sys *idio.System) (cpu.App, error) {
-	switch name {
-	case "TouchDrop":
-		return apps.TouchDrop{}, nil
-	case "L2Fwd":
-		return apps.L2Fwd{}, nil
-	case "L2FwdQueued":
-		return &apps.L2FwdQueued{}, nil
-	case "L2FwdDropPayload":
-		return apps.L2FwdDropPayload{}, nil
-	case "NAT":
+// appTable maps every app name a scenario may give to its
+// constructor; sys is nil on the validation pass.
+var appTable = map[string]func(sys *idio.System) cpu.App{
+	"TouchDrop":        func(*idio.System) cpu.App { return apps.TouchDrop{} },
+	"L2Fwd":            func(*idio.System) cpu.App { return apps.L2Fwd{} },
+	"L2FwdDropPayload": func(*idio.System) cpu.App { return apps.L2FwdDropPayload{} },
+	"NAT": func(sys *idio.System) cpu.App {
 		if sys == nil {
-			return &apps.NAT{}, nil // validation pass
+			return &apps.NAT{}
 		}
-		return &apps.NAT{Table: sys.AllocRegion(4 << 20)}, nil
-	case "ReallocNF":
-		return &apps.ReallocNF{}, nil
-	default:
-		return nil, fmt.Errorf("unknown app %q", name)
+		return &apps.NAT{Table: sys.AllocRegion(4 << 20)}
+	},
+	"ReallocNF": func(*idio.System) cpu.App { return &apps.ReallocNF{} },
+}
+
+// AppNames returns every app name a scenario may give, sorted.
+func AppNames() []string {
+	names := make([]string, 0, len(appTable))
+	for name := range appTable {
+		names = append(names, name)
 	}
+	slices.Sort(names)
+	return names
+}
+
+func appFor(name string, sys *idio.System) (cpu.App, error) {
+	mk, ok := appTable[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown app %q (want one of %v)", name, AppNames())
+	}
+	return mk(sys), nil
 }
 
 // RunOpts carries run-time observability options that are deliberately

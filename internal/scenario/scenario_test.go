@@ -132,10 +132,11 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 	// A removed key or value is an error naming it, not a silent
 	// default.
 	removed := map[string]string{
-		"hedgeUS":    nf + topo("", `,"retry":{"maxRetries":1,"hedgeUS":5}`),
-		"rampToGbps": nf + topo("", `,"rampToGbps":5`),
-		`"ramp"`:     nf + strings.Replace(topo("", `,"gbps":1`), `"closed"`, `"ramp"`, 1),
-		`"CopyNF"`:   `"nfs":[{"core":0,"app":"CopyNF","traffic":{"kind":"steady","gbps":1,"count":1}}]`,
+		"hedgeUS":       nf + topo("", `,"retry":{"maxRetries":1,"hedgeUS":5}`),
+		"rampToGbps":    nf + topo("", `,"rampToGbps":5`),
+		`"ramp"`:        nf + strings.Replace(topo("", `,"gbps":1`), `"closed"`, `"ramp"`, 1),
+		`"CopyNF"`:      `"nfs":[{"core":0,"app":"CopyNF","traffic":{"kind":"steady","gbps":1,"count":1}}]`,
+		`"L2FwdQueued"`: `"nfs":[{"core":0,"app":"L2FwdQueued","traffic":{"kind":"steady","gbps":1,"count":1}}]`,
 	}
 	for key, body := range removed {
 		_, err := Load(strings.NewReader(`{"name":"x","cores":1,"horizonMS":1,` + body + `}`))
@@ -151,6 +152,20 @@ func TestLoadRejectsBadDocuments(t *testing.T) {
 		_, err := Load(strings.NewReader(doc))
 		if err == nil || !strings.Contains(err.Error(), key+" -5") {
 			t.Errorf("negative %s: got %v, want an error naming it", key, err)
+		}
+	}
+}
+
+// An unknown app name is an error that lists the names a scenario may
+// give.
+func TestUnknownAppListsAppNames(t *testing.T) {
+	_, err := Load(strings.NewReader(`{"name":"x","cores":1,"horizonMS":1,"nfs":[{"core":0,"app":"Nope","traffic":{"kind":"steady","gbps":1,"count":1}}]}`))
+	if err == nil {
+		t.Fatal("unknown app loaded")
+	}
+	for _, name := range AppNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
 		}
 	}
 }
