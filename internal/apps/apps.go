@@ -52,31 +52,6 @@ func (L2Fwd) OnPacket(env *cpu.Env, slot *nic.Slot) (sim.Duration, bool) {
 	return lat, true
 }
 
-// L2FwdQueued is L2Fwd driven through the full TX descriptor ring: the
-// driver writes a TX descriptor (CPU stores), the NIC fetches
-// descriptor + payload over PCIe and writes back a completion. This is
-// the most faithful egress model; plain L2Fwd skips the descriptor
-// bookkeeping.
-type L2FwdQueued struct {
-	// TXDrops counts packets lost to a full TX ring.
-	TXDrops uint64
-}
-
-// Name implements cpu.App.
-func (f *L2FwdQueued) Name() string { return "L2FwdQueued" }
-
-// OnPacket reads the header and pushes the packet through the TX ring.
-func (f *L2FwdQueued) OnPacket(env *cpu.Env, slot *nic.Slot) (sim.Duration, bool) {
-	lat := env.Read(slot.Buf.Base.Line())
-	descLat, ok := env.TransmitQueuedAndFree(slot, slot.PayloadRegion())
-	lat += descLat
-	if !ok {
-		f.TXDrops++
-		return lat, false // TX full: drop and release at end of batch
-	}
-	return lat, true
-}
-
 // L2FwdDropPayload processes the header and drops the payload without
 // ever touching it — the class-1 application of Sec. VII used to
 // evaluate selective direct DRAM access.
