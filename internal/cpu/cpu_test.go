@@ -43,6 +43,12 @@ type rig struct {
 
 func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
 	t.Helper()
+	return newSelfInvalRig(t, coreCfg, ringSize, false)
+}
+
+// newSelfInvalRig is newRig with the core's self-invalidation set.
+func newSelfInvalRig(t *testing.T, coreCfg Config, ringSize int, selfInval bool) *rig {
+	t.Helper()
 	hcfg := hier.Config{
 		Clock:    sim.NewClock(3_000_000_000),
 		NumCores: 1,
@@ -66,7 +72,7 @@ func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
 		h.RegisterInvalidatable(slot.Desc)
 	}
 	s := sim.New()
-	c := NewCore(0, coreCfg, hcfg.Clock, h, n, touchAll{})
+	c := NewCore(0, coreCfg, selfInval, hcfg.Clock, h, n, touchAll{})
 	return &rig{s: s, h: h, n: n, core: c}
 }
 
@@ -135,11 +141,9 @@ func TestBatchRespectsBatchSize(t *testing.T) {
 
 func TestSelfInvalidateEliminatesMLCWritebacks(t *testing.T) {
 	run := func(selfInval bool) (mlcWB, selfInv uint64) {
-		cfg := DefaultConfig()
-		cfg.SelfInvalidate = selfInval
 		// Ring larger than the 64KB MLC (in packets): 1514B packets
 		// x 64 slots = ~96KB of buffers.
-		r := newRig(t, cfg, 64)
+		r := newSelfInvalRig(t, DefaultConfig(), 64, selfInval)
 		for i := 0; i < 256; i++ {
 			r.inject(t, sim.Time(int64(i)*int64(200*sim.Nanosecond)), 1514, uint16(i%500+1))
 		}
@@ -356,7 +360,7 @@ func TestCoreValidation(t *testing.T) {
 					t.Errorf("expected panic for %+v", cfg)
 				}
 			}()
-			NewCore(0, cfg, sim.NewClock(3e9), nil, nil, touchAll{})
+			NewCore(0, cfg, false, sim.NewClock(3e9), nil, nil, touchAll{})
 		}()
 	}
 }

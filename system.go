@@ -371,9 +371,7 @@ func (s *System) AddNF(coreID int, app cpu.App, flow traffic.Flow) *cpu.Core {
 		panic(fmt.Sprintf("idio: core %d already has an app", coreID))
 	}
 	s.FlowDir.AddEPRule(flow.Tuple(), coreID)
-	coreCfg := s.Cfg.CPU
-	coreCfg.SelfInvalidate = s.Cfg.Policy.SelfInvalidate
-	c := cpu.NewCore(coreID, coreCfg, s.Cfg.Hier.Clock, s.Hier, s.NIC, app)
+	c := cpu.NewCore(coreID, s.Cfg.CPU, s.Cfg.Policy.SelfInvalidate, s.Cfg.Hier.Clock, s.Hier, s.NIC, app)
 	c.Env().Obs = s.obs
 	s.Cores[coreID] = c
 	if s.Faults != nil {
