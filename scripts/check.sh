@@ -1,11 +1,12 @@
 #!/bin/sh
 # Pre-merge gate, the one definition of it (`make check` runs this
-# script): gofmt, vet, build, full tests, the race detector over the
-# internal packages (with forced-parallel passes over the experiment
-# worker pool, the fabric, the fault layer, the run loop and the
-# cluster tests), simbench's workload smoke, scenario and hierarchy
-# fuzzing, a one-iteration smoke over every benchmark, the allocation
-# gates, and the observability, fabric, chaos and churn smokes.
+# script): gofmt, the README's quickstart sample, vet, build, full
+# tests, the race detector over the internal packages (with
+# forced-parallel passes over the experiment worker pool, the fabric,
+# the fault layer, the run loop and the cluster tests), simbench's
+# workload smoke, scenario and hierarchy fuzzing, a one-iteration smoke
+# over every benchmark, the allocation gates, and the observability,
+# fabric, chaos and churn smokes.
 set -eux
 cd "$(dirname "$0")/.."
 # Formatting gate: gofmt must have nothing to rewrite.
@@ -24,6 +25,14 @@ fi
 if awk '/^func /{fn=$0} !/^[[:space:]]*\/\// && /\.(Find|scan)\(/ && fn !~ /\) (Residency|CheckCoherence)\(/ {print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' \
     $(ls internal/hier/*.go | grep -v '_test\.go$'); then
     echo "check: internal/hier searches for a line outside Residency and CheckCoherence" >&2
+    exit 1
+fi
+# The README's quickstart sample is the example's summary line as the
+# golden corpus pins it, verbatim, so the sample cannot drift from what
+# `go run ./examples/quickstart` prints.
+qs=$(grep -v '^[[:space:]]*$' testdata/golden/example_quickstart.txt | tail -n 1)
+if ! grep -qF -- "$qs" README.md; then
+    echo "check: README lacks the last line of testdata/golden/example_quickstart.txt" >&2
     exit 1
 fi
 go vet ./...
