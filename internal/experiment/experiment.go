@@ -165,13 +165,12 @@ func timelines(r *run, dma bool) []Series {
 	return s
 }
 
-// ratio returns a/b guarding against a zero baseline.
+// ratio returns a/b, or -1 (undefined; callers render it as n/a) for a
+// zero baseline. 0/0 is undefined too: neither side did anything, which
+// is not the same as "no change".
 func ratio(a, b float64) float64 {
 	if b == 0 {
-		if a == 0 {
-			return 1 // both zero: no change
-		}
-		return -1 // undefined; callers render as n/a
+		return -1
 	}
 	return a / b
 }
