@@ -133,6 +133,86 @@ func TestHotSchedulingPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// lineRig is a host's line engine in miniature: an arrival every 100 ns
+// starts a 26-line DMA walk at 2.56 ns a line, each line hints a
+// prefetch train issuing every 8 ns, and a 200 ns poll fused through
+// FuseAfter interleaves with both, so frames drain foreign events in
+// place and get refused.
+type lineRig struct {
+	s        *Simulator
+	dma, pf  *Cursor
+	line     int
+	hints    int
+	arrive   Event
+	poll     Event
+	lastPoll Time
+}
+
+func newLineRig() *lineRig {
+	r := &lineRig{s: New()}
+	g := NewGroup(r.s)
+	r.dma = g.Add(r.stepDMA)
+	r.pf = g.Add(r.stepPrefetch)
+	r.arrive = func(s *Simulator) {
+		if !r.dma.Live() {
+			r.line = 0
+			r.dma.Start(s.Now(), s.NextSeq())
+		}
+		s.After(100*Nanosecond, r.arrive)
+	}
+	r.poll = func(s *Simulator) {
+		for s.FuseAfter(200*Nanosecond, r.poll) {
+			r.lastPoll = s.Now()
+		}
+	}
+	r.s.At(0, r.arrive)
+	r.s.At(0, r.poll)
+	return r
+}
+
+func (r *lineRig) stepDMA(s *Simulator) (Time, uint64, bool) {
+	r.hints = min(r.hints+1, 32) // a full hint queue drops the hint
+	if !r.pf.Live() {
+		r.pf.Start(s.Now().Add(8*Nanosecond), s.NextSeq())
+	}
+	if r.line++; r.line < 26 {
+		return s.Now().Add(2560 * Picosecond), r.dma.seq, true
+	}
+	return 0, 0, false
+}
+
+func (r *lineRig) stepPrefetch(s *Simulator) (Time, uint64, bool) {
+	if r.hints--; r.hints == 0 {
+		return 0, 0, false
+	}
+	return s.Now().Add(8 * Nanosecond), s.NextSeq(), true
+}
+
+// BenchmarkGroupSteps measures the line engine's steady state: one op
+// advances lineRig by 1 µs (260 DMA steps and 125 prefetch steps). It
+// must be allocation-free.
+func BenchmarkGroupSteps(b *testing.B) {
+	r := newLineRig()
+	r.s.RunUntil(r.s.Now().Add(4 * Microsecond)) // reach steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.s.RunUntil(r.s.Now().Add(Microsecond))
+	}
+}
+
+// TestGroupStepsZeroAllocs: stepping cursors, reaching their keys
+// through in-place drains and filing wakes on refusal allocate nothing
+// once the rig is warm.
+func TestGroupStepsZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed guard")
+	}
+	if a := testing.Benchmark(BenchmarkGroupSteps).AllocsPerOp(); a != 0 {
+		t.Errorf("%d allocs/op stepping the line engine, want 0", a)
+	}
+}
+
 // TestEventQueueHeapOrder cross-checks the 4-ary heap against a
 // reference sort over random schedules, including heavy same-instant
 // ties (the FIFO case the simulator depends on).

@@ -100,7 +100,7 @@ func (st *seqStream) install(s *Simulator, streamed bool) {
 
 // runSeqWorld builds one randomized world — streams with tied and
 // duplicate times, plain events before, between and after them that
-// reschedule onto tied instants and probe FuseAt/ContinueAt — and
+// reschedule onto tied instants and probe fuseAt/continueAt — and
 // returns its firing log.
 func runSeqWorld(seed int64, streamed bool) []string {
 	rng := rand.New(rand.NewSource(seed))
@@ -111,8 +111,8 @@ func runSeqWorld(seed int64, streamed bool) []string {
 	plain = func(sm *Simulator) {
 		id := nplain
 		nplain++
-		fuse := sm.FuseAt(sm.Now() + Time(rng.Intn(40)))
-		cont := sm.ContinueAt(sm.Now() + Time(rng.Intn(40)))
+		fuse := fuseAt(sm, sm.Now()+Time(rng.Intn(40)))
+		cont := continueAt(sm, sm.Now()+Time(rng.Intn(40)))
 		log = append(log, fmt.Sprintf("%d p%d fuse=%v cont=%v", sm.Now(), id, fuse, cont))
 		if nplain < 400 && rng.Intn(3) > 0 {
 			// Land on an instant the streams also use, or on now.

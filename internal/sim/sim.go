@@ -251,9 +251,9 @@ func (e *WatchdogError) Error() string {
 // (at, seq), so the executed sequence is identical to a single heap's.
 //
 // Dispatch is one bounded drain (drain): RunUntil runs it with the
-// bound (horizon, MaxUint64), and a fused handler whose continuation
-// is preceded by other events runs it in place, under the
-// continuation's own key, before carrying on (see ContinueArg).
+// bound (horizon, MaxUint64), and a fused handler or a cursor group
+// whose continuation is preceded by other events runs it in place,
+// under the continuation's own key, before carrying on (see reach).
 type Simulator struct {
 	now       Time
 	seq       uint64
@@ -263,8 +263,8 @@ type Simulator struct {
 	runStart  uint64 // processed at RunUntil entry: the event budget's base
 	stopped   bool
 
-	// curSeq is the seq of the event currently being dispatched — the
-	// key a continuation keeps (ContinueAt, ContinueArg).
+	// curSeq is the seq of the event currently being dispatched (or of
+	// the key reach last made current).
 	curSeq uint64
 
 	// boundAt/boundSeq is the (at, seq) key of the innermost active
@@ -277,8 +277,8 @@ type Simulator struct {
 	depth    int
 
 	// nextAt/nextSeq cache the key of the scheduler head: fused
-	// handlers probe it between every link (ContinueArg, FuseAtArg,
-	// FuseAfter), and the cache turns those probes into two
+	// handlers and cursor groups probe it between every step (reach),
+	// and the cache turns those probes into two
 	// comparisons. enqueue keeps the cache exact (a smaller arrival
 	// replaces it, tagged with the queue that accepted it); every pop
 	// resets it to the trivial lower bound (staleHead). nextSrc records
@@ -366,9 +366,14 @@ func keyLess(at Time, seq uint64, bAt Time, bSeq uint64) bool {
 
 // enqueue files one event into the two-level scheduler: the wheel when
 // it can hold it, the heap otherwise (past-cursor or far-future
-// spills).
+// spills). An empty wheel whose window has fallen behind now (its
+// cursor only moves when it yields an event, so a stretch served from
+// the heap leaves it behind) is moved to now's slot first.
 func (s *Simulator) enqueue(e schedEvent) {
 	inWheel := s.wheel.push(e)
+	if !inWheel && s.wheel.count == 0 && s.wheel.rebase(s.now) {
+		inWheel = s.wheel.push(e)
+	}
 	if !inWheel {
 		s.heap.push(e)
 		s.spills++
@@ -501,6 +506,14 @@ func (s *Simulator) AtArgNamed(at Time, name string, fn ArgEvent, arg Arg) {
 	s.enqueue(schedEvent{at: at, seq: s.seq, afn: fn, arg: s.putArg(arg)})
 }
 
+// NextSeq draws a fresh ordering seq: the one an event scheduled now
+// would get. A cursor keyed with it (Cursor.Set) orders among all other
+// events exactly as that event would.
+func (s *Simulator) NextSeq() uint64 {
+	s.seq++
+	return s.seq
+}
+
 // ReserveSeqs reserves a block of n consecutive ordering seqs and
 // returns the first; the block is [first, first+n). It consumes the
 // seq counter exactly as n AtArgNamed calls would, so events filed
@@ -590,19 +603,10 @@ func (s *Simulator) FuseAt(t Time) bool {
 }
 
 // ContinueArg continues the running event's fused work at time t,
-// keeping its ordering seq: the continuation's key is (t, curSeq).
-// When pending events order before that key, they are dispatched in
-// place — inside the caller, under the key as the drain's bound — so
-// they run exactly when they would have run had the continuation been
-// filed and popped in turn. It returns true when the caller may carry
-// on at t (the clock then reads t). It returns false, having filed
-// fn at (t, curSeq) with a copy of *arg, when the continuation cannot
-// run now: its key does not precede the active bound, the nesting
-// limit is reached, or the run stopped (Stop or a watchdog) during the
-// in-place drain. The caller must then return. Either way the executed
-// (at, seq) order is the one a separately scheduled continuation would
-// produce. arg is read only when filing, so callers pass the address
-// of a local payload and nothing escapes.
+// keeping its ordering seq: the continuation's key is (t, curSeq). It
+// proceeds as FuseAtArg does under that key: true means carry on at t;
+// false means fn was filed at (t, curSeq) with a copy of *arg and the
+// caller must return.
 func (s *Simulator) ContinueArg(t Time, fn ArgEvent, arg *Arg) bool {
 	return s.resume(t, s.curSeq, nil, fn, arg)
 }
@@ -610,9 +614,18 @@ func (s *Simulator) ContinueArg(t Time, fn ArgEvent, arg *Arg) bool {
 // FuseAtArg runs work that would otherwise be the fresh event
 // AtArgNamed(t, fn, arg) inline. It draws that event's seq first, so
 // every event it dispatches in place orders before it and every event
-// scheduled meanwhile after it, then proceeds as ContinueArg under the
-// drawn seq: true means carry on at t as that event; false means fn
-// was filed at (t, drawn seq) and the caller must return.
+// scheduled meanwhile after it; the continuation's key is (t, drawn
+// seq). When pending events order before that key, they are dispatched
+// in place — inside the caller, under the key as the drain's bound — so
+// they run exactly when they would have run had the event been filed
+// and popped in turn. It returns true when the caller may carry on at
+// t as that event (the clock then reads t). It returns false, having
+// filed fn at the key with a copy of *arg, when the key does not
+// precede the active bound, the nesting limit is reached, or the run
+// stopped (Stop or a watchdog) during the in-place drain; the caller
+// must then return. Either way the executed (at, seq) order is the one
+// the filed event would produce. arg is read only when filing, so
+// callers pass the address of a local payload and nothing escapes.
 func (s *Simulator) FuseAtArg(t Time, fn ArgEvent, arg *Arg) bool {
 	if fn == nil {
 		panic("sim: nil event")
@@ -633,35 +646,12 @@ func (s *Simulator) FuseAfter(d Duration, fn Event) bool {
 	return s.resume(s.now.Add(d), s.seq, fn, nil, nil)
 }
 
-// resume implements ContinueArg, FuseAtArg and FuseAfter for the
-// continuation key (t, seq); exactly one of fn/afn is set, and arg is
-// afn's payload.
+// resume implements ContinueArg, FuseAtArg and FuseAfter for the continuation key
+// (t, seq): reach it, or file the continuation under it. Exactly one of
+// fn/afn is set, and arg is afn's payload.
 func (s *Simulator) resume(t Time, seq uint64, fn Event, afn ArgEvent, arg *Arg) bool {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: continuation at %v before now %v", t, s.now))
-	}
-	if !s.stopped && keyLess(t, seq, s.boundAt, s.boundSeq) {
-		s.resolveHead(t)
-		ok := true
-		if keyLess(s.nextAt, s.nextSeq, t, seq) {
-			ok = false
-			if s.depth < maxNest {
-				bAt, bSeq := s.boundAt, s.boundSeq
-				s.boundAt, s.boundSeq = t, seq
-				s.depth++
-				ok = s.drain(t, seq)
-				s.depth--
-				s.boundAt, s.boundSeq = bAt, bSeq
-			}
-		}
-		if ok {
-			if t > s.now {
-				s.now = t
-				s.sameInstant = 0
-			}
-			s.curSeq = seq
-			return true
-		}
+	if s.reach(t, seq) {
+		return true
 	}
 	e := schedEvent{at: t, seq: seq, fn: fn, afn: afn}
 	if afn != nil {
@@ -669,6 +659,72 @@ func (s *Simulator) resume(t Time, seq uint64, fn Event, afn ArgEvent, arg *Arg)
 	}
 	s.enqueue(e)
 	return false
+}
+
+// next is reach's fast path: when the key (t, seq) orders before the
+// cached scheduler head — exact or a lower bound, either way before
+// every pending event — and before the active bound, nothing needs to
+// run first, so it makes the key current and reports true. Otherwise
+// it changes nothing and reports false.
+func (s *Simulator) next(t Time, seq uint64) bool {
+	if s.stopped || t < s.now ||
+		!keyLess(t, seq, s.nextAt, s.nextSeq) || !keyLess(t, seq, s.boundAt, s.boundSeq) {
+		return false
+	}
+	if t > s.now {
+		s.now = t
+		s.sameInstant = 0
+	}
+	s.curSeq = seq
+	return true
+}
+
+// reach makes the key (t, seq) the one being dispatched: it runs in
+// place every pending event that orders before the key, then advances
+// the clock to t and reports true. It reports false, leaving the key
+// for the caller to file, when the key does not precede the active
+// bound, the nesting limit is reached, or the run stops during the
+// in-place drain. Fused handlers (resume) and cursor groups (Group.run)
+// both continue through it.
+func (s *Simulator) reach(t Time, seq uint64) bool {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: continuation at %v before now %v", t, s.now))
+	}
+	if s.stopped || !keyLess(t, seq, s.boundAt, s.boundSeq) {
+		return false
+	}
+	s.resolveHead(t)
+	if keyLess(s.nextAt, s.nextSeq, t, seq) {
+		if s.depth >= maxNest {
+			return false
+		}
+		bAt, bSeq := s.boundAt, s.boundSeq
+		s.boundAt, s.boundSeq = t, seq
+		s.depth++
+		ok := s.drain(t, seq)
+		s.depth--
+		s.boundAt, s.boundSeq = bAt, bSeq
+		if !ok {
+			return false
+		}
+	}
+	if t > s.now {
+		s.now = t
+		s.sameInstant = 0
+	}
+	s.curSeq = seq
+	return true
+}
+
+// absorb consumes, without dispatching it, the pending event filed at
+// exactly the key (t, seq), which reach has just made current: the
+// caller runs as that event instead.
+func (s *Simulator) absorb(t Time, seq uint64) {
+	s.resolveHead(t)
+	if s.nextAt != t || s.nextSeq != seq {
+		panic(fmt.Sprintf("sim: no pending event at the key (%v, %d) to absorb", t, seq))
+	}
+	s.popHead()
 }
 
 // AfterArg schedules an argful event d after the current time.

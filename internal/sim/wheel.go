@@ -142,6 +142,20 @@ func (w *timeWheel) push(e schedEvent) bool {
 	return true
 }
 
+// rebase moves an empty wheel's window to start at now's slot when now
+// lies outside it, reporting whether it moved. Nothing is pending, so
+// no event changes slot, and every event still to come lies at or
+// after now.
+func (w *timeWheel) rebase(now Time) bool {
+	if now >= w.base && now-w.base < Time(wheelSpan) {
+		return false
+	}
+	w.buf, w.pos, w.sorted = w.buf[:0], 0, false
+	w.cursor = int(now>>wheelGranBits) & wheelMask
+	w.base = now &^ Time(wheelGran-1)
+	return true
+}
+
 // peekUntil returns the wheel's minimum event without consuming it,
 // moving the cursor to (and sorting) the next occupied slot — but
 // never to a slot that starts after limit. When the next event lies in
