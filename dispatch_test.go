@@ -12,14 +12,14 @@ import (
 	"idio/internal/traffic"
 )
 
-// Dispatch-count guards. The event kernel runs each paced stream — the
-// NIC's DMA line walks, the prefetcher's issue train, a core's idle
-// poll and packet retirements — as one fused handler that dispatches
-// interleaving events in place instead of yielding through the
-// scheduler (sim.ContinueArg, sim.FuseAfter, sim.FuseAtArg). The count
-// of dispatched events is deterministic, so a change that brings back a
-// scheduler round trip per line or per issue fails here instead of
-// showing up only as host time.
+// Dispatch-count guards. The NIC's DMA line walks and the prefetchers'
+// issue trains are cursors of one line engine per host (sim.Group),
+// stepped in key order as one event; a core's idle poll and packet
+// retirements are fused handlers (sim.FuseAfter, sim.FuseAtArg). Both
+// dispatch interleaving events in place instead of yielding through
+// the scheduler. The count of dispatched events is deterministic, so a
+// change that brings back a scheduler round trip per line or per issue
+// fails here instead of showing up only as host time.
 
 // runBurstSystem runs an IDIO burst system like
 // BenchmarkPacketLifecycle's, with 100 Gbps bursts of one ring per core
@@ -76,17 +76,19 @@ func runChurnCluster(t *testing.T) *idio.Cluster {
 func TestDispatchesPerPacketBurst(t *testing.T) {
 	sys, res := runBurstSystem()
 	checkDispatches(t, sys.Sim.Processed(), res.NIC.RxPackets, 4*benchRing,
-		// Measured: 12.29 dispatches per packet; 22.07 when every
-		// refused step yielded through the scheduler.
-		13.5)
+		// Measured: 5.18 dispatches per packet with the line engine;
+		// 12.17 with the DMA walks and issue trains as fused handlers,
+		// 22.07 when every refused step yielded through the scheduler.
+		5.45)
 }
 
 func TestDispatchesPerPacketChurn(t *testing.T) {
 	cl := runChurnCluster(t)
 	checkDispatches(t, cl.Sim.Processed(), cl.DUT.NIC.Stats().RxPackets, 4000,
-		// Measured: 24.44 dispatches per packet; 39.46 when every
-		// refused step yielded through the scheduler.
-		27)
+		// Measured: 15.56 dispatches per packet with the line engine;
+		// 24.44 with the DMA walks and issue trains as fused handlers,
+		// 39.46 when every refused step yielded through the scheduler.
+		16.35)
 }
 
 // The hierarchy's coherence, back-pointer and placement-record

@@ -45,7 +45,8 @@ func newRig(t *testing.T) *rig {
 	ly := mem.NewLayout(1 << 30)
 	cls := idiocore.NewClassifier(idiocore.DefaultClassifierConfig(2))
 	fd := nic.NewFlowDirector(2)
-	n := nic.New(ncfg, ly, ddioSink{h}, cls, fd)
+	s := sim.New()
+	n := nic.New(ncfg, ly, ddioSink{h}, cls, fd, sim.NewGroup(s))
 	// Ring buffers and descriptors are Invalidatable, as System marks
 	// them (Sec. V-D).
 	for q := 0; q < ncfg.NumQueues; q++ {
@@ -54,7 +55,7 @@ func newRig(t *testing.T) *rig {
 			h.RegisterInvalidatable(slot.Desc)
 		}
 	}
-	return &rig{s: sim.New(), h: h, n: n, fd: fd, ly: ly}
+	return &rig{s: s, h: h, n: n, fd: fd, ly: ly}
 }
 
 // attachPool gives ring 0 a pool of n buffers for the re-allocate

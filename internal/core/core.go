@@ -572,13 +572,13 @@ type Prefetcher struct {
 	load   MLCLoadReader // non-nil only for adaptive prefetchers
 
 	// queue is a fixed-capacity ring (head/count) so the per-line
-	// enqueue/dequeue cycle never reallocates; issueFn is the issue
-	// method bound once, so rescheduling it never closes over p again.
-	queue   []uint64
-	head    int
-	count   int
-	busy    bool
-	issueFn sim.Event
+	// enqueue/dequeue cycle never reallocates. issue is the prefetcher's
+	// cursor in the host's line engine (a sim.Group): live while the
+	// queue holds hints, one issue per step.
+	queue []uint64
+	head  int
+	count int
+	issue *sim.Cursor
 
 	HintsQueued  uint64
 	HintsDropped uint64
@@ -595,8 +595,9 @@ type Prefetcher struct {
 	ClassSuppressed uint64
 }
 
-// NewPrefetcher builds a prefetcher for coreID.
-func NewPrefetcher(cfg PrefetcherConfig, coreID int, target PrefetchTarget) *Prefetcher {
+// NewPrefetcher builds a prefetcher for coreID whose issue train joins
+// lines, the host's line engine.
+func NewPrefetcher(cfg PrefetcherConfig, coreID int, target PrefetchTarget, lines *sim.Group) *Prefetcher {
 	if cfg.QueueDepth <= 0 {
 		panic("core: prefetcher queue depth must be positive")
 	}
@@ -610,7 +611,7 @@ func NewPrefetcher(cfg PrefetcherConfig, coreID int, target PrefetchTarget) *Pre
 		cfg.Backoff = 8 * cfg.IssueInterval
 	}
 	p := &Prefetcher{cfg: cfg, coreID: coreID, target: target, queue: make([]uint64, cfg.QueueDepth)}
-	p.issueFn = p.issue
+	p.issue = lines.Add(p.step)
 	if cfg.Adaptive {
 		p.load, _ = target.(MLCLoadReader)
 	}
@@ -621,18 +622,24 @@ func NewPrefetcher(cfg PrefetcherConfig, coreID int, target PrefetchTarget) *Pre
 func (p *Prefetcher) QueueLen() int { return p.count }
 
 // Hint enqueues a prefetch for a cacheline; a full queue drops the
-// hint (prefetching is best-effort).
+// hint (prefetching is best-effort). An idle prefetcher's first issue
+// comes one IssueInterval later. Hints arrive from the root complex
+// inside a DMA step of the same line engine, so starting the issue
+// train files no event.
 func (p *Prefetcher) Hint(s *sim.Simulator, line uint64) {
 	if p.count >= p.cfg.QueueDepth {
 		p.HintsDropped++
 		return
 	}
-	p.queue[(p.head+p.count)%p.cfg.QueueDepth] = line
+	i := p.head + p.count
+	if i >= len(p.queue) {
+		i -= len(p.queue)
+	}
+	p.queue[i] = line
 	p.count++
 	p.HintsQueued++
-	if !p.busy {
-		p.busy = true
-		s.After(p.cfg.IssueInterval, p.issueFn)
+	if !p.issue.Live() {
+		p.issue.Start(s.Now().Add(p.cfg.IssueInterval), s.NextSeq())
 	}
 }
 
@@ -659,37 +666,28 @@ func (p *Prefetcher) HintClass(s *sim.Simulator, line uint64, class uint8) {
 	p.Hint(s, line)
 }
 
-func (p *Prefetcher) issue(s *sim.Simulator) {
-	for {
-		if p.count == 0 {
-			p.busy = false
-			return
-		}
-		// Adaptive regulation: while the MLC is nearly full, hold the
-		// queue and retry later — the CPU's consumption (plus
-		// self-invalidation) is what drains it.
-		if p.load != nil && p.load.MLCLoadFraction(p.coreID) > p.cfg.HighWater {
-			p.Throttled++
-			s.After(p.cfg.Backoff, p.issueFn)
-			return
-		}
-		line := p.queue[p.head]
-		p.head = (p.head + 1) % p.cfg.QueueDepth
-		p.count--
-		p.target.PrefetchToMLC(s.Now(), p.coreID, line)
-		p.Issued++
-		if p.count == 0 {
-			p.busy = false
-			return
-		}
-		// Drain the queue inline at the paced issue instants.
-		// sim.FuseAfter orders each step exactly as the fresh event
-		// s.After would schedule, running any event due first in place,
-		// and files that event when it cannot continue now.
-		if !s.FuseAfter(p.cfg.IssueInterval, p.issueFn) {
-			return
-		}
+// step is the issue cursor's step: one prefetch, the next one
+// IssueInterval later. Each next key draws a fresh seq, as scheduling
+// the next issue as an event would.
+func (p *Prefetcher) step(s *sim.Simulator) (sim.Time, uint64, bool) {
+	// Adaptive regulation: while the MLC is nearly full, hold the
+	// queue and retry later — the CPU's consumption (plus
+	// self-invalidation) is what drains it.
+	if p.load != nil && p.load.MLCLoadFraction(p.coreID) > p.cfg.HighWater {
+		p.Throttled++
+		return s.Now().Add(p.cfg.Backoff), s.NextSeq(), true
 	}
+	line := p.queue[p.head]
+	if p.head++; p.head == len(p.queue) {
+		p.head = 0
+	}
+	p.count--
+	p.target.PrefetchToMLC(s.Now(), p.coreID, line)
+	p.Issued++
+	if p.count == 0 {
+		return 0, 0, false
+	}
+	return s.Now().Add(p.cfg.IssueInterval), s.NextSeq(), true
 }
 
 // RegisterMetrics registers the controller's steering counters under

@@ -410,7 +410,7 @@ func (f *fakeTarget) PrefetchToMLC(now sim.Time, coreID int, line uint64) bool {
 func TestPrefetcherIssuesInOrderAtRate(t *testing.T) {
 	s := sim.New()
 	tgt := &fakeTarget{}
-	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 32, IssueInterval: 10 * sim.Nanosecond}, 0, tgt)
+	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 32, IssueInterval: 10 * sim.Nanosecond}, 0, tgt, sim.NewGroup(s))
 	s.At(0, func(sm *sim.Simulator) {
 		for i := uint64(0); i < 5; i++ {
 			p.Hint(sm, i)
@@ -437,7 +437,7 @@ func TestPrefetcherIssuesInOrderAtRate(t *testing.T) {
 func TestPrefetcherDropsWhenFull(t *testing.T) {
 	s := sim.New()
 	tgt := &fakeTarget{}
-	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 4, IssueInterval: 100 * sim.Nanosecond}, 0, tgt)
+	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 4, IssueInterval: 100 * sim.Nanosecond}, 0, tgt, sim.NewGroup(s))
 	s.At(0, func(sm *sim.Simulator) {
 		for i := uint64(0); i < 10; i++ {
 			p.Hint(sm, i)
@@ -455,7 +455,7 @@ func TestPrefetcherDropsWhenFull(t *testing.T) {
 func TestPrefetcherRestartsAfterDrain(t *testing.T) {
 	s := sim.New()
 	tgt := &fakeTarget{}
-	p := NewPrefetcher(DefaultPrefetcherConfig(), 1, tgt)
+	p := NewPrefetcher(DefaultPrefetcherConfig(), 1, tgt, sim.NewGroup(s))
 	s.At(0, func(sm *sim.Simulator) { p.Hint(sm, 1) })
 	s.At(sim.Time(1*sim.Microsecond), func(sm *sim.Simulator) { p.Hint(sm, 2) })
 	s.Run()
@@ -479,7 +479,7 @@ func TestAdaptivePrefetcherThrottlesOnHighLoad(t *testing.T) {
 	s := sim.New()
 	tgt := &loadableTarget{loadFrac: 1.0}
 	cfg := PrefetcherConfig{QueueDepth: 8, IssueInterval: 10 * sim.Nanosecond, Adaptive: true}
-	p := NewPrefetcher(cfg, 0, tgt)
+	p := NewPrefetcher(cfg, 0, tgt, sim.NewGroup(s))
 	s.At(0, func(sm *sim.Simulator) {
 		p.Hint(sm, 1)
 		p.Hint(sm, 2)
@@ -504,7 +504,7 @@ func TestAdaptivePrefetcherThrottlesOnHighLoad(t *testing.T) {
 func TestNonAdaptivePrefetcherIgnoresLoad(t *testing.T) {
 	s := sim.New()
 	tgt := &loadableTarget{loadFrac: 1.0}
-	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 8, IssueInterval: 10 * sim.Nanosecond}, 0, tgt)
+	p := NewPrefetcher(PrefetcherConfig{QueueDepth: 8, IssueInterval: 10 * sim.Nanosecond}, 0, tgt, sim.NewGroup(s))
 	s.At(0, func(sm *sim.Simulator) { p.Hint(sm, 1) })
 	s.RunUntil(sim.Time(sim.Microsecond))
 	if p.Throttled != 0 || len(tgt.lines) != 1 {
@@ -579,7 +579,7 @@ func TestPrefetcherValidation(t *testing.T) {
 					t.Errorf("expected panic for %+v", cfg)
 				}
 			}()
-			NewPrefetcher(cfg, 0, &fakeTarget{})
+			NewPrefetcher(cfg, 0, &fakeTarget{}, sim.NewGroup(sim.New()))
 		}()
 	}
 }

@@ -64,14 +64,14 @@ func newSelfInvalRig(t *testing.T, coreCfg Config, ringSize int, selfInval bool)
 	ncfg.RingSize = ringSize
 	ncfg.DescWBDelay = 100 * sim.Nanosecond
 	cls := idiocore.NewClassifier(idiocore.DefaultClassifierConfig(1))
-	n := nic.New(ncfg, mem.NewLayout(0x1000000), ddioSink{h}, cls, nic.NewFlowDirector(1))
+	s := sim.New()
+	n := nic.New(ncfg, mem.NewLayout(0x1000000), ddioSink{h}, cls, nic.NewFlowDirector(1), sim.NewGroup(s))
 	// Ring buffers and descriptors are Invalidatable, as System marks
 	// them (Sec. V-D).
 	for _, slot := range n.Ring(0).Slots() {
 		h.RegisterInvalidatable(slot.Buf)
 		h.RegisterInvalidatable(slot.Desc)
 	}
-	s := sim.New()
 	c := NewCore(0, coreCfg, selfInval, hcfg.Clock, h, n, touchAll{})
 	return &rig{s: s, h: h, n: n, core: c}
 }

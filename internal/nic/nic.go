@@ -91,6 +91,19 @@ type NIC struct {
 	// engineFree is when the DMA engine can start the next line
 	// transfer (shared across queues — one PCIe link).
 	engineFree sim.Time
+	// lt is the wire time of one 64-byte line at the DMA rate.
+	lt sim.Duration
+
+	// dma is the NIC's cursor in the host's line engine (a sim.Group):
+	// it walks the FIFO of queued bursts — RX write bursts and TX read
+	// bursts in reserveDMA order, so they never overlap — one line per
+	// step. bursts is a power-of-two ring of bHead/nBursts entries;
+	// line is the cursor's position in the head burst.
+	dma     *sim.Cursor
+	bursts  []burst
+	bHead   int
+	nBursts int
+	line    uint32
 
 	// irq is each queue's completion handler, set through
 	// OnCompletion: the interrupt line of an interrupt-mode driver.
@@ -129,8 +142,32 @@ type NIC struct {
 	stats Stats
 }
 
-// New builds a NIC, carving its rings out of the layout.
-func New(cfg Config, ly *mem.Layout, sink Sink, classifier *idiocore.Classifier, fd *FlowDirector) *NIC {
+// burstsInit is the DMA FIFO's initial capacity (a power of two): two
+// cores' 100 Gbps bursts of one ring each queue about 170 bursts behind
+// the engine, so runs seldom grow it.
+const burstsInit = 256
+
+// burst is one queued DMA transfer: a packet's payload and descriptor
+// line writes, or a TX payload's line reads. at and seq are the key of
+// its first line (seq is drawn when the burst is queued, as the event
+// filing it would have drawn it); every later line keeps seq.
+type burst struct {
+	at  sim.Time
+	seq uint64
+	// pay is the first payload line (a read's first line), desc the
+	// first descriptor line; nPay lines of payload, n lines in all.
+	pay, desc uint64
+	nPay, n   uint32
+	// head and body are the DW0 of the first line and of every other
+	// line, encoded once per burst; a failed encode skips the line.
+	head, body       uint32
+	headErr, bodyErr bool
+	read             bool
+}
+
+// New builds a NIC, carving its rings out of the layout. Its DMA
+// cursor joins lines, the host's line engine.
+func New(cfg Config, ly *mem.Layout, sink Sink, classifier *idiocore.Classifier, fd *FlowDirector, lines *sim.Group) *NIC {
 	if cfg.NumQueues <= 0 {
 		panic("nic: need at least one queue")
 	}
@@ -139,8 +176,11 @@ func New(cfg Config, ly *mem.Layout, sink Sink, classifier *idiocore.Classifier,
 	}
 	n := &NIC{
 		cfg: cfg, sink: sink, classifier: classifier, flowdir: fd,
-		irq: make([]func(*sim.Simulator), cfg.NumQueues),
+		irq:    make([]func(*sim.Simulator), cfg.NumQueues),
+		lt:     sim.Duration(64 * 8 * int64(sim.Second) / cfg.LineRateBps),
+		bursts: make([]burst, burstsInit),
 	}
+	n.dma = lines.Add(n.stepDMA)
 	for i := 0; i < cfg.NumQueues; i++ {
 		n.rings = append(n.rings, NewRing(cfg.RingSize, ly))
 	}
@@ -225,11 +265,6 @@ func (n *NIC) StallDMA(now sim.Time, d sim.Duration) sim.Time {
 	return n.engineFree
 }
 
-// lineTime is the wire time of one 64-byte transfer at the DMA rate.
-func (n *NIC) lineTime() sim.Duration {
-	return sim.Duration(64 * 8 * int64(sim.Second) / n.cfg.LineRateBps)
-}
-
 // reserveDMA serialises the DMA engine: returns the start time for
 // a transfer of nLines beginning no earlier than now.
 func (n *NIC) reserveDMA(now sim.Time, nLines int) (start, end sim.Time) {
@@ -237,7 +272,7 @@ func (n *NIC) reserveDMA(now sim.Time, nLines int) (start, end sim.Time) {
 	if n.engineFree > start {
 		start = n.engineFree
 	}
-	end = start.Add(sim.Duration(int64(n.lineTime()) * int64(nLines)))
+	end = start.Add(sim.Duration(int64(n.lt) * int64(nLines)))
 	n.engineFree = end
 	return start, end
 }
@@ -318,86 +353,21 @@ func (n *NIC) Receive(s *sim.Simulator, p *pkt.Packet) {
 		n.obs.Emit(obs.Event{Kind: obs.EvDMA, Seq: p.Seq, Core: coreID, At: start, Dur: end.Sub(start), Bytes: p.Len()})
 	}
 
-	// One fused event walks the whole descriptor burst — every payload
-	// line followed by every descriptor line at its paced instant —
-	// instead of one event per line (see dmaBurstEv). The walk yields
-	// back to the scheduler only when another event interleaves the
-	// paced schedule, so the per-packet DMA chain costs ~1 scheduler
-	// round trip instead of nLines+descLines of them, while the model
-	// still observes every line write at its exact paced time and in
-	// the exact pre-fusion order.
-	lt := n.lineTime()
-	s.AtArgNamed(start, "dma-burst", dmaBurstEv, sim.Arg{Obj: n, Obj2: slot, U0: boolBit(inBurst), I0: coreID})
-	descStart := start.Add(sim.Duration(int64(lt) * int64(nLines)))
-	readyAt := descStart.Add(sim.Duration(int64(lt)*int64(descLines)) + n.cfg.DescWBDelay)
+	// The burst joins the DMA cursor's FIFO under the seq its own event
+	// would have drawn here; the line engine writes every payload line
+	// and then every descriptor line at its paced instant (stepDMA).
+	b := burst{
+		at: start, seq: s.NextSeq(),
+		pay: uint64(payload.Base.Line()), desc: uint64(slot.Desc.Base.Line()),
+		nPay: uint32(nLines), n: uint32(nLines + descLines),
+	}
+	b.head, err = n.encodeDW0(slot, coreID, true, inBurst)
+	b.headErr = err != nil
+	b.body, err = n.encodeDW0(slot, coreID, false, inBurst)
+	b.bodyErr = err != nil
+	n.queueBurst(b)
+	readyAt := end.Add(n.cfg.DescWBDelay)
 	s.AtArgNamed(readyAt, "desc-visible", descVisibleEv, sim.Arg{Obj: slot, I0: coreID})
-}
-
-// boolBit encodes a flag into an Arg integer field.
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// dmaBurstEv walks one packet's paced DMA line writes — payload lines
-// then descriptor lines — inline: Arg.Obj is the *NIC, Obj2 the *Slot,
-// U0 the cursor (line index << 1) and the burst-classification bit,
-// I0 the destination core. Each line fires at burstStart + idx·lt; the
-// walk continues inline through sim.ContinueArg, which runs any event
-// due before the next line in place (the walk keeps its ordering seq)
-// and re-queues the walk only when it cannot continue now, so fusion
-// never reorders the DMA stream against CPU or fabric events. Every
-// line but the first carries the same metadata, so the walk encodes
-// the body DW0 once (and the header's only when it starts at line 0).
-func dmaBurstEv(sm *sim.Simulator, a sim.Arg) {
-	n := a.Obj.(*NIC)
-	slot := a.Obj2.(*Slot)
-	idx := int(a.U0 >> 1)
-	inBurst := a.U0&1 != 0
-	coreID := a.I0
-	payload := slot.PayloadRegion()
-	nLines := payload.NumLines()
-	total := nLines + slot.Desc.NumLines()
-	firstPayload := uint64(payload.Base.Line())
-	firstDesc := uint64(slot.Desc.Base.Line())
-	body, bodyErr := n.encodeDW0(slot, coreID, false, inBurst)
-	var head uint32
-	var headErr error
-	if idx == 0 {
-		head, headErr = n.encodeDW0(slot, coreID, true, inBurst)
-	}
-	lt := n.lineTime()
-	t := sm.Now()
-	for {
-		var lineAddr uint64
-		if idx < nLines {
-			lineAddr = firstPayload + uint64(idx)
-		} else {
-			lineAddr = firstDesc + uint64(idx-nLines)
-		}
-		dw, err := body, bodyErr
-		if idx == 0 {
-			dw, err = head, headErr
-		}
-		if err != nil {
-			// The line's DMA is skipped; the packet degrades rather
-			// than the process dying mid-run.
-			n.stats.InvariantViolations++
-		} else {
-			n.stats.DMAWrites++
-			n.sink.DMAWrite(t, pcie.WriteTLP{LineAddr: lineAddr, DW0: dw})
-		}
-		if idx++; idx >= total {
-			return
-		}
-		t = t.Add(lt)
-		a.U0 = uint64(idx)<<1 | a.U0&1
-		if !sm.ContinueArg(t, dmaBurstEv, &a) {
-			return
-		}
-	}
 }
 
 // encodeDW0 packs the classifier's metadata for one of slot's DMA
@@ -406,6 +376,62 @@ func (n *NIC) encodeDW0(slot *Slot, coreID int, isHeader, inBurst bool) (uint32,
 	meta := n.classifier.Tag(slot.AppClass, coreID, isHeader, inBurst)
 	meta.QoS = slot.QoS
 	return pcie.EncodeDW0(meta)
+}
+
+// queueBurst appends b to the DMA FIFO, starting the idle cursor at
+// b's key.
+func (n *NIC) queueBurst(b burst) {
+	if n.nBursts == len(n.bursts) {
+		grown := make([]burst, 2*len(n.bursts))
+		for i := 0; i < n.nBursts; i++ {
+			grown[i] = n.bursts[(n.bHead+i)&(len(n.bursts)-1)]
+		}
+		n.bursts, n.bHead = grown, 0
+	}
+	n.bursts[(n.bHead+n.nBursts)&(len(n.bursts)-1)] = b
+	n.nBursts++
+	if n.nBursts == 1 {
+		n.line = 0
+		n.dma.Start(b.at, b.seq)
+	}
+}
+
+// stepDMA is the DMA cursor's step: one line of the head burst at its
+// paced instant, head burst start + line·lt. The next line keeps the
+// burst's seq; the next burst starts at its own key.
+func (n *NIC) stepDMA(s *sim.Simulator) (sim.Time, uint64, bool) {
+	b := &n.bursts[n.bHead]
+	i := n.line
+	t := s.Now()
+	switch {
+	case b.read:
+		n.stats.DMAReads++
+		n.sink.DMARead(t, b.pay+uint64(i))
+	case i == 0 && b.headErr, i > 0 && b.bodyErr:
+		// The line's DMA is skipped; the packet degrades rather than
+		// the process dying mid-run.
+		n.stats.InvariantViolations++
+	default:
+		line, dw := b.pay+uint64(i), b.body
+		if i >= b.nPay {
+			line = b.desc + uint64(i-b.nPay)
+		}
+		if i == 0 {
+			dw = b.head
+		}
+		n.stats.DMAWrites++
+		n.sink.DMAWrite(t, pcie.WriteTLP{LineAddr: line, DW0: dw})
+	}
+	if n.line = i + 1; n.line < b.n {
+		return t.Add(n.lt), b.seq, true
+	}
+	n.bHead = (n.bHead + 1) & (len(n.bursts) - 1)
+	n.line = 0
+	if n.nBursts--; n.nBursts > 0 {
+		next := &n.bursts[n.bHead]
+		return next.at, next.seq, true
+	}
+	return 0, 0, false
 }
 
 // descVisibleEv fires a descriptor write-back becoming visible to the
@@ -439,34 +465,10 @@ func (n *NIC) Transmit(s *sim.Simulator, payload mem.Region, fn sim.ArgEvent, ar
 	nLines := payload.NumLines()
 	start, end := n.reserveDMA(s.Now(), nLines)
 	if nLines > 0 {
-		s.AtArgNamed(start, "dma-read", dmaReadBurstEv,
-			sim.Arg{Obj: n, U0: uint64(payload.Base.Line()), U1: uint64(nLines)})
+		n.queueBurst(burst{at: start, seq: s.NextSeq(), pay: uint64(payload.Base.Line()), n: uint32(nLines), read: true})
 	}
 	n.stats.TxPackets++
 	s.AtArgNamed(end, "tx-done", fn, arg)
-}
-
-// dmaReadBurstEv walks a run of consecutive paced TX DMA line reads
-// inline: Arg.Obj is the *NIC, U0 the first line address, U1 the line
-// count, I0 the cursor. Like dmaBurstEv it continues in-event through
-// sim.ContinueArg, keeping its seq.
-func dmaReadBurstEv(sm *sim.Simulator, a sim.Arg) {
-	n := a.Obj.(*NIC)
-	idx := uint64(a.I0)
-	lt := n.lineTime()
-	t := sm.Now()
-	for {
-		n.stats.DMAReads++
-		n.sink.DMARead(t, a.U0+idx)
-		if idx++; idx >= a.U1 {
-			return
-		}
-		t = t.Add(lt)
-		a.I0 = int(idx)
-		if !sm.ContinueArg(t, dmaReadBurstEv, &a) {
-			return
-		}
-	}
 }
 
 // RegisterMetrics registers the NIC counter set under prefix (e.g.

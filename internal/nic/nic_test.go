@@ -53,7 +53,7 @@ func TestNICCarvesRXRingsOnly(t *testing.T) {
 	ly := mem.NewLayout(0x100000)
 	cfg := DefaultConfig(2)
 	cfg.RingSize = size
-	n := New(cfg, ly, &recordingSink{}, idiocore.NewClassifier(idiocore.DefaultClassifierConfig(2)), NewFlowDirector(2))
+	n := New(cfg, ly, &recordingSink{}, idiocore.NewClassifier(idiocore.DefaultClassifierConfig(2)), NewFlowDirector(2), sim.NewGroup(sim.New()))
 	q0, q1 := n.Ring(0).Slots(), n.Ring(1).Slots()
 	if end := q0[size-1].Buf.End(); q1[0].Desc.Base != end {
 		t.Fatalf("queue 1 descriptors at %v, want right after queue 0's last mbuf at %v", q1[0].Desc.Base, end)
@@ -268,8 +268,9 @@ func newNIC(t *testing.T, queues, ringSize int) (*NIC, *recordingSink, *sim.Simu
 	cfg := DefaultConfig(queues)
 	cfg.RingSize = ringSize
 	cfg.DescWBDelay = 100 * sim.Nanosecond
-	n := New(cfg, mem.NewLayout(0x100000), sink, cls, fd)
-	return n, sink, sim.New()
+	s := sim.New()
+	n := New(cfg, mem.NewLayout(0x100000), sink, cls, fd, sim.NewGroup(s))
+	return n, sink, s
 }
 
 func TestReceiveDMAsPayloadThenDescriptor(t *testing.T) {
@@ -293,7 +294,7 @@ func TestReceiveDMAsPayloadThenDescriptor(t *testing.T) {
 	}
 	// Lines are paced at the wire rate: monotonically increasing
 	// timestamps with equal spacing.
-	lt := n.lineTime()
+	lt := n.lt
 	for i := 1; i < len(sink.wTimes); i++ {
 		if sink.wTimes[i].Sub(sink.wTimes[i-1]) != lt {
 			t.Fatalf("pacing gap %v at line %d, want %v", sink.wTimes[i].Sub(sink.wTimes[i-1]), i, lt)
@@ -323,7 +324,7 @@ func TestReceiveVisibilityAfterCoalescing(t *testing.T) {
 	}
 	readyAt = slot.ReadyAt
 	// Visibility = 26 line times + 100ns coalescing delay.
-	want := sim.Time(26*int64(n.lineTime())) + sim.Time(100*sim.Nanosecond)
+	want := sim.Time(26*int64(n.lt)) + sim.Time(100*sim.Nanosecond)
 	if readyAt != want {
 		t.Fatalf("ready at %v, want %v", readyAt, want)
 	}
@@ -343,7 +344,7 @@ func TestOnCompletionOneLinePerQueue(t *testing.T) {
 	if first != 0 || second != 1 {
 		t.Fatalf("replaced handler fired %d times, current %d; want 0 and 1", first, second)
 	}
-	if want := sim.Time(26*int64(n.lineTime())) + sim.Time(100*sim.Nanosecond); at != want {
+	if want := sim.Time(26*int64(n.lt)) + sim.Time(100*sim.Nanosecond); at != want {
 		t.Fatalf("interrupt at %v, want %v", at, want)
 	}
 	n.OnCompletion(0, nil)
@@ -377,8 +378,8 @@ func TestReceiveSteersByFlowDirector(t *testing.T) {
 	fd := NewFlowDirector(2)
 	cfg := DefaultConfig(2)
 	cfg.RingSize = 8
-	n := New(cfg, mem.NewLayout(0x100000), sink, cls, fd)
 	s := sim.New()
+	n := New(cfg, mem.NewLayout(0x100000), sink, cls, fd, sim.NewGroup(s))
 	p := mkPacket(t, 200, 0, 7777)
 	fields, _ := pkt.Parse(p.Frame)
 	fd.AddEPRule(fields.Tuple(), 1)
@@ -398,8 +399,8 @@ func TestReceiveTagsAppClassFromDSCP(t *testing.T) {
 	clsCfg := idiocore.DefaultClassifierConfig(1)
 	clsCfg.ClassOneDSCPs = []uint8{46}
 	cls := idiocore.NewClassifier(clsCfg)
-	n := New(DefaultConfig(1), mem.NewLayout(0x100000), sink, cls, NewFlowDirector(1))
 	s := sim.New()
+	n := New(DefaultConfig(1), mem.NewLayout(0x100000), sink, cls, NewFlowDirector(1), sim.NewGroup(s))
 	p := mkPacket(t, 500, 46, 1)
 	s.At(0, func(sm *sim.Simulator) { n.Receive(sm, p) })
 	s.Run()
@@ -441,7 +442,7 @@ func TestTransmitPacedReadsAndCompletion(t *testing.T) {
 	if len(sink.reads) != 24 {
 		t.Fatalf("reads = %d, want 24", len(sink.reads))
 	}
-	wantDone := sim.Time(24 * int64(n.lineTime()))
+	wantDone := sim.Time(24 * int64(n.lt))
 	if doneAt != wantDone {
 		t.Fatalf("done at %v, want %v", doneAt, wantDone)
 	}

@@ -568,49 +568,6 @@ func (s *Simulator) isReserved(seq uint64) bool {
 	return lo < len(s.reserved) && s.reserved[lo].lo <= seq
 }
 
-// ContinueAt is the pure inline-continuation check: called from
-// inside a running event's handler, it reports whether an event
-// re-filed at (t, curSeq) would be the very next thing dispatched —
-// nothing pending orders before it and it orders before the active
-// bound (the run horizon, or the continuation an enclosing in-place
-// drain suspended). On success the clock advances to t. Fused call
-// sites use ContinueArg, which also runs the preceding events in place
-// or files the continuation.
-func (s *Simulator) ContinueAt(t Time) bool {
-	if s.stopped || !keyLess(t, s.curSeq, s.boundAt, s.boundSeq) || s.headBefore(t, s.curSeq) {
-		return false
-	}
-	if t > s.now {
-		s.now = t
-	}
-	return true
-}
-
-// FuseAt is ContinueAt for work that would otherwise be scheduled as a
-// fresh event: it reports whether an event scheduled now for time t
-// would run immediately next. A fresh event's seq would exceed every
-// pending seq, so ties at t defer to the pending event — the strict
-// form of the ContinueAt check. On success the clock advances to t.
-// Fused call sites use FuseAfter or FuseAtArg.
-func (s *Simulator) FuseAt(t Time) bool {
-	if s.stopped || !keyLess(t, s.seq+1, s.boundAt, s.boundSeq) || s.headBefore(t, s.seq+1) {
-		return false
-	}
-	if t > s.now {
-		s.now = t
-	}
-	return true
-}
-
-// ContinueArg continues the running event's fused work at time t,
-// keeping its ordering seq: the continuation's key is (t, curSeq). It
-// proceeds as FuseAtArg does under that key: true means carry on at t;
-// false means fn was filed at (t, curSeq) with a copy of *arg and the
-// caller must return.
-func (s *Simulator) ContinueArg(t Time, fn ArgEvent, arg *Arg) bool {
-	return s.resume(t, s.curSeq, nil, fn, arg)
-}
-
 // FuseAtArg runs work that would otherwise be the fresh event
 // AtArgNamed(t, fn, arg) inline. It draws that event's seq first, so
 // every event it dispatches in place orders before it and every event
@@ -646,7 +603,7 @@ func (s *Simulator) FuseAfter(d Duration, fn Event) bool {
 	return s.resume(s.now.Add(d), s.seq, fn, nil, nil)
 }
 
-// resume implements ContinueArg, FuseAtArg and FuseAfter for the continuation key
+// resume implements FuseAtArg and FuseAfter for the continuation key
 // (t, seq): reach it, or file the continuation under it. Exactly one of
 // fn/afn is set, and arg is afn's payload.
 func (s *Simulator) resume(t Time, seq uint64, fn Event, afn ArgEvent, arg *Arg) bool {

@@ -70,25 +70,26 @@ func refTrace(g Trace, s *sim.Simulator, rx Receiver) uint64 {
 }
 
 // logRx records every delivery — receiver, packet seq, frame length,
-// arrival time — into a log shared with the competing event source. Like
-// the NIC's fused receive path it probes FuseAt, whose answer depends on
-// the scheduler head, and so on the stream's successor being filed
-// before the packet is handed on.
+// arrival time and the number of events dispatched so far — into a log
+// shared with the competing event source. A non-nil pending hook sees
+// the simulator at every delivery.
 type logRx struct {
-	name string
-	log  *[]string
+	name    string
+	log     *[]string
+	pending func(s *sim.Simulator, name string)
 }
 
 func (r logRx) Receive(s *sim.Simulator, p *pkt.Packet) {
-	at := s.Now()
-	fuse := s.FuseAt(at + sim.Time(p.Seq%3)*1000)
-	*r.log = append(*r.log, fmt.Sprintf("%d %s seq=%d len=%d fuse=%v", at, r.name, p.Seq, len(p.Frame), fuse))
+	if r.pending != nil {
+		r.pending(s, r.name)
+	}
+	*r.log = append(*r.log, fmt.Sprintf("%d %s seq=%d len=%d dispatched=%d", s.Now(), r.name, p.Seq, len(p.Frame), s.Processed()))
 	p.Release()
 }
 
 // world is one randomized simulation: a mix of generators installed
-// between plain events that land on the generators' own instants,
-// reschedule themselves onto them, and probe the fused-event checks.
+// between plain events that land on the generators' own instants and
+// reschedule themselves onto them.
 type world struct {
 	s     *sim.Simulator
 	rng   *rand.Rand
@@ -102,9 +103,7 @@ func newWorld(seed int64) *world {
 	w.plain = func(sm *sim.Simulator) {
 		id := w.fired
 		w.fired++
-		fuse := sm.FuseAt(sm.Now() + sim.Time(w.rng.Intn(3))*1000)
-		cont := sm.ContinueAt(sm.Now() + sim.Time(w.rng.Intn(3))*1000)
-		w.log = append(w.log, fmt.Sprintf("%d plain%d fuse=%v cont=%v", sm.Now(), id, fuse, cont))
+		w.log = append(w.log, fmt.Sprintf("%d plain%d dispatched=%d", sm.Now(), id, sm.Processed()))
 		if w.fired < 2000 && w.rng.Intn(4) > 0 {
 			sm.At(sm.Now()+sim.Time(w.rng.Intn(4))*1000, w.plain)
 		}
@@ -216,18 +215,35 @@ func TestStreamedGeneratorsMatchPreScheduled(t *testing.T) {
 	}
 }
 
+// TestStreamedGeneratorsKeepOnePendingEvent: each stream keeps exactly
+// one event pending while it has arrivals left, and files it before it
+// hands its packet on — at every delivery the simulator holds one event
+// per stream with arrivals still to come.
 func TestStreamedGeneratorsKeepOnePendingEvent(t *testing.T) {
 	s := sim.New()
 	var log []string
-	rx := logRx{name: "rx", log: &log}
+	left := map[string]int{"trace": 5000, "short": 4, "bursty": 256 * 20}
+	check := func(sm *sim.Simulator, name string) {
+		left[name]--
+		want := 0
+		for _, n := range left {
+			if n > 0 {
+				want++
+			}
+		}
+		if got := sm.Pending(); got != want {
+			t.Fatalf("%s delivery at %v: %d events pending, want %d (one per stream with arrivals left)", name, sm.Now(), got, want)
+		}
+	}
+	rx := func(name string) logRx { return logRx{name: name, log: &log, pending: check} }
 	times := make([]sim.Time, 5000)
 	for i := range times {
 		times[i] = sim.Time(len(times)-i) * 100 // unsorted: reversed
 	}
-	Trace{Flow: flow(1514), Times: times}.Install(s, rx)
-	Trace{Flow: flow(1514), Times: []sim.Time{0, 0, 5, 5}, FrameLen: []int{100, 0}}.Install(s, rx)
+	Trace{Flow: flow(1514), Times: times}.Install(s, rx("trace"))
+	Trace{Flow: flow(1514), Times: []sim.Time{0, 0, 5, 5}, FrameLen: []int{100, 0}}.Install(s, rx("short"))
 	Bursty{Flow: flow(1514), BurstRateBps: Gbps(100), Period: 100 * sim.Microsecond,
-		PacketsPerBurst: 256, NumBursts: 20}.Install(s, rx)
+		PacketsPerBurst: 256, NumBursts: 20}.Install(s, rx("bursty"))
 	if got := s.Pending(); got != 3 {
 		t.Fatalf("pending %d after installing 3 streams, want 3", got)
 	}

@@ -27,6 +27,15 @@ if awk '/^func /{fn=$0} !/^[[:space:]]*\/\// && /\.(Find|scan)\(/ && fn !~ /\) (
     echo "check: internal/hier searches for a line outside Residency and CheckCoherence" >&2
     exit 1
 fi
+# One line engine: the NIC's DMA bursts and every prefetcher's issue
+# train are cursors of the host's sim.Group, stepped in key order as one
+# event, so a line stream in internal/nic or internal/core may not go
+# back to nesting through the kernel's fused-handler calls.
+if grep -rnE '\.(ContinueArg|FuseAfter|FuseAtArg)\(' --include='*.go' --exclude='*_test.go' \
+    internal/nic internal/core | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+    echo "check: internal/nic and internal/core step line streams as sim.Group cursors, not through ContinueArg/FuseAfter/FuseAtArg" >&2
+    exit 1
+fi
 # The README's quickstart sample is the example's summary line as the
 # golden corpus pins it, verbatim, so the sample cannot drift from what
 # `go run ./examples/quickstart` prints.

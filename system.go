@@ -124,8 +124,11 @@ type System struct {
 	// point: after a drained run, Outstanding() must be zero.
 	PktPool *pkt.Pool
 
-	rc      *rootComplex
-	layout  *mem.Layout
+	rc     *rootComplex
+	layout *mem.Layout
+	// lines is the host's line engine: the NIC's DMA cursor and every
+	// prefetcher's issue cursor, stepped in key order as one event.
+	lines   *sim.Group
 	started bool
 
 	obs *obs.Observer
@@ -158,7 +161,7 @@ func NewHostE(sm *sim.Simulator, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{Cfg: cfg, Sim: sm}
+	s := &System{Cfg: cfg, Sim: sm, lines: sim.NewGroup(sm)}
 	s.obs = obs.New(cfg.Obs)
 	if cfg.Watchdog != nil {
 		s.Sim.SetWatchdog(*cfg.Watchdog)
@@ -170,7 +173,7 @@ func NewHostE(sm *sim.Simulator, cfg Config) (*System, error) {
 	s.Controller = idiocore.NewController(cfg.Controller, cfg.Policy, s.Hier.MLCWritebacks)
 	for i := 0; i < cfg.Hier.NumCores; i++ {
 		s.Prefetchers = append(s.Prefetchers,
-			idiocore.NewPrefetcher(cfg.Prefetcher, i, prefetchAdapter{s}))
+			idiocore.NewPrefetcher(cfg.Prefetcher, i, prefetchAdapter{s}, s.lines))
 	}
 	if cfg.DynamicDDIOWays != nil {
 		s.WayTuner = idiocore.NewWayTuner(*cfg.DynamicDDIOWays, s.Hier.LLCWBIOCount, s.Hier.SetDDIOWays)
@@ -186,7 +189,7 @@ func NewHostE(sm *sim.Simulator, cfg Config) (*System, error) {
 		sink = s.Faults.WrapSink(s.rc)
 	}
 	s.PktPool = pkt.NewPool(0)
-	s.NIC = nic.New(cfg.NIC, s.layout, sink, s.Classifier, s.FlowDir)
+	s.NIC = nic.New(cfg.NIC, s.layout, sink, s.Classifier, s.FlowDir, s.lines)
 	s.NIC.SetObserver(s.obs)
 	s.NIC.SetPacketPool(s.PktPool)
 	if s.Faults != nil {
