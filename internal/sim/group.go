@@ -40,8 +40,6 @@ type Group struct {
 	wakeFn Event
 	// stepping is set while a cursor's step runs.
 	stepping bool
-	// filed counts the wakes in the queues.
-	filed int
 }
 
 // A Step runs the work due at its cursor's key and returns the
@@ -158,7 +156,6 @@ func (g *Group) cover() {
 		return
 	}
 	c.waked = true
-	g.filed++
 	g.s.enqueue(schedEvent{at: c.at, seq: c.seq, fn: g.wakeFn})
 }
 
@@ -170,7 +167,6 @@ func (g *Group) wake(s *Simulator) {
 		panic("sim: a group wake fired away from its cursor's key")
 	}
 	c.waked = false
-	g.filed--
 	g.run(s)
 }
 
@@ -194,7 +190,6 @@ func (g *Group) run(s *Simulator) {
 			if c.waked {
 				s.absorb(c.at, c.seq)
 				c.waked = false
-				g.filed--
 			}
 		}
 		// A cursor started during the step orders after c's old key, so

@@ -106,7 +106,11 @@ type ipWorld struct {
 func (w *ipWorld) logicalPending() int {
 	n := w.s.Pending()
 	if w.lines != nil {
-		n += len(w.lines.order) - w.lines.filed
+		for _, c := range w.lines.order {
+			if !c.waked {
+				n++
+			}
+		}
 	}
 	return n
 }
